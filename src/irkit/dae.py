@@ -21,7 +21,6 @@ solved first, then the two constraint solves are independent.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -33,18 +32,16 @@ from .errors import (
     IndexViolationError,
     SingularMatrixError,
     StageSolveError,
-    StepFailureError,
 )
 from .irk_core import (
     Block2x2System,
     PrecondSpec,
     ShiftedSolver,
-    SolveStats,
-    block2x2_operator,
-    make_block2x2_preconditioner,
+    _solve_2x2,
+    block_sweep,
     shifted_matrix,
 )
-from .nonlinear import SolverConfig, StepStats, variant_weights
+from .nonlinear import IntegrationResult, SolverConfig, march, richardson, variant_weights
 from .sparsela import BandedLU, LinearOperator, SparseMatrix, combine, gmres
 from .tableau import SDIRK_FAMILIES, prepare_stages
 
@@ -137,22 +134,18 @@ class _ReducedSolver:
                  constraint: _ConstraintSolver):
         self.counters = counters
         if ops.lw.nnz == 0 or ops.gu.n == 0:
-            self._solver = ShiftedSolver(alpha, mass, ops.lu, dt, "exact")
-            self._dense = None
+            self._solve = ShiftedSolver(alpha, mass, ops.lu, dt, "exact").solve
         else:
             gu_dense = ops.gu.to_dense()
             x = constraint._factor.solve(gu_dense)
             red = shifted_matrix(alpha, mass, ops.lu, dt).to_dense()
             red += dt * (ops.lw.to_dense() @ x)
-            self._dense = densela.lu_factor(red)
-            self._solver = None
+            lu, piv = densela.lu_factor(red)
+            self._solve = lambda r: densela.lu_solve_factored(lu, piv, r)
 
     def solve(self, r):
         self.counters.differential += 1 if np.ndim(r) == 1 else np.shape(r)[1]
-        if self._dense is None:
-            return self._solver.solve(r)
-        lu, piv = self._dense
-        return densela.lu_solve_factored(lu, piv, r)
+        return self._solve(r)
 
 
 def _composite_matvec(ops: DaeOps, eta_or_alpha, mass, dt, xu, xw):
@@ -167,25 +160,31 @@ def _split(x, nu, nw):
     return x[:nu], x[nu : nu + nw]
 
 
+def _coupling_action(od: DaeOps, dt, xu, xw):
+    """``dt`` times a coupling operator's action, as (differential, algebraic) rows."""
+    return dt * (od.lu @ xu) + dt * (od.lw @ xw), dt * (od.gu @ xu) + dt * (od.gw @ xw)
+
+
+def _eliminate(ops: DaeOps, constraint, reduced, dt, ru, rw):
+    """Exact composite solve that eliminates the algebraic rows; ``[zu, zw]``."""
+    if ops.lw.nnz:
+        ru = ru - ops.lw @ constraint.solve(rw)
+    zu = reduced.solve(ru)
+    return [zu, -constraint.solve(rw + dt * (ops.gu @ zu)) / dt]
+
+
 def solve_dae_block2x2(ops, eta, dt, mass, rhs, spec, counters, rtol, maxit, restart):
     """Real-eigenvalue composite block: GMRES with elimination preconditioning."""
     nu, nw = ops.lu.n, ops.gw.n
     n = nu + nw
     constraint = _ConstraintSolver(ops.gw, counters)
     reduced = _ReducedSolver(eta, ops, dt, mass, counters, constraint)
-    has_lw = ops.lw.nnz > 0
 
     def apply_op(x):
-        xu, xw = _split(x, nu, nw)
-        top, bot = _composite_matvec(ops, eta, mass, dt, xu, xw)
-        return np.concatenate([top, bot])
+        return np.concatenate(_composite_matvec(ops, eta, mass, dt, *_split(x, nu, nw)))
 
     def apply_pre(r):
-        ru, rw = _split(r, nu, nw)
-        rhs_u = ru - ops.lw @ constraint.solve(rw) if has_lw else ru
-        zu = reduced.solve(rhs_u)
-        zw = -constraint.solve(rw + dt * (ops.gu @ zu)) / dt if nw else rw[:0]
-        return np.concatenate([zu, zw])
+        return np.concatenate(_eliminate(ops, constraint, reduced, dt, *_split(r, nu, nw)))
 
     op = LinearOperator(n, apply_op)
     pre = LinearOperator(n, apply_pre, solves_per_apply=1)
@@ -243,13 +242,11 @@ def solve_dae_block4x4(
         top1 = top1 + phi * mass_apply(x2u)
         top2 = top2 - (beta**2 / phi) * mass_apply(x1u)
         if (0, 1) in offdiag:
-            od = offdiag[(0, 1)]
-            top1 -= dt * (od.lu @ x2u) + dt * (od.lw @ x2w)
-            bot1 -= dt * (od.gu @ x2u) + dt * (od.gw @ x2w)
+            c_top, c_bot = _coupling_action(offdiag[(0, 1)], dt, x2u, x2w)
+            top1, bot1 = top1 - c_top, bot1 - c_bot
         if (1, 0) in offdiag:
-            od = offdiag[(1, 0)]
-            top2 -= dt * (od.lu @ x1u) + dt * (od.lw @ x1w)
-            bot2 -= dt * (od.gu @ x1u) + dt * (od.gw @ x1w)
+            c_top, c_bot = _coupling_action(offdiag[(1, 0)], dt, x1u, x1w)
+            top2, bot2 = top2 - c_top, bot2 - c_bot
         return np.concatenate([top1, bot1, top2, bot2])
 
     if mode == "reordered":
@@ -262,20 +259,13 @@ def solve_dae_block4x4(
             l1=ops_i.lu, l2=ops_j.lu, dt=dt,
         )
         rdiff = np.concatenate([rhs[:nu], rhs[n : n + nu]])
-        sol, rep = gmres(
-            block2x2_operator(sys2),
-            rdiff,
-            right_precond=make_block2x2_preconditioner(sys2, spec),
-            rtol=rtol,
-            maxit=maxit,
-            restart=restart,
-        )
+        sol, rep = _solve_2x2(sys2, rdiff, spec, rtol, maxit, restart)
         counters.differential += rep.precond_applications
         k1, k2 = sol[:nu], sol[nu:]
         c1 = _ConstraintSolver(ops_i.gw, counters)
         c2 = _ConstraintSolver(ops_j.gw, counters)
-        l1 = -c1.solve(rhs[nu:n] + dt * (ops_i.gu @ k1)) / dt if nw else rhs[:0]
-        l2 = -c2.solve(rhs[n + nu :] + dt * (ops_j.gu @ k2)) / dt if nw else rhs[:0]
+        l1 = -c1.solve(rhs[nu:n] + dt * (ops_i.gu @ k1)) / dt
+        l2 = -c2.solve(rhs[n + nu :] + dt * (ops_j.gu @ k2)) / dt
         x = np.concatenate([k1, l1, k2, l2])
     elif mode == "coupled":
         constraint1 = _ConstraintSolver(ops_i.gw, counters)
@@ -283,20 +273,12 @@ def solve_dae_block4x4(
         gamma = spec.gamma(eta, beta)
         red1 = _ReducedSolver(eta, ops_i, dt, mass, counters, constraint1)
         red2 = _ReducedSolver(gamma, ops_j, dt, mass, counters, constraint2)
-        has_lw1 = ops_i.lw.nnz > 0
-        has_lw2 = ops_j.lw.nnz > 0
 
         def apply_pre(r):
-            r1u, r1w = _split(r[:n], nu, nw)
+            z1 = _eliminate(ops_i, constraint1, red1, dt, *_split(r[:n], nu, nw))
             r2u, r2w = _split(r[n:], nu, nw)
-            rhs1 = r1u - ops_i.lw @ constraint1.solve(r1w) if has_lw1 else r1u
-            z1u = red1.solve(rhs1)
-            z1w = -constraint1.solve(r1w + dt * (ops_i.gu @ z1u)) / dt if nw else r1w
-            r2u = r2u + (beta**2 / phi) * mass_apply(z1u)
-            rhs2 = r2u - ops_j.lw @ constraint2.solve(r2w) if has_lw2 else r2u
-            z2u = red2.solve(rhs2)
-            z2w = -constraint2.solve(r2w + dt * (ops_j.gu @ z2u)) / dt if nw else r2w
-            return np.concatenate([z1u, z1w, z2u, z2w])
+            r2u = r2u + (beta**2 / phi) * mass_apply(z1[0])
+            return np.concatenate(z1 + _eliminate(ops_j, constraint2, red2, dt, r2u, r2w))
 
         op = LinearOperator(2 * n, apply_full)
         pre = LinearOperator(2 * n, apply_pre, solves_per_apply=2)
@@ -317,155 +299,98 @@ def solve_dae_block4x4(
 
 def _build_dae_variant(prep, stage_ops, variant, variant0_stage):
     """Componentwise weighted sums of the composite stage operators."""
-    s = prep.tableau.s
     dw, ow = variant_weights(prep, variant, variant0_stage)
 
     def comb(weights):
-        return DaeOps(
-            lu=combine(weights, [op.lu for op in stage_ops]),
-            lw=combine(weights, [op.lw for op in stage_ops]),
-            gu=combine(weights, [op.gu for op in stage_ops]),
-            gw=combine(weights, [op.gw for op in stage_ops]),
-        )
+        return DaeOps(*(combine(weights, part) for part in zip(*stage_ops)))
 
-    diag = tuple(comb(dw[i]) for i in range(s))
-    offdiag = {key: comb(w) for key, w in ow.items()}
-    return diag, offdiag
+    return tuple(comb(w) for w in dw), {key: comb(w) for key, w in ow.items()}
 
 
 def _solve_dae_transformed(prep, diag, offdiag, mass, dt, rhs, cfg, counters, mode):
-    """Backward block sweep of the transformed composite stage system."""
-    s = prep.tableau.s
+    """Backward block sweep of the transformed composite stage system.
+
+    Rows stack ``[k | ell]``; the ``r[i, j]`` mass coupling acts on the
+    differential part only, so the algebraic rows see zeros.
+    """
     nu = diag[0].lu.n
-    nw = diag[0].gw.n
-    n = nu + nw
-    q = prep.schur.q
-    r0 = prep.schur.r
-    g = q.T @ rhs
-    y = np.zeros_like(g)
-    mk = [None] * s  # mass @ (differential part of y_j)
-    stats = SolveStats()
-    for blk in reversed(prep.schur.blocks):
-        rows = list(range(blk.offset, blk.offset + blk.size))
-        acc = g[rows].copy()
-        for local, r_idx in enumerate(rows):
-            for j in range(blk.offset + blk.size, s):
-                coef = r0[r_idx, j]
-                if coef != 0.0:
-                    acc[local, :nu] -= coef * mk[j]
-                od = offdiag.get((r_idx, j))
-                if od is not None:
-                    xu, xw = y[j, :nu], y[j, nu:]
-                    acc[local, :nu] += dt * (od.lu @ xu) + dt * (od.lw @ xw)
-                    acc[local, nu:] += dt * (od.gu @ xu) + dt * (od.gw @ xw)
+
+    def mass_apply(y):
+        out = np.zeros_like(y)
+        out[:nu] = y[:nu] if mass is None else mass @ y[:nu]
+        return out
+
+    def couple(i, j, y):
+        od = offdiag.get((i, j))
+        if od is None:
+            return None
+        return np.concatenate(_coupling_action(od, dt, y[:nu], y[nu:]))
+
+    def solve_block(blk, acc):
+        i = blk.offset
         if blk.size == 1:
-            sol, rep = solve_dae_block2x2(
-                diag[blk.offset],
-                blk.eta,
-                dt,
-                mass,
-                acc[0],
-                cfg.precond,
-                counters,
-                cfg.krylov_rtol,
-                cfg.krylov_maxit,
-                cfg.restart,
+            return solve_dae_block2x2(
+                diag[i], blk.eta, dt, mass, acc[0], cfg.precond, counters,
+                cfg.krylov_rtol, cfg.krylov_maxit, cfg.restart,
             )
-            if not rep.converged:
-                raise StageSolveError(
-                    f"composite 1x1 block at offset {blk.offset} did not converge",
-                    block_offset=blk.offset,
-                    report=rep,
-                )
-            y[rows[0]] = sol
-        else:
-            pair_off = {
-                key_local: offdiag[key]
-                for key_local, key in (
-                    ((0, 1), (blk.offset, blk.offset + 1)),
-                    ((1, 0), (blk.offset + 1, blk.offset)),
-                )
-                if key in offdiag
-            }
-            sol, rep = solve_dae_block4x4(
-                diag[blk.offset],
-                diag[blk.offset + 1],
-                blk.eta,
-                blk.beta,
-                blk.phi,
-                dt,
-                np.concatenate([acc[0], acc[1]]),
-                mode=mode,
-                mass=mass,
-                spec=cfg.precond,
-                counters=counters,
-                rtol=cfg.krylov_rtol,
-                maxit=cfg.krylov_maxit,
-                restart=cfg.restart,
-                offdiag=pair_off,
-            )
-            if not rep.converged:
-                raise StageSolveError(
-                    f"composite 2x2 block at offset {blk.offset} did not converge",
-                    block_offset=blk.offset,
-                    report=rep,
-                )
-            y[rows[0]] = sol[:n]
-            y[rows[1]] = sol[n:]
-        for r_idx in rows:
-            ku = y[r_idx, :nu]
-            mk[r_idx] = ku if mass is None else mass @ ku
-        stats.reports.append((blk.offset, rep))
-    x = (q @ r0) @ y
-    return x, stats
+        pair_off = {
+            key_local: offdiag[key]
+            for key_local, key in (((0, 1), (i, i + 1)), ((1, 0), (i + 1, i)))
+            if key in offdiag
+        }
+        return solve_dae_block4x4(
+            diag[i],
+            diag[i + 1],
+            blk.eta,
+            blk.beta,
+            blk.phi,
+            dt,
+            acc.ravel(),
+            mode=mode,
+            mass=mass,
+            spec=cfg.precond,
+            counters=counters,
+            rtol=cfg.krylov_rtol,
+            maxit=cfg.krylov_maxit,
+            restart=cfg.restart,
+            offdiag=pair_off,
+        )
+
+    return block_sweep(prep, rhs, mass_apply, couple, solve_block)
 
 
 def dae_newton_step(sys: DaeSystem, st: DaeStageState, prep, cfg: SolverConfig,
                     mode="coupled"):
-    """Preconditioned Richardson iteration on the composite stage residual."""
+    """Preconditioned Richardson iteration on the composite stage residual.
+
+    The iterate stacks ``[k | ell]`` row by row, shape ``(s, dim_u + dim_w)``.
+    """
     tableau = prep.tableau
-    stats = StepStats()
     counters = DaeCounters()
-    tic = time.perf_counter()
-    res = dae_stage_residual(sys, st, tableau)
-    f0 = np.linalg.norm(res)
-    stats.residual_history.append(f0)
-    tol = max(cfg.newton_rtol * f0, cfg.newton_abs_floor)
-    ops = None
-    diag = offdiag = None
     nu = sys.dim_u
-    while stats.newton_iterations < cfg.newton_maxit:
-        if np.linalg.norm(res) <= tol:
-            stats.converged = True
-            break
-        if ops is None or cfg.jacobian_refresh == "every":
-            u_stage = st.u[None, :] + st.dt * (tableau.a0 @ st.k)
-            w_stage = st.w[None, :] + st.dt * (tableau.a0 @ st.ell)
-            ops = [
-                DaeOps(*sys.blocks(u_stage[i], w_stage[i], st.t + tableau.c0[i] * st.dt))
-                for i in range(tableau.s)
-            ]
-            stats.jacobian_assemblies += tableau.s
-            diag, offdiag = _build_dae_variant(prep, ops, cfg.variant, cfg.variant0_stage)
-        dx, solve_stats = _solve_dae_transformed(
-            prep, diag, offdiag, sys.mass, st.dt, res, cfg, counters, mode
+
+    def residual(x):
+        st.k, st.ell = x[:, :nu], x[:, nu:]
+        return dae_stage_residual(sys, st, tableau)
+
+    def assemble(x):
+        u_stage = st.u[None, :] + st.dt * (tableau.a0 @ x[:, :nu])
+        w_stage = st.w[None, :] + st.dt * (tableau.a0 @ x[:, nu:])
+        ops = [
+            DaeOps(*sys.blocks(u_stage[i], w_stage[i], st.t + tableau.c0[i] * st.dt))
+            for i in range(tableau.s)
+        ]
+        return _build_dae_variant(prep, ops, cfg.variant, cfg.variant0_stage)
+
+    def solve(jac, res):
+        return _solve_dae_transformed(
+            prep, *jac, sys.mass, st.dt, res, cfg, counters, mode
         )
-        st.k = st.k + dx[:, :nu]
-        st.ell = st.ell + dx[:, nu:]
-        stats.newton_iterations += 1
-        stats.add_solve(solve_stats)
-        res = dae_stage_residual(sys, st, tableau)
-        stats.residual_history.append(np.linalg.norm(res))
-    else:
-        if np.linalg.norm(res) > tol:
-            stats.wall_time = time.perf_counter() - tic
-            raise StepFailureError(
-                f"DAE stage solve stalled after {cfg.newton_maxit} iterations "
-                f"(residual {np.linalg.norm(res):.3e}, tol {tol:.3e})",
-                stats=stats,
-            )
-        stats.converged = True
-    stats.wall_time = time.perf_counter() - tic
+
+    _, stats = richardson(
+        residual, assemble, solve, np.hstack([st.k, st.ell]), cfg, tableau.s,
+        label="DAE stage solve",
+    )
     stats.differential_solves = counters.differential
     stats.constraint_solves = counters.constraint
     return st, stats, counters
@@ -513,8 +438,7 @@ class DaeIntegrationResult:
     def w_final(self):
         return self.w_states[-1]
 
-    def total(self, attr):
-        return sum(getattr(s, attr) for s in self.step_stats)
+    total = IntegrationResult.total
 
 
 def dae_integrate(sys: DaeSystem, u0, w0, t0, t_final, dt, tableau,
@@ -522,43 +446,27 @@ def dae_integrate(sys: DaeSystem, u0, w0, t0, t_final, dt, tableau,
     """Fixed-step DAE march.
 
     The initial state must satisfy the constraint to 1e-10; a failing step
-    raises :class:`StepFailureError` with the partial trajectories attached.
+    raises its :class:`~irkit.errors.IrkitError` with the partial
+    trajectories attached as ``partial``.
     """
     g0 = np.linalg.norm(sys.constraint(np.asarray(u0, float), np.asarray(w0, float), t0))
     if g0 > 1e-10:
         raise ConfigurationError(
             f"inconsistent initial condition: |G(u0, w0, t0)| = {g0:.3e}"
         )
-    span = t_final - t0
-    nsteps_f = span / dt
-    nsteps = int(round(nsteps_f))
-    if abs(nsteps_f - nsteps) > 1e-8 * max(1.0, abs(nsteps_f)):
-        raise ConfigurationError(
-            f"(t_final - t0)/dt = {nsteps_f} is not an integer step count"
-        )
     prep = prepare_stages(tableau)
-    u = np.array(u0, dtype=float)
-    w = np.array(w0, dtype=float)
-    times = [t0]
-    u_states = [u.copy()]
-    w_states = [w.copy()]
-    step_stats = []
-    for j in range(nsteps):
-        t = t0 + j * dt
-        try:
-            u, w, stats = dae_step(sys, u, w, t, dt, tableau, cfg, prep=prep, mode=mode)
-        except StepFailureError as exc:
-            exc.partial = DaeIntegrationResult(
-                times=np.array(times),
-                u_states=u_states,
-                w_states=w_states,
-                step_stats=step_stats,
-            )
-            raise
-        times.append(t0 + (j + 1) * dt)
-        u_states.append(u.copy())
-        w_states.append(w.copy())
-        step_stats.append(stats)
-    return DaeIntegrationResult(
-        times=np.array(times), u_states=u_states, w_states=w_states, step_stats=step_stats
-    )
+
+    def advance(state, t):
+        u, w, stats = dae_step(sys, *state, t, dt, tableau, cfg, prep=prep, mode=mode)
+        return (u, w), stats
+
+    def pack(times, states, step_stats):
+        return DaeIntegrationResult(
+            times=times,
+            u_states=[u for u, _ in states],
+            w_states=[w for _, w in states],
+            step_stats=step_stats,
+        )
+
+    state0 = (np.array(u0, dtype=float), np.array(w0, dtype=float))
+    return march(advance, state0, t0, t_final, dt, pack)

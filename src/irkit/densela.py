@@ -1,10 +1,10 @@
 """Small dense linear-algebra kernels for Runge-Kutta coefficient matrices.
 
-Everything here operates on float64 numpy arrays at tiny sizes (the real
-Schur path is capped at 16x16), so the implementations favor exact control
-over the quasi-triangular block structure rather than speed.  The one-sided
-Jacobi SVD is used for two-norm condition numbers of preconditioned
-operators up to a few hundred rows.
+The real Schur decomposition operates on float64 numpy arrays at tiny sizes
+(capped at 16x16), so it is implemented here for exact control over the
+quasi-triangular block structure rather than speed.  LU solves and the
+singular values behind two-norm condition numbers call LAPACK through
+scipy.
 
 The quasi-triangular factor produced by :func:`real_schur` is standardized:
 every 2x2 diagonal block carrying a complex pair ``eta +- i*beta`` has equal
@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DecompositionError, SingularMatrixError
 
@@ -262,130 +263,60 @@ def real_schur(a):
     return SchurForm(q=q, r=h, blocks=tuple(blocks))
 
 
+def _check_pivots(lu, a):
+    """Raise unless every pivot of ``lu`` exceeds ``1e-14 * norm(a, inf)``."""
+    pivots = np.abs(np.diag(lu))
+    if pivots.size and pivots.min() <= 1e-14 * np.linalg.norm(a, np.inf):
+        raise SingularMatrixError(f"pivot {pivots.min():.3e} below threshold")
+
+
 def lu_factor(a):
-    """LU factorization with partial pivoting, ``P a = L U`` packed in place.
+    """LU factorization with partial pivoting (LAPACK ``getrf``).
 
     Returns ``(lu, piv)`` where ``piv`` records the row swapped with row k at
     step k.  Raises :class:`SingularMatrixError` when a pivot falls below
     ``1e-14 * norm(a, inf)``.
     """
     a = _as_square(a)
-    n = a.shape[0]
-    lu = a.copy()
-    piv = np.arange(n)
-    scale = np.linalg.norm(a, np.inf) if n else 0.0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[p, k]) < 1e-14 * scale:
-            raise SingularMatrixError(f"pivot {abs(lu[p, k]):.3e} below threshold")
-        if p != k:
-            lu[[k, p], :] = lu[[p, k], :]
-        piv[k] = p
-        lu[k + 1 :, k] /= lu[k, k]
-        if k + 1 < n:
-            lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
+    if a.size == 0:
+        return a, np.zeros(0, dtype=np.int32)
+    # getrf directly: scipy's lu_factor would warn before the pivot check raises
+    lu, piv, _ = scipy.linalg.lapack.dgetrf(a)
+    _check_pivots(lu, a)
     return lu, piv
 
 
 def lu_solve_factored(lu, piv, rhs):
     """Solve with a factorization from :func:`lu_factor`; rhs may be 1D or 2D."""
-    b = np.array(rhs, dtype=float)
-    one_dim = b.ndim == 1
-    if one_dim:
-        b = b[:, None]
-    n = lu.shape[0]
-    if b.shape[0] != n:
-        raise ValueError("rhs dimension mismatch")
-    for k in range(n):
-        p = piv[k]
-        if p != k:
-            b[[k, p], :] = b[[p, k], :]
-    for k in range(n):
-        b[k + 1 :, :] -= np.outer(lu[k + 1 :, k], b[k, :])
-    for k in range(n - 1, -1, -1):
-        b[k, :] -= lu[k, k + 1 :] @ b[k + 1 :, :]
-        b[k, :] /= lu[k, k]
-    return b[:, 0] if one_dim else b
+    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
 
 
 def lu_solve(a, rhs):
-    """Solve ``a x = rhs`` by LU with partial pivoting."""
-    lu, piv = lu_factor(a)
-    return lu_solve_factored(lu, piv, rhs)
+    """Solve ``a x = rhs`` by LU with partial pivoting.
 
-
-def _jacobi_rounds(n):
-    """Round-robin tournament pairings covering all index pairs once."""
-    players = list(range(n)) if n % 2 == 0 else list(range(n)) + [-1]
-    k = len(players)
-    rounds = []
-    for _ in range(k - 1):
-        pairs = []
-        for i in range(k // 2):
-            p, qq = players[i], players[k - 1 - i]
-            if p != -1 and qq != -1:
-                pairs.append((min(p, qq), max(p, qq)))
-        rounds.append(pairs)
-        players = [players[0]] + [players[-1]] + players[1:-1]
-    return rounds
-
-
-def singular_values(a, tol=1e-12, max_sweeps=40):
-    """Singular values by one-sided Jacobi, in descending order.
-
-    Columns of a working copy are rotated until pairwise orthogonal; the
-    singular values are the final column norms.  Column pairs are swept in a
-    round-robin ordering so each round applies disjoint rotations.
+    A lower-triangular ``a`` (a DIRK coefficient matrix) is solved by
+    substitution instead, so its inverse stays exactly triangular: pivoting
+    leaves roundoff above the diagonal, which splits the repeated eigenvalue
+    of the inverse by ``sqrt(eps)`` in its Schur form.
     """
     a = _as_square(a)
-    n = a.shape[0]
-    if n == 0:
-        return np.empty(0)
-    w = a.copy()
-    rounds = _jacobi_rounds(n)
-    for _ in range(max_sweeps):
-        worst = 0.0
-        for pairs in rounds:
-            ps = np.fromiter((p for p, _ in pairs), dtype=int)
-            qs = np.fromiter((qq for _, qq in pairs), dtype=int)
-            wp = w[:, ps]
-            wq = w[:, qs]
-            app = np.einsum("ij,ij->j", wp, wp)
-            aqq = np.einsum("ij,ij->j", wq, wq)
-            apq = np.einsum("ij,ij->j", wp, wq)
-            denom = np.sqrt(app * aqq)
-            active = denom > 0.0
-            rel = np.zeros_like(apq)
-            rel[active] = np.abs(apq[active]) / denom[active]
-            worst = max(worst, float(rel.max(initial=0.0)))
-            rotate = rel > tol
-            if not np.any(rotate):
-                continue
-            tau = (aqq[rotate] - app[rotate]) / (2.0 * apq[rotate])
-            t = np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-            t = np.where(tau == 0.0, 1.0, t)
-            cs = 1.0 / np.sqrt(1.0 + t * t)
-            sn = cs * t
-            pr = ps[rotate]
-            qr = qs[rotate]
-            wp = w[:, pr]
-            wq = w[:, qr]
-            w[:, pr] = cs * wp - sn * wq
-            w[:, qr] = sn * wp + cs * wq
-        if worst <= tol:
-            break
-    else:
-        if worst > 1e-8:
-            raise DecompositionError(
-                f"Jacobi SVD did not converge (off-diagonal {worst:.3e})"
-            )
-    sigma = np.sqrt(np.einsum("ij,ij->j", w, w))
-    sigma.sort()
-    return sigma[::-1]
+    if np.any(np.triu(a, 1)):
+        return lu_solve_factored(*lu_factor(a), rhs)
+    _check_pivots(a, a)
+    return scipy.linalg.solve_triangular(a, rhs, lower=True, check_finite=False)
+
+
+def singular_values(a):
+    """Singular values in descending order (LAPACK ``gesdd``)."""
+    a = _as_square(a)
+    try:
+        return scipy.linalg.svdvals(a, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionError(f"SVD did not converge: {exc}") from exc
 
 
 def cond2(a):
-    """Two-norm condition number ``sigma_max / sigma_min`` via Jacobi SVD."""
+    """Two-norm condition number ``sigma_max / sigma_min``."""
     sigma = singular_values(a)
     if sigma.size == 0:
         return 1.0

@@ -144,6 +144,19 @@ def block2x2_operator(sys: Block2x2System) -> LinearOperator:
     return LinearOperator(2 * sys.n, lambda x: apply_block2x2(sys, x))
 
 
+def _lower_triangular(sys: Block2x2System, solve1, solve2):
+    """Solves ``z1 = solve1(r1)``, then ``z2 = solve2(r2 + (beta^2/phi) M z1)``."""
+    n = sys.n
+    coupling = sys.beta**2 / sys.phi
+
+    def apply(r):
+        z1 = solve1(r[:n])
+        z2 = solve2(r[n:] + coupling * sys.mass_apply(z1))
+        return np.concatenate([z1, z2])
+
+    return LinearOperator(2 * n, apply, solves_per_apply=2)
+
+
 def make_block2x2_preconditioner(sys: Block2x2System, spec: PrecondSpec):
     """Block lower-triangular right preconditioner for the 2x2 system.
 
@@ -154,15 +167,7 @@ def make_block2x2_preconditioner(sys: Block2x2System, spec: PrecondSpec):
     gamma = spec.gamma(sys.eta, sys.beta)
     s1 = ShiftedSolver(sys.eta, sys.mass, sys.l1, sys.dt, spec.inner)
     s2 = ShiftedSolver(gamma, sys.mass, sys.l2, sys.dt, spec.inner)
-    n = sys.n
-    coupling = sys.beta**2 / sys.phi
-
-    def apply(r):
-        z1 = s1.solve(r[:n])
-        z2 = s2.solve(r[n:] + coupling * sys.mass_apply(z1))
-        return np.concatenate([z1, z2])
-
-    return LinearOperator(2 * n, apply, solves_per_apply=2)
+    return _lower_triangular(sys, s1.solve, s2.solve)
 
 
 def precond_block2x2(sys: Block2x2System, spec: PrecondSpec, r):
@@ -184,14 +189,9 @@ def exact_schur_preconditioner(sys: Block2x2System):
     a2 = shifted_matrix(sys.eta, sys.mass, sys.l2, sys.dt).to_dense()
     schur = a2 + sys.beta**2 * (m_dense @ s1.solve(m_dense))
     lu, piv = densela.lu_factor(schur)
-    coupling = sys.beta**2 / sys.phi
-
-    def apply(r):
-        z1 = s1.solve(r[:n])
-        z2 = densela.lu_solve_factored(lu, piv, r[n:] + coupling * sys.mass_apply(z1))
-        return np.concatenate([z1, z2])
-
-    return LinearOperator(2 * n, apply, solves_per_apply=2)
+    return _lower_triangular(
+        sys, s1.solve, lambda v: densela.lu_solve_factored(lu, piv, v)
+    )
 
 
 @dataclass
@@ -208,8 +208,16 @@ class SolveStats:
     def precond_applications(self):
         return sum(rep.precond_applications for _, rep in self.reports)
 
-    def merge(self, other):
-        self.reports.extend(other.reports)
+
+def _solve_2x2(sys2, rhs, spec, rtol, maxit, restart):
+    return gmres(
+        block2x2_operator(sys2),
+        rhs,
+        right_precond=make_block2x2_preconditioner(sys2, spec),
+        rtol=rtol,
+        maxit=maxit,
+        restart=restart,
+    )
 
 
 def _solve_1x1(eta, lmat, mass, dt, rhs, spec, rtol, maxit, restart):
@@ -220,6 +228,50 @@ def _solve_1x1(eta, lmat, mass, dt, rhs, spec, rtol, maxit, restart):
     solver = ShiftedSolver(eta, mass, lmat, dt, spec.inner)
     pre = LinearOperator(lmat.n, solver.solve, solves_per_apply=1)
     return gmres(op, rhs, right_precond=pre, rtol=rtol, maxit=maxit, restart=restart)
+
+
+def block_sweep(prep, rhs_stages, mass_apply, couple, solve_block):
+    """Backward substitution over the eigen-blocks of the transformed system.
+
+    ``rhs_stages`` has one row per stage.  It is rotated by ``q.T``; each
+    eigen-block's right-hand side then loses the ``r[i, j]``-weighted mass
+    action ``mass_apply(y_j)`` of the rows already solved below it and gains
+    ``couple(i, j, y_j)`` (a variant-3 coupling term, or ``None``).
+    ``solve_block(blk, acc)`` solves the block for its ``(size, m)`` right-hand
+    side and returns the stacked rows and their :class:`KrylovReport`.  The
+    stage increments are recovered with ``q @ r``.  Returns
+    ``(x, SolveStats)``; a non-convergent block raises
+    :class:`StageSolveError` carrying the block offset and report.
+    """
+    q = prep.schur.q
+    r0 = prep.schur.r
+    s = prep.tableau.s
+    g = q.T @ rhs_stages
+    y = np.zeros_like(g)
+    my = [None] * s  # mass_apply(y[j]), cached once each block is solved
+    stats = SolveStats()
+    for blk in reversed(prep.schur.blocks):
+        rows = range(blk.offset, blk.offset + blk.size)
+        acc = g[rows].copy()
+        for local, i in enumerate(rows):
+            for j in range(blk.offset + blk.size, s):
+                if r0[i, j] != 0.0:
+                    acc[local] -= r0[i, j] * my[j]
+                term = couple(i, j, y[j])
+                if term is not None:
+                    acc[local] += term
+        sol, rep = solve_block(blk, acc)
+        if not rep.converged:
+            raise StageSolveError(
+                f"{blk.size}x{blk.size} block at offset {blk.offset} did not converge",
+                block_offset=blk.offset,
+                report=rep,
+            )
+        y[rows] = sol.reshape(blk.size, -1)
+        for i in rows:
+            my[i] = mass_apply(y[i])
+        stats.reports.append((blk.offset, rep))
+    return (q @ r0) @ y, stats
 
 
 def solve_transformed_system(
@@ -237,10 +289,9 @@ def solve_transformed_system(
 ):
     """Solve one linearized stage system through the Schur transform.
 
-    ``rhs_stages`` has shape ``(s, n)``.  The right-hand side is rotated by
-    ``q.T``, the quasi-triangular block system is solved from the last
-    eigen-block upward (1x1 shifted solves and 2x2 block GMRES), and the
-    stage increments are recovered with ``q @ r``.
+    ``rhs_stages`` has shape ``(s, n)``.  The quasi-triangular block system
+    is swept by :func:`block_sweep` with 1x1 shifted solves and 2x2 block
+    GMRES.
 
     The block-diagonal approximation of the transformed operator is taken
     from ``variant_jacobian`` when given, otherwise built from
@@ -260,82 +311,33 @@ def solve_transformed_system(
         raise ValueError(f"rhs has {rhs.shape[0]} stage rows, expected {s}")
     if dt is None or dt <= 0.0:
         raise ValueError("dt must be positive")
-    q = prep.schur.q
-    r0 = prep.schur.r
-    g = q.T @ rhs
-    y = np.zeros_like(g)
-    my = [None] * s  # mass @ y[j], cached once each block is solved
-    stats = SolveStats()
 
     def mass_apply(vec):
         return vec if mass is None else mass @ vec
 
-    for blk in reversed(prep.schur.blocks):
-        rows = list(range(blk.offset, blk.offset + blk.size))
-        acc = g[rows].copy()
-        for local, r_idx in enumerate(rows):
-            for j in range(blk.offset + blk.size, s):
-                coef = r0[r_idx, j]
-                if coef != 0.0:
-                    acc[local] -= coef * my[j]
-                od = vjac.offdiag.get((r_idx, j))
-                if od is not None:
-                    acc[local] += dt * (od @ y[j])
+    def couple(i, j, yj):
+        od = vjac.offdiag.get((i, j))
+        return None if od is None else dt * (od @ yj)
+
+    def solve_block(blk, acc):
+        i = blk.offset
         if blk.size == 1:
-            sol, rep = _solve_1x1(
-                blk.eta,
-                vjac.diag[blk.offset],
-                mass,
-                dt,
-                acc[0],
-                precond,
-                krylov_rtol,
-                krylov_maxit,
-                restart,
-            )
-            if not rep.converged:
-                raise StageSolveError(
-                    f"1x1 block at offset {blk.offset} did not converge",
-                    block_offset=blk.offset,
-                    report=rep,
-                )
-            y[rows[0]] = sol
-        else:
-            sys2 = Block2x2System(
-                eta=blk.eta,
-                beta=blk.beta,
-                phi=blk.phi,
-                mass=mass,
-                l1=vjac.diag[blk.offset],
-                l2=vjac.diag[blk.offset + 1],
-                dt=dt,
-                offdiag12=vjac.offdiag.get((blk.offset, blk.offset + 1)),
-                offdiag21=vjac.offdiag.get((blk.offset + 1, blk.offset)),
-            )
-            op = block2x2_operator(sys2)
-            pre = make_block2x2_preconditioner(sys2, precond)
-            sol, rep = gmres(
-                op,
-                np.concatenate([acc[0], acc[1]]),
-                right_precond=pre,
-                rtol=krylov_rtol,
-                maxit=krylov_maxit,
-                restart=restart,
-            )
-            if not rep.converged:
-                raise StageSolveError(
-                    f"2x2 block at offset {blk.offset} did not converge",
-                    block_offset=blk.offset,
-                    report=rep,
-                )
-            n = sys2.n
-            y[rows[0]] = sol[:n]
-            y[rows[1]] = sol[n:]
-        for r_idx in rows:
-            my[r_idx] = mass_apply(y[r_idx])
-        stats.reports.append((blk.offset, rep))
-    k = (q @ r0) @ y
-    return k, stats
+            return _solve_1x1(blk.eta, vjac.diag[i], mass, dt, acc[0], precond,
+                              krylov_rtol, krylov_maxit, restart)
+        sys2 = Block2x2System(
+            eta=blk.eta,
+            beta=blk.beta,
+            phi=blk.phi,
+            mass=mass,
+            l1=vjac.diag[i],
+            l2=vjac.diag[i + 1],
+            dt=dt,
+            offdiag12=vjac.offdiag.get((i, i + 1)),
+            offdiag21=vjac.offdiag.get((i + 1, i)),
+        )
+        return _solve_2x2(sys2, acc.ravel(), precond, krylov_rtol, krylov_maxit, restart)
+
+    return block_sweep(prep, rhs, mass_apply, couple, solve_block)
 
 
 def field_of_values_bound(l: SparseMatrix, rtol=1e-8, maxit=50000):

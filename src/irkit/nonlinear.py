@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, StepFailureError
-from .irk_core import PrecondSpec, ShiftedSolver, solve_transformed_system
-from .sparsela import LinearOperator, SparseMatrix, combine, gmres
+from .errors import ConfigurationError, IrkitError, StepFailureError
+from .irk_core import PrecondSpec, SolveStats, _solve_1x1, solve_transformed_system
+from .sparsela import SparseMatrix, combine
 from .tableau import SDIRK_FAMILIES, ButcherTableau, StagePrep, prepare_stages
 
 
@@ -179,8 +179,47 @@ class StepStats:
             self.block_iterations.setdefault(off, []).append(rep.iterations)
 
 
-def _stage_times(tableau, t, dt):
-    return t + tableau.c0 * dt
+def richardson(residual, assemble, solve, x, cfg: SolverConfig, linearizations,
+               label="stage solve", stats=None):
+    """Drive ``x <- x + P^{-1} F(x)`` to the residual tolerance.
+
+    ``residual(x)`` evaluates ``F``; ``assemble(x)`` linearizes at ``x`` into
+    ``P``, which counts ``linearizations`` Jacobian assemblies and is
+    refreshed per ``cfg.jacobian_refresh``; ``solve(P, F)`` returns the
+    increment and its :class:`~irkit.irk_core.SolveStats`.  The tolerance is
+    ``max(newton_rtol * |F(x0)|, newton_abs_floor)``.  Work is added to
+    ``stats``, a fresh :class:`StepStats` by default.  Returns ``(x, stats)``;
+    exhausting ``newton_maxit`` raises :class:`StepFailureError` carrying
+    the stats.
+    """
+    stats = StepStats() if stats is None else stats
+    tic = time.perf_counter()
+    res = residual(x)
+    stats.residual_history.append(np.linalg.norm(res))
+    tol = max(cfg.newton_rtol * stats.residual_history[-1], cfg.newton_abs_floor)
+    jac = None
+    start = stats.newton_iterations
+    # a NaN residual fails this test and runs into the iteration limit
+    while not stats.residual_history[-1] <= tol:
+        if stats.newton_iterations - start >= cfg.newton_maxit:
+            stats.wall_time += time.perf_counter() - tic
+            raise StepFailureError(
+                f"{label} stalled after {cfg.newton_maxit} iterations "
+                f"(residual {stats.residual_history[-1]:.3e}, tol {tol:.3e})",
+                stats=stats,
+            )
+        if jac is None or cfg.jacobian_refresh == "every":
+            jac = assemble(x)
+            stats.jacobian_assemblies += linearizations
+        dx, solve_stats = solve(jac, res)
+        x = x + dx
+        stats.newton_iterations += 1
+        stats.add_solve(solve_stats)
+        res = residual(x)
+        stats.residual_history.append(np.linalg.norm(res))
+    stats.converged = True
+    stats.wall_time += time.perf_counter() - tic
+    return x, stats
 
 
 def newton_like_step(sys: OdeSystem, st: StageState, prep: StagePrep, cfg: SolverConfig):
@@ -190,24 +229,21 @@ def newton_like_step(sys: OdeSystem, st: StageState, prep: StagePrep, cfg: Solve
     ``newton_maxit`` raises :class:`StepFailureError` carrying the stats.
     """
     tableau = prep.tableau
-    stats = StepStats()
-    tic = time.perf_counter()
-    res = stage_residual(sys, st, tableau)
-    f0 = np.linalg.norm(res)
-    stats.residual_history.append(f0)
-    tol = max(cfg.newton_rtol * f0, cfg.newton_abs_floor)
-    ops = None
-    while stats.newton_iterations < cfg.newton_maxit:
-        if np.linalg.norm(res) <= tol:
-            stats.converged = True
-            break
-        if ops is None or cfg.jacobian_refresh == "every":
-            times = _stage_times(tableau, st.t, st.dt)
-            u_stage = st.u[None, :] + st.dt * (tableau.a0 @ st.k)
-            ops = [sys.linearize(u_stage[i], times[i]) for i in range(tableau.s)]
-            stats.jacobian_assemblies += tableau.s
-            vjac = build_variant_jacobian(prep, ops, cfg.variant, cfg.variant0_stage)
-        dk, solve_stats = solve_transformed_system(
+
+    def residual(k):
+        st.k = k
+        return stage_residual(sys, st, tableau)
+
+    def assemble(k):
+        u_stage = st.u[None, :] + st.dt * (tableau.a0 @ k)
+        ops = [
+            sys.linearize(u_stage[i], st.t + tableau.c0[i] * st.dt)
+            for i in range(tableau.s)
+        ]
+        return build_variant_jacobian(prep, ops, cfg.variant, cfg.variant0_stage)
+
+    def solve(vjac, res):
+        return solve_transformed_system(
             prep,
             dt=st.dt,
             rhs_stages=res,
@@ -218,80 +254,37 @@ def newton_like_step(sys: OdeSystem, st: StageState, prep: StagePrep, cfg: Solve
             restart=cfg.restart,
             variant_jacobian=vjac,
         )
-        st.k = st.k + dk
-        stats.newton_iterations += 1
-        stats.add_solve(solve_stats)
-        res = stage_residual(sys, st, tableau)
-        stats.residual_history.append(np.linalg.norm(res))
-    else:
-        if np.linalg.norm(res) > tol:
-            stats.wall_time = time.perf_counter() - tic
-            raise StepFailureError(
-                f"stage solve stalled after {cfg.newton_maxit} iterations "
-                f"(residual {np.linalg.norm(res):.3e}, tol {tol:.3e})",
-                stats=stats,
-            )
-        stats.converged = True
-    stats.wall_time = time.perf_counter() - tic
+
+    _, stats = richardson(residual, assemble, solve, st.k, cfg, tableau.s)
     return st, stats
 
 
 def _dirk_step(sys: OdeSystem, u, t, dt, tableau, cfg: SolverConfig):
-    """Sequential stage solves for (S)DIRK tableaux."""
-    s = tableau.s
-    n = sys.dim
-    k = np.zeros((s, n))
+    """Sequential stage solves for (S)DIRK tableaux.
+
+    Each stage is a backward-Euler-type solve ``M k_i - h L k_i`` with
+    ``h = dt * a_ii``, each driven to tolerance by its own Richardson iteration.
+    """
+    k = np.zeros((tableau.s, sys.dim))
     stats = StepStats()
-    tic = time.perf_counter()
-    for i in range(s):
+    for i in range(tableau.s):
         base = u + dt * (tableau.a0[i, :i] @ k[:i]) if i else u.copy()
-        aii = tableau.a0[i, i]
+        h = dt * tableau.a0[i, i]
         ti = t + tableau.c0[i] * dt
-        ki = np.zeros(n)
-        res = sys.rhs(base + dt * aii * ki, ti) - (
-            ki if sys.mass is None else sys.mass @ ki
+
+        def residual(ki):
+            mk = ki if sys.mass is None else sys.mass @ ki
+            return sys.rhs(base + h * ki, ti) - mk
+
+        def solve(lmat, res):
+            dk, rep = _solve_1x1(1.0, lmat, sys.mass, h, res, cfg.precond,
+                                 cfg.krylov_rtol, cfg.krylov_maxit, cfg.restart)
+            return dk, SolveStats([(i, rep)])
+
+        k[i], _ = richardson(
+            residual, lambda ki: sys.linearize(base + h * ki, ti), solve,
+            np.zeros(sys.dim), cfg, 1, label=f"DIRK stage {i}", stats=stats,
         )
-        f0 = np.linalg.norm(res)
-        stats.residual_history.append(f0)
-        tol = max(cfg.newton_rtol * f0, cfg.newton_abs_floor)
-        it = 0
-        while np.linalg.norm(res) > tol:
-            if it >= cfg.newton_maxit:
-                stats.wall_time = time.perf_counter() - tic
-                raise StepFailureError(
-                    f"DIRK stage {i} stalled after {cfg.newton_maxit} iterations",
-                    stats=stats,
-                )
-            lmat = sys.linearize(base + dt * aii * ki, ti)
-            stats.jacobian_assemblies += 1
-            solver = ShiftedSolver(1.0, sys.mass, lmat, dt * aii, cfg.precond.inner)
-            op = LinearOperator(
-                n,
-                lambda x: (x if sys.mass is None else sys.mass @ x)
-                - dt * aii * (lmat @ x),
-            )
-            pre = LinearOperator(n, solver.solve, solves_per_apply=1)
-            dk, rep = gmres(
-                op,
-                res,
-                right_precond=pre,
-                rtol=cfg.krylov_rtol,
-                maxit=cfg.krylov_maxit,
-                restart=cfg.restart,
-            )
-            ki += dk
-            it += 1
-            stats.newton_iterations += 1
-            stats.krylov_iterations += rep.iterations
-            stats.precond_applications += rep.precond_applications
-            stats.block_iterations.setdefault(i, []).append(rep.iterations)
-            res = sys.rhs(base + dt * aii * ki, ti) - (
-                ki if sys.mass is None else sys.mass @ ki
-            )
-            stats.residual_history.append(np.linalg.norm(res))
-        k[i] = ki
-    stats.converged = True
-    stats.wall_time = time.perf_counter() - tic
     u_next = u + dt * (tableau.b0 @ k)
     return u_next, k, stats
 
@@ -328,6 +321,39 @@ class IntegrationResult:
         return sum(getattr(s, attr) for s in self.step_stats)
 
 
+def march(advance, state, t0, t_final, dt, pack, snapshot_every=None):
+    """Fixed-step loop from ``t0`` to ``t_final``, shared by ODE and DAE runs.
+
+    ``advance(state, t)`` returns the next state and its :class:`StepStats`;
+    ``pack(times, states, step_stats)`` builds the result.  ``(t_final -
+    t0) / dt`` must be an integer count of steps.  A failing step's
+    :class:`IrkitError` is re-raised with ``partial`` set to the packed
+    trajectory up to the last accepted step.  ``snapshot_every`` keeps
+    every j-th state (the initial and final states are always kept).
+    """
+    nsteps_f = (t_final - t0) / dt
+    nsteps = int(round(nsteps_f))
+    if abs(nsteps_f - nsteps) > 1e-8 * max(1.0, abs(nsteps_f)):
+        raise ConfigurationError(
+            f"(t_final - t0)/dt = {nsteps_f} is not an integer step count"
+        )
+    times = [t0]
+    states = [state]
+    step_stats = []
+    for j in range(nsteps):
+        try:
+            state, stats = advance(state, t0 + j * dt)
+        except IrkitError as exc:
+            exc.partial = pack(np.array(times), states, step_stats)
+            raise
+        step_stats.append(stats)
+        keep = snapshot_every is None or ((j + 1) % snapshot_every == 0)
+        if keep or j == nsteps - 1:
+            times.append(t0 + (j + 1) * dt)
+            states.append(state)
+    return pack(np.array(times), states, step_stats)
+
+
 def integrate(
     sys: OdeSystem,
     u0,
@@ -341,37 +367,15 @@ def integrate(
     """Fixed-step march from ``t0`` to ``t_final``.
 
     ``(t_final - t0) / dt`` must be an integer count of steps.  The first
-    failing step raises :class:`StepFailureError` with the partial result
-    attached.  ``snapshot_every`` keeps every j-th state (the initial and
-    final states are always kept).
+    failing step raises its :class:`IrkitError` with the partial result
+    attached as ``partial``.  ``snapshot_every`` keeps every j-th state (the
+    initial and final states are always kept).
     """
-    span = t_final - t0
-    nsteps_f = span / dt
-    nsteps = int(round(nsteps_f))
-    if abs(nsteps_f - nsteps) > 1e-8 * max(1.0, abs(nsteps_f)):
-        raise ConfigurationError(
-            f"(t_final - t0)/dt = {nsteps_f} is not an integer step count"
-        )
     prep = None if tableau.family in SDIRK_FAMILIES else prepare_stages(tableau)
-    u = np.array(u0, dtype=float)
-    times = [t0]
-    states = [u.copy()]
-    step_stats = []
-    for j in range(nsteps):
-        t = t0 + j * dt
-        try:
-            u, stats = step(sys, u, t, dt, tableau, cfg, prep=prep)
-        except StepFailureError as exc:
-            exc.partial = IntegrationResult(
-                times=np.array(times), states=states, step_stats=step_stats
-            )
-            raise
-        step_stats.append(stats)
-        keep = snapshot_every is None or ((j + 1) % snapshot_every == 0)
-        if keep or j == nsteps - 1:
-            times.append(t0 + (j + 1) * dt)
-            states.append(u.copy())
-    return IntegrationResult(times=np.array(times), states=states, step_stats=step_stats)
+    return march(
+        lambda u, t: step(sys, u, t, dt, tableau, cfg, prep=prep),
+        np.array(u0, dtype=float), t0, t_final, dt, IntegrationResult, snapshot_every,
+    )
 
 
 def write_step_stats_csv(result, path):

@@ -87,20 +87,9 @@ class SparseMatrix:
     def to_dense(self):
         return self._csr.toarray()
 
-    def transpose(self):
-        return SparseMatrix(self._csr.T, bandwidth=self.bandwidth)
-
-    @property
-    def T(self):
-        return self.transpose()
-
     @staticmethod
     def identity(n):
         return SparseMatrix(sp.identity(n, format="csr"), bandwidth=0)
-
-    @staticmethod
-    def from_dense(a, bandwidth=None):
-        return SparseMatrix(sp.csr_matrix(np.asarray(a, dtype=float)), bandwidth)
 
 
 def combine(coeffs, mats):
@@ -147,10 +136,6 @@ class LinearOperator:
     def matvec(self, x):
         return self._apply(x)
 
-    @staticmethod
-    def from_matrix(mat):
-        return LinearOperator(mat.n, mat.matvec)
-
 
 @dataclass
 class KrylovReport:
@@ -163,9 +148,7 @@ class KrylovReport:
 
 
 def _as_apply(op):
-    if isinstance(op, LinearOperator):
-        return op.n, op.matvec
-    if isinstance(op, SparseMatrix):
+    if isinstance(op, (LinearOperator, SparseMatrix)):
         return op.n, op.matvec
     a = np.asarray(op, dtype=float)
     if a.ndim == 2 and a.shape[0] == a.shape[1]:
@@ -357,11 +340,6 @@ def _gbtrs(lu, kl, ku, piv, b):
     if info != 0:
         raise SingularMatrixError(f"banded solve failed (info={info})")
     return x, info
-
-
-def banded_lu_factor(a: SparseMatrix) -> BandedLU:
-    """Factor ``a`` for repeated solves; see :class:`BandedLU`."""
-    return BandedLU.factor(a)
 
 
 def export_matrix_market(mat: SparseMatrix, path):

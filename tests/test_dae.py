@@ -7,6 +7,8 @@ from irkit.dae import (
     DaeOps,
     DaeStageState,
     DaeSystem,
+    _build_dae_variant,
+    _solve_dae_transformed,
     dae_integrate,
     dae_stage_residual,
     dae_step,
@@ -16,7 +18,7 @@ from irkit.errors import ConfigurationError, IndexViolationError
 from irkit.nonlinear import SolverConfig, integrate
 from irkit.problems import make_problem
 from irkit.sparsela import SparseMatrix
-from irkit.tableau import make_tableau
+from irkit.tableau import make_tableau, prepare_stages
 
 TIGHT = SolverConfig(newton_rtol=1e-11, krylov_rtol=1e-12)
 
@@ -46,6 +48,21 @@ def dense_pair_block(oi, oj, eta, beta, phi, dt, nu, nw):
     z[0:nu, n : n + nu] += phi * np.eye(nu)
     z[n : n + nu, 0:nu] += -(beta**2 / phi) * np.eye(nu)
     return z
+
+
+def dense_stage_system(tableau, ops, mass, dt):
+    """Directly assembled coupled stage matrix of a linear index-1 DAE.
+
+    Rows and columns stack ``[k_i | l_i]`` per stage:
+    ``I (x) diag(M, 0) - dt * A (x) [[Lu, Lw], [Gu, Gw]]``.
+    """
+    nu, nw = ops.lu.n, ops.gw.n
+    jac = np.block(
+        [[ops.lu.to_dense(), ops.lw.to_dense()], [ops.gu.to_dense(), ops.gw.to_dense()]]
+    )
+    mbar = np.zeros((nu + nw, nu + nw))
+    mbar[:nu, :nu] = mass
+    return np.kron(np.eye(tableau.s), mbar) - dt * np.kron(tableau.a0, jac)
 
 
 class TestResidual:
@@ -188,6 +205,37 @@ class TestBlockSolve:
         oi = random_ops(rng, 2, 2)
         with pytest.raises(ConfigurationError):
             solve_dae_block4x4(oi, oi, 2.0, 1.0, 1.0, 0.1, np.ones(8), mode="foo")
+
+
+class TestTransformedStageSolve:
+    """One composite stage solve against the dense coupled s*(nu+nw) system."""
+
+    @pytest.mark.parametrize("family,s", [
+        ("radau_iia", 1), ("radau_iia", 2), ("radau_iia", 3), ("gauss", 2), ("gauss", 3),
+    ])
+    @pytest.mark.parametrize("mode,variant", [
+        ("coupled", 0), ("coupled", 1), ("coupled", 2), ("coupled", 3), ("reordered", 2),
+    ])
+    def test_matches_dense_stage_system(self, family, s, mode, variant):
+        # equal stage operators (a linear system), so every variant is exact;
+        # a non-identity mass checks that the sweep's mass coupling leaves the
+        # algebraic rows alone
+        rng = np.random.default_rng(10 * s + variant)
+        nu, nw = 4, 3
+        ops = random_ops(rng, nu, nw, lw_zero=mode == "reordered")
+        mass_diag = 1.0 + rng.random(nu)
+        prep = prepare_stages(make_tableau(family, s))
+        dt = 0.2
+        rhs = rng.standard_normal((s, nu + nw))
+        big = dense_stage_system(prep.tableau, ops, np.diag(mass_diag), dt)
+        oracle = np.linalg.solve(big, rhs.ravel()).reshape(s, nu + nw)
+        diag, offdiag = _build_dae_variant(prep, [ops] * s, variant, 0)
+        cfg = SolverConfig(variant=variant, krylov_rtol=1e-12, krylov_maxit=400)
+        x, _ = _solve_dae_transformed(
+            prep, diag, offdiag, SparseMatrix(np.diag(mass_diag), bandwidth=0),
+            dt, rhs, cfg, DaeCounters(), mode,
+        )
+        assert np.max(np.abs(x - oracle)) < 1e-9
 
 
 class TestIntegration:

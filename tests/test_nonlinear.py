@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from irkit.errors import ConfigurationError, StepFailureError
+from irkit.dae import dae_integrate
+from irkit.errors import ConfigurationError, StageSolveError, StepFailureError
 from irkit.nonlinear import (
     OdeSystem,
     SolverConfig,
@@ -275,6 +276,24 @@ class TestStepAndIntegrate:
         assert err.value.partial is not None
         assert len(err.value.partial.states) >= 1
 
+    @pytest.mark.parametrize("path", ["ode", "dae"])
+    def test_stage_solve_failure_attaches_partial(self, path):
+        # one Krylov iteration cannot reach 1e-12, so the first step raises
+        # StageSolveError, which must carry the trajectory like a Newton stall
+        cfg = SolverConfig(krylov_maxit=1, krylov_rtol=1e-12)
+        tableau = make_tableau("radau_iia", 3)
+        with pytest.raises(StageSolveError) as err:
+            if path == "ode":
+                problem = make_problem("burgers1d", n=64, nu=0.02)
+                integrate(problem.system, problem.u0, 0.0, 0.1, 0.05, tableau, cfg)
+            else:
+                problem = make_problem("dae_manufactured")
+                dae_integrate(problem.system, problem.u0, problem.w0, 0.0, 0.2, 0.1,
+                              tableau, cfg)
+        partial = err.value.partial
+        assert partial is not None
+        assert list(partial.times) == [0.0] and partial.step_stats == []
+
 
 class TestSdirkPath:
     def test_sdirk1_matches_backward_euler(self):
@@ -384,9 +403,11 @@ class TestFrozenJacobian:
                                         jacobian_refresh="frozen"))
         assert np.max(np.abs(u_every - u_frozen)) <= 1e-12
 
-    def test_frozen_saves_assemblies_on_burgers(self):
+    @pytest.mark.parametrize("scheme", [("radau_iia", 2), ("sdirk2",)],
+                             ids=["radau_iia2", "sdirk2"])
+    def test_frozen_saves_assemblies_on_burgers(self, scheme):
         problem = make_problem("burgers1d", n=64, nu=0.02)
-        tableau = make_tableau("radau_iia", 2)
+        tableau = make_tableau(*scheme)
         cfg_every = SolverConfig(newton_rtol=1e-9, krylov_rtol=1e-6, newton_maxit=60)
         cfg_frozen = SolverConfig(newton_rtol=1e-9, krylov_rtol=1e-6, newton_maxit=60,
                                   jacobian_refresh="frozen")

@@ -8,7 +8,6 @@ from irkit.sparsela import (
     BandedLU,
     LinearOperator,
     SparseMatrix,
-    banded_lu_factor,
     combine,
     export_matrix_market,
     gmres,
@@ -126,7 +125,7 @@ class TestGmres:
 
 class TestBandedLU:
     def test_identity(self):
-        f = banded_lu_factor(SparseMatrix.identity(6))
+        f = BandedLU.factor(SparseMatrix.identity(6))
         b = np.arange(6.0)
         assert np.allclose(f.solve(b), b)
 
@@ -137,7 +136,7 @@ class TestBandedLU:
         a = SparseMatrix(lap, bandwidth=1)
         rng = np.random.default_rng(7)
         x = rng.standard_normal(n)
-        got = banded_lu_factor(a).solve(a @ x)
+        got = BandedLU.factor(a).solve(a @ x)
         assert np.max(np.abs(got - x)) < 1e-10
 
     def test_periodic_band_correction(self):
@@ -145,7 +144,7 @@ class TestBandedLU:
         a = SparseMatrix(
             sp.identity(n) - 0.2 * periodic_central(n, 1.0 / n), bandwidth=1
         )
-        f = banded_lu_factor(a)
+        f = BandedLU.factor(a)
         rng = np.random.default_rng(8)
         b = rng.standard_normal(n)
         x = f.solve(b)
@@ -156,7 +155,7 @@ class TestBandedLU:
         a = SparseMatrix(
             sp.identity(n) - 0.2 * periodic_central(n, 1.0 / n), bandwidth=1
         )
-        f = banded_lu_factor(a)
+        f = BandedLU.factor(a)
         rng = np.random.default_rng(9)
         bs = rng.standard_normal((n, 3))
         xs = f.solve(bs)
@@ -164,7 +163,7 @@ class TestBandedLU:
 
     def test_singular_banded(self):
         with pytest.raises(SingularMatrixError):
-            banded_lu_factor(SparseMatrix(np.zeros((3, 3)), bandwidth=0))
+            BandedLU.factor(SparseMatrix(np.zeros((3, 3)), bandwidth=0))
 
     def test_singular_periodic(self):
         # the periodic Laplacian has the constant nullspace; the bordered
@@ -181,7 +180,7 @@ class TestBandedLU:
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            banded_lu_factor(SparseMatrix(np.ones((2, 3))))
+            BandedLU.factor(SparseMatrix(np.ones((2, 3))))
 
 
 def test_matrix_market_round_trip(tmp_path):
