@@ -376,7 +376,7 @@ def measure_kappa(eta, beta, lhat1, lhat2, gamma=None):
     ``lhat1``/``lhat2`` are the already scaled stage operators (time step
     folded in, identity mass).  Materializes
     ``P = [eta*I - L2 + beta^2 (eta*I - L1)^{-1}] (gamma*I - L2)^{-1}``
-    column by column and runs the Jacobi SVD on it.
+    column by column and takes its singular values with LAPACK.
     """
     n = lhat1.n
     if n > DENSE_KAPPA_LIMIT:

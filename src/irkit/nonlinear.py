@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, IrkitError, StepFailureError
+from .errors import ConfigurationError, IrkitError, StageSolveError, StepFailureError
 from .irk_core import PrecondSpec, SolveStats, _solve_1x1, solve_transformed_system
 from .sparsela import SparseMatrix, combine
 from .tableau import SDIRK_FAMILIES, ButcherTableau, StagePrep, prepare_stages
@@ -189,25 +189,30 @@ def richardson(residual, assemble, solve, x, cfg: SolverConfig, linearizations,
     increment and its :class:`~irkit.irk_core.SolveStats`.  The tolerance is
     ``max(newton_rtol * |F(x0)|, newton_abs_floor)``.  Work is added to
     ``stats``, a fresh :class:`StepStats` by default.  Returns ``(x, stats)``;
-    exhausting ``newton_maxit`` raises :class:`StepFailureError` carrying
-    the stats.
+    a non-finite residual norm or exhausting ``newton_maxit`` raises
+    :class:`StepFailureError` carrying the stats.
     """
     stats = StepStats() if stats is None else stats
     tic = time.perf_counter()
+
+    def fail(reason):
+        stats.wall_time += time.perf_counter() - tic
+        raise StepFailureError(f"{label} {reason}", stats=stats)
+
     res = residual(x)
-    stats.residual_history.append(np.linalg.norm(res))
-    tol = max(cfg.newton_rtol * stats.residual_history[-1], cfg.newton_abs_floor)
+    rnorm = np.linalg.norm(res)
+    tol = max(cfg.newton_rtol * rnorm, cfg.newton_abs_floor)
     jac = None
     start = stats.newton_iterations
-    # a NaN residual fails this test and runs into the iteration limit
-    while not stats.residual_history[-1] <= tol:
-        if stats.newton_iterations - start >= cfg.newton_maxit:
-            stats.wall_time += time.perf_counter() - tic
-            raise StepFailureError(
-                f"{label} stalled after {cfg.newton_maxit} iterations "
-                f"(residual {stats.residual_history[-1]:.3e}, tol {tol:.3e})",
-                stats=stats,
-            )
+    while True:
+        stats.residual_history.append(rnorm)
+        its = stats.newton_iterations - start
+        if not np.isfinite(rnorm):
+            fail(f"residual is non-finite after {its} iterations")
+        if rnorm <= tol:
+            break
+        if its >= cfg.newton_maxit:
+            fail(f"stalled after {its} iterations (residual {rnorm:.3e}, tol {tol:.3e})")
         if jac is None or cfg.jacobian_refresh == "every":
             jac = assemble(x)
             stats.jacobian_assemblies += linearizations
@@ -216,7 +221,7 @@ def richardson(residual, assemble, solve, x, cfg: SolverConfig, linearizations,
         stats.newton_iterations += 1
         stats.add_solve(solve_stats)
         res = residual(x)
-        stats.residual_history.append(np.linalg.norm(res))
+        rnorm = np.linalg.norm(res)
     stats.converged = True
     stats.wall_time += time.perf_counter() - tic
     return x, stats
@@ -279,6 +284,10 @@ def _dirk_step(sys: OdeSystem, u, t, dt, tableau, cfg: SolverConfig):
         def solve(lmat, res):
             dk, rep = _solve_1x1(1.0, lmat, sys.mass, h, res, cfg.precond,
                                  cfg.krylov_rtol, cfg.krylov_maxit, cfg.restart)
+            if not rep.converged:
+                raise StageSolveError(
+                    f"DIRK stage {i} solve did not converge", block_offset=i, report=rep
+                )
             return dk, SolveStats([(i, rep)])
 
         k[i], _ = richardson(

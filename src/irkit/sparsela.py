@@ -170,6 +170,8 @@ def gmres(op, rhs, right_precond=None, rtol=1e-5, maxit=200, restart=200, x0=Non
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (n,):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({n},)")
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("rhs contains non-finite entries")
     if not (0.0 < rtol < 1.0):
         raise ValueError(f"rtol must lie in (0, 1), got {rtol}")
     spa = right_precond.solves_per_apply if right_precond is not None else 0

@@ -3,13 +3,19 @@ import pytest
 
 from irkit.densela import (
     cond2,
-    hessenberg,
     lu_factor,
     lu_solve,
     real_schur,
     singular_values,
 )
 from irkit.errors import SingularMatrixError
+from irkit.tableau import make_tableau
+
+COLLOCATION_SCHEMES = (
+    [("gauss", s) for s in range(1, 9)]
+    + [("radau_iia", s) for s in range(1, 9)]
+    + [("lobatto_iiic", s) for s in range(2, 9)]
+)
 
 
 def quadratic_roots(a):
@@ -27,16 +33,6 @@ def cubic_roots(a):
     c1 = 0.5 * (np.trace(a) ** 2 - np.trace(a @ a))
     c0 = -np.linalg.det(a)
     return np.sort_complex(np.roots([1.0, c2, c1, c0]))
-
-
-class TestHessenberg:
-    def test_similarity_and_structure(self):
-        rng = np.random.default_rng(11)
-        a = rng.standard_normal((6, 6))
-        h, q = hessenberg(a)
-        assert np.allclose(q @ h @ q.T, a, atol=1e-12)
-        assert np.allclose(q.T @ q, np.eye(6), atol=1e-13)
-        assert np.max(np.abs(np.tril(h, -2))) == 0.0
 
 
 class TestRealSchur:
@@ -111,6 +107,26 @@ class TestRealSchur:
                 prod = sf.r[o, o + 1] * sf.r[o + 1, o]
                 assert prod < 0.0
                 assert prod == pytest.approx(-blk.beta**2, rel=1e-12)
+
+    @pytest.mark.parametrize("family,s", COLLOCATION_SCHEMES)
+    def test_collocation_inverse_contract(self, family, s):
+        a = np.linalg.inv(make_tableau(family, s).a0)
+        sf = real_schur(a)
+        q, r = sf.q, sf.r
+        assert np.max(np.abs(q.T @ q - np.eye(s))) <= 1e-13
+        assert np.max(np.abs(q @ r @ q.T - a)) <= 1e-12 * np.max(np.abs(a))
+        below = np.tril(np.ones((s, s), dtype=bool), -1)
+        for blk in sf.blocks:
+            if blk.size == 2:
+                o = blk.offset
+                below[o + 1, o] = False
+                assert r[o, o] == r[o + 1, o + 1]
+                assert r[o, o + 1] * r[o + 1, o] == pytest.approx(-blk.beta**2, rel=1e-12)
+        assert np.all(r[below] == 0.0)
+        mine = np.sort_complex(sf.eigenvalues())
+        ref = np.sort_complex(np.linalg.eigvals(a))
+        assert np.max(np.abs(mine - ref)) <= 1e-10 * np.max(np.abs(ref))
+        assert all(blk.eta > 0.0 for blk in sf.blocks)
 
     def test_defective_lower_triangular(self):
         # a Jordan-type block splits into two real 1x1 blocks

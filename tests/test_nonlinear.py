@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from irkit.dae import dae_integrate
+from irkit.dae import dae_integrate, dae_step
 from irkit.errors import ConfigurationError, StageSolveError, StepFailureError
+from irkit.irk_core import PrecondSpec
 from irkit.nonlinear import (
     OdeSystem,
     SolverConfig,
@@ -276,23 +279,49 @@ class TestStepAndIntegrate:
         assert err.value.partial is not None
         assert len(err.value.partial.states) >= 1
 
-    @pytest.mark.parametrize("path", ["ode", "dae"])
+    @pytest.mark.parametrize("path", ["ode", "dae", "dirk"])
     def test_stage_solve_failure_attaches_partial(self, path):
         # one Krylov iteration cannot reach 1e-12, so the first step raises
-        # StageSolveError, which must carry the trajectory like a Newton stall
+        # StageSolveError, which must carry the trajectory like a Newton stall;
+        # the DIRK 1x1 blocks need an inexact inner solve, since with the
+        # exact one a single iteration already converges to roundoff
         cfg = SolverConfig(krylov_maxit=1, krylov_rtol=1e-12)
         tableau = make_tableau("radau_iia", 3)
         with pytest.raises(StageSolveError) as err:
-            if path == "ode":
-                problem = make_problem("burgers1d", n=64, nu=0.02)
-                integrate(problem.system, problem.u0, 0.0, 0.1, 0.05, tableau, cfg)
-            else:
+            if path == "dae":
                 problem = make_problem("dae_manufactured")
                 dae_integrate(problem.system, problem.u0, problem.w0, 0.0, 0.2, 0.1,
                               tableau, cfg)
+            else:
+                if path == "dirk":
+                    tableau = make_tableau("sdirk2")
+                    cfg = replace(cfg, precond=PrecondSpec(inner=1))
+                problem = make_problem("burgers1d", n=64, nu=0.02)
+                integrate(problem.system, problem.u0, 0.0, 0.1, 0.05, tableau, cfg)
         partial = err.value.partial
         assert partial is not None
         assert list(partial.times) == [0.0] and partial.step_stats == []
+        assert err.value.report is not None and not err.value.report.converged
+
+    @pytest.mark.parametrize("path", ["ode", "dirk", "dae"])
+    def test_non_finite_residual_fails_fast(self, path):
+        # a NaN in the state must stop the step before any Krylov work
+        if path == "dae":
+            problem = make_problem("dae_manufactured")
+            u0 = np.array(problem.u0, dtype=float)
+            u0[0] = np.nan
+            with pytest.raises(StepFailureError, match="non-finite") as err:
+                dae_step(problem.system, u0, problem.w0, 0.0, 0.1,
+                         make_tableau("radau_iia", 2))
+        else:
+            problem = make_problem("burgers1d", n=64, nu=0.02)
+            u0 = np.array(problem.u0, dtype=float)
+            u0[3] = np.nan
+            tableau = make_tableau("radau_iia", 2) if path == "ode" else make_tableau("sdirk2")
+            with pytest.raises(StepFailureError, match="non-finite") as err:
+                step(problem.system, u0, 0.0, 0.05, tableau)
+        assert err.value.stats.krylov_iterations == 0
+        assert err.value.stats.newton_iterations == 0
 
 
 class TestSdirkPath:

@@ -114,6 +114,10 @@ class TestGmres:
         with pytest.raises(ValueError):
             gmres(np.eye(3), np.ones(3), rtol=2.0)
 
+    def test_rejects_nonfinite_rhs(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            gmres(np.eye(3), np.array([1.0, np.nan, 0.0]))
+
     def test_restarted_convergence(self):
         rng = np.random.default_rng(6)
         a = rng.standard_normal((40, 40)) + 8 * np.eye(40)
