@@ -116,7 +116,10 @@ def _write_rows(manifest, rows, fieldnames):
 
 def _final_error(problem, result, manifest, reference_cache):
     if problem.exact is not None:
-        return float(np.linalg.norm(result.u_final - problem.exact(manifest.t_final)))
+        exact = problem.exact(manifest.t_final)
+        if problem.spec.kind == "dae-index1":
+            exact = exact[0]
+        return float(np.linalg.norm(result.u_final - exact))
     if "reference" not in reference_cache:
         fam, s = REFERENCE_SCHEME
         dt_ref = min(manifest.dts) / REFERENCE_REFINEMENT
@@ -133,11 +136,20 @@ def _final_error(problem, result, manifest, reference_cache):
     return float(np.linalg.norm(result.u_final - reference_cache["reference"]))
 
 
-def run_convergence(manifest: RunManifest):
-    """Error and observed order per (scheme, dt) against exact or reference."""
+def run_convergence(manifest: RunManifest, dae_only=False):
+    """Error and observed order per (scheme, dt) against exact or reference.
+
+    DAE problems are measured against their closed-form solution and add the
+    largest per-step ``constraint_residual``; ``dae_only`` rejects ODEs.
+    """
     problem = make_problem(manifest.problem, **manifest.problem_params)
-    if problem.spec.kind == "dae-index1":
-        return run_dae_convergence(manifest)
+    dae = problem.spec.kind == "dae-index1"
+    if dae_only and not dae:
+        raise ConfigurationError(f"{manifest.problem} is not a DAE problem")
+    if dae and problem.exact is None:
+        raise ConfigurationError(f"{manifest.problem} has no exact solution handle")
+    extra = ["constraint_residual"] if dae else []
+    fields = ["scheme", "order", "dt", "error", "rate", *extra, "status", "manifest_hash"]
     rows = []
     reference_cache = {}
     cfg = manifest.solver_config()
@@ -145,21 +157,17 @@ def run_convergence(manifest: RunManifest):
         tab = make_tableau(fam, s)
         prev_err = None
         for dt in sorted(manifest.dts, reverse=True):
-            row = {
-                "scheme": tab.label,
-                "order": tab.order,
-                "dt": dt,
-                "error": "",
-                "rate": "",
-                "status": "ok",
-                "manifest_hash": manifest.hash,
-            }
+            row = dict.fromkeys(fields, "")
+            row.update(scheme=tab.label, order=tab.order, dt=dt, status="ok",
+                       manifest_hash=manifest.hash)
             try:
-                res = integrate(
-                    problem.system, problem.u0, 0.0, manifest.t_final, dt, tab, cfg
-                )
+                res = _run_problem(problem, manifest, tab, dt, cfg)
                 err = _final_error(problem, res, manifest, reference_cache)
                 row["error"] = _fmt(err)
+                if dae:
+                    row["constraint_residual"] = _fmt(
+                        max(st.constraint_residual for st in res.step_stats)
+                    )
                 if prev_err is not None and err > 0.0:
                     row["rate"] = _fmt(np.log2(prev_err / err))
                 prev_err = err
@@ -167,75 +175,7 @@ def run_convergence(manifest: RunManifest):
                 row["status"] = f"failed: {type(exc).__name__}"
                 prev_err = None
             rows.append(row)
-    _write_rows(
-        manifest,
-        rows,
-        ["scheme", "order", "dt", "error", "rate", "status", "manifest_hash"],
-    )
-    return rows
-
-
-def run_dae_convergence(manifest: RunManifest):
-    """DAE error/rate study against the closed-form solution."""
-    problem = make_problem(manifest.problem, **manifest.problem_params)
-    if problem.spec.kind != "dae-index1":
-        raise ConfigurationError(f"{manifest.problem} is not a DAE problem")
-    if problem.exact is None:
-        raise ConfigurationError(f"{manifest.problem} has no exact solution handle")
-    rows = []
-    cfg = manifest.solver_config()
-    for fam, s in manifest.schemes:
-        tab = make_tableau(fam, s)
-        prev_err = None
-        for dt in sorted(manifest.dts, reverse=True):
-            row = {
-                "scheme": tab.label,
-                "order": tab.order,
-                "dt": dt,
-                "error": "",
-                "rate": "",
-                "constraint_residual": "",
-                "status": "ok",
-                "manifest_hash": manifest.hash,
-            }
-            try:
-                res = dae_integrate(
-                    problem.system,
-                    problem.u0,
-                    problem.w0,
-                    0.0,
-                    manifest.t_final,
-                    dt,
-                    tab,
-                    cfg,
-                )
-                ue, _ = problem.exact(manifest.t_final)
-                err = float(np.linalg.norm(res.u_final - ue))
-                row["error"] = _fmt(err)
-                row["constraint_residual"] = _fmt(
-                    max(st.constraint_residual for st in res.step_stats)
-                )
-                if prev_err is not None and err > 0.0:
-                    row["rate"] = _fmt(np.log2(prev_err / err))
-                prev_err = err
-            except IrkitError as exc:
-                row["status"] = f"failed: {type(exc).__name__}"
-                prev_err = None
-            rows.append(row)
-    _write_rows(
-        manifest,
-        rows,
-        [
-            "scheme",
-            "order",
-            "dt",
-            "error",
-            "rate",
-            "constraint_residual",
-            "status",
-            "manifest_hash",
-        ],
-    )
+    _write_rows(manifest, rows, fields)
     return rows
 
 
@@ -442,7 +382,7 @@ RUNNERS = {
     "iterations": run_iterations,
     "gamma-compare": run_gamma_compare,
     "condition": run_condition,
-    "dae-convergence": run_dae_convergence,
+    "dae-convergence": lambda manifest: run_convergence(manifest, dae_only=True),
 }
 
 

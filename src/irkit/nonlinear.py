@@ -189,15 +189,16 @@ def richardson(residual, assemble, solve, x, cfg: SolverConfig, linearizations,
     increment and its :class:`~irkit.irk_core.SolveStats`.  The tolerance is
     ``max(newton_rtol * |F(x0)|, newton_abs_floor)``.  Work is added to
     ``stats``, a fresh :class:`StepStats` by default.  Returns ``(x, stats)``;
-    a non-finite residual norm or exhausting ``newton_maxit`` raises
+    a non-finite residual norm, a ``ValueError`` from ``assemble`` (such as a
+    non-finite Jacobian) or exhausting ``newton_maxit`` raises
     :class:`StepFailureError` carrying the stats.
     """
     stats = StepStats() if stats is None else stats
     tic = time.perf_counter()
 
-    def fail(reason):
+    def fail(reason, cause=None):
         stats.wall_time += time.perf_counter() - tic
-        raise StepFailureError(f"{label} {reason}", stats=stats)
+        raise StepFailureError(f"{label} {reason}", stats=stats) from cause
 
     res = residual(x)
     rnorm = np.linalg.norm(res)
@@ -214,7 +215,10 @@ def richardson(residual, assemble, solve, x, cfg: SolverConfig, linearizations,
         if its >= cfg.newton_maxit:
             fail(f"stalled after {its} iterations (residual {rnorm:.3e}, tol {tol:.3e})")
         if jac is None or cfg.jacobian_refresh == "every":
-            jac = assemble(x)
+            try:
+                jac = assemble(x)
+            except ValueError as exc:
+                fail(f"linearization failed after {its} iterations: {exc}", exc)
             stats.jacobian_assemblies += linearizations
         dx, solve_stats = solve(jac, res)
         x = x + dx

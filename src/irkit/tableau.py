@@ -3,10 +3,13 @@
 Supported families:
 
 * ``gauss`` (s = 1..8, order 2s), ``radau_iia`` (s = 1..8, order 2s-1) and
-  ``lobatto_iiic`` (s = 2..8, order 2s-2).  Abscissae are polynomial roots
-  found by bracketed Newton iteration; the coefficient matrix and weights
-  are assembled from exact integrals of the barycentric Lagrange basis so
-  the collocation identities hold to roundoff at every stage count.
+  ``lobatto_iiic`` (s = 2..8, order 2s-2).  Abscissae are Gauss-Jacobi roots
+  from :mod:`scipy.special`: the roots of ``P_s`` (Gauss), the roots of
+  ``P_s - P_{s-1}``, i.e. the fixed node 1 and the Jacobi ``(1, 0)`` roots
+  (Radau IIA), and the nodes -1, 1 with the roots of ``P'_{s-1}``, i.e. the
+  Jacobi ``(1, 1)`` roots (Lobatto IIIC).  The coefficient matrix and
+  weights are assembled from exact integrals of the barycentric Lagrange
+  basis so the collocation identities hold to roundoff at every stage count.
 * ``sdirk1`` .. ``sdirk4``: singly diagonally implicit reference schemes of
   orders 1-4 (backward Euler; the 2-stage L-stable scheme with
   gamma = 1 - 1/sqrt(2); the classical 3-stage L-stable scheme; the 5-stage
@@ -27,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import roots_jacobi, roots_legendre
 
 from . import densela
 from .errors import AssumptionViolationError, ConfigurationError
@@ -101,127 +105,9 @@ class StagePrep:
         return self.schur.blocks
 
 
-def _legendre(n, x):
-    """Legendre polynomial ``P_n`` and derivative at ``x`` (scalar or array)."""
-    x = np.asarray(x, dtype=float)
-    if n == 0:
-        return np.ones_like(x), np.zeros_like(x)
-    pm, p = np.ones_like(x), x
-    for k in range(2, n + 1):
-        pm, p = p, ((2 * k - 1) * x * p - (k - 1) * pm) / k
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dp = n * (x * p - pm) / (x * x - 1.0)
-    endpoint = np.isclose(np.abs(x), 1.0)
-    if np.any(endpoint):
-        val = 0.5 * n * (n + 1)
-        dp = np.where(endpoint, np.where(x > 0, val, val * (-1.0) ** (n - 1)), dp)
-    return p, dp
-
-
-def _newton_root(f, df, x0, brackets=None, tol=1e-14, maxit=100):
-    lo, hi = brackets if brackets else (-np.inf, np.inf)
-    x = x0
-    for _ in range(maxit):
-        fx, dfx = f(x), df(x)
-        if dfx == 0.0:
-            break
-        step = fx / dfx
-        xn = x - step
-        if not (lo < xn < hi):
-            xn = 0.5 * (lo + hi)
-        if brackets is not None:
-            if np.sign(f(xn)) == np.sign(f(lo)):
-                lo = xn
-            else:
-                hi = xn
-        if abs(xn - x) <= tol * max(1.0, abs(xn)):
-            return xn
-        x = xn
-    return x
-
-
-def _bracketed_roots(f, df, count, exclude_hi=1.0):
-    """Roots of ``f`` inside (-1, exclude_hi), bracketed on a Chebyshev grid.
-
-    Each sign-change interval is refined by Newton iteration with a
-    bisection safeguard (steps leaving the bracket are replaced by its
-    midpoint, and the bracket shrinks every iteration).
-    """
-    grid = np.cos(np.linspace(math.pi, 0.0, 80 * (count + 2)))
-    grid = grid[(grid > -1.0 + 1e-12) & (grid < exclude_hi - 1e-9)]
-    vals = f(grid)
-    roots = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            roots.append(float(grid[i]))
-            continue
-        if vals[i] * vals[i + 1] >= 0.0:
-            continue
-        lo, hi = float(grid[i]), float(grid[i + 1])
-        flo = float(vals[i])
-        x = 0.5 * (lo + hi)
-        for _ in range(200):
-            fx = float(f(x))
-            if fx == 0.0:
-                break
-            if math.copysign(1.0, fx) == math.copysign(1.0, flo):
-                lo, flo = x, fx
-            else:
-                hi = x
-            dfx = float(df(x))
-            xn = x - fx / dfx if dfx != 0.0 else 0.5 * (lo + hi)
-            if not (lo < xn < hi):
-                xn = 0.5 * (lo + hi)
-            if abs(xn - x) <= 1e-15 * max(1.0, abs(xn)):
-                x = xn
-                break
-            x = xn
-        roots.append(x)
-    if len(roots) != count:
-        raise ConfigurationError(
-            f"root bracketing found {len(roots)} roots, expected {count}"
-        )
-    return np.array(sorted(roots))
-
-
-def gauss_nodes(s):
-    """Roots of the Legendre polynomial ``P_s`` on (-1, 1), ascending."""
-    roots = []
-    for i in range(s):
-        x0 = math.cos(math.pi * (i + 0.75) / (s + 0.5))
-        f = lambda x: _legendre(s, x)[0]
-        df = lambda x: _legendre(s, x)[1]
-        roots.append(_newton_root(f, df, x0))
-    return np.array(sorted(roots))
-
-
-def radau_right_nodes(s):
-    """Roots of ``P_s - P_{s-1}`` on (-1, 1], ascending (right endpoint fixed)."""
-    f = lambda x: _legendre(s, x)[0] - _legendre(s - 1, x)[0]
-    df = lambda x: _legendre(s, x)[1] - _legendre(s - 1, x)[1]
-    interior = _bracketed_roots(f, df, s - 1) if s > 1 else np.empty(0)
-    return np.append(interior, 1.0)
-
-
-def lobatto_nodes(s):
-    """The endpoints and roots of ``P'_{s-1}`` on (-1, 1), ascending."""
-    f = lambda x: _legendre(s - 1, x)[1]
-    df = lambda x: _dlegendre2(s - 1, x)
-    interior = _bracketed_roots(f, df, s - 2) if s > 2 else np.empty(0)
-    return np.concatenate(([-1.0], interior, [1.0]))
-
-
-def _dlegendre2(n, x):
-    """Second derivative of ``P_n`` away from the endpoints."""
-    p, dp = _legendre(n, x)
-    return (2.0 * x * dp - n * (n + 1) * p) / (1.0 - x * x)
-
-
 def _gauss_quadrature(m):
     """Gauss-Legendre nodes and weights on [0, 1]."""
-    u = gauss_nodes(m)
-    p, dp = _legendre(m, u)
-    w = 2.0 / ((1.0 - u * u) * dp * dp)
+    u, w = roots_legendre(m)
     return 0.5 * (u + 1.0), 0.5 * w
 
 
@@ -293,14 +179,11 @@ def _sdirk_tableau(family):
         c = np.array([g, 1.0])
         order = 2
     elif family == "sdirk3":
-        # gamma is the root of x^3 - 3x^2 + 3x/2 - 1/6 in (0, 1/2); the
-        # remaining weights follow from the quadrature conditions with a
-        # stiffly accurate last row.
-        g = _newton_root(
-            lambda x: x**3 - 3 * x**2 + 1.5 * x - 1.0 / 6.0,
-            lambda x: 3 * x**2 - 6 * x + 1.5,
-            0.43,
-            brackets=(0.2, 0.5),
+        # gamma is the root of x^3 - 3x^2 + 3x/2 - 1/6 in (1/3, 1/2), in its
+        # trigonometric closed form; the remaining weights follow from the
+        # quadrature conditions with a stiffly accurate last row.
+        g = 1.0 + math.sqrt(2.0) * math.cos(
+            (math.acos(2.0 * math.sqrt(2.0) / 3.0) - 2.0 * math.pi) / 3.0
         )
         c2 = 0.5 * (1.0 + g)
         rhs = np.array([1.0 - g, 0.5 - g])
@@ -349,14 +232,17 @@ def make_tableau(family, s=None):
             f"{family} supports {lo} <= s <= {MAX_COLLOCATION_STAGES}, got {s}"
         )
     if family == GAUSS:
-        c = 0.5 * (gauss_nodes(s) + 1.0)
+        x = roots_legendre(s)[0]
         order = 2 * s
     elif family == RADAU_IIA:
-        c = 0.5 * (radau_right_nodes(s) + 1.0)
+        interior = roots_jacobi(s - 1, 1.0, 0.0)[0] if s > 1 else []
+        x = np.append(interior, 1.0)
         order = 2 * s - 1
     else:
-        c = 0.5 * (lobatto_nodes(s) + 1.0)
+        interior = roots_jacobi(s - 2, 1.0, 1.0)[0] if s > 2 else []
+        x = np.concatenate(([-1.0], interior, [1.0]))
         order = 2 * s - 2
+    c = 0.5 * (x + 1.0)
     a, b = _collocation_tableau(family, s, c)
     return ButcherTableau(family, s, a, b, c, order)
 

@@ -232,6 +232,14 @@ class TestFieldOfValues:
         norm = np.linalg.norm(sym, np.inf)
         assert abs(got - expected) <= 1e-6 * norm
 
+    @pytest.mark.parametrize("name", ["heat1d", "advdiff1d"])
+    def test_matches_dense_eigenvalue_n1024(self, name):
+        op = make_problem(name, n=1024).operator
+        sym = 0.5 * (op.to_dense() + op.to_dense().T)
+        expected = np.linalg.eigvalsh(sym)[-1]
+        got = field_of_values_bound(op)
+        assert abs(got - expected) <= 1e-8 * np.linalg.norm(sym, np.inf)
+
 
 class TestMeasureKappa:
     def test_zero_operator_gives_identity(self):

@@ -323,6 +323,34 @@ class TestStepAndIntegrate:
         assert err.value.stats.krylov_iterations == 0
         assert err.value.stats.newton_iterations == 0
 
+    @pytest.mark.parametrize("path", ["ode", "dirk", "dae"])
+    def test_non_finite_jacobian_attaches_partial(self, path):
+        # the residual stays finite but the Jacobian turns NaN at t >= 0.25, so
+        # building its SparseMatrix raises ValueError in the third step
+        def poison(op, t):
+            return SparseMatrix(op.csr * (1.0 if t < 0.25 else np.nan))
+
+        tableau = make_tableau("sdirk2") if path == "dirk" else make_tableau("radau_iia", 2)
+        with pytest.raises(StepFailureError, match="linearization failed") as err:
+            if path == "dae":
+                problem = make_problem("dae_manufactured")
+
+                def blocks(u, w, t):
+                    lu, *rest = problem.system.blocks(u, w, t)
+                    return (poison(lu, t), *rest)
+
+                sys = replace(problem.system, blocks=blocks)
+                dae_integrate(sys, problem.u0, problem.w0, 0.0, 0.5, 0.1, tableau)
+            else:
+                problem = make_problem("dahlquist")
+                lin = problem.system.linearize
+                sys = replace(problem.system, linearize=lambda u, t: poison(lin(u, t), t))
+                integrate(sys, problem.u0, 0.0, 0.5, 0.1, tableau)
+        assert isinstance(err.value.__cause__, ValueError)
+        assert err.value.stats is not None
+        assert np.allclose(err.value.partial.times, [0.0, 0.1, 0.2])
+        assert len(err.value.partial.step_stats) == 2
+
 
 class TestSdirkPath:
     def test_sdirk1_matches_backward_euler(self):

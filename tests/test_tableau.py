@@ -57,6 +57,24 @@ class TestMakeTableau:
         assert np.max(np.abs(t.a0.sum(axis=1) - t.c0)) < 1e-12
         for q in range(1, t.order + 1):
             assert abs(t.b0 @ t.c0 ** (q - 1) - 1.0 / q) < 1e-10, (family, s, q)
+        # stage order: C(s) for Gauss and Radau IIA, C(s-1) for Lobatto IIIC
+        stage_order = s - 1 if family == "lobatto_iiic" else s
+        for k in range(1, stage_order + 1):
+            err = np.max(np.abs(t.a0 @ t.c0 ** (k - 1) - t.c0**k / k))
+            assert err < 1e-13, (family, s, k)
+        # abscissae against numpy's Legendre series: the roots of P_s, of
+        # P_s - P_{s-1}, and -1, 1 with the roots of P'_{s-1}
+        leg = np.polynomial.legendre
+        if family == "gauss":
+            x = leg.leggauss(s)[0]
+        elif family == "radau_iia":
+            x = leg.legroots([0.0] * (s - 1) + [-1.0, 1.0])
+            assert t.c0[-1] == 1.0
+        else:
+            interior = leg.legroots(leg.legder([0.0] * (s - 1) + [1.0]))
+            x = np.concatenate(([-1.0], interior, [1.0]))
+            assert t.c0[0] == 0.0 and t.c0[-1] == 1.0
+        assert np.max(np.abs(t.c0 - 0.5 * (np.sort(x) + 1.0))) < 1e-13, (family, s)
 
     def test_unsupported_configurations(self):
         with pytest.raises(ConfigurationError):
