@@ -1,27 +1,29 @@
 """Index-1 differential-algebraic stage solves and time stepping.
 
 Systems have the form ``M u' = N(u, w, t)``, ``0 = G(u, w, t)`` with an
-invertible constraint Jacobian ``G_w``.  The stage system couples the
-differential stage vectors ``k_i`` with algebraic stage vectors ``l_i``;
-after the Schur transform the diagonal blocks are 2x2 composite systems
-(real eigenvalue) or 4x4 composite systems (complex pair), in mass form:
+invertible constraint Jacobian ``G_w``: the stage system of
+``diag(M, 0) y' = F(y)`` for ``y = [u | w]``.  Each stage row stacks the
+differential and algebraic stage vectors ``[k_i | l_i]``, and the
+composite operator ``J = [[L_u, L_w], [G_u, G_w]]`` (:class:`DaeOps`) takes
+the place of the ODE stage operator.  After the Schur transform the
+eigen-blocks are therefore the ODE path's shifted blocks
+``eta*diag(M, 0) - dt*J`` and 2x2 blocks, solved by the same
+:mod:`irkit.irk_core` 1x1 solve, 2x2 operator and block lower-triangular
+preconditioner.  Only the exact shifted solve differs: it eliminates the
+algebraic rows through factored ``G_w`` solves.
 
-    [[eta*M - dt*Lu1, -dt*Lw1,      phi*M,          0     ],
-     [-dt*Gu1,        -dt*Gw1,      0,              0     ],
-     [-(b^2/phi)*M,   0,            eta*M - dt*Lu2, -dt*Lw2],
-     [0,              0,            -dt*Gu2,        -dt*Gw2]]
-
-Two solution orderings are available.  The coupled mode runs GMRES on the
-full block with a triangular preconditioner that eliminates the algebraic
-rows through exact constraint solves.  The reordered mode applies when the
-differential rows do not couple to the algebraic variable (``Lw = 0``, as
-in a lagged advection/streamfunction splitting): the differential 2x2 is
-solved first, then the two constraint solves are independent.
+Two orderings are available for a complex-pair block.  The coupled mode
+runs GMRES on the whole composite 2x2 block.  The reordered mode applies
+when the differential rows do not couple to the algebraic variable
+(``L_w = 0``, as in a lagged advection/streamfunction splitting): the
+differential 2x2 is solved first, then the two constraint solves are
+independent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -37,12 +39,14 @@ from .irk_core import (
     Block2x2System,
     PrecondSpec,
     ShiftedSolver,
+    _solve_1x1,
     _solve_2x2,
+    apply_block2x2,
     block_sweep,
     shifted_matrix,
 )
 from .nonlinear import IntegrationResult, SolverConfig, march, richardson, variant_weights
-from .sparsela import BandedLU, LinearOperator, SparseMatrix, combine, gmres
+from .sparsela import BandedLU, SparseMatrix, combine
 from .tableau import SDIRK_FAMILIES, prepare_stages
 
 
@@ -64,10 +68,32 @@ class DaeSystem:
 
 
 class DaeOps(NamedTuple):
+    """Composite operator ``[[L_u, L_w], [G_u, G_w]]`` on stacked ``[u | w]``."""
+
     lu: SparseMatrix
     lw: SparseMatrix
     gu: SparseMatrix
     gw: SparseMatrix
+
+    @property
+    def n(self):
+        return self.lu.n + self.gw.n
+
+    def __matmul__(self, x):
+        xu, xw = x[: self.lu.n], x[self.lu.n :]
+        return np.concatenate([self.lu @ xu + self.lw @ xw, self.gu @ xu + self.gw @ xw])
+
+
+class _CompositeMass:
+    """Composite mass ``diag(M, 0)`` on stacked ``[u | w]``; ``M = None`` is I."""
+
+    def __init__(self, mass, nu):
+        self.mass, self.nu = mass, nu
+
+    def __matmul__(self, y):
+        out = np.zeros_like(y)
+        out[: self.nu] = y[: self.nu] if self.mass is None else self.mass @ y[: self.nu]
+        return out
 
 
 @dataclass
@@ -123,72 +149,37 @@ class _ConstraintSolver:
         return self._factor.solve(r)
 
 
-class _ReducedSolver:
-    """Solves ``alpha*M - dt*(L_u - L_w G_w^{-1} G_u)`` exactly.
+class _EliminationSolver:
+    """Applies ``(alpha*diag(M, 0) - dt*J)^{-1}`` exactly for a composite ``J``.
 
-    Banded when ``L_w`` vanishes; otherwise the constraint elimination is
-    materialized densely (desk-scale dimensions only).
+    The algebraic rows are eliminated through ``G_w``.  The reduced operator
+    ``alpha*M - dt*(L_u - L_w G_w^{-1} G_u)`` stays banded when ``L_w``
+    vanishes; otherwise it is materialized densely (desk-scale dimensions
+    only).  Built in place of :class:`~irkit.irk_core.ShiftedSolver` on
+    composite blocks, so ``mass`` is a :class:`_CompositeMass` and ``inner``
+    is ignored.
     """
 
-    def __init__(self, alpha, ops: DaeOps, dt, mass, counters: DaeCounters,
-                 constraint: _ConstraintSolver):
-        self.counters = counters
-        if ops.lw.nnz == 0 or ops.gu.n == 0:
-            self._solve = ShiftedSolver(alpha, mass, ops.lu, dt, "exact").solve
+    def __init__(self, counters: DaeCounters, alpha, mass, ops: DaeOps, dt, inner=None):
+        self.ops, self.dt, self.counters = ops, dt, counters
+        self.constraint = _ConstraintSolver(ops.gw, counters)
+        if ops.lw.nnz == 0:
+            self._reduced = ShiftedSolver(alpha, mass.mass, ops.lu, dt).solve
         else:
-            gu_dense = ops.gu.to_dense()
-            x = constraint._factor.solve(gu_dense)
-            red = shifted_matrix(alpha, mass, ops.lu, dt).to_dense()
+            x = self.constraint._factor.solve(ops.gu.to_dense())
+            red = shifted_matrix(alpha, mass.mass, ops.lu, dt).to_dense()
             red += dt * (ops.lw.to_dense() @ x)
             lu, piv = densela.lu_factor(red)
-            self._solve = lambda r: densela.lu_solve_factored(lu, piv, r)
+            self._reduced = lambda r: densela.lu_solve_factored(lu, piv, r)
 
     def solve(self, r):
-        self.counters.differential += 1 if np.ndim(r) == 1 else np.shape(r)[1]
-        return self._solve(r)
-
-
-def _composite_matvec(ops: DaeOps, eta_or_alpha, mass, dt, xu, xw):
-    """Action of ``[[a*M - dt*Lu, -dt*Lw], [-dt*Gu, -dt*Gw]]`` on ``(xu, xw)``."""
-    mu = xu if mass is None else mass @ xu
-    top = eta_or_alpha * mu - dt * (ops.lu @ xu) - dt * (ops.lw @ xw)
-    bot = -dt * (ops.gu @ xu) - dt * (ops.gw @ xw)
-    return top, bot
-
-
-def _split(x, nu, nw):
-    return x[:nu], x[nu : nu + nw]
-
-
-def _coupling_action(od: DaeOps, dt, xu, xw):
-    """``dt`` times a coupling operator's action, as (differential, algebraic) rows."""
-    return dt * (od.lu @ xu) + dt * (od.lw @ xw), dt * (od.gu @ xu) + dt * (od.gw @ xw)
-
-
-def _eliminate(ops: DaeOps, constraint, reduced, dt, ru, rw):
-    """Exact composite solve that eliminates the algebraic rows; ``[zu, zw]``."""
-    if ops.lw.nnz:
-        ru = ru - ops.lw @ constraint.solve(rw)
-    zu = reduced.solve(ru)
-    return [zu, -constraint.solve(rw + dt * (ops.gu @ zu)) / dt]
-
-
-def solve_dae_block2x2(ops, eta, dt, mass, rhs, spec, counters, rtol, maxit, restart):
-    """Real-eigenvalue composite block: GMRES with elimination preconditioning."""
-    nu, nw = ops.lu.n, ops.gw.n
-    n = nu + nw
-    constraint = _ConstraintSolver(ops.gw, counters)
-    reduced = _ReducedSolver(eta, ops, dt, mass, counters, constraint)
-
-    def apply_op(x):
-        return np.concatenate(_composite_matvec(ops, eta, mass, dt, *_split(x, nu, nw)))
-
-    def apply_pre(r):
-        return np.concatenate(_eliminate(ops, constraint, reduced, dt, *_split(r, nu, nw)))
-
-    op = LinearOperator(n, apply_op)
-    pre = LinearOperator(n, apply_pre, solves_per_apply=1)
-    return gmres(op, rhs, right_precond=pre, rtol=rtol, maxit=maxit, restart=restart)
+        ops, dt = self.ops, self.dt
+        ru, rw = r[: ops.lu.n], r[ops.lu.n :]
+        if ops.lw.nnz:
+            ru = ru - ops.lw @ self.constraint.solve(rw)
+        self.counters.differential += 1
+        zu = self._reduced(ru)
+        return np.concatenate([zu, -self.constraint.solve(rw + dt * (ops.gu @ zu)) / dt])
 
 
 def solve_dae_block4x4(
@@ -205,7 +196,6 @@ def solve_dae_block4x4(
     counters=None,
     rtol=1e-5,
     maxit=200,
-    restart=200,
     offdiag=None,
 ):
     """Solve one complex-pair composite block; returns ``(x, report)``.
@@ -222,70 +212,37 @@ def solve_dae_block4x4(
     """
     if counters is None:
         counters = DaeCounters()
-    nu, nw = ops_i.lu.n, ops_i.gw.n
-    n = nu + nw
+    nu, n = ops_i.lu.n, ops_i.n
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (2 * n,):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({2 * n},)")
-    offdiag = offdiag or {}
-    if mode == "reordered":
-        offdiag = {}
-
-    def mass_apply(x):
-        return x if mass is None else mass @ x
-
-    def apply_full(x):
-        x1u, x1w = _split(x[:n], nu, nw)
-        x2u, x2w = _split(x[n:], nu, nw)
-        top1, bot1 = _composite_matvec(ops_i, eta, mass, dt, x1u, x1w)
-        top2, bot2 = _composite_matvec(ops_j, eta, mass, dt, x2u, x2w)
-        top1 = top1 + phi * mass_apply(x2u)
-        top2 = top2 - (beta**2 / phi) * mass_apply(x1u)
-        if (0, 1) in offdiag:
-            c_top, c_bot = _coupling_action(offdiag[(0, 1)], dt, x2u, x2w)
-            top1, bot1 = top1 - c_top, bot1 - c_bot
-        if (1, 0) in offdiag:
-            c_top, c_bot = _coupling_action(offdiag[(1, 0)], dt, x1u, x1w)
-            top2, bot2 = top2 - c_top, bot2 - c_bot
-        return np.concatenate([top1, bot1, top2, bot2])
+    offdiag = {} if mode == "reordered" else offdiag or {}
+    sys2 = Block2x2System(
+        eta=eta, beta=beta, phi=phi, mass=_CompositeMass(mass, nu),
+        l1=ops_i, l2=ops_j, dt=dt,
+        offdiag12=offdiag.get((0, 1)), offdiag21=offdiag.get((1, 0)),
+    )
 
     if mode == "reordered":
         if ops_i.lw.nnz or ops_j.lw.nnz:
             raise ConfigurationError(
                 "reordered mode requires structurally zero L_w blocks"
             )
-        sys2 = Block2x2System(
-            eta=eta, beta=beta, phi=phi, mass=mass,
-            l1=ops_i.lu, l2=ops_j.lu, dt=dt,
-        )
+        diff = replace(sys2, mass=mass, l1=ops_i.lu, l2=ops_j.lu)
         rdiff = np.concatenate([rhs[:nu], rhs[n : n + nu]])
-        sol, rep = _solve_2x2(sys2, rdiff, spec, rtol, maxit, restart)
+        sol, rep = _solve_2x2(diff, rdiff, spec, rtol, maxit)
         counters.differential += rep.precond_applications
         k1, k2 = sol[:nu], sol[nu:]
-        c1 = _ConstraintSolver(ops_i.gw, counters)
-        c2 = _ConstraintSolver(ops_j.gw, counters)
-        l1 = -c1.solve(rhs[nu:n] + dt * (ops_i.gu @ k1)) / dt
-        l2 = -c2.solve(rhs[n + nu :] + dt * (ops_j.gu @ k2)) / dt
-        x = np.concatenate([k1, l1, k2, l2])
+        l1 = _ConstraintSolver(ops_i.gw, counters).solve(rhs[nu:n] + dt * (ops_i.gu @ k1))
+        l2 = _ConstraintSolver(ops_j.gw, counters).solve(rhs[n + nu :] + dt * (ops_j.gu @ k2))
+        x = np.concatenate([k1, -l1 / dt, k2, -l2 / dt])
         # the constraint solves run outside gmres, so recheck the whole block
         rnorm = np.linalg.norm(rhs)
-        true_rel = np.linalg.norm(rhs - apply_full(x)) / rnorm if rnorm > 0.0 else 0.0
+        res = np.linalg.norm(rhs - apply_block2x2(sys2, x))
+        true_rel = res / rnorm if rnorm > 0.0 else 0.0
     elif mode == "coupled":
-        constraint1 = _ConstraintSolver(ops_i.gw, counters)
-        constraint2 = _ConstraintSolver(ops_j.gw, counters)
-        gamma = spec.gamma(eta, beta)
-        red1 = _ReducedSolver(eta, ops_i, dt, mass, counters, constraint1)
-        red2 = _ReducedSolver(gamma, ops_j, dt, mass, counters, constraint2)
-
-        def apply_pre(r):
-            z1 = _eliminate(ops_i, constraint1, red1, dt, *_split(r[:n], nu, nw))
-            r2u, r2w = _split(r[n:], nu, nw)
-            r2u = r2u + (beta**2 / phi) * mass_apply(z1[0])
-            return np.concatenate(z1 + _eliminate(ops_j, constraint2, red2, dt, r2u, r2w))
-
-        op = LinearOperator(2 * n, apply_full)
-        pre = LinearOperator(2 * n, apply_pre, solves_per_apply=2)
-        x, rep = gmres(op, rhs, right_precond=pre, rtol=rtol, maxit=maxit, restart=restart)
+        exact = partial(_EliminationSolver, counters)
+        x, rep = _solve_2x2(sys2, rhs, spec, rtol, maxit, exact)
         # gmres has already measured the true residual of x against rtol
         true_rel = rep.residuals[-1]
     else:
@@ -312,28 +269,23 @@ def _build_dae_variant(prep, stage_ops, variant, variant0_stage):
 def _solve_dae_transformed(prep, diag, offdiag, mass, dt, rhs, cfg, counters, mode):
     """Backward block sweep of the transformed composite stage system.
 
-    Rows stack ``[k | ell]``; the ``r[i, j]`` mass coupling acts on the
-    differential part only, so the algebraic rows see zeros.
+    Rows stack ``[k | ell]``; the sweep's mass is ``diag(M, 0)``, so the
+    ``r[i, j]`` mass coupling leaves the algebraic rows alone.  Real
+    eigenvalues take the ODE path's 1x1 solve with the exact elimination
+    solver; complex pairs go to :func:`solve_dae_block4x4`.
     """
-    nu = diag[0].lu.n
-
-    def mass_apply(y):
-        out = np.zeros_like(y)
-        out[:nu] = y[:nu] if mass is None else mass @ y[:nu]
-        return out
+    cmass = _CompositeMass(mass, diag[0].lu.n)
 
     def couple(i, j, y):
         od = offdiag.get((i, j))
-        if od is None:
-            return None
-        return np.concatenate(_coupling_action(od, dt, y[:nu], y[nu:]))
+        return None if od is None else dt * (od @ y)
 
     def solve_block(blk, acc):
         i = blk.offset
         if blk.size == 1:
-            return solve_dae_block2x2(
-                diag[i], blk.eta, dt, mass, acc[0], cfg.precond, counters,
-                cfg.krylov_rtol, cfg.krylov_maxit, cfg.restart,
+            return _solve_1x1(
+                blk.eta, diag[i], cmass, dt, acc[0], cfg.precond, cfg.krylov_rtol,
+                cfg.krylov_maxit, partial(_EliminationSolver, counters),
             )
         pair_off = {
             key_local: offdiag[key]
@@ -354,11 +306,10 @@ def _solve_dae_transformed(prep, diag, offdiag, mass, dt, rhs, cfg, counters, mo
             counters=counters,
             rtol=cfg.krylov_rtol,
             maxit=cfg.krylov_maxit,
-            restart=cfg.restart,
             offdiag=pair_off,
         )
 
-    return block_sweep(prep, rhs, mass_apply, couple, solve_block)
+    return block_sweep(prep, rhs, cmass.__matmul__, couple, solve_block)
 
 
 def dae_newton_step(sys: DaeSystem, st: DaeStageState, prep, cfg: SolverConfig,

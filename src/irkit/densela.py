@@ -20,6 +20,7 @@ import scipy.linalg
 from .errors import DecompositionError, SingularMatrixError
 
 MAX_SCHUR_DIM = 16
+EPS = np.finfo(float).eps
 
 
 def _as_square(a, name="a"):
@@ -64,11 +65,35 @@ class SchurForm:
         return np.array([lam for blk in self.blocks for lam in blk.eigenvalues()])
 
 
+def _standardized(a):
+    """``a`` with its 2x2 block diagonals set to their means, or ``None``.
+
+    Only an ``a`` already in standardized quasi-triangular form qualifies:
+    exact zeros below the block diagonal, no two adjacent nonzero subdiagonal
+    entries, and every 2x2 block with off-diagonals of opposite signs and
+    diagonal entries that agree to 4 eps, relative.  Every orthogonal ``q``
+    is a Schur basis of a scaled rotation such as ``[[1, 1], [-1, 1]]``, and
+    LAPACK's choice turns on the last bit of the diagonal, so such inputs
+    keep ``q = I``.
+    """
+    sub = np.diag(a, -1) != 0.0
+    if np.any(np.tril(a, -2)) or np.any(sub[1:] & sub[:-1]):
+        return None
+    h = a.copy()
+    for i in np.flatnonzero(sub):
+        d1, d2 = a[i, i], a[i + 1, i + 1]
+        if a[i, i + 1] * a[i + 1, i] >= 0.0 or abs(d1 - d2) > 4 * EPS * max(abs(d1), abs(d2)):
+            return None
+        h[i, i] = h[i + 1, i + 1] = 0.5 * (d1 + d2)
+    return h
+
+
 def real_schur(a):
     """Real Schur decomposition ``a = q @ r @ q.T`` with standardized blocks.
 
     LAPACK ``gees`` (through :func:`scipy.linalg.schur`) returns each 2x2
-    block standardized by ``lanv2``, with equal diagonal entries.  Intended
+    block standardized by ``lanv2``, with equal diagonal entries; an ``a``
+    already in that form to roundoff keeps ``q = I``.  Intended
     for Runge-Kutta coefficient matrices, so the dimension is capped at
     ``MAX_SCHUR_DIM``.
 
@@ -79,10 +104,12 @@ def real_schur(a):
     n = a.shape[0]
     if n > MAX_SCHUR_DIM:
         raise ValueError(f"real_schur supports n <= {MAX_SCHUR_DIM}, got {n}")
-    try:
-        h, q = scipy.linalg.schur(a, output="real", check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(f"real Schur form did not converge: {exc}") from exc
+    h, q = _standardized(a), np.eye(n)
+    if h is None:
+        try:
+            h, q = scipy.linalg.schur(a, output="real", check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise DecompositionError(f"real Schur form did not converge: {exc}") from exc
 
     blocks = []
     i = 0

@@ -190,46 +190,24 @@ def _run_problem(problem, manifest, tab, dt, cfg):
 def run_iterations(manifest: RunManifest):
     """Solver-work counts per (scheme, dt) over the configured time span."""
     problem = make_problem(manifest.problem, **manifest.problem_params)
+    counts = ["newton_iterations", "krylov_iterations", "precond_applications"]
+    fields = ["scheme", "order", "dt", "steps", *counts, "status", "manifest_hash"]
     rows = []
     cfg = manifest.solver_config()
     for fam, s in manifest.schemes:
         tab = make_tableau(fam, s)
         for dt in manifest.dts:
-            row = {
-                "scheme": tab.label,
-                "order": tab.order,
-                "dt": dt,
-                "steps": "",
-                "newton_iterations": "",
-                "krylov_iterations": "",
-                "precond_applications": "",
-                "status": "ok",
-                "manifest_hash": manifest.hash,
-            }
+            row = dict.fromkeys(fields, "")
+            row.update(scheme=tab.label, order=tab.order, dt=dt, status="ok",
+                       manifest_hash=manifest.hash)
             try:
                 res = _run_problem(problem, manifest, tab, dt, cfg)
                 row["steps"] = len(res.step_stats)
-                row["newton_iterations"] = res.total("newton_iterations")
-                row["krylov_iterations"] = res.total("krylov_iterations")
-                row["precond_applications"] = res.total("precond_applications")
+                row.update((name, res.total(name)) for name in counts)
             except IrkitError as exc:
                 row["status"] = f"failed: {type(exc).__name__}"
             rows.append(row)
-    _write_rows(
-        manifest,
-        rows,
-        [
-            "scheme",
-            "order",
-            "dt",
-            "steps",
-            "newton_iterations",
-            "krylov_iterations",
-            "precond_applications",
-            "status",
-            "manifest_hash",
-        ],
-    )
+    _write_rows(manifest, rows, fields)
     return rows
 
 
@@ -254,6 +232,8 @@ def _block_means(result, prep):
 def run_gamma_compare(manifest: RunManifest):
     """Mean 2x2-block Krylov iterations with the naive and optimal shifts."""
     problem = make_problem(manifest.problem, **manifest.problem_params)
+    fields = ["scheme", "order", "dt", "block_offset", "eta", "beta",
+              "mean_krylov_eta", "mean_krylov_star", "status", "manifest_hash"]
     rows = []
     for fam, s in manifest.schemes:
         tab = make_tableau(fam, s)
@@ -274,36 +254,18 @@ def run_gamma_compare(manifest: RunManifest):
             for blk in prep.blocks:
                 if blk.size != 2:
                     continue
-                rows.append(
-                    {
-                        "scheme": tab.label,
-                        "order": tab.order,
-                        "dt": dt,
-                        "block_offset": blk.offset,
-                        "eta": _fmt(blk.eta),
-                        "beta": _fmt(blk.beta),
-                        "mean_krylov_eta": _fmt(means["eta"].get(blk.offset, float("nan"))),
-                        "mean_krylov_star": _fmt(means["star"].get(blk.offset, float("nan"))),
-                        "status": status,
-                        "manifest_hash": manifest.hash,
-                    }
+                row = dict.fromkeys(fields, "")
+                row.update(
+                    scheme=tab.label, order=tab.order, dt=dt, block_offset=blk.offset,
+                    eta=_fmt(blk.eta), beta=_fmt(blk.beta), status=status,
+                    manifest_hash=manifest.hash,
                 )
-    _write_rows(
-        manifest,
-        rows,
-        [
-            "scheme",
-            "order",
-            "dt",
-            "block_offset",
-            "eta",
-            "beta",
-            "mean_krylov_eta",
-            "mean_krylov_star",
-            "status",
-            "manifest_hash",
-        ],
-    )
+                for mode in ("eta", "star"):
+                    row[f"mean_krylov_{mode}"] = _fmt(
+                        means[mode].get(blk.offset, float("nan"))
+                    )
+                rows.append(row)
+    _write_rows(manifest, rows, fields)
     return rows
 
 
@@ -315,6 +277,9 @@ def run_condition(manifest: RunManifest):
             f"{manifest.problem} has no frozen linear operator for conditioning"
         )
     lmat = problem.operator
+    fields = ["scheme", "s", "block_offset", "eta", "beta", "gamma_mode", "problem", "n",
+              "dt", "kappa", "bound_general", "bound_distinct", "fov_class", "status",
+              "manifest_hash"]
     rows = []
     gamma_mode = manifest.gamma
     for fam, s in manifest.schemes:
@@ -324,23 +289,16 @@ def run_condition(manifest: RunManifest):
             lhat = SparseMatrix(dt * lmat.csr, bandwidth=lmat.bandwidth)
             for blk in prep.blocks:
                 spec = PrecondSpec(gamma_mode=gamma_mode)
-                row = {
-                    "scheme": tab.label,
-                    "s": tab.s,
-                    "block_offset": blk.offset,
-                    "eta": _fmt(blk.eta),
-                    "beta": _fmt(blk.beta),
-                    "gamma_mode": str(gamma_mode),
-                    "problem": problem.spec.name,
-                    "n": problem.system.dim,
-                    "dt": dt,
-                    "kappa": "",
-                    "bound_general": _fmt(kappa_bound(blk.eta, blk.beta, "general")),
-                    "bound_distinct": _fmt(kappa_bound(blk.eta, blk.beta, "distinct")),
-                    "fov_class": problem.spec.fov_class,
-                    "status": "ok",
-                    "manifest_hash": manifest.hash,
-                }
+                row = dict.fromkeys(fields, "")
+                row.update(
+                    scheme=tab.label, s=tab.s, block_offset=blk.offset,
+                    eta=_fmt(blk.eta), beta=_fmt(blk.beta), gamma_mode=str(gamma_mode),
+                    problem=problem.spec.name, n=problem.system.dim, dt=dt,
+                    bound_general=_fmt(kappa_bound(blk.eta, blk.beta, "general")),
+                    bound_distinct=_fmt(kappa_bound(blk.eta, blk.beta, "distinct")),
+                    fov_class=problem.spec.fov_class, status="ok",
+                    manifest_hash=manifest.hash,
+                )
                 try:
                     kappa = measure_kappa(
                         blk.eta,
@@ -353,27 +311,7 @@ def run_condition(manifest: RunManifest):
                 except IrkitError as exc:
                     row["status"] = f"failed: {type(exc).__name__}"
                 rows.append(row)
-    _write_rows(
-        manifest,
-        rows,
-        [
-            "scheme",
-            "s",
-            "block_offset",
-            "eta",
-            "beta",
-            "gamma_mode",
-            "problem",
-            "n",
-            "dt",
-            "kappa",
-            "bound_general",
-            "bound_distinct",
-            "fov_class",
-            "status",
-            "manifest_hash",
-        ],
-    )
+    _write_rows(manifest, rows, fields)
     return rows
 
 

@@ -75,7 +75,8 @@ class Block2x2System:
 
     ``l1``/``l2`` are the per-row stage operators (unscaled; ``dt`` is
     carried separately).  ``offdiag12``/``offdiag21`` hold the optional
-    variant-3 coupling operators.
+    variant-3 coupling operators.  Any operator with ``n`` and ``@`` will do;
+    the DAE path passes composite ones with the mass ``diag(M, 0)``.
     """
 
     eta: float
@@ -158,16 +159,18 @@ def _lower_triangular(sys: Block2x2System, solve1, solve2):
     return LinearOperator(2 * n, apply, solves_per_apply=2)
 
 
-def make_block2x2_preconditioner(sys: Block2x2System, spec: PrecondSpec):
+def make_block2x2_preconditioner(sys: Block2x2System, spec: PrecondSpec,
+                                 shifted=ShiftedSolver):
     """Block lower-triangular right preconditioner for the 2x2 system.
 
     Applying it solves ``(eta*M - dt*L1) z1 = r1`` and then
     ``(gamma*M - dt*L2) z2 = r2 + (beta^2/phi) M z1``.  Costs two inner
-    solves per application.
+    solves per application.  ``shifted(alpha, mass, l, dt, inner)`` builds
+    each diagonal-block solver; the DAE path passes its exact composite one.
     """
     gamma = spec.gamma(sys.eta, sys.beta)
-    s1 = ShiftedSolver(sys.eta, sys.mass, sys.l1, sys.dt, spec.inner)
-    s2 = ShiftedSolver(gamma, sys.mass, sys.l2, sys.dt, spec.inner)
+    s1 = shifted(sys.eta, sys.mass, sys.l1, sys.dt, spec.inner)
+    s2 = shifted(gamma, sys.mass, sys.l2, sys.dt, spec.inner)
     return _lower_triangular(sys, s1.solve, s2.solve)
 
 
@@ -210,25 +213,24 @@ class SolveStats:
         return sum(rep.precond_applications for _, rep in self.reports)
 
 
-def _solve_2x2(sys2, rhs, spec, rtol, maxit, restart):
+def _solve_2x2(sys2, rhs, spec, rtol, maxit, shifted=ShiftedSolver):
     return gmres(
         block2x2_operator(sys2),
         rhs,
-        right_precond=make_block2x2_preconditioner(sys2, spec),
+        right_precond=make_block2x2_preconditioner(sys2, spec, shifted),
         rtol=rtol,
         maxit=maxit,
-        restart=restart,
     )
 
 
-def _solve_1x1(eta, lmat, mass, dt, rhs, spec, rtol, maxit, restart):
+def _solve_1x1(eta, lmat, mass, dt, rhs, spec, rtol, maxit, shifted=ShiftedSolver):
     op = LinearOperator(
         lmat.n,
         lambda x: eta * (x if mass is None else mass @ x) - dt * (lmat @ x),
     )
-    solver = ShiftedSolver(eta, mass, lmat, dt, spec.inner)
+    solver = shifted(eta, mass, lmat, dt, spec.inner)
     pre = LinearOperator(lmat.n, solver.solve, solves_per_apply=1)
-    return gmres(op, rhs, right_precond=pre, rtol=rtol, maxit=maxit, restart=restart)
+    return gmres(op, rhs, right_precond=pre, rtol=rtol, maxit=maxit)
 
 
 def block_sweep(prep, rhs_stages, mass_apply, couple, solve_block):
@@ -285,7 +287,6 @@ def solve_transformed_system(
     precond=PrecondSpec(),
     krylov_rtol=1e-5,
     krylov_maxit=200,
-    restart=200,
     variant_jacobian=None,
 ):
     """Solve one linearized stage system through the Schur transform.
@@ -324,7 +325,7 @@ def solve_transformed_system(
         i = blk.offset
         if blk.size == 1:
             return _solve_1x1(blk.eta, vjac.diag[i], mass, dt, acc[0], precond,
-                              krylov_rtol, krylov_maxit, restart)
+                              krylov_rtol, krylov_maxit)
         sys2 = Block2x2System(
             eta=blk.eta,
             beta=blk.beta,
@@ -336,7 +337,7 @@ def solve_transformed_system(
             offdiag12=vjac.offdiag.get((i, i + 1)),
             offdiag21=vjac.offdiag.get((i + 1, i)),
         )
-        return _solve_2x2(sys2, acc.ravel(), precond, krylov_rtol, krylov_maxit, restart)
+        return _solve_2x2(sys2, acc.ravel(), precond, krylov_rtol, krylov_maxit)
 
     return block_sweep(prep, rhs, mass_apply, couple, solve_block)
 

@@ -66,7 +66,6 @@ class SolverConfig:
     newton_abs_floor: float = 1e-14
     krylov_rtol: float = 1e-5
     krylov_maxit: int = 200
-    restart: int = 200
     precond: PrecondSpec = PrecondSpec()
     jacobian_refresh: str = "every"  # or "frozen"
     variant0_stage: int = 0
@@ -260,7 +259,6 @@ def newton_like_step(sys: OdeSystem, st: StageState, prep: StagePrep, cfg: Solve
             precond=cfg.precond,
             krylov_rtol=cfg.krylov_rtol,
             krylov_maxit=cfg.krylov_maxit,
-            restart=cfg.restart,
             variant_jacobian=vjac,
         )
 
@@ -287,7 +285,7 @@ def _dirk_step(sys: OdeSystem, u, t, dt, tableau, cfg: SolverConfig):
 
         def solve(lmat, res):
             dk, rep = _solve_1x1(1.0, lmat, sys.mass, h, res, cfg.precond,
-                                 cfg.krylov_rtol, cfg.krylov_maxit, cfg.restart)
+                                 cfg.krylov_rtol, cfg.krylov_maxit)
             if not rep.converged:
                 raise StageSolveError(
                     f"DIRK stage {i} solve did not converge", block_offset=i, report=rep

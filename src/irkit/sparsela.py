@@ -156,7 +156,7 @@ def _as_apply(op):
     raise TypeError(f"cannot interpret {type(op)!r} as a linear operator")
 
 
-def gmres(op, rhs, right_precond=None, rtol=1e-5, maxit=200, restart=200, x0=None):
+def gmres(op, rhs, right_precond=None, rtol=1e-5, maxit=200, restart=200):
     """Restarted GMRES with right preconditioning.
 
     Returns ``(x, KrylovReport)``.  The residual history tracks relative
@@ -181,8 +181,8 @@ def gmres(op, rhs, right_precond=None, rtol=1e-5, maxit=200, restart=200, x0=Non
     if bnorm == 0.0:
         return np.zeros(n), KrylovReport(0, True, [0.0], 0)
 
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    r = rhs - apply_op(x) if x0 is not None else rhs.copy()
+    x = np.zeros(n)
+    r = rhs.copy()
     beta = np.linalg.norm(r)
     residuals = [beta / bnorm]
     total_it = 0

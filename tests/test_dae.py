@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from irkit.dae import (
     DaeCounters,
@@ -236,6 +238,69 @@ class TestTransformedStageSolve:
             dt, rhs, cfg, DaeCounters(), mode,
         )
         assert np.max(np.abs(x - oracle)) < 1e-9
+
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        scheme=hst.sampled_from([
+            ("radau_iia", 1), ("radau_iia", 2), ("radau_iia", 3), ("gauss", 2), ("gauss", 3),
+            ("lobatto_iiic", 2), ("lobatto_iiic", 3),
+        ]),
+        nu=hst.integers(1, 5),
+        nw=hst.integers(1, 4),
+        mode_variant=hst.sampled_from(
+            [("coupled", v) for v in range(4)] + [("reordered", v) for v in range(3)]
+        ),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    def test_property_matches_dense_stage_system(self, scheme, nu, nw, mode_variant, seed):
+        mode, variant = mode_variant
+        rng = np.random.default_rng(seed)
+        ops = random_ops(rng, nu, nw, lw_zero=mode == "reordered")
+        mass_diag = 0.5 + rng.random(nu)
+        prep = prepare_stages(make_tableau(*scheme))
+        s, dt = prep.tableau.s, 0.2
+        rhs = rng.standard_normal((s, nu + nw))
+        big = dense_stage_system(prep.tableau, ops, np.diag(mass_diag), dt)
+        oracle = np.linalg.solve(big, rhs.ravel()).reshape(s, nu + nw)
+        diag, offdiag = _build_dae_variant(prep, [ops] * s, variant, 0)
+        cfg = SolverConfig(variant=variant, krylov_rtol=1e-12, krylov_maxit=400)
+        x, _ = _solve_dae_transformed(
+            prep, diag, offdiag, SparseMatrix(np.diag(mass_diag), bandwidth=0),
+            dt, rhs, cfg, DaeCounters(), mode,
+        )
+        assert np.max(np.abs(x - oracle)) <= 1e-9 * max(1.0, np.max(np.abs(oracle)))
+
+
+class TestSolverSplitCounts:
+    """Newton/Krylov/precond/differential/constraint totals, default config."""
+
+    SHEAR = [
+        ("coupled", "radau_iia", 2, (4, 12, 24, 24, 24)),
+        ("coupled", "radau_iia", 3, (4, 16, 28, 28, 28)),
+        ("coupled", "gauss", 3, (4, 15, 26, 26, 26)),
+        ("reordered", "radau_iia", 2, (4, 12, 24, 24, 8)),
+        ("reordered", "radau_iia", 3, (4, 16, 28, 28, 12)),
+        ("reordered", "gauss", 3, (4, 15, 26, 26, 12)),
+    ]
+
+    @pytest.mark.parametrize("mode,family,s,counts", SHEAR,
+                             ids=[f"{m}-{f}{s}" for m, f, s, _ in SHEAR])
+    def test_shear_one_step(self, mode, family, s, counts):
+        problem = make_problem("shear_layer_small", n=16)
+        _, _, st = dae_step(problem.system, problem.u0, problem.w0, 0.0, 0.01,
+                            make_tableau(family, s), SolverConfig(), mode=mode)
+        assert (st.newton_iterations, st.krylov_iterations, st.precond_applications,
+                st.differential_solves, st.constraint_solves) == counts
+
+    @pytest.mark.parametrize("variant", [0, 1, 2, 3])
+    def test_manufactured_totals(self, variant):
+        problem = make_problem("dae_manufactured")
+        res = dae_integrate(problem.system, problem.u0, problem.w0, 0.0, 0.5, 0.1,
+                            make_tableau("radau_iia", 3), SolverConfig(variant=variant))
+        names = ("newton_iterations", "krylov_iterations", "differential_solves",
+                 "constraint_solves")
+        assert tuple(res.total(name) for name in names) == (5, 15, 25, 50)
 
 
 class TestIntegration:

@@ -128,6 +128,18 @@ class TestRealSchur:
         assert np.max(np.abs(mine - ref)) <= 1e-10 * np.max(np.abs(ref))
         assert all(blk.eta > 0.0 for blk in sf.blocks)
 
+    @pytest.mark.parametrize("d", [1.0, 1.0 + 2.0**-52, 1.0 - 2.0**-53])
+    def test_standardized_input_keeps_identity_basis(self, d):
+        # lobatto_iiic(2): A0^{-1} is the scaled rotation [[1, 1], [-1, 1]];
+        # every orthogonal q is a Schur basis, so the last bit of a diagonal
+        # entry must not pick a rotated one
+        sf = real_schur(np.array([[d, 1.0], [-1.0, 1.0]]))
+        assert np.array_equal(sf.q, np.eye(2))
+        assert sf.r[0, 0] == sf.r[1, 1] == pytest.approx(1.0, abs=1e-15)
+        assert (sf.blocks[0].eta, sf.blocks[0].beta) == pytest.approx((1.0, 1.0), abs=1e-15)
+        lobatto = real_schur(np.linalg.inv(make_tableau("lobatto_iiic", 2).a0))
+        assert np.array_equal(lobatto.q, np.eye(2))
+
     def test_defective_lower_triangular(self):
         # a Jordan-type block splits into two real 1x1 blocks
         sf = real_schur(np.array([[2.0, 0.0], [1.0, 2.0]]))

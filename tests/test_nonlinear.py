@@ -422,29 +422,42 @@ class TestJacobianValidation:
         assert np.linalg.norm(fd - jv) / scale <= 1e-5
 
 
-@pytest.mark.parametrize("family,s", [
-    ("gauss", 1), ("gauss", 2), ("gauss", 3),
-    ("radau_iia", 1), ("radau_iia", 2), ("radau_iia", 3),
-    ("lobatto_iiic", 2), ("lobatto_iiic", 3),
-])
-def test_stage_order_on_smooth_nonlinear_problem(family, s):
-    # forced logistic equation; reference from the same scheme family at a
-    # hundredth of the finest step (orders above 6 are not measurable in
-    # double precision at these sizes and are exercised elsewhere)
+LOGISTIC_CFG = SolverConfig(newton_rtol=1e-13, krylov_rtol=1e-13, newton_abs_floor=1e-15)
+
+
+def _forced_logistic():
     def rhs(u, t):
         return u * (1.0 - u) + 0.5 * np.sin(2.0 * t)
 
     def linearize(u, t):
         return SparseMatrix(np.array([[1.0 - 2.0 * u[0]]]), bandwidth=0)
 
-    sys = OdeSystem(1, rhs, linearize)
+    return OdeSystem(1, rhs, linearize)
+
+
+@pytest.fixture(scope="module")
+def logistic_reference():
+    """Radau IIA(3) at dt = 0.002, computed once and shared by every case."""
+    ref = integrate(_forced_logistic(), np.array([0.4]), 0.0, 0.8, 0.4 / 200,
+                    make_tableau("radau_iia", 3), LOGISTIC_CFG)
+    return ref.u_final[0]
+
+
+@pytest.mark.parametrize("family,s", [
+    ("gauss", 1), ("gauss", 2), ("gauss", 3),
+    ("radau_iia", 1), ("radau_iia", 2), ("radau_iia", 3),
+    ("lobatto_iiic", 2), ("lobatto_iiic", 3),
+])
+def test_stage_order_on_smooth_nonlinear_problem(family, s, logistic_reference):
+    # forced logistic equation; reference from the same scheme family at a
+    # hundredth of the finest step (orders above 6 are not measurable in
+    # double precision at these sizes and are exercised elsewhere)
+    sys = _forced_logistic()
     tableau = make_tableau(family, s)
-    cfg = SolverConfig(newton_rtol=1e-13, krylov_rtol=1e-13, newton_abs_floor=1e-15)
-    ref = integrate(sys, np.array([0.4]), 0.0, 0.8, 0.4 / 200, make_tableau("radau_iia", 3), cfg)
     errs = []
     for dt in (0.4, 0.2, 0.1):
-        res = integrate(sys, np.array([0.4]), 0.0, 0.8, dt, tableau, cfg)
-        errs.append(abs(res.u_final[0] - ref.u_final[0]))
+        res = integrate(sys, np.array([0.4]), 0.0, 0.8, dt, tableau, LOGISTIC_CFG)
+        errs.append(abs(res.u_final[0] - logistic_reference))
     rate = np.log2(errs[1] / errs[2])
     assert rate >= tableau.order - 0.35, (errs, rate)
 
