@@ -2,15 +2,14 @@
 
 Systems have the form ``M u' = N(u, w, t)``, ``0 = G(u, w, t)`` with an
 invertible constraint Jacobian ``G_w``: the stage system of
-``diag(M, 0) y' = F(y)`` for ``y = [u | w]``.  Each stage row stacks the
-differential and algebraic stage vectors ``[k_i | l_i]``, and the
-composite operator ``J = [[L_u, L_w], [G_u, G_w]]`` (:class:`DaeOps`) takes
-the place of the ODE stage operator.  After the Schur transform the
-eigen-blocks are therefore the ODE path's shifted blocks
-``eta*diag(M, 0) - dt*J`` and 2x2 blocks, solved by the same
-:mod:`irkit.irk_core` 1x1 solve, 2x2 operator and block lower-triangular
-preconditioner.  Only the exact shifted solve differs: it eliminates the
-algebraic rows through factored ``G_w`` solves.
+``diag(M, 0) y' = F(y)`` for ``y = [u | w]``.  A private view turns the
+DAE into that :class:`~irkit.nonlinear.OdeSystem`: stage rows stack
+``[k_i | l_i]``, the composite operator ``J = [[L_u, L_w], [G_u, G_w]]``
+(:class:`DaeOps`) is its linearization and ``diag(M, 0)`` its mass.  The
+ODE core then does the whole stage solve (residual, variant assembly,
+transformed sweep, Newton-like iteration) with two composite block solvers
+plugged in: the exact shifted solve eliminates the algebraic rows through
+factored ``G_w`` solves, and complex pairs go to :func:`solve_dae_block4x4`.
 
 Two orderings are available for a complex-pair block.  The coupled mode
 runs GMRES on the whole composite 2x2 block.  The reordered mode applies
@@ -39,14 +38,20 @@ from .irk_core import (
     Block2x2System,
     PrecondSpec,
     ShiftedSolver,
-    _solve_1x1,
     _solve_2x2,
     apply_block2x2,
-    block_sweep,
     shifted_matrix,
 )
-from .nonlinear import IntegrationResult, SolverConfig, march, richardson, variant_weights
-from .sparsela import BandedLU, SparseMatrix, combine
+from .nonlinear import (
+    IntegrationResult,
+    OdeSystem,
+    SolverConfig,
+    StageState,
+    march,
+    newton_like_step,
+    stage_residual,
+)
+from .sparsela import BandedLU, SparseMatrix
 from .tableau import SDIRK_FAMILIES, prepare_stages
 
 
@@ -114,18 +119,31 @@ class DaeCounters:
     constraint: int = 0
 
 
+def _ode_view(sys: DaeSystem) -> OdeSystem:
+    """``sys`` as the ODE system ``diag(M, 0) y' = F(y)`` on ``y = [u | w]``."""
+    nu = sys.dim_u
+
+    def rhs(y, t):
+        u, w = y[:nu], y[nu:]
+        return np.concatenate([sys.rhs(u, w, t), sys.constraint(u, w, t)])
+
+    return OdeSystem(
+        dim=nu + sys.dim_w,
+        rhs=rhs,
+        linearize=lambda y, t: DaeOps(*sys.blocks(y[:nu], y[nu:], t)),
+        mass=_CompositeMass(sys.mass, nu),
+        name=sys.name,
+    )
+
+
+def _stacked(st: DaeStageState) -> StageState:
+    """The ODE view's stage state: rows ``[k_i | l_i]`` and state ``[u | w]``."""
+    return StageState(np.hstack([st.k, st.ell]), np.concatenate([st.u, st.w]), st.t, st.dt)
+
+
 def dae_stage_residual(sys: DaeSystem, st: DaeStageState, tableau):
     """Composite residual: ``N(U_i, W_i, t_i) - M k_i`` and ``G(U_i, W_i, t_i)``."""
-    u_stage = st.u[None, :] + st.dt * (tableau.a0 @ st.k)
-    w_stage = st.w[None, :] + st.dt * (tableau.a0 @ st.ell)
-    out = np.empty((tableau.s, sys.dim_u + sys.dim_w))
-    for i in range(tableau.s):
-        ti = st.t + tableau.c0[i] * st.dt
-        diff = sys.rhs(u_stage[i], w_stage[i], ti)
-        diff = diff - (st.k[i] if sys.mass is None else sys.mass @ st.k[i])
-        out[i, : sys.dim_u] = diff
-        out[i, sys.dim_u :] = sys.constraint(u_stage[i], w_stage[i], ti)
-    return out
+    return stage_residual(_ode_view(sys), _stacked(st), tableau)
 
 
 class _ConstraintSolver:
@@ -256,94 +274,33 @@ def solve_dae_block4x4(
     return x, rep
 
 
-def _build_dae_variant(prep, stage_ops, variant, variant0_stage):
-    """Componentwise weighted sums of the composite stage operators."""
-    dw, ow = variant_weights(prep, variant, variant0_stage)
+def _block_solvers(mode, counters: DaeCounters):
+    """Composite block solvers for the ODE core, counting into ``counters``."""
 
-    def comb(weights):
-        return DaeOps(*(combine(weights, part) for part in zip(*stage_ops)))
-
-    return tuple(comb(w) for w in dw), {key: comb(w) for key, w in ow.items()}
-
-
-def _solve_dae_transformed(prep, diag, offdiag, mass, dt, rhs, cfg, counters, mode):
-    """Backward block sweep of the transformed composite stage system.
-
-    Rows stack ``[k | ell]``; the sweep's mass is ``diag(M, 0)``, so the
-    ``r[i, j]`` mass coupling leaves the algebraic rows alone.  Real
-    eigenvalues take the ODE path's 1x1 solve with the exact elimination
-    solver; complex pairs go to :func:`solve_dae_block4x4`.
-    """
-    cmass = _CompositeMass(mass, diag[0].lu.n)
-
-    def couple(i, j, y):
-        od = offdiag.get((i, j))
-        return None if od is None else dt * (od @ y)
-
-    def solve_block(blk, acc):
-        i = blk.offset
-        if blk.size == 1:
-            return _solve_1x1(
-                blk.eta, diag[i], cmass, dt, acc[0], cfg.precond, cfg.krylov_rtol,
-                cfg.krylov_maxit, partial(_EliminationSolver, counters),
-            )
-        pair_off = {
-            key_local: offdiag[key]
-            for key_local, key in (((0, 1), (i, i + 1)), ((1, 0), (i + 1, i)))
-            if key in offdiag
-        }
+    def solve_pair(sys2, rhs, spec, rtol, maxit, shifted):
+        # a closure, not a partial, so a wrapper on the module attribute sees
+        # every call; solve_dae_block4x4 rebuilds ``shifted`` from ``counters``
         return solve_dae_block4x4(
-            diag[i],
-            diag[i + 1],
-            blk.eta,
-            blk.beta,
-            blk.phi,
-            dt,
-            acc.ravel(),
-            mode=mode,
-            mass=mass,
-            spec=cfg.precond,
-            counters=counters,
-            rtol=cfg.krylov_rtol,
-            maxit=cfg.krylov_maxit,
-            offdiag=pair_off,
+            sys2.l1, sys2.l2, sys2.eta, sys2.beta, sys2.phi, sys2.dt, rhs, mode=mode,
+            mass=sys2.mass.mass, spec=spec, counters=counters, rtol=rtol, maxit=maxit,
+            offdiag={(0, 1): sys2.offdiag12, (1, 0): sys2.offdiag21},
         )
 
-    return block_sweep(prep, rhs, cmass.__matmul__, couple, solve_block)
+    return {"shifted": partial(_EliminationSolver, counters), "solve_pair": solve_pair}
 
 
 def dae_newton_step(sys: DaeSystem, st: DaeStageState, prep, cfg: SolverConfig,
                     mode="coupled"):
-    """Preconditioned Richardson iteration on the composite stage residual.
+    """Newton-like iteration on the stage system of ``diag(M, 0) y' = F(y)``.
 
-    The iterate stacks ``[k | ell]`` row by row, shape ``(s, dim_u + dim_w)``.
+    :func:`~irkit.nonlinear.newton_like_step` runs on the ODE view of
+    ``sys`` with the stage rows ``[k | ell]``, shape ``(s, dim_u + dim_w)``,
+    and the composite block solvers of ``mode``.
     """
-    tableau = prep.tableau
     counters = DaeCounters()
-    nu = sys.dim_u
-
-    def residual(x):
-        st.k, st.ell = x[:, :nu], x[:, nu:]
-        return dae_stage_residual(sys, st, tableau)
-
-    def assemble(x):
-        u_stage = st.u[None, :] + st.dt * (tableau.a0 @ x[:, :nu])
-        w_stage = st.w[None, :] + st.dt * (tableau.a0 @ x[:, nu:])
-        ops = [
-            DaeOps(*sys.blocks(u_stage[i], w_stage[i], st.t + tableau.c0[i] * st.dt))
-            for i in range(tableau.s)
-        ]
-        return _build_dae_variant(prep, ops, cfg.variant, cfg.variant0_stage)
-
-    def solve(jac, res):
-        return _solve_dae_transformed(
-            prep, *jac, sys.mass, st.dt, res, cfg, counters, mode
-        )
-
-    _, stats = richardson(
-        residual, assemble, solve, np.hstack([st.k, st.ell]), cfg, tableau.s,
-        label="DAE stage solve",
-    )
+    y, stats = newton_like_step(_ode_view(sys), _stacked(st), prep, cfg,
+                                **_block_solvers(mode, counters))
+    st.k, st.ell = y.k[:, : sys.dim_u], y.k[:, sys.dim_u :]
     stats.differential_solves = counters.differential
     stats.constraint_solves = counters.constraint
     return st, stats, counters

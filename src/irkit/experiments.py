@@ -213,20 +213,12 @@ def run_iterations(manifest: RunManifest):
 
 def _block_means(result, prep):
     """Mean Krylov iterations per 2x2 eigen-block over all solves in a run."""
-    sums = {}
-    counts = {}
+    its = {}
     for st in result.step_stats:
         for off, its_list in st.block_iterations.items():
-            if not isinstance(off, int):
-                continue
-            for its in its_list:
-                sums[off] = sums.get(off, 0) + its
-                counts[off] = counts.get(off, 0) + 1
-    out = {}
-    for blk in prep.blocks:
-        if blk.size == 2 and blk.offset in sums:
-            out[blk.offset] = sums[blk.offset] / counts[blk.offset]
-    return out
+            its.setdefault(off, []).extend(its_list)
+    pairs = [blk.offset for blk in prep.blocks if blk.size == 2 and blk.offset in its]
+    return {off: sum(its[off]) / len(its[off]) for off in pairs}
 
 
 def run_gamma_compare(manifest: RunManifest):

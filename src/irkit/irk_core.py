@@ -288,12 +288,16 @@ def solve_transformed_system(
     krylov_rtol=1e-5,
     krylov_maxit=200,
     variant_jacobian=None,
+    shifted=ShiftedSolver,
+    solve_pair=_solve_2x2,
 ):
     """Solve one linearized stage system through the Schur transform.
 
     ``rhs_stages`` has shape ``(s, n)``.  The quasi-triangular block system
     is swept by :func:`block_sweep` with 1x1 shifted solves and 2x2 block
-    GMRES.
+    GMRES, swappable by keyword (the ODE ones by default): ``shifted(alpha,
+    mass, l, dt, inner)`` builds each exact shifted solver and ``solve_pair(sys2,
+    rhs, spec, rtol, maxit, shifted)`` returns a 2x2 block's ``(x, KrylovReport)``.
 
     The block-diagonal approximation of the transformed operator is taken
     from ``variant_jacobian`` when given, otherwise built from
@@ -325,7 +329,7 @@ def solve_transformed_system(
         i = blk.offset
         if blk.size == 1:
             return _solve_1x1(blk.eta, vjac.diag[i], mass, dt, acc[0], precond,
-                              krylov_rtol, krylov_maxit)
+                              krylov_rtol, krylov_maxit, shifted)
         sys2 = Block2x2System(
             eta=blk.eta,
             beta=blk.beta,
@@ -337,7 +341,7 @@ def solve_transformed_system(
             offdiag12=vjac.offdiag.get((i, i + 1)),
             offdiag21=vjac.offdiag.get((i + 1, i)),
         )
-        return _solve_2x2(sys2, acc.ravel(), precond, krylov_rtol, krylov_maxit)
+        return solve_pair(sys2, acc.ravel(), precond, krylov_rtol, krylov_maxit, shifted)
 
     return block_sweep(prep, rhs, mass_apply, couple, solve_block)
 

@@ -68,7 +68,6 @@ class SolverConfig:
     krylov_maxit: int = 200
     precond: PrecondSpec = PrecondSpec()
     jacobian_refresh: str = "every"  # or "frozen"
-    variant0_stage: int = 0
 
     def __post_init__(self):
         if self.variant not in (0, 1, 2, 3):
@@ -95,14 +94,14 @@ class VariantJacobian:
     offdiag: dict
 
 
-def variant_weights(prep: StagePrep, variant, variant0_stage=0):
+def variant_weights(prep: StagePrep, variant):
     """Per-row stage weights (and coupling weights) for each variant."""
     s = prep.tableau.s
     d = prep.d
     diag = np.zeros((s, s))
     offdiag = {}
     if variant == 0:
-        diag[:, variant0_stage] = 1.0
+        diag[:, 0] = 1.0
         return diag, offdiag
     if variant == 1:
         for i in range(s):
@@ -125,19 +124,27 @@ def variant_weights(prep: StagePrep, variant, variant0_stage=0):
     return diag, offdiag
 
 
-def build_variant_jacobian(prep: StagePrep, stage_ops, variant, variant0_stage=0):
+def _weighted_sum(weights, ops):
+    """``sum_j weights[j] * ops[j]``; composite (tuple) operators block by block."""
+    if isinstance(ops[0], tuple):
+        return type(ops[0])(*(combine(weights, part) for part in zip(*ops)))
+    return combine(weights, ops)
+
+
+def build_variant_jacobian(prep: StagePrep, stage_ops, variant):
     """Materialize the variant's diagonal and coupling operators.
 
-    ``stage_ops`` holds one sparse linearized operator per stage, evaluated
-    at the current iterate (fixed per block row).
+    ``stage_ops`` holds one linearized operator per stage, evaluated at the
+    current iterate (fixed per block row): a sparse matrix, or a named tuple
+    of sparse blocks such as the DAE path's ``DaeOps``, summed block by block.
     """
     stage_ops = list(stage_ops)
     s = prep.tableau.s
     if len(stage_ops) != s:
         raise ValueError(f"expected {s} stage operators, got {len(stage_ops)}")
-    dw, ow = variant_weights(prep, variant, variant0_stage)
-    diag = tuple(combine(dw[i], stage_ops) for i in range(s))
-    offdiag = {key: combine(w, stage_ops) for key, w in ow.items()}
+    dw, ow = variant_weights(prep, variant)
+    diag = tuple(_weighted_sum(dw[i], stage_ops) for i in range(s))
+    offdiag = {key: _weighted_sum(w, stage_ops) for key, w in ow.items()}
     return VariantJacobian(diag=diag, offdiag=offdiag)
 
 
@@ -230,11 +237,13 @@ def richardson(residual, assemble, solve, x, cfg: SolverConfig, linearizations,
     return x, stats
 
 
-def newton_like_step(sys: OdeSystem, st: StageState, prep: StagePrep, cfg: SolverConfig):
+def newton_like_step(sys: OdeSystem, st: StageState, prep: StagePrep, cfg: SolverConfig,
+                     **block_solvers):
     """Drive the stage vectors to the residual tolerance.
 
     Returns the updated state and iteration statistics; exhausting
     ``newton_maxit`` raises :class:`StepFailureError` carrying the stats.
+    ``block_solvers`` go on to :func:`~irkit.irk_core.solve_transformed_system`.
     """
     tableau = prep.tableau
 
@@ -248,7 +257,7 @@ def newton_like_step(sys: OdeSystem, st: StageState, prep: StagePrep, cfg: Solve
             sys.linearize(u_stage[i], st.t + tableau.c0[i] * st.dt)
             for i in range(tableau.s)
         ]
-        return build_variant_jacobian(prep, ops, cfg.variant, cfg.variant0_stage)
+        return build_variant_jacobian(prep, ops, cfg.variant)
 
     def solve(vjac, res):
         return solve_transformed_system(
@@ -260,6 +269,7 @@ def newton_like_step(sys: OdeSystem, st: StageState, prep: StagePrep, cfg: Solve
             krylov_rtol=cfg.krylov_rtol,
             krylov_maxit=cfg.krylov_maxit,
             variant_jacobian=vjac,
+            **block_solvers,
         )
 
     _, stats = richardson(residual, assemble, solve, st.k, cfg, tableau.s)

@@ -117,21 +117,20 @@ def heat1d(n=64, nu=1.0):
     return Problem(spec, system, u0, exact=exact, operator=mat, fov_bound=bound)
 
 
+def _periodic_tridiagonal(n, lower, diag, upper):
+    """Circulant ``[lower, diag, upper]`` stencil; the wraps sit at ``±(n - 1)``."""
+    if n < 3:
+        raise ConfigurationError(f"periodic stencils need n >= 3 points, got {n}")
+    offsets = [-(n - 1), -1, 0, 1, n - 1]
+    return sp.diags([upper, lower, diag, upper, lower], offsets, shape=(n, n), format="csr")
+
+
 def _periodic_central(n, h):
-    d = sp.lil_matrix((n, n))
-    for i in range(n):
-        d[i, (i + 1) % n] = 1.0 / (2.0 * h)
-        d[i, (i - 1) % n] = -1.0 / (2.0 * h)
-    return d.tocsr()
+    return _periodic_tridiagonal(n, -1.0 / (2.0 * h), 0.0, 1.0 / (2.0 * h))
 
 
 def _periodic_laplacian(n, h):
-    d = sp.lil_matrix((n, n))
-    for i in range(n):
-        d[i, i] = -2.0 / h**2
-        d[i, (i + 1) % n] = 1.0 / h**2
-        d[i, (i - 1) % n] = 1.0 / h**2
-    return d.tocsr()
+    return _periodic_tridiagonal(n, 1.0 / h**2, -2.0 / h**2, 1.0 / h**2)
 
 
 def advection1d(n=64, speed=1.0):

@@ -9,15 +9,16 @@ from irkit.dae import (
     DaeOps,
     DaeStageState,
     DaeSystem,
-    _build_dae_variant,
-    _solve_dae_transformed,
+    _block_solvers,
+    _CompositeMass,
     dae_integrate,
     dae_stage_residual,
     dae_step,
     solve_dae_block4x4,
 )
 from irkit.errors import ConfigurationError, IndexViolationError
-from irkit.nonlinear import SolverConfig, integrate
+from irkit.irk_core import solve_transformed_system
+from irkit.nonlinear import SolverConfig, build_variant_jacobian, integrate
 from irkit.problems import make_problem
 from irkit.sparsela import SparseMatrix
 from irkit.tableau import make_tableau, prepare_stages
@@ -209,6 +210,17 @@ class TestBlockSolve:
             solve_dae_block4x4(oi, oi, 2.0, 1.0, 1.0, 0.1, np.ones(8), mode="foo")
 
 
+def composite_solve(prep, stage_ops, variant, mass_diag, dt, rhs, mode):
+    """The ODE core's transformed solve with the composite block solvers."""
+    mass = _CompositeMass(SparseMatrix(np.diag(mass_diag), bandwidth=0), len(mass_diag))
+    x, _ = solve_transformed_system(
+        prep, dt=dt, rhs_stages=rhs, mass=mass, krylov_rtol=1e-12, krylov_maxit=400,
+        variant_jacobian=build_variant_jacobian(prep, stage_ops, variant),
+        **_block_solvers(mode, DaeCounters()),
+    )
+    return x
+
+
 class TestTransformedStageSolve:
     """One composite stage solve against the dense coupled s*(nu+nw) system."""
 
@@ -231,12 +243,7 @@ class TestTransformedStageSolve:
         rhs = rng.standard_normal((s, nu + nw))
         big = dense_stage_system(prep.tableau, ops, np.diag(mass_diag), dt)
         oracle = np.linalg.solve(big, rhs.ravel()).reshape(s, nu + nw)
-        diag, offdiag = _build_dae_variant(prep, [ops] * s, variant, 0)
-        cfg = SolverConfig(variant=variant, krylov_rtol=1e-12, krylov_maxit=400)
-        x, _ = _solve_dae_transformed(
-            prep, diag, offdiag, SparseMatrix(np.diag(mass_diag), bandwidth=0),
-            dt, rhs, cfg, DaeCounters(), mode,
-        )
+        x = composite_solve(prep, [ops] * s, variant, mass_diag, dt, rhs, mode)
         assert np.max(np.abs(x - oracle)) < 1e-9
 
 
@@ -263,12 +270,7 @@ class TestTransformedStageSolve:
         rhs = rng.standard_normal((s, nu + nw))
         big = dense_stage_system(prep.tableau, ops, np.diag(mass_diag), dt)
         oracle = np.linalg.solve(big, rhs.ravel()).reshape(s, nu + nw)
-        diag, offdiag = _build_dae_variant(prep, [ops] * s, variant, 0)
-        cfg = SolverConfig(variant=variant, krylov_rtol=1e-12, krylov_maxit=400)
-        x, _ = _solve_dae_transformed(
-            prep, diag, offdiag, SparseMatrix(np.diag(mass_diag), bandwidth=0),
-            dt, rhs, cfg, DaeCounters(), mode,
-        )
+        x = composite_solve(prep, [ops] * s, variant, mass_diag, dt, rhs, mode)
         assert np.max(np.abs(x - oracle)) <= 1e-9 * max(1.0, np.max(np.abs(oracle)))
 
 

@@ -62,16 +62,19 @@ class TestConvergence:
             assert float(row["error"]) == 0.0
 
     def test_failed_cell_marked_and_run_continues(self):
+        # backward Euler on u' = u: at dt = 1 the shifted block 1 - dt is
+        # singular; the smaller steps still run, and only the last one has a
+        # predecessor to take a rate from
         m = RunManifest(
-            experiment="convergence", problem="burgers1d",
-            problem_params={"n": 32, "nu": 0.02},
-            schemes=(("gauss", 2),), dts=(0.5, 0.25), t_final=1.0,
-            newton_rtol=1e-13, krylov_rtol=1e-8,
+            experiment="convergence", problem="dahlquist", problem_params={"lam_re": 1.0},
+            schemes=(("radau_iia", 1),), dts=(1.0, 0.5, 0.25), t_final=1.0,
         )
-        # force failure via an unreachable tolerance and tiny budget
-        rows = run(RunManifest.from_dict({**m.to_dict(), "newton_rtol": 1e-13}))
-        # whether or not the solver fails, the harness must return rows
-        assert len(rows) == 2
+        rows = run(m)
+        assert [row["status"] for row in rows] == ["failed: SingularMatrixError", "ok", "ok"]
+        assert [row["dt"] for row in rows] == [1.0, 0.5, 0.25]
+        assert rows[0]["error"] == rows[0]["rate"] == rows[1]["rate"] == ""
+        assert float(rows[1]["error"]) > 0.0 and float(rows[2]["rate"]) > 0.0
+        assert any_failed(rows)
 
     def test_rows_carry_manifest_hash(self):
         m = RunManifest(

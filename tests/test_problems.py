@@ -67,6 +67,24 @@ class TestAdvection:
         assert np.max(np.abs(dudt - rhs)) <= 1e-5 * max(1.0, np.max(np.abs(rhs)))
 
 
+class TestPeriodicGrids:
+    @pytest.mark.parametrize("name", ["advection1d", "advdiff1d", "burgers1d",
+                                      "shear_layer_small"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fewer_than_three_points_rejected(self, name, n):
+        # below three points the wrap entries fall on the +-1 diagonals
+        with pytest.raises(ConfigurationError, match="n >= 3"):
+            make_problem(name, n=n)
+
+    def test_three_point_stencils(self):
+        h = 1.0 / 3
+        central = make_problem("advection1d", n=3).operator.to_dense()
+        lap = make_problem("advdiff1d", n=3, speed=0.0, nu=1.0).operator.to_dense()
+        for i in range(3):
+            assert np.allclose(central[i], np.roll([0.0, 1.0, -1.0], i) / (2 * h))
+            assert np.allclose(lap[i], np.roll([-2.0, 1.0, 1.0], i) / h**2)
+
+
 class TestBurgers:
     def test_jacobian_at_constant_state_is_advection_plus_viscosity(self):
         # differentiate the discrete flux by hand: at u = c the Jacobian is

@@ -29,3 +29,34 @@ def test_entry_point_resolves(mod_name, attr):
         obj = getattr(obj, part)
     assert callable(obj)
 
+
+
+def test_traced_dae_step_runs_through_shared_core():
+    # a DAE step must enter the shared stage-solve layers, so the traced
+    # per-layer costs of the DAE workload are the ODE core's
+    import irkit
+    from irkit.problems import make_problem
+    from irkit.tableau import make_tableau, prepare_stages
+
+    tracing = load_tracing()
+    problem = make_problem("shear_layer_small", n=8)
+    tableau = make_tableau("radau_iia", 2)
+    prep = prepare_stages(tableau)
+    tracer = tracing.Tracer(irkit)
+    system = tracer.wrap_system(problem.system)
+    tracer.install()
+    try:
+        _, _, stats = irkit.dae_step(system, problem.u0, problem.w0, 0.0, 0.01, tableau,
+                                     prep=prep, mode="reordered")
+    finally:
+        tracer.uninstall()
+    assert tracer.bindings_restored()
+    calls = {name: agg[2] for name, agg in tracer.summary().items()}
+    newton = stats.newton_iterations
+    pairs = sum(blk.size == 2 for blk in prep.schur.blocks)
+    assert newton > 0 and pairs == 1
+    assert calls.get("irk_core.solve_transformed_system") == newton
+    assert calls.get("nonlinear.build_variant_jacobian") == newton
+    assert calls.get("nonlinear.stage_residual") == newton + 1
+    assert calls.get("dae.solve_dae_block4x4") == newton * pairs
+    assert calls.get("sparsela.gmres") == newton * len(prep.schur.blocks)
