@@ -31,7 +31,7 @@ from .dae import DaeSystem
 from .errors import ConfigurationError
 from .irk_core import field_of_values_bound
 from .nonlinear import OdeSystem
-from .sparsela import SparseMatrix
+from .sparsela import Pattern, SparseMatrix
 
 FOV_TOL = 1e-8
 
@@ -117,12 +117,23 @@ def heat1d(n=64, nu=1.0):
     return Problem(spec, system, u0, exact=exact, operator=mat, fov_bound=bound)
 
 
-def _periodic_tridiagonal(n, lower, diag, upper):
-    """Circulant ``[lower, diag, upper]`` stencil; the wraps sit at ``±(n - 1)``."""
+def _periodic_spacing(n, length=1.0):
+    """Grid spacing of ``n`` periodic points; rejects ``n < 3`` before any arithmetic."""
     if n < 3:
+        # below three points the wrap entries would fall on the +-1 diagonals
         raise ConfigurationError(f"periodic stencils need n >= 3 points, got {n}")
-    offsets = [-(n - 1), -1, 0, 1, n - 1]
-    return sp.diags([upper, lower, diag, upper, lower], offsets, shape=(n, n), format="csr")
+    return length / n
+
+
+def _periodic_tridiagonal(n, lower, diag, upper):
+    """Circulant ``[lower, diag, upper]`` stencil on the full 3-point circulant
+    pattern (a zero ``diag`` stays stored), so all such operators share it."""
+    cols = (np.arange(n)[:, None] + np.arange(-1, 2)) % n
+    order = np.argsort(cols, axis=1)
+    vals = np.take_along_axis(np.tile([lower, diag, upper], (n, 1)), order, axis=1)
+    cols = np.take_along_axis(cols, order, axis=1)
+    return sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, 3 * n + 1, 3)),
+                         shape=(n, n))
 
 
 def _periodic_central(n, h):
@@ -135,7 +146,7 @@ def _periodic_laplacian(n, h):
 
 def advection1d(n=64, speed=1.0):
     """Periodic transport ``u_t = speed * u_x`` with central differences."""
-    h = 1.0 / n
+    h = _periodic_spacing(n)
     mat = SparseMatrix(speed * _periodic_central(n, h), bandwidth=1)
     x = np.arange(n) * h
     u0 = np.sin(2 * np.pi * x) + 0.3 * np.cos(4 * np.pi * x)
@@ -156,7 +167,7 @@ def advection1d(n=64, speed=1.0):
 
 def advdiff1d(n=64, speed=1.0, nu=0.01):
     """Periodic advection-diffusion (general class; still left half-plane)."""
-    h = 1.0 / n
+    h = _periodic_spacing(n)
     mat = SparseMatrix(
         speed * _periodic_central(n, h) + nu * _periodic_laplacian(n, h), bandwidth=1
     )
@@ -174,12 +185,14 @@ def advdiff1d(n=64, speed=1.0, nu=0.01):
 def burgers1d(n=128, nu=0.02, base=0.5, amplitude=0.45):
     """Viscous Burgers on a periodic unit interval, conservative flux form.
 
-    ``N(u) = -D(u^2/2) + nu * Lap u`` with central differences; the exact
-    Jacobian ``-D diag(u) + nu * Lap`` is assembled per evaluation.
+    ``N(u) = -D(u^2/2) + nu * Lap u`` with central differences.  ``D`` and
+    ``Lap`` share the circulant pattern, so the exact Jacobian
+    ``-D diag(u) + nu * Lap`` is computed as values on it.
     """
-    h = 1.0 / n
+    h = _periodic_spacing(n)
     dmat = _periodic_central(n, h)
     lap = nu * _periodic_laplacian(n, h)
+    pattern = Pattern.of(lap.shape, lap.indptr, lap.indices, 1)
     x = np.arange(n) * h
     u0 = base + amplitude * np.sin(2 * np.pi * x)
 
@@ -187,7 +200,7 @@ def burgers1d(n=128, nu=0.02, base=0.5, amplitude=0.45):
         return -(dmat @ (0.5 * u * u)) + lap @ u
 
     def linearize(u, t):
-        return SparseMatrix(-(dmat @ sp.diags(u)) + lap, bandwidth=1)
+        return SparseMatrix.on_pattern(pattern, -(dmat.data * u[dmat.indices]) + lap.data)
 
     system = OdeSystem(dim=n, rhs=rhs, linearize=linearize, name="burgers1d")
     spec = ProblemSpec(
@@ -231,7 +244,7 @@ def dae_manufactured():
 
 def _grid_ops_2d(n, length=2.0 * np.pi):
     """Periodic central difference and Laplacian operators on an n x n grid."""
-    h = length / n
+    h = _periodic_spacing(n, length)
     d1 = _periodic_central(n, h)
     eye = sp.identity(n, format="csr")
     dx = sp.kron(eye, d1, format="csr")
@@ -263,11 +276,16 @@ def shear_layer_small(n=16, reynolds=1e4, delta=0.05, rho=np.pi / 15.0):
     gu_mat[0, :] = 0.0
     gu = SparseMatrix(gu_mat.tocsr(), bandwidth=0)
     lw = SparseMatrix(sp.csr_matrix((nn, nn)), bandwidth=0)
-    visc = (1.0 / reynolds) * lap
+    visc = SparseMatrix((1.0 / reynolds) * lap, bandwidth=n)
+    # the advection operator's values on the viscous pattern, which holds dx's and dy's
+    cols = visc.indices
+    dxv, dyv = (SparseMatrix(d).project(visc.pattern).data for d in (dx, dy))
+
+    def velocity(psi):
+        return -(dy @ psi), dx @ psi
 
     def advection(psi):
-        ux = -(dy @ psi)
-        uy = dx @ psi
+        ux, uy = velocity(psi)
         return -(dx @ sp.diags(ux) + dy @ sp.diags(uy))
 
     def rhs(omega, psi, t):
@@ -279,8 +297,9 @@ def shear_layer_small(n=16, reynolds=1e4, delta=0.05, rho=np.pi / 15.0):
         return g
 
     def blocks(omega, psi, t):
-        lu = SparseMatrix(advection(psi) + visc, bandwidth=n)
-        return lu, lw, gu, gw
+        ux, uy = velocity(psi)
+        adv = -(dxv * ux[cols] + dyv * uy[cols])
+        return SparseMatrix.on_pattern(visc.pattern, adv + visc.data), lw, gu, gw
 
     system = DaeSystem(
         dim_u=nn,

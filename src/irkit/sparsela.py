@@ -1,9 +1,16 @@
-"""Sparse storage, banded factorization, and restarted GMRES.
+"""Sparse storage on interned patterns, banded factorization, restarted GMRES.
 
-Matrices are stored in CSR form with an optional bandwidth hint.  Entries
-inside the declared band are factored with LAPACK's banded LU; entries
-outside it (periodic wrap-around terms) are folded in through a
-Sherman-Morrison-Woodbury bordered correction, so solves stay exact.
+A :class:`SparseMatrix` is a :class:`Pattern` (an interned, immutable CSR
+structure with a bandwidth hint) plus a ``data`` vector.  Structurally
+equal patterns are one object, so every operator of a stage solve (stage
+Jacobians, variant operators, shifted blocks ``alpha*M - dt*L``) that lives
+on one pattern is a weighted sum of ``data`` vectors: :func:`combine` is
+array arithmetic, and :class:`BandedLU` fills LAPACK's band storage through
+the pattern's cached scatter, as RADAU5 forms ``fac*M - J`` in place
+(Hairer & Wanner, *Solving ODEs II*, IV.8).  Entries inside the declared
+band are factored with LAPACK's banded LU; entries outside it (periodic
+wrap-around terms) are folded in through a Sherman-Morrison-Woodbury
+bordered correction, so solves stay exact.
 
 GMRES is right-preconditioned and keeps the preconditioned basis, which
 makes the preconditioner cost exactly one application per iteration.  The
@@ -15,7 +22,9 @@ Krylov iteration.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.io
@@ -26,95 +35,198 @@ from . import densela
 from .errors import KrylovBreakdownError, SingularMatrixError
 
 
+class Pattern:
+    """Interned, immutable CSR structure: ``shape``, ``indptr``, ``indices``
+    (sorted and unique per row) and ``bandwidth``.
+
+    Build patterns with :meth:`of`; structurally equal ones resolve to one
+    object, so operators on one pattern are recognized by identity.  Index
+    arrays for the diagonal, the band storage and the out-of-band (wrap)
+    entries are computed on first use and cached.
+    """
+
+    _interned = weakref.WeakValueDictionary()
+
+    def __init__(self, shape, indptr, indices, bandwidth):
+        self.shape, self.indptr, self.indices = shape, indptr, indices
+        self.bandwidth = bandwidth
+        self.nnz = len(indices)
+
+    @classmethod
+    def of(cls, shape, indptr, indices, bandwidth):
+        shape = (int(shape[0]), int(shape[1]))
+        key = (shape, int(bandwidth), np.asarray(indptr, np.int64).tobytes(),
+               np.asarray(indices, np.int64).tobytes())
+        pattern = cls._interned.get(key)
+        if pattern is None:
+            dtype = np.int32 if max(shape[1], len(indices)) < 2**31 else np.int64
+            indptr, indices = np.array(indptr, dtype), np.array(indices, dtype)
+            indptr.flags.writeable = indices.flags.writeable = False
+            pattern = cls._interned[key] = cls(shape, indptr, indices, int(bandwidth))
+        return pattern
+
+    @cached_property
+    def rows(self):
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    @cached_property
+    def diagonal(self):
+        """Positions of the diagonal entries, or ``None`` if one is absent."""
+        pos = np.flatnonzero(self.rows == self.indices)
+        return pos if len(pos) == min(self.shape) else None
+
+    @cached_property
+    def band(self):
+        """``(kl, ku, scatter, in_band)`` for a square pattern.
+
+        ``scatter`` holds the flat positions of the in-band entries in a
+        Fortran-ordered ``(2*kl + ku + 1, n)`` LAPACK ``ab`` array, and
+        ``in_band`` their positions in ``data`` (``None`` when all are).
+        """
+        kl = ku = min(self.bandwidth, self.shape[0] - 1)
+        off = self.rows - self.indices
+        inside = np.abs(off) <= self.bandwidth
+        scatter = (kl + ku + off + self.indices * (2 * kl + ku + 1))[inside]
+        return kl, ku, scatter, None if inside.all() else np.flatnonzero(inside)
+
+    @cached_property
+    def wrap(self):
+        """``(rows, cols, pos, border_cols, slot)`` of the out-of-band entries.
+
+        ``border_cols`` are their sorted distinct columns and ``slot`` maps
+        each entry to its column's index in ``border_cols``.
+        """
+        pos = np.flatnonzero(np.abs(self.rows - self.indices) > self.bandwidth)
+        cols = self.indices[pos]
+        border_cols, slot = np.unique(cols, return_inverse=True)
+        return self.rows[pos], cols, pos, border_cols, slot
+
+    def locate(self, other):
+        """Positions of ``other``'s entries in this pattern, which must hold them."""
+        keys = self.rows.astype(np.int64) * self.shape[1] + self.indices
+        want = other.rows.astype(np.int64) * self.shape[1] + other.indices
+        pos = np.searchsorted(keys, want)
+        if not (np.all(pos < self.nnz) and np.array_equal(keys[pos], want)):
+            raise ValueError("pattern is not contained in the target pattern")
+        return pos
+
+
+@lru_cache(maxsize=256)
+def _union(patterns, identity, shape):
+    """Union of ``patterns`` (and the diagonal if ``identity``), with each
+    pattern's positions in it.  Its bandwidth is the largest of theirs."""
+    acc = sp.csr_matrix(shape)
+    for p in patterns:
+        if p.shape != shape:
+            raise ValueError(f"cannot combine shapes {shape} and {p.shape}")
+        acc = acc + sp.csr_matrix((np.ones(p.nnz), p.indices, p.indptr), shape=shape)
+    if identity:
+        acc = acc + sp.identity(shape[0], format="csr")
+    bandwidth = max((p.bandwidth for p in patterns), default=0)
+    union = Pattern.of(shape, acc.indptr, acc.indices, bandwidth)
+    return union, {p: union.locate(p) for p in patterns}
+
+
 class SparseMatrix:
-    """CSR matrix with an optional bandwidth hint.
+    """A :class:`Pattern` plus its ``data`` vector.
 
     Mostly square operators; rectangular coupling blocks (as in
     differential/algebraic systems) are allowed wherever no factorization
     is requested.  ``bandwidth`` declares which entries belong to the
     banded core; entries with ``|i - j| > bandwidth`` are treated as
     bordered corrections by the banded factorization.  When omitted, the
-    literal bandwidth of the stored pattern is used (no border).
+    literal bandwidth of the stored pattern is used (no border).  The
+    constructor takes anything ``scipy.sparse.csr_matrix`` accepts;
+    :meth:`on_pattern` wraps values on an existing pattern.
     """
 
     def __init__(self, mat, bandwidth=None):
         csr = sp.csr_matrix(mat, dtype=float)
         csr.sum_duplicates()
         csr.sort_indices()
-        if csr.nnz and not np.all(np.isfinite(csr.data)):
-            raise ValueError("matrix contains non-finite entries")
-        self._csr = csr
-        self.shape = csr.shape
-        self.n = csr.shape[0]
         if bandwidth is None:
-            bandwidth = self._literal_bandwidth()
-        self.bandwidth = int(bandwidth)
+            rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+            bandwidth = int(np.max(np.abs(rows - csr.indices))) if csr.nnz else 0
+        self._set(Pattern.of(csr.shape, csr.indptr, csr.indices, bandwidth), csr.data)
+        self._csr = csr
 
-    def _literal_bandwidth(self):
-        if self._csr.nnz == 0:
-            return 0
-        coo = self._csr.tocoo()
-        return int(np.max(np.abs(coo.row - coo.col)))
+    @classmethod
+    def on_pattern(cls, pattern: Pattern, data):
+        """The matrix with values ``data`` (one per entry) on ``pattern``."""
+        out = cls.__new__(cls)
+        out._set(pattern, np.asarray(data, dtype=float))
+        return out
 
-    @property
-    def indptr(self):
-        return self._csr.indptr
-
-    @property
-    def indices(self):
-        return self._csr.indices
-
-    @property
-    def values(self):
-        return self._csr.data
-
-    @property
-    def nnz(self):
-        return self._csr.nnz
+    def _set(self, pattern, data):
+        if data.shape != (pattern.nnz,):
+            raise ValueError(f"data has shape {data.shape}, expected ({pattern.nnz},)")
+        if pattern.nnz and not np.all(np.isfinite(data)):
+            raise ValueError("matrix contains non-finite entries")
+        self.pattern, self.data, self._csr = pattern, data, None
+        self.shape, self.bandwidth, self.nnz = pattern.shape, pattern.bandwidth, pattern.nnz
+        self.indptr, self.indices, self.n = pattern.indptr, pattern.indices, pattern.shape[0]
 
     @property
     def csr(self):
+        if self._csr is None:
+            self._csr = sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
         return self._csr
 
+    def project(self, pattern: Pattern):
+        """This matrix on ``pattern``, a superset of its own, with zeros added."""
+        data = np.zeros(pattern.nnz)
+        data[pattern.locate(self.pattern)] = self.data
+        return SparseMatrix.on_pattern(pattern, data)
+
     def matvec(self, x):
-        return self._csr @ x
+        return self.csr @ x
 
     def __matmul__(self, x):
         if isinstance(x, SparseMatrix):
-            return SparseMatrix(self._csr @ x._csr)
-        return self._csr @ x
+            return SparseMatrix(self.csr @ x.csr)
+        return self.csr @ x
 
     def to_dense(self):
-        return self._csr.toarray()
+        return self.csr.toarray()
 
     @staticmethod
     def identity(n):
-        return SparseMatrix(sp.identity(n, format="csr"), bandwidth=0)
+        eye = Pattern.of((n, n), np.arange(n + 1), np.arange(n), 0)
+        return SparseMatrix.on_pattern(eye, np.ones(n))
 
 
 def combine(coeffs, mats):
     """Weighted sum ``sum_k coeffs[k] * mats[k]`` of same-shape matrices.
 
-    ``None`` entries in ``mats`` stand for the identity.  The result keeps
-    the largest bandwidth hint of the participants.
+    ``None`` entries in ``mats`` stand for the identity; zero weights are
+    skipped.  The sum is taken on ``data`` vectors, in ``mats`` order with
+    the identity added on the diagonal positions, so each entry sees the
+    same floating-point operations as an entrywise sparse sum.  It lives on
+    the operands' pattern when they all share one that holds the diagonal
+    the identity needs; otherwise on the union of the patterns of the
+    operands with nonzero weight, whose bandwidth is the largest of theirs.
     """
     mats = list(mats)
     if not mats:
         raise ValueError("empty combination")
-    shape = next((m.shape for m in mats if m is not None), None)
-    if shape is None:
+    shared = {m.pattern for m in mats if m is not None}
+    if not shared:
         raise ValueError("combine needs at least one concrete matrix")
-    acc = sp.csr_matrix(shape)
-    bw = 0
-    for ck, mk in zip(coeffs, mats):
-        if ck == 0.0:
-            continue
-        if mk is None:
-            acc = acc + ck * sp.identity(shape[0], format="csr")
+    terms = [(c, m) for c, m in zip(coeffs, mats) if c != 0.0]
+    identity = any(m is None for _, m in terms)
+    pattern, where = shared.pop(), None
+    if shared or (identity and pattern.diagonal is None):
+        used = tuple(dict.fromkeys(m.pattern for _, m in terms if m is not None))
+        pattern, where = _union(used, identity, pattern.shape)
+    data = np.zeros(pattern.nnz)
+    for c, m in terms:
+        if m is None:
+            data[pattern.diagonal] += c
+        elif where is None:
+            data += c * m.data
         else:
-            acc = acc + ck * mk.csr
-            bw = max(bw, mk.bandwidth)
-    return SparseMatrix(acc, bandwidth=bw)
+            data[where[m.pattern]] += c * m.data
+    return SparseMatrix.on_pattern(pattern, data)
 
 
 class LinearOperator:
@@ -190,8 +302,10 @@ def gmres(op, rhs, right_precond=None, rtol=1e-5, maxit=200, restart=200):
 
     while not converged and total_it < maxit:
         m = min(restart, maxit - total_it)
-        v = np.zeros((n, m + 1))
-        z = np.zeros((n, m))
+        # row-major basis, widened on demand: a cycle touches only the
+        # columns it uses, and the BLAS calls are those of a full-width one
+        z = np.zeros((n, min(m, 8)))
+        v = np.zeros((n, z.shape[1] + 1))
         h = np.zeros((m + 1, m))
         cs = np.zeros(m)
         sn = np.zeros(m)
@@ -201,6 +315,9 @@ def gmres(op, rhs, right_precond=None, rtol=1e-5, maxit=200, restart=200):
         breakdown = False
         j = -1
         for j in range(m):
+            if j == z.shape[1]:
+                z = _widen(z, min(2 * j, m))
+                v = _widen(v, z.shape[1] + 1)
             zj = apply_m(v[:, j])
             z[:, j] = zj
             w = apply_op(zj)
@@ -265,6 +382,12 @@ def gmres(op, rhs, right_precond=None, rtol=1e-5, maxit=200, restart=200):
     return x, report
 
 
+def _widen(a, cols):
+    out = np.zeros((a.shape[0], cols))
+    out[:, : a.shape[1]] = a
+    return out
+
+
 class BandedLU:
     """LU factorization of a banded matrix with bordered wrap corrections.
 
@@ -292,29 +415,28 @@ class BandedLU:
         n = a.n
         if n == 0:
             return cls(0, 0, 0, None, None, None, None, None, None)
-        bw = a.bandwidth
-        kl = ku = min(bw, n - 1)
-        coo = a.csr.tocoo()
-        in_band = np.abs(coo.row - coo.col) <= bw
-        ab = np.zeros((2 * kl + ku + 1, n))
-        rows = coo.row[in_band]
-        cols = coo.col[in_band]
-        vals = coo.data[in_band]
-        ab[kl + ku + rows - cols, cols] = vals
-        lu, piv, info = lapack.dgbtrf(ab, kl, ku)
+        p, data = a.pattern, a.data
+        kl, ku, scatter, in_band = p.band
+        ldab = 2 * kl + ku + 1
+        ab = np.zeros(n * ldab)
+        ab[scatter] = data if in_band is None else data[in_band]
+        lu, piv, info = lapack.dgbtrf(ab.reshape(n, ldab).T, kl, ku, overwrite_ab=1)
         if info != 0:
             raise SingularMatrixError(f"banded factorization failed (info={info})")
 
         border_cols = None
         binv_u = None
         cap_lu = cap_piv = None
-        if not np.all(in_band):
-            out = ~in_band
-            cols_out = np.unique(coo.col[out])
+        rows, cols, pos, cols_out, slot = p.wrap
+        vals = data[pos]
+        nonzero = vals != 0.0
+        if not nonzero.all():
+            # exact zeros are no correction: the border spans the nonzero wraps
+            rows, cols, vals = rows[nonzero], cols[nonzero], vals[nonzero]
+            cols_out, slot = np.unique(cols, return_inverse=True)
+        if len(vals):
             u = np.zeros((n, len(cols_out)))
-            col_pos = {c: t for t, c in enumerate(cols_out)}
-            for r, c, vv in zip(coo.row[out], coo.col[out], coo.data[out]):
-                u[r, col_pos[c]] += vv
+            u[rows, slot] = vals
             binv_u, info = _gbtrs(lu, kl, ku, piv, u)
             cap = np.eye(len(cols_out)) + binv_u[cols_out, :]
             cap_lu, cap_piv = densela.lu_factor(cap)

@@ -70,9 +70,10 @@ class TestAdvection:
 class TestPeriodicGrids:
     @pytest.mark.parametrize("name", ["advection1d", "advdiff1d", "burgers1d",
                                       "shear_layer_small"])
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [-1, 0, 1, 2])
     def test_fewer_than_three_points_rejected(self, name, n):
-        # below three points the wrap entries fall on the +-1 diagonals
+        # below three points the wrap entries fall on the +-1 diagonals; n <= 0
+        # must fail the same way before the grid spacing divides by n
         with pytest.raises(ConfigurationError, match="n >= 3"):
             make_problem(name, n=n)
 

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from irkit.errors import SingularMatrixError
 from irkit.sparsela import (
     BandedLU,
     LinearOperator,
+    Pattern,
     SparseMatrix,
     combine,
     export_matrix_market,
@@ -185,6 +188,113 @@ class TestBandedLU:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             BandedLU.factor(SparseMatrix(np.ones((2, 3))))
+
+
+def random_operator(rng, n, bandwidth, wraps, diagonal=True, zero_wrap=False):
+    """Random banded operator with optional periodic wrap entries.
+
+    Band entries are kept with probability 0.7; ``wraps`` adds the corner
+    entries ``(0, n-1)`` and ``(n-1, 0)`` outside the band, and ``zero_wrap``
+    stores the first of them as an explicit zero.  The CSR is built from
+    triplets so explicit zeros survive.
+    """
+    rows, cols = [], []
+    for i in range(n):
+        for j in range(max(0, i - bandwidth), min(n, i + bandwidth + 1)):
+            if (i == j and diagonal) or (i != j and rng.random() < 0.7):
+                rows.append(i)
+                cols.append(j)
+    if wraps and n - 1 > bandwidth:
+        rows += [0, n - 1]
+        cols += [n - 1, 0]
+    vals = rng.standard_normal(len(rows))
+    if zero_wrap and wraps and n - 1 > bandwidth:
+        vals[-2] = 0.0
+    coo = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
+    return SparseMatrix(coo.tocsr(), bandwidth=bandwidth)
+
+
+class TestPatternPath:
+    def test_structurally_equal_patterns_are_one_object(self):
+        a = SparseMatrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
+        b = SparseMatrix(np.array([[5.0, -1.0], [0.0, 7.0]]))
+        assert a.pattern is b.pattern
+        assert SparseMatrix(np.array([[1.0, 2.0], [0.0, 3.0]]), bandwidth=0).pattern is not a.pattern
+        with pytest.raises(ValueError):
+            a.pattern.indices[0] = 1
+
+    def test_pattern_built_csr_keeps_explicit_zeros(self):
+        p = Pattern.of((2, 2), [0, 2, 3], [0, 1, 1], 1)
+        m = SparseMatrix.on_pattern(p, [1.0, 0.0, 2.0])
+        assert m.csr.nnz == 3 and np.array_equal(m.to_dense(), [[1.0, 0.0], [0.0, 2.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            SparseMatrix.on_pattern(p, [1.0, np.nan, 2.0])
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n=hst.integers(3, 9),
+        shapes=hst.lists(
+            hst.tuples(hst.sampled_from(["shared", "own", "nodiag", "identity"]),
+                       hst.sampled_from([0.0, 1.0, -0.5, 2.25, 1e-3])),
+            min_size=1, max_size=5,
+        ),
+        bandwidth=hst.integers(0, 2),
+        wraps=hst.booleans(),
+    )
+    def test_combine_equals_dense_sum_in_order(self, seed, n, shapes, bandwidth, wraps):
+        rng = np.random.default_rng(seed)
+        shared = random_operator(rng, n, bandwidth, wraps)
+        mats = [shared]  # one concrete operand at least
+        for kind, _ in shapes:
+            if kind == "shared":
+                mats.append(SparseMatrix.on_pattern(shared.pattern,
+                                                    rng.standard_normal(shared.nnz)))
+            elif kind == "identity":
+                mats.append(None)
+            else:
+                mats.append(random_operator(rng, n, rng.integers(0, 3), rng.random() < 0.5,
+                                            diagonal=kind == "own"))
+        coeffs = [0.75] + [c for _, c in shapes]
+        out = combine(coeffs, mats)
+        dense = np.zeros((n, n))
+        for c, m in zip(coeffs, mats):
+            if c != 0.0:
+                dense += c * (np.eye(n) if m is None else m.to_dense())
+        assert np.array_equal(out.to_dense(), dense)
+        if all(m is None or m.pattern is shared.pattern for m in mats) and (
+            shared.pattern.diagonal is not None
+        ):
+            assert out.pattern is shared.pattern
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n=hst.integers(3, 12),
+        bandwidth=hst.integers(0, 3),
+        wraps=hst.booleans(),
+        zero_wrap=hst.booleans(),
+        nrhs=hst.sampled_from([None, 3]),
+    )
+    def test_banded_solve_matches_dense(self, seed, n, bandwidth, wraps, zero_wrap, nrhs):
+        rng = np.random.default_rng(seed)
+        lmat = random_operator(rng, n, bandwidth, wraps, zero_wrap=zero_wrap)
+        shift = 2.0 + np.abs(lmat.to_dense()).sum(axis=1).max()
+        a = combine([shift, -1.0], [None, lmat])
+        b = rng.standard_normal(n if nrhs is None else (n, nrhs))
+        x = BandedLU.factor(a).solve(b)
+        ref = np.linalg.solve(a.to_dense(), b)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+    def test_zero_wrap_entry_adds_no_border(self):
+        n = 6
+        lmat = random_operator(np.random.default_rng(3), n, 1, True, zero_wrap=True)
+        a = combine([4.0, -1.0], [None, lmat])
+        assert a.data[a.pattern.wrap[2]].tolist().count(0.0) == 1
+        f = BandedLU.factor(a)
+        assert f._border_cols.tolist() == [0]
+        b = np.arange(1.0, n + 1)
+        assert np.allclose(a.to_dense() @ f.solve(b), b, rtol=0, atol=1e-13)
 
 
 def test_matrix_market_round_trip(tmp_path):

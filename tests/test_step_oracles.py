@@ -1,0 +1,96 @@
+"""Whole-step oracles: pinned work counts of the benchmark cells, a dense
+Kronecker solve of a linear step, and the stage operators' shared pattern.
+
+The pinned counts are Newton iterations / Krylov iterations / preconditioner
+applications of one step from ``problem.u0``.  They move with the shift of
+the second diagonal block of the 2x2 preconditioner, with the variant
+operators, and with anything else that changes the inner solves, so a
+wrong ``gamma`` (``eta`` in its place) fails here even where the step
+still converges.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from irkit.dae import DaeOps, dae_step
+from irkit.irk_core import PrecondSpec
+from irkit.nonlinear import OdeSystem, SolverConfig, build_variant_jacobian, step
+from irkit.problems import make_problem
+from irkit.sparsela import SparseMatrix
+from irkit.tableau import make_tableau, prepare_stages
+
+
+def counts(stats):
+    return stats.newton_iterations, stats.krylov_iterations, stats.precond_applications
+
+
+@pytest.mark.parametrize("gamma_mode,expected", [("star", (2, 7, 12)), ("eta", (2, 8, 14))])
+def test_burgers_cell_counts(gamma_mode, expected):
+    problem = make_problem("burgers1d", n=256)
+    cfg = SolverConfig(precond=PrecondSpec(gamma_mode=gamma_mode))
+    _, stats = step(problem.system, problem.u0, 0.0, 1e-4, make_tableau("radau_iia", 3), cfg)
+    assert counts(stats) == expected
+
+
+def test_heat_cell_counts():
+    problem = make_problem("heat1d", n=1024)
+    _, stats = step(problem.system, problem.u0, 0.0, 1e-3, make_tableau("gauss", 4))
+    assert counts(stats) == (1, 6, 12)
+
+
+def test_shear_cell_counts():
+    problem = make_problem("shear_layer_small", n=16)
+    _, _, stats = dae_step(problem.system, problem.u0, problem.w0, 0.0, 1e-2,
+                           make_tableau("radau_iia", 2), mode="reordered")
+    assert counts(stats) == (4, 12, 24)
+
+
+@pytest.mark.parametrize("family,s", [("gauss", 3), ("radau_iia", 3)])
+def test_linear_step_matches_dense_kronecker_solve(family, s):
+    # M u' = L u with a non-identity diagonal mass: the stages solve
+    # (I (x) M - dt A (x) L) K = 1 (x) (L u), and u_next = u + dt (b^T (x) I) K
+    rng = np.random.default_rng(11)
+    n, dt = 12, 0.1
+    band = sp.diags([1.0, -4.0, 1.5], [-1, 0, 1], shape=(n, n)).toarray()
+    band[0, -1], band[-1, 0] = 0.7, -0.4  # periodic wrap entries
+    lmat = SparseMatrix(band + 0.1 * np.triu(rng.standard_normal((n, n)), -1) * (band != 0),
+                        bandwidth=1)
+    mass_diag = 1.0 + rng.random(n)
+    mass = SparseMatrix(np.diag(mass_diag), bandwidth=0)
+    system = OdeSystem(dim=n, rhs=lambda u, t: lmat @ u, linearize=lambda u, t: lmat,
+                       mass=mass)
+    u0 = rng.standard_normal(n)
+    tableau = make_tableau(family, s)
+    cfg = SolverConfig(variant=3, newton_rtol=1e-12, krylov_rtol=1e-12)
+    u1, stats = step(system, u0, 0.0, dt, tableau, cfg)
+
+    ldense = lmat.to_dense()
+    big = np.kron(np.eye(s), np.diag(mass_diag)) - dt * np.kron(tableau.a0, ldense)
+    k = np.linalg.solve(big, np.tile(ldense @ u0, s)).reshape(s, n)
+    expected = u0 + dt * (tableau.b0 @ k)
+    assert stats.converged
+    assert np.max(np.abs(u1 - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("variant", [0, 1, 2, 3])
+def test_variant_operators_share_the_stage_pattern(variant):
+    problem = make_problem("burgers1d", n=32)
+    prep = prepare_stages(make_tableau("radau_iia", 3))
+    ops = [problem.system.linearize(problem.u0 * (1.0 + 0.1 * i), 0.0) for i in range(3)]
+    vjac = build_variant_jacobian(prep, ops, variant)
+    pattern = ops[0].pattern
+    assert all(op.pattern is pattern for op in ops)
+    assert all(op.pattern is pattern for op in (*vjac.diag, *vjac.offdiag.values()))
+
+
+def test_dae_variant_operators_share_the_block_patterns():
+    # DaeOps are summed block by block, each block on its stage pattern
+    problem = make_problem("shear_layer_small", n=8)
+    prep = prepare_stages(make_tableau("radau_iia", 3))
+    ops = [problem.system.blocks(problem.u0, problem.w0 * (1.0 + 0.1 * i), 0.0)
+           for i in range(3)]
+    vjac = build_variant_jacobian(prep, [DaeOps(*blk) for blk in ops], 3)
+    for field, stage_block in zip(DaeOps._fields, ops[0]):
+        assert all(getattr(op, field).pattern is stage_block.pattern
+                   for op in (*vjac.diag, *vjac.offdiag.values()))
