@@ -31,7 +31,7 @@ from .errors import ConfigurationError, IrkitError
 from .irk_core import PrecondSpec, measure_kappa
 from .nonlinear import SolverConfig, integrate
 from .problems import make_problem
-from .sparsela import SparseMatrix
+from .sparsela import combine
 from .tableau import kappa_bound, make_tableau, prepare_stages
 
 REFERENCE_SCHEME = ("radau_iia", 3)
@@ -278,7 +278,7 @@ def run_condition(manifest: RunManifest):
         tab = make_tableau(fam, s)
         prep = prepare_stages(tab)
         for dt in manifest.dts:
-            lhat = SparseMatrix(dt * lmat.csr, bandwidth=lmat.bandwidth)
+            lhat = combine([dt], [lmat])
             for blk in prep.blocks:
                 spec = PrecondSpec(gamma_mode=gamma_mode)
                 row = dict.fromkeys(fields, "")

@@ -67,16 +67,14 @@ def _verify_fov(label, lmat):
 def dahlquist(lam_re=-1.0, lam_im=0.0):
     """Scalar test equation ``u' = lam * u`` (2x2 real form when complex)."""
     if lam_im == 0.0:
-        mat = SparseMatrix(sp.csr_matrix(np.array([[lam_re]])), bandwidth=0)
+        mat = SparseMatrix(sp.csr_matrix(np.array([[lam_re]])))
         u0 = np.array([1.0])
 
         def exact(t):
             return np.array([np.exp(lam_re * t)])
 
     else:
-        mat = SparseMatrix(
-            np.array([[lam_re, -lam_im], [lam_im, lam_re]]), bandwidth=1
-        )
+        mat = SparseMatrix(np.array([[lam_re, -lam_im], [lam_im, lam_re]]))
         u0 = np.array([1.0, 0.0])
 
         def exact(t):
@@ -99,7 +97,7 @@ def heat1d(n=64, nu=1.0):
     """Dirichlet heat equation on (0, 1): 3-point Laplacian, SNSD."""
     h = 1.0 / (n + 1)
     lap = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)) * (nu / h**2)
-    mat = SparseMatrix(lap, bandwidth=1)
+    mat = SparseMatrix(lap)
     x = np.arange(1, n + 1) * h
     modes = [(1, 1.0), (3, 0.5)]
     u0 = sum(a * np.sin(k * np.pi * x) for k, a in modes)
@@ -147,7 +145,7 @@ def _periodic_laplacian(n, h):
 def advection1d(n=64, speed=1.0):
     """Periodic transport ``u_t = speed * u_x`` with central differences."""
     h = _periodic_spacing(n)
-    mat = SparseMatrix(speed * _periodic_central(n, h), bandwidth=1)
+    mat = SparseMatrix(speed * _periodic_central(n, h))
     x = np.arange(n) * h
     u0 = np.sin(2 * np.pi * x) + 0.3 * np.cos(4 * np.pi * x)
     coeffs = np.fft.fft(u0)
@@ -168,9 +166,7 @@ def advection1d(n=64, speed=1.0):
 def advdiff1d(n=64, speed=1.0, nu=0.01):
     """Periodic advection-diffusion (general class; still left half-plane)."""
     h = _periodic_spacing(n)
-    mat = SparseMatrix(
-        speed * _periodic_central(n, h) + nu * _periodic_laplacian(n, h), bandwidth=1
-    )
+    mat = SparseMatrix(speed * _periodic_central(n, h) + nu * _periodic_laplacian(n, h))
     x = np.arange(n) * h
     u0 = np.sin(2 * np.pi * x) + 0.2 * np.sin(6 * np.pi * x)
     system = OdeSystem(
@@ -192,7 +188,7 @@ def burgers1d(n=128, nu=0.02, base=0.5, amplitude=0.45):
     h = _periodic_spacing(n)
     dmat = _periodic_central(n, h)
     lap = nu * _periodic_laplacian(n, h)
-    pattern = Pattern.of(lap.shape, lap.indptr, lap.indices, 1)
+    pattern = Pattern.of(lap.shape, lap.indptr, lap.indices)
     x = np.arange(n) * h
     u0 = base + amplitude * np.sin(2 * np.pi * x)
 
@@ -218,10 +214,10 @@ def dae_manufactured():
     Eliminating ``w`` gives ``u(t) = (cos t + sin t) / 2 + exp(-t) / 2``
     for ``u(0) = 1``.
     """
-    lu = SparseMatrix(np.array([[-1.0]]), bandwidth=0)
-    lw = SparseMatrix(np.array([[1.0]]), bandwidth=0)
-    gu = SparseMatrix(np.array([[0.0]]), bandwidth=0)
-    gw = SparseMatrix(np.array([[1.0]]), bandwidth=0)
+    lu = SparseMatrix(np.array([[-1.0]]))
+    lw = SparseMatrix(np.array([[1.0]]))
+    gu = SparseMatrix(np.array([[0.0]]))
+    gw = SparseMatrix(np.array([[1.0]]))
 
     system = DaeSystem(
         dim_u=1,
@@ -270,13 +266,13 @@ def shear_layer_small(n=16, reynolds=1e4, delta=0.05, rho=np.pi / 15.0):
     pinned = lap.tolil()
     pinned[0, :] = 0.0
     pinned[0, 0] = 1.0
-    gw = SparseMatrix(pinned.tocsr(), bandwidth=n)
+    gw = SparseMatrix(pinned.tocsr())
     neg_eye = sp.identity(nn, format="csr") * (-1.0)
     gu_mat = neg_eye.tolil()
     gu_mat[0, :] = 0.0
-    gu = SparseMatrix(gu_mat.tocsr(), bandwidth=0)
-    lw = SparseMatrix(sp.csr_matrix((nn, nn)), bandwidth=0)
-    visc = SparseMatrix((1.0 / reynolds) * lap, bandwidth=n)
+    gu = SparseMatrix(gu_mat.tocsr())
+    lw = SparseMatrix(sp.csr_matrix((nn, nn)))
+    visc = SparseMatrix((1.0 / reynolds) * lap)
     # the advection operator's values on the viscous pattern, which holds dx's and dy's
     cols = visc.indices
     dxv, dyv = (SparseMatrix(d).project(visc.pattern).data for d in (dx, dy))
@@ -284,12 +280,9 @@ def shear_layer_small(n=16, reynolds=1e4, delta=0.05, rho=np.pi / 15.0):
     def velocity(psi):
         return -(dy @ psi), dx @ psi
 
-    def advection(psi):
-        ux, uy = velocity(psi)
-        return -(dx @ sp.diags(ux) + dy @ sp.diags(uy))
-
     def rhs(omega, psi, t):
-        return (advection(psi) @ omega) + visc @ omega
+        ux, uy = velocity(psi)
+        return -(dx @ (ux * omega) + dy @ (uy * omega)) + visc @ omega
 
     def constraint(omega, psi, t):
         g = lap @ psi - omega

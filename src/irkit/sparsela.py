@@ -1,16 +1,16 @@
 """Sparse storage on interned patterns, banded factorization, restarted GMRES.
 
 A :class:`SparseMatrix` is a :class:`Pattern` (an interned, immutable CSR
-structure with a bandwidth hint) plus a ``data`` vector.  Structurally
-equal patterns are one object, so every operator of a stage solve (stage
-Jacobians, variant operators, shifted blocks ``alpha*M - dt*L``) that lives
-on one pattern is a weighted sum of ``data`` vectors: :func:`combine` is
-array arithmetic, and :class:`BandedLU` fills LAPACK's band storage through
-the pattern's cached scatter, as RADAU5 forms ``fac*M - J`` in place
-(Hairer & Wanner, *Solving ODEs II*, IV.8).  Entries inside the declared
-band are factored with LAPACK's banded LU; entries outside it (periodic
-wrap-around terms) are folded in through a Sherman-Morrison-Woodbury
-bordered correction, so solves stay exact.
+structure) plus a ``data`` vector.  Structurally equal patterns are one
+object, so every operator of a stage solve (stage Jacobians, variant
+operators, shifted blocks ``alpha*M - dt*L``) that lives on one pattern is
+a weighted sum of ``data`` vectors: :func:`combine` is array arithmetic,
+and :class:`BandedLU` fills LAPACK's band storage through the pattern's
+cached scatter, as RADAU5 forms ``fac*M - J`` in place (Hairer & Wanner,
+*Solving ODEs II*, IV.8).  The band is the pattern's own: its literal
+half-bandwidth in natural order, or in reverse Cuthill-McKee order when
+that is strictly narrower (Cuthill & McKee 1969; George & Liu 1981), which
+turns periodic wrap-around stencils into plain bands.
 
 GMRES is right-preconditioned and keeps the preconditioned basis, which
 makes the preconditioner cost exactly one application per iteration.  The
@@ -30,39 +30,38 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 from scipy.linalg import lapack
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from . import densela
 from .errors import KrylovBreakdownError, SingularMatrixError
 
 
 class Pattern:
-    """Interned, immutable CSR structure: ``shape``, ``indptr``, ``indices``
-    (sorted and unique per row) and ``bandwidth``.
+    """Interned, immutable CSR structure: ``shape``, ``indptr`` and ``indices``
+    (sorted and unique per row).
 
     Build patterns with :meth:`of`; structurally equal ones resolve to one
     object, so operators on one pattern are recognized by identity.  Index
-    arrays for the diagonal, the band storage and the out-of-band (wrap)
-    entries are computed on first use and cached.
+    arrays for the diagonal and the band storage are computed on first use
+    and cached.
     """
 
     _interned = weakref.WeakValueDictionary()
 
-    def __init__(self, shape, indptr, indices, bandwidth):
+    def __init__(self, shape, indptr, indices):
         self.shape, self.indptr, self.indices = shape, indptr, indices
-        self.bandwidth = bandwidth
         self.nnz = len(indices)
 
     @classmethod
-    def of(cls, shape, indptr, indices, bandwidth):
+    def of(cls, shape, indptr, indices):
         shape = (int(shape[0]), int(shape[1]))
-        key = (shape, int(bandwidth), np.asarray(indptr, np.int64).tobytes(),
+        key = (shape, np.asarray(indptr, np.int64).tobytes(),
                np.asarray(indices, np.int64).tobytes())
         pattern = cls._interned.get(key)
         if pattern is None:
             dtype = np.int32 if max(shape[1], len(indices)) < 2**31 else np.int64
             indptr, indices = np.array(indptr, dtype), np.array(indices, dtype)
             indptr.flags.writeable = indices.flags.writeable = False
-            pattern = cls._interned[key] = cls(shape, indptr, indices, int(bandwidth))
+            pattern = cls._interned[key] = cls(shape, indptr, indices)
         return pattern
 
     @cached_property
@@ -77,29 +76,25 @@ class Pattern:
 
     @cached_property
     def band(self):
-        """``(kl, ku, scatter, in_band)`` for a square pattern.
+        """``(k, perm, scatter)`` for a nonempty square pattern.
 
-        ``scatter`` holds the flat positions of the in-band entries in a
-        Fortran-ordered ``(2*kl + ku + 1, n)`` LAPACK ``ab`` array, and
-        ``in_band`` their positions in ``data`` (``None`` when all are).
+        ``k`` is the half-bandwidth in natural order, or in the reverse
+        Cuthill-McKee order ``perm`` when that is strictly narrower (``perm``
+        is ``None`` otherwise): entry ``(i, j)`` moves to ``(inv[i], inv[j])``
+        with ``inv[perm] = arange(n)``.  ``scatter`` holds the flat positions
+        of the entries in a Fortran-ordered ``(3*k + 1, n)`` LAPACK ``ab``
+        array.
         """
-        kl = ku = min(self.bandwidth, self.shape[0] - 1)
-        off = self.rows - self.indices
-        inside = np.abs(off) <= self.bandwidth
-        scatter = (kl + ku + off + self.indices * (2 * kl + ku + 1))[inside]
-        return kl, ku, scatter, None if inside.all() else np.flatnonzero(inside)
-
-    @cached_property
-    def wrap(self):
-        """``(rows, cols, pos, border_cols, slot)`` of the out-of-band entries.
-
-        ``border_cols`` are their sorted distinct columns and ``slot`` maps
-        each entry to its column's index in ``border_cols``.
-        """
-        pos = np.flatnonzero(np.abs(self.rows - self.indices) > self.bandwidth)
-        cols = self.indices[pos]
-        border_cols, slot = np.unique(cols, return_inverse=True)
-        return self.rows[pos], cols, pos, border_cols, slot
+        rows, cols, perm = self.rows, self.indices, None
+        k = int(np.max(np.abs(rows - cols), initial=0))
+        graph = sp.csr_matrix((np.ones(self.nnz), cols, self.indptr), shape=self.shape)
+        order = reverse_cuthill_mckee(graph, symmetric_mode=False)
+        inv = np.empty_like(order)
+        inv[order] = np.arange(len(order))
+        k_rcm = int(np.max(np.abs(inv[rows] - inv[cols]), initial=0))
+        if k_rcm < k:
+            k, perm, rows, cols = k_rcm, order, inv[rows], inv[cols]
+        return k, perm, 2 * k + rows - cols + cols * (3 * k + 1)
 
     def locate(self, other):
         """Positions of ``other``'s entries in this pattern, which must hold them."""
@@ -114,7 +109,7 @@ class Pattern:
 @lru_cache(maxsize=256)
 def _union(patterns, identity, shape):
     """Union of ``patterns`` (and the diagonal if ``identity``), with each
-    pattern's positions in it.  Its bandwidth is the largest of theirs."""
+    pattern's positions in it."""
     acc = sp.csr_matrix(shape)
     for p in patterns:
         if p.shape != shape:
@@ -122,8 +117,7 @@ def _union(patterns, identity, shape):
         acc = acc + sp.csr_matrix((np.ones(p.nnz), p.indices, p.indptr), shape=shape)
     if identity:
         acc = acc + sp.identity(shape[0], format="csr")
-    bandwidth = max((p.bandwidth for p in patterns), default=0)
-    union = Pattern.of(shape, acc.indptr, acc.indices, bandwidth)
+    union = Pattern.of(shape, acc.indptr, acc.indices)
     return union, {p: union.locate(p) for p in patterns}
 
 
@@ -132,22 +126,15 @@ class SparseMatrix:
 
     Mostly square operators; rectangular coupling blocks (as in
     differential/algebraic systems) are allowed wherever no factorization
-    is requested.  ``bandwidth`` declares which entries belong to the
-    banded core; entries with ``|i - j| > bandwidth`` are treated as
-    bordered corrections by the banded factorization.  When omitted, the
-    literal bandwidth of the stored pattern is used (no border).  The
-    constructor takes anything ``scipy.sparse.csr_matrix`` accepts;
-    :meth:`on_pattern` wraps values on an existing pattern.
+    is requested.  The constructor takes anything ``scipy.sparse.csr_matrix``
+    accepts; :meth:`on_pattern` wraps values on an existing pattern.
     """
 
-    def __init__(self, mat, bandwidth=None):
+    def __init__(self, mat):
         csr = sp.csr_matrix(mat, dtype=float)
         csr.sum_duplicates()
         csr.sort_indices()
-        if bandwidth is None:
-            rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
-            bandwidth = int(np.max(np.abs(rows - csr.indices))) if csr.nnz else 0
-        self._set(Pattern.of(csr.shape, csr.indptr, csr.indices, bandwidth), csr.data)
+        self._set(Pattern.of(csr.shape, csr.indptr, csr.indices), csr.data)
         self._csr = csr
 
     @classmethod
@@ -163,7 +150,7 @@ class SparseMatrix:
         if pattern.nnz and not np.all(np.isfinite(data)):
             raise ValueError("matrix contains non-finite entries")
         self.pattern, self.data, self._csr = pattern, data, None
-        self.shape, self.bandwidth, self.nnz = pattern.shape, pattern.bandwidth, pattern.nnz
+        self.shape, self.nnz = pattern.shape, pattern.nnz
         self.indptr, self.indices, self.n = pattern.indptr, pattern.indices, pattern.shape[0]
 
     @property
@@ -191,7 +178,7 @@ class SparseMatrix:
 
     @staticmethod
     def identity(n):
-        eye = Pattern.of((n, n), np.arange(n + 1), np.arange(n), 0)
+        eye = Pattern.of((n, n), np.arange(n + 1), np.arange(n))
         return SparseMatrix.on_pattern(eye, np.ones(n))
 
 
@@ -204,7 +191,7 @@ def combine(coeffs, mats):
     same floating-point operations as an entrywise sparse sum.  It lives on
     the operands' pattern when they all share one that holds the diagonal
     the identity needs; otherwise on the union of the patterns of the
-    operands with nonzero weight, whose bandwidth is the largest of theirs.
+    operands with nonzero weight.
     """
     mats = list(mats)
     if not mats:
@@ -389,24 +376,16 @@ def _widen(a, cols):
 
 
 class BandedLU:
-    """LU factorization of a banded matrix with bordered wrap corrections.
+    """LU factorization of a square matrix in its pattern's band (LAPACK
+    ``gbtrf``), in the bandwidth-reducing order :attr:`Pattern.band` picks.
 
-    The in-band part is factored with LAPACK ``gbtrf``; out-of-band entries
-    ``(i, j, v)`` are handled through the Sherman-Morrison-Woodbury formula
-    with ``U[:, t] = column of corrections into j_t`` and unit probes
-    ``e_{j_t}``, so periodic stencils solve exactly.
+    Raises :class:`SingularMatrixError` when a pivot falls below ``1e-14``
+    times the largest entry: on singular periodic operators LAPACK leaves
+    roundoff-sized pivots, not exact zeros.
     """
 
-    def __init__(self, n, kl, ku, lu, piv, border_cols, binv_u, cap_lu, cap_piv):
-        self.n = n
-        self._kl = kl
-        self._ku = ku
-        self._lu = lu
-        self._piv = piv
-        self._border_cols = border_cols
-        self._binv_u = binv_u
-        self._cap_lu = cap_lu
-        self._cap_piv = cap_piv
+    def __init__(self, n, k, perm, lu, piv):
+        self.n, self._k, self._perm, self._lu, self._piv = n, k, perm, lu, piv
 
     @classmethod
     def factor(cls, a: SparseMatrix):
@@ -414,56 +393,30 @@ class BandedLU:
             raise ValueError(f"cannot factor a non-square matrix {a.shape}")
         n = a.n
         if n == 0:
-            return cls(0, 0, 0, None, None, None, None, None, None)
-        p, data = a.pattern, a.data
-        kl, ku, scatter, in_band = p.band
-        ldab = 2 * kl + ku + 1
+            return cls(0, 0, None, None, None)
+        k, perm, scatter = a.pattern.band
+        ldab = 3 * k + 1
         ab = np.zeros(n * ldab)
-        ab[scatter] = data if in_band is None else data[in_band]
-        lu, piv, info = lapack.dgbtrf(ab.reshape(n, ldab).T, kl, ku, overwrite_ab=1)
-        if info != 0:
-            raise SingularMatrixError(f"banded factorization failed (info={info})")
-
-        border_cols = None
-        binv_u = None
-        cap_lu = cap_piv = None
-        rows, cols, pos, cols_out, slot = p.wrap
-        vals = data[pos]
-        nonzero = vals != 0.0
-        if not nonzero.all():
-            # exact zeros are no correction: the border spans the nonzero wraps
-            rows, cols, vals = rows[nonzero], cols[nonzero], vals[nonzero]
-            cols_out, slot = np.unique(cols, return_inverse=True)
-        if len(vals):
-            u = np.zeros((n, len(cols_out)))
-            u[rows, slot] = vals
-            binv_u, info = _gbtrs(lu, kl, ku, piv, u)
-            cap = np.eye(len(cols_out)) + binv_u[cols_out, :]
-            cap_lu, cap_piv = densela.lu_factor(cap)
-            border_cols = cols_out
-        return cls(n, kl, ku, lu, piv, border_cols, binv_u, cap_lu, cap_piv)
+        ab[scatter] = a.data
+        lu, piv, _ = lapack.dgbtrf(ab.reshape(n, ldab).T, k, k, overwrite_ab=1)
+        pivot = np.abs(lu[2 * k]).min()
+        if pivot <= 1e-14 * np.abs(a.data).max(initial=0.0):
+            raise SingularMatrixError(f"banded LU pivot {pivot:.3e} below threshold")
+        return cls(n, k, perm, lu, piv)
 
     def solve(self, rhs):
         """Solve against one vector or a matrix of stacked column vectors."""
-        if self.n == 0:
-            return np.zeros_like(np.asarray(rhs, dtype=float))
         b = np.asarray(rhs, dtype=float)
+        if self.n == 0:
+            return np.zeros_like(b)
         one_dim = b.ndim == 1
-        bb = b[:, None] if one_dim else b.copy()
-        y, info = _gbtrs(self._lu, self._kl, self._ku, self._piv, bb)
-        if self._border_cols is not None:
-            mid = densela.lu_solve_factored(
-                self._cap_lu, self._cap_piv, y[self._border_cols, :]
-            )
-            y = y - self._binv_u @ mid
+        bb = b[:, None] if one_dim else b
+        if self._perm is not None:
+            bb = bb[self._perm]
+        y, _ = lapack.dgbtrs(self._lu, self._k, self._k, bb, self._piv)
+        if self._perm is not None:
+            y[self._perm] = y.copy()
         return y[:, 0] if one_dim else y
-
-
-def _gbtrs(lu, kl, ku, piv, b):
-    x, info = lapack.dgbtrs(lu, kl, ku, b, piv)
-    if info != 0:
-        raise SingularMatrixError(f"banded solve failed (info={info})")
-    return x, info
 
 
 def export_matrix_market(mat: SparseMatrix, path):

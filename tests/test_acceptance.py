@@ -53,7 +53,7 @@ def inf_norm(mat):
 
 
 def scaled(mat, dt):
-    return SparseMatrix(dt * mat.csr, bandwidth=mat.bandwidth)
+    return SparseMatrix(dt * mat.csr)
 
 
 @pytest.fixture(scope="module")

@@ -212,7 +212,7 @@ class TestBlockSolve:
 
 def composite_solve(prep, stage_ops, variant, mass_diag, dt, rhs, mode):
     """The ODE core's transformed solve with the composite block solvers."""
-    mass = _CompositeMass(SparseMatrix(np.diag(mass_diag), bandwidth=0), len(mass_diag))
+    mass = _CompositeMass(SparseMatrix(np.diag(mass_diag)), len(mass_diag))
     x, _ = solve_transformed_system(
         prep, dt=dt, rhs_stages=rhs, mass=mass, krylov_rtol=1e-12, krylov_maxit=400,
         variant_jacobian=build_variant_jacobian(prep, stage_ops, variant),

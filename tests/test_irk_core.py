@@ -172,7 +172,7 @@ class TestSolveTransformed:
         prep = prepare_stages(make_tableau("radau_iia", 2))
         base = make_problem("heat1d", n=16).operator
         lmats = [
-            SparseMatrix(base.csr * (1.0 + 0.2 * i), bandwidth=1) for i in range(2)
+            SparseMatrix(base.csr * (1.0 + 0.2 * i)) for i in range(2)
         ]
         dt = 0.02
         rng = np.random.default_rng(5)
@@ -186,7 +186,7 @@ class TestSolveTransformed:
 
     def test_mass_matrix_path(self):
         prep = prepare_stages(make_tableau("gauss", 2))
-        mass = SparseMatrix(np.diag([2.0, 3.0]), bandwidth=0)
+        mass = SparseMatrix(np.diag([2.0, 3.0]))
         lmat = SparseMatrix(np.array([[-1.0, 0.2], [0.1, -0.5]]))
         dt = 0.2
         rhs = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -243,21 +243,21 @@ class TestFieldOfValues:
 
 class TestMeasureKappa:
     def test_zero_operator_gives_identity(self):
-        z = SparseMatrix(sp.csr_matrix((8, 8)), bandwidth=0)
+        z = SparseMatrix(sp.csr_matrix((8, 8)))
         assert measure_kappa(3.0, np.sqrt(3.0), z, z) == pytest.approx(1.0, abs=1e-8)
 
     def test_heat_below_bound(self):
         problem = make_problem("heat1d", n=64)
         h = 1.0 / 65
         dt = 10.0 * h * h  # dt / h^2 = 10
-        lhat = SparseMatrix(dt * problem.operator.csr, bandwidth=1)
+        lhat = SparseMatrix(dt * problem.operator.csr)
         kappa = measure_kappa(3.0, np.sqrt(3.0), lhat, lhat)
         assert kappa <= kappa_bound(3.0, np.sqrt(3.0)) + 1e-6
 
     def test_scaled_pair_below_distinct_bound(self):
         problem = make_problem("heat1d", n=48)
-        lhat1 = SparseMatrix(0.05 * problem.operator.csr, bandwidth=1)
-        lhat2 = SparseMatrix(2.0 * 0.05 * problem.operator.csr, bandwidth=1)
+        lhat1 = SparseMatrix(0.05 * problem.operator.csr)
+        lhat2 = SparseMatrix(2.0 * 0.05 * problem.operator.csr)
         kappa = measure_kappa(3.0, np.sqrt(3.0), lhat1, lhat2)
         assert kappa <= kappa_bound(3.0, np.sqrt(3.0), "distinct") + 1e-6
 
@@ -270,7 +270,7 @@ class TestMeasureKappa:
         assert kappa <= kappa_bound(2.0, np.sqrt(2.0)) + 1e-6
 
     def test_size_cap(self):
-        z = SparseMatrix(sp.identity(600, format="csr"), bandwidth=0)
+        z = SparseMatrix(sp.identity(600, format="csr"))
         with pytest.raises(ValueError):
             measure_kappa(1.0, 1.0, z, z)
 
@@ -306,8 +306,8 @@ def test_unconstrained_pair_kappa_recorded_not_asserted(capsys):
     # for the record; the distinct-operator bound is not asserted for them
     heat = make_problem("heat1d", n=48).operator
     adv = make_problem("advection1d", n=48).operator
-    lhat1 = SparseMatrix(0.02 * heat.csr, bandwidth=1)
-    lhat2 = SparseMatrix(0.3 * adv.csr, bandwidth=1)
+    lhat1 = SparseMatrix(0.02 * heat.csr)
+    lhat2 = SparseMatrix(0.3 * adv.csr)
     kappa = measure_kappa(2.0, np.sqrt(2.0), lhat1, lhat2)
     bound = kappa_bound(2.0, np.sqrt(2.0), "distinct")
     print(f"unconstrained pair: kappa={kappa:.4f} (distinct bound {bound:.4f})")

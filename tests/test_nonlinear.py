@@ -29,7 +29,7 @@ def logistic_system():
         return u * (1.0 - u)
 
     def linearize(u, t):
-        return SparseMatrix(np.array([[1.0 - 2.0 * u[0]]]), bandwidth=0)
+        return SparseMatrix(np.array([[1.0 - 2.0 * u[0]]]))
 
     return OdeSystem(dim=1, rhs=rhs, linearize=linearize, name="logistic")
 
@@ -217,7 +217,7 @@ class TestNewton:
 
 class TestStepAndIntegrate:
     def test_zero_rhs_keeps_state(self):
-        zero = SparseMatrix(np.zeros((3, 3)), bandwidth=0)
+        zero = SparseMatrix(np.zeros((3, 3)))
         sys = OdeSystem(3, lambda u, t: np.zeros(3), lambda u, t: zero)
         u0 = np.array([1.0, -2.0, 3.0])
         u1, _ = step(sys, u0, 0.0, 0.1, make_tableau("radau_iia", 2), TIGHT)
@@ -264,8 +264,8 @@ class TestStepAndIntegrate:
 
     def test_mass_matrix_dahlquist(self):
         # 2 u' = -u  ->  u(t) = exp(-t/2) u0
-        mass = SparseMatrix(np.array([[2.0]]), bandwidth=0)
-        mat = SparseMatrix(np.array([[-1.0]]), bandwidth=0)
+        mass = SparseMatrix(np.array([[2.0]]))
+        mat = SparseMatrix(np.array([[-1.0]]))
         sys = OdeSystem(1, lambda u, t: mat @ u, lambda u, t: mat, mass=mass)
         res = integrate(sys, np.array([1.0]), 0.0, 0.5, 0.05,
                         make_tableau("gauss", 3), TIGHT)
@@ -431,7 +431,7 @@ def _forced_logistic():
         return u * (1.0 - u) + 0.5 * np.sin(2.0 * t)
 
     def linearize(u, t):
-        return SparseMatrix(np.array([[1.0 - 2.0 * u[0]]]), bandwidth=0)
+        return SparseMatrix(np.array([[1.0 - 2.0 * u[0]]]))
 
     return OdeSystem(1, rhs, linearize)
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from irkit.errors import SingularMatrixError
+from irkit.problems import make_problem
 from irkit.sparsela import (
     BandedLU,
     LinearOperator,
@@ -45,7 +46,8 @@ class TestSparseMatrix:
 
     def test_literal_bandwidth(self):
         m = SparseMatrix(sp.diags([1.0, 2.0, 1.0], [-1, 0, 1], shape=(5, 5)))
-        assert m.bandwidth == 1
+        k, perm, _ = m.pattern.band
+        assert k == 1 and perm is None
 
     def test_combine(self):
         a = SparseMatrix(np.array([[1.0, 0.0], [0.0, 2.0]]))
@@ -140,7 +142,7 @@ class TestBandedLU:
         n = 40
         h = 1.0 / (n + 1)
         lap = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)) / h**2
-        a = SparseMatrix(lap, bandwidth=1)
+        a = SparseMatrix(lap)
         rng = np.random.default_rng(7)
         x = rng.standard_normal(n)
         got = BandedLU.factor(a).solve(a @ x)
@@ -148,9 +150,7 @@ class TestBandedLU:
 
     def test_periodic_band_correction(self):
         n = 48
-        a = SparseMatrix(
-            sp.identity(n) - 0.2 * periodic_central(n, 1.0 / n), bandwidth=1
-        )
+        a = SparseMatrix(sp.identity(n) - 0.2 * periodic_central(n, 1.0 / n))
         f = BandedLU.factor(a)
         rng = np.random.default_rng(8)
         b = rng.standard_normal(n)
@@ -159,9 +159,7 @@ class TestBandedLU:
 
     def test_matrix_rhs(self):
         n = 16
-        a = SparseMatrix(
-            sp.identity(n) - 0.2 * periodic_central(n, 1.0 / n), bandwidth=1
-        )
+        a = SparseMatrix(sp.identity(n) - 0.2 * periodic_central(n, 1.0 / n))
         f = BandedLU.factor(a)
         rng = np.random.default_rng(9)
         bs = rng.standard_normal((n, 3))
@@ -170,20 +168,16 @@ class TestBandedLU:
 
     def test_singular_banded(self):
         with pytest.raises(SingularMatrixError):
-            BandedLU.factor(SparseMatrix(np.zeros((3, 3)), bandwidth=0))
+            BandedLU.factor(SparseMatrix(np.zeros((3, 3))))
 
     def test_singular_periodic(self):
-        # the periodic Laplacian has the constant nullspace; the bordered
-        # correction must propagate the singularity as an error
-        n = 8
-        lap = sp.lil_matrix((n, n))
-        for i in range(n):
-            lap[i, i] = -2.0
-            lap[i, (i + 1) % n] = 1.0
-            lap[i, (i - 1) % n] = 1.0
-        with pytest.raises(SingularMatrixError):
-            f = BandedLU.factor(SparseMatrix(lap.tocsr(), bandwidth=1))
-            f.solve(np.ones(n))
+        # the 1-D and 2-D periodic Laplacians have the constant nullspace; their
+        # factorizations leave roundoff-sized pivots that must surface as errors
+        for dims in [(8,), (6, 6)]:
+            lap = torus_operator(dims, 1.0)
+            with pytest.raises(SingularMatrixError):
+                f = BandedLU.factor(lap)
+                f.solve(np.ones(lap.n))
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
@@ -211,7 +205,23 @@ def random_operator(rng, n, bandwidth, wraps, diagonal=True, zero_wrap=False):
     if zero_wrap and wraps and n - 1 > bandwidth:
         vals[-2] = 0.0
     coo = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
-    return SparseMatrix(coo.tocsr(), bandwidth=bandwidth)
+    return SparseMatrix(coo.tocsr())
+
+
+def torus_operator(dims, off):
+    """Operator on the 2*len(dims) + 1 point periodic stencil of a grid of
+    shape ``dims``, both wraps of every axis included: off-diagonal entries
+    ``off`` (a scalar, or 2*len(dims)*prod(dims) values), diagonal minus
+    their row sum.
+    """
+    n = int(np.prod(dims))
+    grid = np.arange(n).reshape(dims)
+    cols = [np.roll(grid, shift, axis).ravel()
+            for axis in range(len(dims)) for shift in (1, -1)]
+    rows = np.tile(np.arange(n), len(cols))
+    vals = off * np.ones(len(rows))
+    coo = sp.coo_matrix((vals, (rows, np.concatenate(cols))), shape=(n, n)).tocsr()
+    return SparseMatrix(coo - sp.diags(np.asarray(coo.sum(axis=1)).ravel()))
 
 
 class TestPatternPath:
@@ -219,12 +229,11 @@ class TestPatternPath:
         a = SparseMatrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
         b = SparseMatrix(np.array([[5.0, -1.0], [0.0, 7.0]]))
         assert a.pattern is b.pattern
-        assert SparseMatrix(np.array([[1.0, 2.0], [0.0, 3.0]]), bandwidth=0).pattern is not a.pattern
         with pytest.raises(ValueError):
             a.pattern.indices[0] = 1
 
     def test_pattern_built_csr_keeps_explicit_zeros(self):
-        p = Pattern.of((2, 2), [0, 2, 3], [0, 1, 1], 1)
+        p = Pattern.of((2, 2), [0, 2, 3], [0, 1, 1])
         m = SparseMatrix.on_pattern(p, [1.0, 0.0, 2.0])
         assert m.csr.nnz == 3 and np.array_equal(m.to_dense(), [[1.0, 0.0], [0.0, 2.0]])
         with pytest.raises(ValueError, match="non-finite"):
@@ -286,21 +295,42 @@ class TestPatternPath:
         ref = np.linalg.solve(a.to_dense(), b)
         assert np.max(np.abs(x - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
-    def test_zero_wrap_entry_adds_no_border(self):
-        n = 6
-        lmat = random_operator(np.random.default_rng(3), n, 1, True, zero_wrap=True)
-        a = combine([4.0, -1.0], [None, lmat])
-        assert a.data[a.pattern.wrap[2]].tolist().count(0.0) == 1
-        f = BandedLU.factor(a)
-        assert f._border_cols.tolist() == [0]
-        b = np.arange(1.0, n + 1)
-        assert np.allclose(a.to_dense() @ f.solve(b), b, rtol=0, atol=1e-13)
-
 
 def test_matrix_market_round_trip(tmp_path):
     n = 10
-    a = SparseMatrix(sp.identity(n) - 0.3 * periodic_central(n, 0.1), bandwidth=1)
+    a = SparseMatrix(sp.identity(n) - 0.3 * periodic_central(n, 0.1))
     path = tmp_path / "op.mtx"
     export_matrix_market(a, path)
     back = scipy.io.mmread(path).tocsr()
     assert np.allclose(back.toarray(), a.to_dense())
+
+
+class TestBandOrdering:
+    def test_periodic_stencil_becomes_a_band(self):
+        a = SparseMatrix(sp.identity(48) - 0.2 * periodic_central(48, 1.0 / 48))
+        k, perm, _ = a.pattern.band
+        assert k == 2 and sorted(perm) == list(range(48))
+
+    def test_shear_operators_reordered_to_a_narrow_band(self):
+        problem = make_problem("shear_layer_small", n=16)
+        lmat, _, _, gw = problem.system.blocks(problem.u0, problem.w0, 0.0)
+        for m in (lmat, gw):
+            k, perm, _ = m.pattern.band
+            assert k < 32 and perm is not None
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        nx=hst.integers(3, 6),
+        ny=hst.integers(3, 6),
+        nrhs=hst.sampled_from([None, 3]),
+    )
+    def test_torus_solve_matches_dense(self, seed, nx, ny, nrhs):
+        rng = np.random.default_rng(seed)
+        lmat = torus_operator((nx, ny), rng.standard_normal(4 * nx * ny))
+        shift = 2.0 + np.abs(lmat.to_dense()).sum(axis=1).max()
+        a = combine([shift, -1.0], [None, lmat])
+        b = rng.standard_normal(a.n if nrhs is None else (a.n, nrhs))
+        x = BandedLU.factor(a).solve(b)
+        ref = np.linalg.solve(a.to_dense(), b)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))

@@ -54,10 +54,9 @@ def test_linear_step_matches_dense_kronecker_solve(family, s):
     n, dt = 12, 0.1
     band = sp.diags([1.0, -4.0, 1.5], [-1, 0, 1], shape=(n, n)).toarray()
     band[0, -1], band[-1, 0] = 0.7, -0.4  # periodic wrap entries
-    lmat = SparseMatrix(band + 0.1 * np.triu(rng.standard_normal((n, n)), -1) * (band != 0),
-                        bandwidth=1)
+    lmat = SparseMatrix(band + 0.1 * np.triu(rng.standard_normal((n, n)), -1) * (band != 0))
     mass_diag = 1.0 + rng.random(n)
-    mass = SparseMatrix(np.diag(mass_diag), bandwidth=0)
+    mass = SparseMatrix(np.diag(mass_diag))
     system = OdeSystem(dim=n, rhs=lambda u, t: lmat @ u, linearize=lambda u, t: lmat,
                        mass=mass)
     u0 = rng.standard_normal(n)

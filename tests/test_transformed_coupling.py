@@ -68,7 +68,7 @@ def test_ode_solve_matches_truncated_operator(family, s, variant):
     rhs = rng.standard_normal((s, n))
     x, _ = solve_transformed_system(
         prep, [SparseMatrix(a) for a in mats], variant, DT, rhs,
-        mass=SparseMatrix(mass, bandwidth=0), krylov_rtol=1e-13, krylov_maxit=400,
+        mass=SparseMatrix(mass), krylov_rtol=1e-13, krylov_maxit=400,
     )
     oracle = truncated_oracle(prep, mats, mass, rhs, variant)
     check(x, oracle)
@@ -103,7 +103,7 @@ def test_dae_solve_matches_truncated_operator(family, s, variant, mode):
     ops = [DaeOps(*(SparseMatrix(b) for b in blk)) for blk in blocks]
     x, _ = solve_transformed_system(
         prep, dt=DT, rhs_stages=rhs,
-        mass=_CompositeMass(SparseMatrix(mass_u, bandwidth=0), nu),
+        mass=_CompositeMass(SparseMatrix(mass_u), nu),
         krylov_rtol=1e-13, krylov_maxit=400,
         variant_jacobian=build_variant_jacobian(prep, ops, variant),
         **_block_solvers(mode, DaeCounters()),
