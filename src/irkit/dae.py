@@ -51,7 +51,7 @@ from .nonlinear import (
     newton_like_step,
     stage_residual,
 )
-from .sparsela import BandedLU, SparseMatrix
+from .sparsela import SparseMatrix
 from .tableau import SDIRK_FAMILIES, prepare_stages
 
 
@@ -147,14 +147,15 @@ def dae_stage_residual(sys: DaeSystem, st: DaeStageState, tableau):
 
 
 class _ConstraintSolver:
-    """Factored solves with the constraint block ``G_w``."""
+    """Factored solves with the constraint block ``G_w``, through its cached
+    factorization: an unchanged ``G_w`` object is factored once."""
 
     def __init__(self, gw: SparseMatrix, counters: DaeCounters):
         self.nw = gw.n
         self.counters = counters
         if self.nw:
             try:
-                self._factor = BandedLU.factor(gw)
+                self._factor = gw.factorization
             except SingularMatrixError as exc:
                 raise IndexViolationError(
                     f"constraint Jacobian is singular: {exc}"

@@ -20,12 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import eigsh
+from scipy.linalg import eig_banded
 
 from . import densela
 from .errors import StageSolveError
 from .sparsela import (
-    BandedLU,
     KrylovReport,
     LinearOperator,
     SparseMatrix,
@@ -103,13 +102,18 @@ def shifted_matrix(alpha, mass, lmat, dt):
 
 
 class ShiftedSolver:
-    """Applies ``(alpha*M - dt*L)^{-1}``, exactly or by damped Jacobi sweeps."""
+    """Applies ``(alpha*M - dt*L)^{-1}``, exactly or by damped Jacobi sweeps.
+
+    The shifted matrix is memoized by :func:`combine` and the exact solve
+    uses its cached ``factorization``, so a solver rebuilt on the same
+    ``lmat`` object, ``alpha``, ``mass`` and ``dt`` factors nothing new.
+    """
 
     def __init__(self, alpha, mass, lmat, dt, inner="exact"):
         self.mat = shifted_matrix(alpha, mass, lmat, dt)
         self.inner = inner
         if inner == "exact":
-            self._factor = BandedLU.factor(self.mat)
+            self._factor = self.mat.factorization
         else:
             diag = self.mat.csr.diagonal()
             if np.any(diag == 0.0):
@@ -349,20 +353,30 @@ def solve_transformed_system(
 def field_of_values_bound(l: SparseMatrix):
     """Largest eigenvalue of the symmetric part ``(L + L^T) / 2``.
 
-    ARPACK's implicitly restarted Lanczos iteration
-    (:func:`scipy.sparse.linalg.eigsh`, largest algebraic eigenvalue) run to
-    machine precision; an exactly zero symmetric part returns 0.0, so skew
-    operators read exactly 0.  A non-positive return certifies that the
-    field of values lies in the closed left half-plane.
+    The symmetric part is stored in lower band form in its own
+    :attr:`~irkit.sparsela.Pattern.band` order (natural or reverse
+    Cuthill-McKee) and its largest eigenvalue taken by LAPACK's banded
+    symmetric eigensolver (:func:`scipy.linalg.eig_banded`), a direct
+    method, so the bound and its cost do not depend on a starting vector.
+    An exactly zero symmetric part returns 0.0, so skew operators read
+    exactly 0.  A non-positive return certifies that the field of values
+    lies in the closed left half-plane.
     """
-    sym = (l.csr + l.csr.T) * 0.5
+    sym = SparseMatrix((l.csr + l.csr.T) * 0.5)
     if not np.any(sym.data):
         return 0.0
-    n = sym.shape[0]
-    if n == 1:
-        return float(sym[0, 0])
-    v0 = np.ones(n) + np.linspace(0.0, 0.5, n)
-    return float(eigsh(sym, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
+    k, perm, _ = sym.pattern.band
+    rows, cols = sym.pattern.rows, sym.indices
+    if perm is not None:
+        inv = np.empty_like(perm)
+        inv[perm] = np.arange(len(perm))
+        rows, cols = inv[rows], inv[cols]
+    low = rows >= cols
+    band = np.zeros((k + 1, sym.n))
+    band[rows[low] - cols[low], cols[low]] = sym.data[low]
+    top = sym.n - 1
+    return float(eig_banded(band, lower=True, eigvals_only=True, select="i",
+                            select_range=(top, top), check_finite=False)[0])
 
 
 def measure_kappa(eta, beta, lhat1, lhat2, gamma=None):

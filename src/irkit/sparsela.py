@@ -12,6 +12,15 @@ half-bandwidth in natural order, or in reverse Cuthill-McKee order when
 that is strictly narrower (Cuthill & McKee 1969; George & Liu 1981), which
 turns periodic wrap-around stencils into plain bands.
 
+Values are immutable (``data`` is a read-only view), so one matrix object
+holds one set of values, and operator assembly is memoized by identity:
+:func:`combine` hands back the same sum for the same weights on the same
+operand objects, and :attr:`SparseMatrix.factorization` factors a matrix
+once.  An unchanged stage Jacobian (a linear problem's constant operator,
+a DAE's constant constraint block) therefore reuses its shifted blocks and
+their LU factors for as long as ``dt`` and the shift stay the same, as a
+backward-Euler code keeps its factorization.
+
 GMRES is right-preconditioned and keeps the preconditioned basis, which
 makes the preconditioner cost exactly one application per iteration.  The
 report counts preconditioner applications as ``iterations`` times the
@@ -33,6 +42,12 @@ from scipy.linalg import lapack
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import KrylovBreakdownError, SingularMatrixError
+
+# Distinct sums memoized per operand, evicted oldest first.  It must exceed
+# the number of sums one variant Jacobian takes from one operand: gauss(8)
+# variant 3 takes 40 (8 diagonal and 32 coupling operators).
+SUM_CACHE_SIZE = 64
+_OWNER = object()  # stands for the memo's owner in its keys
 
 
 class Pattern:
@@ -122,7 +137,7 @@ def _union(patterns, identity, shape):
 
 
 class SparseMatrix:
-    """A :class:`Pattern` plus its ``data`` vector.
+    """A :class:`Pattern` plus its read-only ``data`` vector.
 
     Mostly square operators; rectangular coupling blocks (as in
     differential/algebraic systems) are allowed wherever no factorization
@@ -139,7 +154,10 @@ class SparseMatrix:
 
     @classmethod
     def on_pattern(cls, pattern: Pattern, data):
-        """The matrix with values ``data`` (one per entry) on ``pattern``."""
+        """The matrix with values ``data`` (one per entry) on ``pattern``.
+
+        ``data`` is not copied: the caller must not write to it afterwards.
+        """
         out = cls.__new__(cls)
         out._set(pattern, np.asarray(data, dtype=float))
         return out
@@ -149,7 +167,9 @@ class SparseMatrix:
             raise ValueError(f"data has shape {data.shape}, expected ({pattern.nnz},)")
         if pattern.nnz and not np.all(np.isfinite(data)):
             raise ValueError("matrix contains non-finite entries")
-        self.pattern, self.data, self._csr = pattern, data, None
+        data = data.view()
+        data.setflags(write=False)
+        self.pattern, self.data, self._csr, self._sums = pattern, data, None, {}
         self.shape, self.nnz = pattern.shape, pattern.nnz
         self.indptr, self.indices, self.n = pattern.indptr, pattern.indices, pattern.shape[0]
 
@@ -158,6 +178,11 @@ class SparseMatrix:
         if self._csr is None:
             self._csr = sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
         return self._csr
+
+    @cached_property
+    def factorization(self):
+        """The :class:`BandedLU` of this square matrix, computed on first use."""
+        return BandedLU.factor(self)
 
     def project(self, pattern: Pattern):
         """This matrix on ``pattern``, a superset of its own, with zeros added."""
@@ -192,13 +217,27 @@ def combine(coeffs, mats):
     the operands' pattern when they all share one that holds the diagonal
     the identity needs; otherwise on the union of the patterns of the
     operands with nonzero weight.
+
+    Sums are memoized on the last concrete operand (the operator, in
+    ``alpha*M - dt*L``), keyed by the weights and the operand objects: the
+    same weights on the same objects return the same matrix, with its
+    factorization if one was taken.  The key holds the other operands and
+    stands in a placeholder for the owner, since holding the owner itself
+    would keep it alive through a reference cycle.
     """
     mats = list(mats)
     if not mats:
         raise ValueError("empty combination")
-    shared = {m.pattern for m in mats if m is not None}
-    if not shared:
+    concrete = [m for m in mats if m is not None]
+    if not concrete:
         raise ValueError("combine needs at least one concrete matrix")
+    owner = concrete[-1]
+    weights = coeffs.tolist() if isinstance(coeffs, np.ndarray) else coeffs
+    key = (tuple(map(float, weights)), tuple([_OWNER if m is owner else m for m in mats]))
+    out = owner._sums.get(key)
+    if out is not None:
+        return out
+    shared = {m.pattern for m in concrete}
     terms = [(c, m) for c, m in zip(coeffs, mats) if c != 0.0]
     identity = any(m is None for _, m in terms)
     pattern, where = shared.pop(), None
@@ -213,7 +252,11 @@ def combine(coeffs, mats):
             data += c * m.data
         else:
             data[where[m.pattern]] += c * m.data
-    return SparseMatrix.on_pattern(pattern, data)
+    out = SparseMatrix.on_pattern(pattern, data)
+    if len(owner._sums) >= SUM_CACHE_SIZE:
+        del owner._sums[next(iter(owner._sums))]
+    owner._sums[key] = out
+    return out
 
 
 class LinearOperator:
@@ -379,9 +422,10 @@ class BandedLU:
     """LU factorization of a square matrix in its pattern's band (LAPACK
     ``gbtrf``), in the bandwidth-reducing order :attr:`Pattern.band` picks.
 
-    Raises :class:`SingularMatrixError` when a pivot falls below ``1e-14``
-    times the largest entry: on singular periodic operators LAPACK leaves
-    roundoff-sized pivots, not exact zeros.
+    Raises :class:`SingularMatrixError` when a pivot falls below
+    ``n * eps`` times the largest entry: on singular periodic operators
+    LAPACK leaves roundoff-sized pivots, not exact zeros, and their size
+    grows with ``n`` (1.5e-14 of the largest entry on a 20x20 torus).
     """
 
     def __init__(self, n, k, perm, lu, piv):
@@ -400,7 +444,7 @@ class BandedLU:
         ab[scatter] = a.data
         lu, piv, _ = lapack.dgbtrf(ab.reshape(n, ldab).T, k, k, overwrite_ab=1)
         pivot = np.abs(lu[2 * k]).min()
-        if pivot <= 1e-14 * np.abs(a.data).max(initial=0.0):
+        if pivot <= n * np.finfo(float).eps * np.abs(a.data).max(initial=0.0):
             raise SingularMatrixError(f"banded LU pivot {pivot:.3e} below threshold")
         return cls(n, k, perm, lu, piv)
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as hst
 from irkit.errors import SingularMatrixError
 from irkit.problems import make_problem
 from irkit.sparsela import (
+    SUM_CACHE_SIZE,
     BandedLU,
     LinearOperator,
     Pattern,
@@ -173,7 +174,9 @@ class TestBandedLU:
     def test_singular_periodic(self):
         # the 1-D and 2-D periodic Laplacians have the constant nullspace; their
         # factorizations leave roundoff-sized pivots that must surface as errors
-        for dims in [(8,), (6, 6)]:
+        # (20, 20) and (52, 52) leave pivots of 1.5e-14 and 1.1e-14 of the
+        # largest entry, above a fixed 1e-14 threshold but below n * eps
+        for dims in [(8,), (6, 6), (20, 20), (52, 52)]:
             lap = torus_operator(dims, 1.0)
             with pytest.raises(SingularMatrixError):
                 f = BandedLU.factor(lap)
@@ -182,6 +185,58 @@ class TestBandedLU:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             BandedLU.factor(SparseMatrix(np.ones((2, 3))))
+
+
+class TestMemo:
+    """Immutable values, memoized sums and cached factorizations."""
+
+    def test_values_are_read_only(self):
+        m = SparseMatrix(sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(4, 4)))
+        on = SparseMatrix.on_pattern(m.pattern, np.arange(m.nnz, dtype=float))
+        for mat in (m, on, combine([2.0, 1.0], [None, m])):
+            with pytest.raises(ValueError, match="read-only"):
+                mat.data[0] = 5.0
+
+    def test_same_operands_give_the_same_sum(self):
+        m = SparseMatrix(sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(5, 5)))
+        a = combine([1.5, -0.1], [None, m])
+        assert combine([1.5, -0.1], [None, m]) is a
+        assert combine(np.array([1.5, -0.1]), [None, m]) is a
+        assert combine([np.array(1.5), -0.1], [None, m]) is a
+        assert combine([1.5, -0.2], [None, m]) is not a
+        assert combine([-0.1, 1.5], [m, None]) is not a
+        assert a.factorization is a.factorization
+
+    def test_equal_values_in_a_new_object_are_a_new_sum(self, factored):
+        m = SparseMatrix(sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(5, 5)))
+        twin = SparseMatrix.on_pattern(m.pattern, m.data.copy())
+        first, second = (combine([3.0, -1.0], [None, op]) for op in (m, twin))
+        assert first is not second
+        assert np.array_equal(first.data, second.data)
+        assert first.factorization is not second.factorization
+        assert factored == [first, second]
+        # the same for an operand other than the one that holds the memo
+        mass = SparseMatrix(sp.identity(5) * 2.0)
+        mass_twin = SparseMatrix.on_pattern(mass.pattern, mass.data)
+        assert combine([1.0, -0.5], [mass, m]) is not combine([1.0, -0.5], [mass_twin, m])
+
+    def test_cache_stays_within_its_cap(self):
+        m = SparseMatrix(sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(5, 5)))
+        sums = [combine([1.0, -dt], [None, m]) for dt in np.linspace(0.1, 1.0, 3 * SUM_CACHE_SIZE)]
+        assert len(m._sums) == SUM_CACHE_SIZE
+        # the oldest sums were evicted, the newest are still served
+        assert combine([1.0, -0.1], [None, m]) is not sums[0]
+        assert combine([1.0, -1.0], [None, m]) is sums[-1]
+
+    def test_sum_does_not_keep_its_owner_alive(self):
+        import weakref
+
+        m = SparseMatrix(sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(5, 5)))
+        mass = SparseMatrix(sp.identity(5) * 2.0)
+        combine([1.0, -0.5], [mass, m]).factorization
+        gone = weakref.ref(m)
+        del m  # no reference cycle: freed at once, without the collector
+        assert gone() is None and not mass._sums
 
 
 def random_operator(rng, n, bandwidth, wraps, diagonal=True, zero_wrap=False):

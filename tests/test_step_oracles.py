@@ -1,5 +1,6 @@
 """Whole-step oracles: pinned work counts of the benchmark cells, a dense
-Kronecker solve of a linear step, and the stage operators' shared pattern.
+Kronecker solve of a linear step, the stage operators' shared pattern, and
+the factorizations a run takes while its stage Jacobian stays unchanged.
 
 The pinned counts are Newton iterations / Krylov iterations / preconditioner
 applications of one step from ``problem.u0``.  They move with the shift of
@@ -93,3 +94,92 @@ def test_dae_variant_operators_share_the_block_patterns():
     for field, stage_block in zip(DaeOps._fields, ops[0]):
         assert all(getattr(op, field).pattern is stage_block.pattern
                    for op in (*vjac.diag, *vjac.offdiag.values()))
+
+
+def factorizations_per_step(factored, advance, steps):
+    """Matrices ``BandedLU.factor`` sees in each of ``steps`` calls of ``advance``."""
+    out = []
+    for j in range(steps):
+        start = len(factored)
+        advance(j)
+        out.append(factored[start:])
+    return out
+
+
+def heat_run(factored, tableau, cfg=SolverConfig(), dts=(1e-3,) * 3, system=None):
+    problem = make_problem("heat1d", n=64)
+    system = problem.system if system is None else system
+    state = {"u": problem.u0}
+
+    def advance(j):
+        state["u"], _ = step(system, state["u"], j * dts[j], dts[j], tableau, cfg)
+
+    return [len(f) for f in factorizations_per_step(factored, advance, len(dts))]
+
+
+def test_heat_factors_on_the_first_step_only(factored):
+    # two 2x2 eigen-blocks, two shifted blocks each; the constant operator
+    # hands back the same sums and factors on every later step
+    assert heat_run(factored, make_tableau("gauss", 4)) == [4, 0, 0]
+
+
+def test_heat_refactors_on_a_new_dt(factored):
+    assert heat_run(factored, make_tableau("gauss", 4), dts=(1e-3, 1e-3, 2e-3)) == [4, 0, 4]
+
+
+def test_heat_refactors_only_the_blocks_whose_shift_changes(factored):
+    # "eta" keeps the first diagonal block's shift and moves the second's
+    problem = make_problem("heat1d", n=64)
+    tableau = make_tableau("gauss", 4)
+    for mode, new in (("star", 4), ("eta", 2), ("star", 0)):
+        start = len(factored)
+        step(problem.system, problem.u0, 0.0, 1e-3, tableau,
+             SolverConfig(precond=PrecondSpec(gamma_mode=mode)))
+        assert len(factored) - start == new
+
+
+def test_new_jacobian_object_with_equal_values_refactors(factored):
+    # the memo is keyed by identity, not by value
+    mat = make_problem("heat1d", n=64).operator
+    fresh = OdeSystem(dim=mat.n, rhs=lambda u, t: mat @ u,
+                      linearize=lambda u, t: SparseMatrix.on_pattern(mat.pattern, mat.data))
+    assert heat_run(factored, make_tableau("gauss", 4), system=fresh) == [4, 4, 4]
+
+
+def test_sdirk_on_heat_factors_once(factored):
+    # every stage shares the diagonal a_ii, so one shifted block serves the run
+    assert sum(heat_run(factored, make_tableau("sdirk3"), dts=(1e-3,) * 4)) == 1
+
+
+@pytest.mark.parametrize("refresh,per_step", [("every", 6), ("frozen", 3)])
+def test_burgers_factorizations_per_step(factored, refresh, per_step):
+    # radau_iia(3): one real and one complex eigen-block, three shifted blocks
+    # per Jacobian; two Newton iterations per step, one Jacobian under frozen
+    problem = make_problem("burgers1d", n=256)
+    tableau = make_tableau("radau_iia", 3)
+    cfg = SolverConfig(jacobian_refresh=refresh)
+    state = {"u": problem.u0}
+
+    def advance(j):
+        state["u"], stats = step(problem.system, state["u"], j * 1e-4, 1e-4, tableau, cfg)
+        assert stats.newton_iterations == 2
+
+    per = factorizations_per_step(factored, advance, 3)
+    assert [len(f) for f in per] == [per_step] * 3
+
+
+def test_shear_factors_its_constraint_block_on_the_first_step_only(factored):
+    problem = make_problem("shear_layer_small", n=16)
+    gw = problem.system.blocks(problem.u0, problem.w0, 0.0)[3]
+    tableau = make_tableau("radau_iia", 2)
+    state = {"uw": (problem.u0, problem.w0)}
+
+    def advance(j):
+        u, w, _ = dae_step(problem.system, *state["uw"], j * 1e-2, 1e-2, tableau,
+                           mode="reordered")
+        state["uw"] = (u, w)
+
+    per = factorizations_per_step(factored, advance, 3)
+    # the two stage rows weight G_w differently: two sums, each factored once
+    assert [sum(m.pattern is gw.pattern for m in f) for f in per] == [2, 0, 0]
+    assert [len(f) for f in per] == [10, 8, 8]
