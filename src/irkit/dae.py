@@ -84,6 +84,15 @@ class DaeOps(NamedTuple):
     def n(self):
         return self.lu.n + self.gw.n
 
+    @property
+    def sizes(self):
+        return self.lu.n, self.gw.n
+
+    @property
+    def parts(self):
+        """The blocks as ``(i, j, matrix)`` on the ``[u | w]`` grid."""
+        return (0, 0, self.lu), (0, 1, self.lw), (1, 0, self.gu), (1, 1, self.gw)
+
     def __matmul__(self, x):
         xu, xw = x[: self.lu.n], x[self.lu.n :]
         return np.concatenate([self.lu @ xu + self.lw @ xw, self.gu @ xu + self.gw @ xw])
@@ -94,6 +103,7 @@ class _CompositeMass:
 
     def __init__(self, mass, nu):
         self.mass, self.nu = mass, nu
+        self.parts = ((0, 0, mass),)
 
     def __matmul__(self, y):
         out = np.zeros_like(y)

@@ -13,11 +13,17 @@ solved by GMRES with a block lower-triangular preconditioner whose second
 diagonal block uses the shift ``gamma`` (optimally ``eta + beta^2/eta``).
 The coupling terms ``C12``/``C21`` are only present for the richest
 linearization variant; the preconditioner always ignores them.
+
+Each 2x2 block operator is assembled once as one CSR matrix on an interned
+block pattern (:func:`~irkit.sparsela.stack`) and memoized on ``L1``, so a
+Krylov iteration applies it with one sparse product, and a constant
+operator's blocks are built on the first step only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eig_banded
@@ -30,6 +36,7 @@ from .sparsela import (
     SparseMatrix,
     combine,
     gmres,
+    stack,
 )
 from .tableau import gamma_star
 
@@ -74,8 +81,10 @@ class Block2x2System:
 
     ``l1``/``l2`` are the per-row stage operators (unscaled; ``dt`` is
     carried separately).  ``offdiag12``/``offdiag21`` hold the optional
-    variant-3 coupling operators.  Any operator with ``n`` and ``@`` will do;
-    the DAE path passes composite ones with the mass ``diag(M, 0)``.
+    variant-3 coupling operators.  Operators are sparse matrices, or
+    composite ones with ``n``, ``@`` and their sparse ``parts``, as the DAE
+    path's ``[[L_u, L_w], [G_u, G_w]]`` with the mass ``diag(M, 0)``.
+    :attr:`matrix` is the whole block operator as one sparse matrix.
     """
 
     eta: float
@@ -94,6 +103,34 @@ class Block2x2System:
 
     def mass_apply(self, x):
         return x if self.mass is None else self.mass @ x
+
+    @cached_property
+    def matrix(self) -> SparseMatrix:
+        """The block operator as one :class:`~irkit.sparsela.SparseMatrix`.
+
+        Composite operators put their parts on a finer block grid.  Assembled
+        by :func:`~irkit.sparsela.stack` in one scatter and memoized on
+        ``l1`` (on its first part, if composite), keyed by the other operands
+        and the scalars: the same operands and scalars give the same matrix.
+        """
+        dt, mass = self.dt, self.mass
+        blocks = [(0, 0, self.eta, mass), (0, 0, -dt, self.l1), (0, 1, self.phi, mass),
+                  (1, 0, -(self.beta**2 / self.phi), mass), (1, 1, self.eta, mass),
+                  (1, 1, -dt, self.l2)]
+        for bi, bj, coupling in ((0, 1, self.offdiag12), (1, 0, self.offdiag21)):
+            if coupling is not None:
+                blocks.append((bi, bj, -dt, coupling))
+        sizes = getattr(self.l1, "sizes", (self.n,))
+        g = len(sizes)
+        terms = [(bi * g + i, bj * g + j, w, m)
+                 for bi, bj, w, op in blocks for i, j, m in _parts(op)]
+        return stack(sizes * 2, terms, owner=_parts(self.l1)[0][2])
+
+
+def _parts(op):
+    """``(i, j, matrix)`` sub-blocks of a block operand: a sparse matrix (or
+    ``None``, the identity) is the single sub-block ``(0, 0)``."""
+    return ((0, 0, op),) if op is None or isinstance(op, SparseMatrix) else op.parts
 
 
 def shifted_matrix(alpha, mass, lmat, dt):
@@ -130,24 +167,13 @@ class ShiftedSolver:
 
 
 def apply_block2x2(sys: Block2x2System, x):
-    """Matrix action of the 2x2 eigen-block system on ``x`` (length 2n)."""
-    n = sys.n
+    """Matrix action of the 2x2 eigen-block system on ``x`` (length 2n): one
+    product with :attr:`Block2x2System.matrix`."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (2 * n,):
-        raise ValueError(f"x has shape {x.shape}, expected ({2 * n},)")
-    x1, x2 = x[:n], x[n:]
-    m1, m2 = sys.mass_apply(x1), sys.mass_apply(x2)
-    top = sys.eta * m1 - sys.dt * (sys.l1 @ x1) + sys.phi * m2
-    bot = -(sys.beta**2 / sys.phi) * m1 + sys.eta * m2 - sys.dt * (sys.l2 @ x2)
-    if sys.offdiag12 is not None:
-        top -= sys.dt * (sys.offdiag12 @ x2)
-    if sys.offdiag21 is not None:
-        bot -= sys.dt * (sys.offdiag21 @ x1)
-    return np.concatenate([top, bot])
-
-
-def block2x2_operator(sys: Block2x2System) -> LinearOperator:
-    return LinearOperator(2 * sys.n, lambda x: apply_block2x2(sys, x))
+    mat = sys.matrix
+    if x.shape != (mat.n,):
+        raise ValueError(f"x has shape {x.shape}, expected ({mat.n},)")
+    return mat @ x
 
 
 def _lower_triangular(sys: Block2x2System, solve1, solve2):
@@ -219,7 +245,7 @@ class SolveStats:
 
 def _solve_2x2(sys2, rhs, spec, rtol, maxit, shifted=ShiftedSolver):
     return gmres(
-        block2x2_operator(sys2),
+        LinearOperator(2 * sys2.n, lambda x: apply_block2x2(sys2, x)),
         rhs,
         right_precond=make_block2x2_preconditioner(sys2, spec, shifted),
         rtol=rtol,

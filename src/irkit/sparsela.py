@@ -5,21 +5,23 @@ structure) plus a ``data`` vector.  Structurally equal patterns are one
 object, so every operator of a stage solve (stage Jacobians, variant
 operators, shifted blocks ``alpha*M - dt*L``) that lives on one pattern is
 a weighted sum of ``data`` vectors: :func:`combine` is array arithmetic,
-and :class:`BandedLU` fills LAPACK's band storage through the pattern's
-cached scatter, as RADAU5 forms ``fac*M - J`` in place (Hairer & Wanner,
+:func:`stack` lays weighted operators out as the blocks of one matrix, and
+:class:`BandedLU` fills LAPACK's band storage through the pattern's cached
+scatter, as RADAU5 forms ``fac*M - J`` in place (Hairer & Wanner,
 *Solving ODEs II*, IV.8).  The band is the pattern's own: its literal
 half-bandwidth in natural order, or in reverse Cuthill-McKee order when
 that is strictly narrower (Cuthill & McKee 1969; George & Liu 1981), which
 turns periodic wrap-around stencils into plain bands.
 
-Values are immutable (``data`` is a read-only view), so one matrix object
-holds one set of values, and operator assembly is memoized by identity:
-:func:`combine` hands back the same sum for the same weights on the same
-operand objects, and :attr:`SparseMatrix.factorization` factors a matrix
-once.  An unchanged stage Jacobian (a linear problem's constant operator,
-a DAE's constant constraint block) therefore reuses its shifted blocks and
-their LU factors for as long as ``dt`` and the shift stay the same, as a
-backward-Euler code keeps its factorization.
+Values are immutable (``data`` is read-only, and no writable alias of it is
+kept), so one matrix object holds one set of values, and operator assembly
+is memoized by identity: :func:`combine` hands back the same sum for the
+same weights on the same operand objects, :func:`stack` the same block
+matrix, and :attr:`SparseMatrix.factorization` factors a matrix once.  An
+unchanged stage Jacobian (a linear problem's constant operator, a DAE's
+constant constraint block) therefore reuses its shifted blocks, its 2x2
+eigen-block operators and their LU factors for as long as ``dt`` and the
+shift stay the same, as a backward-Euler code keeps its factorization.
 
 GMRES is right-preconditioned and keeps the preconditioned basis, which
 makes the preconditioner cost exactly one application per iteration.  The
@@ -31,6 +33,7 @@ Krylov iteration.
 
 from __future__ import annotations
 
+import copy
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -43,9 +46,10 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import KrylovBreakdownError, SingularMatrixError
 
-# Distinct sums memoized per operand, evicted oldest first.  It must exceed
-# the number of sums one variant Jacobian takes from one operand: gauss(8)
-# variant 3 takes 40 (8 diagonal and 32 coupling operators).
+# Distinct sums and block matrices memoized per operand, evicted oldest
+# first.  It must exceed the number of sums one variant Jacobian takes from
+# one operand: gauss(8) variant 3 takes 40 (8 diagonal and 32 coupling
+# operators).
 SUM_CACHE_SIZE = 64
 _OWNER = object()  # stands for the memo's owner in its keys
 
@@ -82,6 +86,11 @@ class Pattern:
     @cached_property
     def rows(self):
         return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    @cached_property
+    def csr(self):
+        """A ``scipy.sparse`` CSR matrix on this pattern, with zero values."""
+        return sp.csr_matrix((np.zeros(self.nnz), self.indices, self.indptr), shape=self.shape)
 
     @cached_property
     def diagonal(self):
@@ -136,30 +145,67 @@ def _union(patterns, identity, shape):
     return union, {p: union.locate(p) for p in patterns}
 
 
+@lru_cache(maxsize=256)
+def _block_layout(sizes, places):
+    """Pattern of a block matrix with blocks ``sizes[i] x sizes[j]`` holding
+    ``places`` (``(i, j, pattern)``, ``None`` for the identity), the
+    positions in it of all places' entries, one place after the other, and
+    the bounds of each place's run of them."""
+    start = np.cumsum((0,) + sizes)
+    n = int(start[-1])
+    keys = []
+    for i, j, p in places:
+        shape = (sizes[i], sizes[j])
+        if p is None and shape[0] == shape[1]:
+            rows = cols = np.arange(shape[0])
+        elif p is not None and p.shape == shape:
+            rows, cols = p.rows, p.indices
+        else:
+            raise ValueError(f"block ({i}, {j}) is {shape}: cannot hold "
+                             f"{'an identity' if p is None else p.shape}")
+        keys.append((rows + start[i]).astype(np.int64) * n + (cols + start[j]))
+    bounds = np.cumsum([0] + [len(k) for k in keys]).tolist()
+    keys = np.concatenate(keys)
+    union = np.unique(keys)
+    pattern = Pattern.of((n, n), np.searchsorted(union // n, np.arange(n + 1)), union % n)
+    return pattern, np.searchsorted(union, keys), bounds
+
+
 class SparseMatrix:
     """A :class:`Pattern` plus its read-only ``data`` vector.
 
     Mostly square operators; rectangular coupling blocks (as in
     differential/algebraic systems) are allowed wherever no factorization
-    is requested.  The constructor takes anything ``scipy.sparse.csr_matrix``
-    accepts; :meth:`on_pattern` wraps values on an existing pattern.
+    is requested.  The constructor copies anything ``scipy.sparse.csr_matrix``
+    accepts; :meth:`on_pattern` wraps values on an existing pattern.  Either
+    way no writable alias of ``data`` is kept: :attr:`csr` holds the
+    read-only values on the pattern's index arrays.
     """
 
     def __init__(self, mat):
         csr = sp.csr_matrix(mat, dtype=float)
+        csr.data = np.array(csr.data)  # a sparse input's values stay the caller's
         csr.sum_duplicates()
         csr.sort_indices()
+        csr.data.setflags(write=False)
         self._set(Pattern.of(csr.shape, csr.indptr, csr.indices), csr.data)
+        csr.indptr, csr.indices = self.indptr, self.indices
         self._csr = csr
 
     @classmethod
     def on_pattern(cls, pattern: Pattern, data):
         """The matrix with values ``data`` (one per entry) on ``pattern``.
 
-        ``data`` is not copied: the caller must not write to it afterwards.
+        Takes ownership of ``data``: an array that owns its memory is made
+        read-only, so a later write by the caller raises; a view is copied.
         """
+        data = np.asarray(data, dtype=float)
+        if data.base is None:
+            data.setflags(write=False)
+        else:
+            data = data.copy()
         out = cls.__new__(cls)
-        out._set(pattern, np.asarray(data, dtype=float))
+        out._set(pattern, data)
         return out
 
     def _set(self, pattern, data):
@@ -176,7 +222,10 @@ class SparseMatrix:
     @property
     def csr(self):
         if self._csr is None:
-            self._csr = sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+            # a shallow copy of the pattern's CSR, sharing its index arrays,
+            # skips scipy's format checks on every new matrix
+            self._csr = copy.copy(self.pattern.csr)
+            self._csr.data = self.data
         return self._csr
 
     @cached_property
@@ -234,9 +283,10 @@ def combine(coeffs, mats):
     owner = concrete[-1]
     weights = coeffs.tolist() if isinstance(coeffs, np.ndarray) else coeffs
     key = (tuple(map(float, weights)), tuple([_OWNER if m is owner else m for m in mats]))
-    out = owner._sums.get(key)
-    if out is not None:
-        return out
+    return _memoized(owner, key, lambda: _sum(coeffs, mats, concrete))
+
+
+def _sum(coeffs, mats, concrete):
     shared = {m.pattern for m in concrete}
     terms = [(c, m) for c, m in zip(coeffs, mats) if c != 0.0]
     identity = any(m is None for _, m in terms)
@@ -252,10 +302,50 @@ def combine(coeffs, mats):
             data += c * m.data
         else:
             data[where[m.pattern]] += c * m.data
-    out = SparseMatrix.on_pattern(pattern, data)
-    if len(owner._sums) >= SUM_CACHE_SIZE:
-        del owner._sums[next(iter(owner._sums))]
-    owner._sums[key] = out
+    return SparseMatrix.on_pattern(pattern, data)
+
+
+def stack(sizes, terms, owner):
+    """Block matrix with square block grid ``sizes``: block ``(i, j)`` is
+    ``sizes[i] x sizes[j]`` and holds the sum of ``weight * mat`` over the
+    ``terms`` ``(i, j, weight, mat)`` placed there.
+
+    ``mat`` is a :class:`SparseMatrix` or ``None`` for the identity.  The
+    stacked pattern and the positions of every term's entries in it are
+    cached per tuple of sizes and placed patterns, so assembling is one
+    scatter: the weighted entries of all terms, one term after the other,
+    are summed into ``data`` by ``bincount``, which adds them from zero in
+    ``terms`` order, as :func:`combine` does.  The matrix is memoized on
+    ``owner`` (one of the term matrices) like a :func:`combine` sum, keyed by
+    the sizes, placements, weights and operand objects.
+    """
+    sizes = tuple(sizes)
+    terms = [(i, j, float(w), m) for i, j, w, m in terms]
+    key = (sizes, tuple([(i, j, w, _OWNER if m is owner else m) for i, j, w, m in terms]))
+
+    def build():
+        places = tuple([(i, j, None if m is None else m.pattern) for i, j, _, m in terms])
+        pattern, pos, bounds = _block_layout(sizes, places)
+        values = np.empty(len(pos))
+        for (_, _, w, m), a, b in zip(terms, bounds, bounds[1:]):
+            if m is None:
+                values[a:b] = w
+            else:
+                np.multiply(m.data, w, out=values[a:b])
+        return SparseMatrix.on_pattern(pattern, np.bincount(pos, values, pattern.nnz))
+
+    return _memoized(owner, key, build)
+
+
+def _memoized(owner, key, build):
+    """``build()``, memoized on ``owner`` under ``key`` (oldest evicted first)."""
+    memo = owner._sums
+    out = memo.get(key)
+    if out is None:
+        out = build()
+        if len(memo) >= SUM_CACHE_SIZE:
+            del memo[next(iter(memo))]
+        memo[key] = out
     return out
 
 
@@ -422,10 +512,14 @@ class BandedLU:
     """LU factorization of a square matrix in its pattern's band (LAPACK
     ``gbtrf``), in the bandwidth-reducing order :attr:`Pattern.band` picks.
 
-    Raises :class:`SingularMatrixError` when a pivot falls below
-    ``n * eps`` times the largest entry: on singular periodic operators
-    LAPACK leaves roundoff-sized pivots, not exact zeros, and their size
-    grows with ``n`` (1.5e-14 of the largest entry on a 20x20 torus).
+    A band of half-width 1 in natural order (n >= 3; scipy's ``gttrf``
+    wrapper rejects smaller ones) is factored and solved as a tridiagonal
+    matrix (``gttrf``/``gttrs``), whose solve costs about half of
+    ``gbtrs``'s column-by-column one.  Raises
+    :class:`SingularMatrixError` when a pivot falls below ``n * eps`` times
+    the largest entry: on singular periodic operators LAPACK leaves
+    roundoff-sized pivots, not exact zeros, and their size grows with ``n``
+    (1.5e-14 of the largest entry on a 20x20 torus).
     """
 
     def __init__(self, n, k, perm, lu, piv):
@@ -442,8 +536,15 @@ class BandedLU:
         ldab = 3 * k + 1
         ab = np.zeros(n * ldab)
         ab[scatter] = a.data
-        lu, piv, _ = lapack.dgbtrf(ab.reshape(n, ldab).T, k, k, overwrite_ab=1)
-        pivot = np.abs(lu[2 * k]).min()
+        ab = ab.reshape(n, ldab)
+        if k == 1 and perm is None and n >= 3:
+            # columns 3, 2 and 1 of ab hold the sub-, main and superdiagonal
+            dl, d, du, du2, piv, _ = lapack.dgttrf(ab[:-1, 3], ab[:, 2], ab[1:, 1])
+            lu, pivots = (dl, d, du, du2), d
+        else:
+            lu, piv, _ = lapack.dgbtrf(ab.T, k, k, overwrite_ab=1)
+            pivots = lu[2 * k]
+        pivot = np.abs(pivots).min()
         if pivot <= n * np.finfo(float).eps * np.abs(a.data).max(initial=0.0):
             raise SingularMatrixError(f"banded LU pivot {pivot:.3e} below threshold")
         return cls(n, k, perm, lu, piv)
@@ -453,6 +554,8 @@ class BandedLU:
         b = np.asarray(rhs, dtype=float)
         if self.n == 0:
             return np.zeros_like(b)
+        if isinstance(self._lu, tuple):
+            return lapack.dgttrs(*self._lu, self._piv, b)[0]
         one_dim = b.ndim == 1
         bb = b[:, None] if one_dim else b
         if self._perm is not None:

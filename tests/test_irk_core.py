@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from irkit.dae import DaeOps, _CompositeMass
 from irkit.errors import StageSolveError
 from irkit.irk_core import (
     Block2x2System,
     PrecondSpec,
     apply_block2x2,
-    block2x2_operator,
     exact_schur_preconditioner,
     field_of_values_bound,
     make_block2x2_preconditioner,
@@ -112,7 +112,7 @@ class TestBlock2x2:
         )
         pre = exact_schur_preconditioner(sysb)
         rhs = rng.standard_normal(2 * n)
-        x, rep = gmres(block2x2_operator(sysb), rhs, right_precond=pre, rtol=1e-10)
+        x, rep = gmres(sysb.matrix, rhs, right_precond=pre, rtol=1e-10)
         assert rep.converged and rep.iterations <= 2
 
     def test_gamma_modes(self):
@@ -124,6 +124,89 @@ class TestBlock2x2:
             PrecondSpec(gamma_mode=-1.0)
         with pytest.raises(ValueError):
             PrecondSpec(inner=0)
+
+
+def dense(op, n):
+    """Dense form of a block operand: ``None`` is the identity of size ``n``."""
+    if op is None:
+        return np.eye(n)
+    if isinstance(op, DaeOps):
+        return np.block([[part.to_dense() for part in op[:2]],
+                         [part.to_dense() for part in op[2:]]])
+    if isinstance(op, _CompositeMass):
+        out = np.zeros((n, n))
+        out[: op.nu, : op.nu] = dense(op.mass, op.nu)
+        return out
+    return op.to_dense()
+
+
+def dense_block2x2(sys):
+    """The 2x2 eigen-block operator assembled densely from ``to_dense()``."""
+    n = sys.n
+    m = dense(sys.mass, n)
+    c12 = 0.0 if sys.offdiag12 is None else dense(sys.offdiag12, n)
+    c21 = 0.0 if sys.offdiag21 is None else dense(sys.offdiag21, n)
+    return np.block([
+        [sys.eta * m - sys.dt * dense(sys.l1, n), sys.phi * m - sys.dt * c12],
+        [-(sys.beta**2 / sys.phi) * m - sys.dt * c21, sys.eta * m - sys.dt * dense(sys.l2, n)],
+    ])
+
+
+def random_block_system(rng, kind, mass_kind, couplings):
+    """A 2x2 eigen-block system with unequal random operators."""
+    nu, nw = 7, 4
+
+    def op():
+        if kind == "ode":
+            return SparseMatrix(sp.random(nu, nu, density=0.4, random_state=rng)
+                                - 3.0 * sp.identity(nu))
+        parts = [(nu, nu, 0.4), (nu, nw, 0.5), (nw, nu, 0.5), (nw, nw, 0.6)]
+        return DaeOps(*(SparseMatrix(sp.random(r, c, density=d, random_state=rng))
+                        for r, c, d in parts))
+
+    mass = None if mass_kind == "identity" else SparseMatrix(sp.diags(1.0 + rng.random(nu)))
+    if kind == "dae":
+        mass = _CompositeMass(mass, nu)
+    return Block2x2System(
+        eta=rng.uniform(0.5, 3.0), beta=rng.uniform(0.2, 2.0), phi=rng.uniform(0.3, 2.0),
+        mass=mass, l1=op(), l2=op(), dt=rng.uniform(0.01, 0.5),
+        offdiag12=op() if couplings else None, offdiag21=op() if couplings else None,
+    )
+
+
+class TestBlockMatrix:
+    """The 2x2 eigen-block operator as one assembled sparse matrix."""
+
+    @pytest.mark.parametrize("kind", ["ode", "dae"])
+    @pytest.mark.parametrize("mass_kind", ["identity", "spd_diagonal"])
+    @pytest.mark.parametrize("couplings", [False, True])
+    def test_matches_dense_assembly(self, kind, mass_kind, couplings):
+        rng = np.random.default_rng([1, kind == "dae", mass_kind == "identity", couplings])
+        sysb = random_block_system(rng, kind, mass_kind, couplings)
+        want = dense_block2x2(sysb)
+        got = sysb.matrix.to_dense()
+        assert got.shape == want.shape == (2 * sysb.n, 2 * sysb.n)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        x = rng.standard_normal(2 * sysb.n)
+        ref = want @ x
+        assert np.max(np.abs(apply_block2x2(sysb, x) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_memoized_on_the_operands(self):
+        rng = np.random.default_rng(2)
+        sysb = random_block_system(rng, "ode", "spd_diagonal", True)
+        twin = Block2x2System(**{f: getattr(sysb, f) for f in sysb.__dataclass_fields__})
+        assert twin.matrix is sysb.matrix
+        moved = Block2x2System(**{**{f: getattr(sysb, f) for f in sysb.__dataclass_fields__},
+                                  "dt": 2.0 * sysb.dt})
+        assert moved.matrix is not sysb.matrix
+
+    def test_composite_memoized_on_its_first_part(self):
+        rng = np.random.default_rng(3)
+        sysb = random_block_system(rng, "dae", "identity", False)
+        again = Block2x2System(sysb.eta, sysb.beta, sysb.phi, _CompositeMass(None, 7),
+                               DaeOps(*sysb.l1), sysb.l2, sysb.dt)
+        assert again.matrix is sysb.matrix
+        assert any(v is sysb.matrix for v in sysb.l1.lu._sums.values())
 
 
 class TestSolveTransformed:
@@ -294,7 +377,7 @@ def test_gamma_star_not_worse_quick_sweep():
                 )
                 pre = make_block2x2_preconditioner(sysb, PrecondSpec(gamma_mode=mode))
                 _, rep = gmres(
-                    block2x2_operator(sysb), rhs, right_precond=pre, rtol=1e-10, maxit=100
+                    sysb.matrix, rhs, right_precond=pre, rtol=1e-10, maxit=100
                 )
                 assert rep.converged
                 its[mode] = rep.iterations
@@ -329,7 +412,7 @@ def test_fixed_iteration_inner_solver_still_converges():
     its = {}
     for inner in ("exact", 4):
         pre = make_block2x2_preconditioner(sysb, PrecondSpec(inner=inner))
-        _, rep = gmres(block2x2_operator(sysb), rhs, right_precond=pre,
+        _, rep = gmres(sysb.matrix, rhs, right_precond=pre,
                        rtol=1e-8, maxit=200)
         assert rep.converged, inner
         its[inner] = rep.iterations

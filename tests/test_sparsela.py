@@ -5,7 +5,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from irkit import sparsela
 from irkit.errors import SingularMatrixError
+from irkit.irk_core import Block2x2System
 from irkit.problems import make_problem
 from irkit.sparsela import (
     SUM_CACHE_SIZE,
@@ -185,6 +187,168 @@ class TestBandedLU:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             BandedLU.factor(SparseMatrix(np.ones((2, 3))))
+
+
+def lapack_calls(monkeypatch):
+    """Names of the LAPACK solve routines :class:`BandedLU` calls, in order."""
+    calls = []
+    for name in ("dgttrs", "dgbtrs"):
+        routine = getattr(sparsela.lapack, name)
+
+        def spy(*args, _name=name, _routine=routine, **kwargs):
+            calls.append(_name)
+            return _routine(*args, **kwargs)
+
+        monkeypatch.setattr(sparsela.lapack, name, spy)
+    return calls
+
+
+def tridiagonal(rng, n):
+    """Random diagonally dominant tridiagonal matrix (a 1x1 one for n = 1)."""
+    off = [rng.standard_normal(n - 1), rng.standard_normal(n - 1)]
+    return SparseMatrix(sp.diags([off[0], 4.0 + rng.random(n), off[1]], [-1, 0, 1],
+                                 shape=(n, n)))
+
+
+class TestTridiagonal:
+    """Natural-order bands of half-width at most 1 factor through gttrf/gttrs."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 1024])
+    @pytest.mark.parametrize("nrhs", [None, 1, 3])
+    def test_solve_matches_dense(self, n, nrhs):
+        rng = np.random.default_rng(n)
+        a = tridiagonal(rng, n)
+        b = rng.standard_normal(n if nrhs is None else (n, nrhs))
+        x = a.factorization.solve(b)
+        ref = np.linalg.solve(a.to_dense(), b)
+        assert x.shape == b.shape
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_pivoting_matches_dense(self):
+        # a zero leading diagonal entry forces a row interchange
+        a = SparseMatrix(np.array([[0.0, 1.0, 0.0], [2.0, 1.0, 3.0], [0.0, 1.0, 1.0]]))
+        b = np.array([1.0, 2.0, 3.0])
+        ref = np.linalg.solve(a.to_dense(), b)
+        assert np.max(np.abs(a.factorization.solve(b) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n,routine", [(1, "dgbtrs"), (2, "dgbtrs"), (3, "dgttrs"),
+                                           (64, "dgttrs")])
+    def test_routine_by_size(self, monkeypatch, n, routine):
+        # scipy's gttrf wrapper rejects n < 3, so the two smallest sizes stay banded
+        a = tridiagonal(np.random.default_rng(0), n)
+        calls = lapack_calls(monkeypatch)
+        a.factorization.solve(np.ones(n))
+        a.factorization.solve(np.ones((n, 2)))
+        assert calls == [routine] * 2
+
+    def test_diagonal_stays_banded(self, monkeypatch):
+        a = SparseMatrix(sp.diags([2.0, 3.0, 4.0, 5.0]))
+        calls = lapack_calls(monkeypatch)
+        assert np.allclose(a.factorization.solve(np.ones(4)), [0.5, 1 / 3, 0.25, 0.2])
+        assert calls == ["dgbtrs"]
+
+    @pytest.mark.parametrize("n", [3, 4, 17])
+    def test_singular_raises(self, n):
+        # the Neumann Laplacian has the constant nullspace: a roundoff pivot
+        lap = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)).tolil()
+        lap[0, 0] = lap[n - 1, n - 1] = -1.0
+        with pytest.raises(SingularMatrixError):
+            SparseMatrix(lap.tocsr()).factorization
+        # and an exactly zero row, kept as explicit zeros on the full band
+        band = SparseMatrix(sp.diags([1.0, 2.0, 1.0], [-1, 0, 1], shape=(n, n))).pattern
+        values = np.where(band.rows == 1, 0.0, 2.0)
+        with pytest.raises(SingularMatrixError):
+            SparseMatrix.on_pattern(band, values).factorization
+
+    def test_burgers_and_shear_stay_banded(self, monkeypatch):
+        # burgers is periodic (a band only in RCM order), shear's 2-D operators
+        # are wider than one diagonal: both keep LAPACK's general band solve
+        burgers = make_problem("burgers1d", n=256)
+        jac = burgers.system.linearize(burgers.u0, 0.0)
+        shear = make_problem("shear_layer_small", n=16)
+        lu, _, _, gw = shear.system.blocks(shear.u0, shear.w0, 0.0)
+        mats = [combine([3.0, -1e-4], [None, jac]), combine([3.0, -1e-2], [None, lu]), gw]
+        assert [m.pattern.band[0] > 1 or m.pattern.band[1] is not None for m in mats] == [True] * 3
+        calls = lapack_calls(monkeypatch)
+        for m in mats:
+            m.factorization.solve(np.ones(m.n))
+        assert calls == ["dgbtrs"] * 3
+
+
+class TestOwnership:
+    """No writable alias of a matrix's values survives its construction."""
+
+    @pytest.mark.parametrize("source", ["dense", "sparse"])
+    def test_constructor_csr_is_read_only(self, source):
+        dense = np.diag([2.0, 3.0, 4.0]) + np.diag([1.0, 1.0], 1)
+        m = SparseMatrix(dense if source == "dense" else sp.csr_matrix(dense))
+        with pytest.raises(ValueError, match="read-only"):
+            m.csr.data[0] = 5.0
+
+    def test_constructor_copies_a_sparse_input(self):
+        src = sp.csr_matrix(np.diag([2.0, 3.0, 4.0]))
+        m = SparseMatrix(src)
+        src.data[:] = 7.0  # still the caller's to write
+        assert np.array_equal(m.to_dense(), np.diag([2.0, 3.0, 4.0]))
+
+    def test_on_pattern_csr_is_read_only(self):
+        m = SparseMatrix.on_pattern(SparseMatrix.identity(3).pattern, [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="read-only"):
+            m.csr.data[0] = 5.0
+
+    def test_on_pattern_owns_an_array_that_owns_its_memory(self):
+        data = np.array([1.0, 2.0, 3.0])
+        SparseMatrix.on_pattern(SparseMatrix.identity(3).pattern, data)
+        with pytest.raises(ValueError, match="read-only"):
+            data[0] = 5.0
+
+    def test_on_pattern_copies_a_view(self):
+        # every cache built on the matrix must keep agreeing with its values
+        base = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(6, 6), format="csr")
+        buf = np.concatenate([base.data, base.data])
+        view = buf[: base.nnz]
+        m = SparseMatrix.on_pattern(SparseMatrix(base).pattern, view)
+        x = np.arange(6.0)
+        before = m @ x
+        shifted = combine([2.0, -1.0], [None, m])
+        factor = shifted.factorization
+        block = Block2x2System(eta=2.0, beta=1.5, phi=1.0, mass=None, l1=m, l2=m, dt=0.1)
+        matrix = block.matrix
+        view[:] = 99.0  # the caller's buffer stays writable
+        dense = base.toarray()
+        assert np.array_equal(m @ x, before) and np.array_equal(m.to_dense(), dense)
+        assert combine([2.0, -1.0], [None, m]) is shifted
+        assert np.array_equal(shifted.to_dense(), 2.0 * np.eye(6) - dense)
+        assert np.allclose(factor.solve(shifted @ x), x, rtol=0, atol=1e-12)
+        again = Block2x2System(eta=2.0, beta=1.5, phi=1.0, mass=None, l1=m, l2=m, dt=0.1)
+        assert again.matrix is matrix
+        top = np.hstack([2.0 * np.eye(6) - 0.1 * dense, np.eye(6)])
+        bottom = np.hstack([-2.25 * np.eye(6), 2.0 * np.eye(6) - 0.1 * dense])
+        assert np.allclose(matrix.to_dense(), np.vstack([top, bottom]), rtol=0, atol=1e-15)
+
+
+class TestStack:
+    def test_blocks_in_place_with_identity(self):
+        a = SparseMatrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
+        c = SparseMatrix(np.array([[4.0], [5.0]]))
+        m = sparsela.stack((2, 1), [(0, 0, 2.0, a), (0, 0, -1.0, None), (0, 1, 3.0, c),
+                                    (1, 1, 0.5, None)], owner=a)
+        assert np.array_equal(m.to_dense(), [[1.0, 4.0, 12.0], [0.0, 5.0, 15.0],
+                                             [0.0, 0.0, 0.5]])
+
+    def test_memoized_on_the_owner(self):
+        a = SparseMatrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
+        terms = [(0, 0, 1.0, a), (1, 1, 2.0, a), (0, 1, 1.0, None)]
+        first = sparsela.stack((2, 2), terms, owner=a)
+        assert sparsela.stack((2, 2), terms, owner=a) is first
+        assert sparsela.stack((2, 2), terms[:2], owner=a) is not first
+
+    def test_shape_mismatch_rejected(self):
+        a = SparseMatrix(np.eye(2))
+        with pytest.raises(ValueError):
+            sparsela.stack((3, 2), [(0, 0, 1.0, a)], owner=a)
+        with pytest.raises(ValueError):
+            sparsela.stack((2, 1), [(0, 1, 1.0, None), (0, 0, 1.0, a)], owner=a)
 
 
 class TestMemo:

@@ -1,6 +1,7 @@
 """Whole-step oracles: pinned work counts of the benchmark cells, a dense
-Kronecker solve of a linear step, the stage operators' shared pattern, and
-the factorizations a run takes while its stage Jacobian stays unchanged.
+Kronecker solve of a linear step, the stage operators' shared pattern, the
+couplings left out as roundoff, and the factorizations and 2x2 block
+operators a run builds while its stage Jacobian stays unchanged.
 
 The pinned counts are Newton iterations / Krylov iterations / preconditioner
 applications of one step from ``problem.u0``.  They move with the shift of
@@ -10,13 +11,23 @@ wrong ``gamma`` (``eta`` in its place) fails here even where the step
 still converges.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from irkit import irk_core
 from irkit.dae import DaeOps, dae_step
-from irkit.irk_core import PrecondSpec
-from irkit.nonlinear import OdeSystem, SolverConfig, build_variant_jacobian, step
+from irkit.irk_core import Block2x2System, PrecondSpec
+from irkit.nonlinear import (
+    COUPLING_ROUNDOFF,
+    OdeSystem,
+    SolverConfig,
+    build_variant_jacobian,
+    step,
+    variant_weights,
+)
 from irkit.problems import make_problem
 from irkit.sparsela import SparseMatrix
 from irkit.tableau import make_tableau, prepare_stages
@@ -183,3 +194,101 @@ def test_shear_factors_its_constraint_block_on_the_first_step_only(factored):
     # the two stage rows weight G_w differently: two sums, each factored once
     assert [sum(m.pattern is gw.pattern for m in f) for f in per] == [2, 0, 0]
     assert [len(f) for f in per] == [10, 8, 8]
+
+
+@pytest.mark.parametrize("family,s", [("gauss", 4), ("radau_iia", 3)])
+def test_heat_couplings_are_roundoff_and_dropped(family, s):
+    # one operator on every stage: each coupling is (sum w) * L with a weight
+    # sum that is roundoff but not exactly zero
+    prep = prepare_stages(make_tableau(family, s))
+    _, weights = variant_weights(prep, 3)
+    sums = np.array([abs(np.sum(w)) for w in weights.values()])
+    scale = np.array([np.sum(np.abs(w)) for w in weights.values()])
+    assert np.any(sums > 0.0)
+    assert np.all(sums <= COUPLING_ROUNDOFF * np.finfo(float).eps * scale)
+    op = make_problem("heat1d", n=64).operator
+    assert build_variant_jacobian(prep, [op] * s, 3).offdiag == {}
+
+
+@pytest.mark.parametrize("family", ["gauss", "radau_iia", "lobatto_iiic"])
+@pytest.mark.parametrize("s", [2, 3, 4, 5, 6, 7, 8])
+def test_one_operator_drops_every_coupling(family, s):
+    prep = prepare_stages(make_tableau(family, s))
+    op = SparseMatrix(np.array([[-1.0]]))
+    assert build_variant_jacobian(prep, [op] * s, 3).offdiag == {}
+
+
+def test_distinct_operators_keep_every_coupling():
+    prep = prepare_stages(make_tableau("radau_iia", 3))
+    _, weights = variant_weights(prep, 3)
+    burgers = make_problem("burgers1d", n=32)
+    ops = [burgers.system.linearize(burgers.u0 * (1.0 + 0.1 * i), 0.0) for i in range(3)]
+    assert set(build_variant_jacobian(prep, ops, 3).offdiag) == set(weights)
+    # equal values in distinct objects are distinct operators too
+    twins = [SparseMatrix.on_pattern(ops[0].pattern, ops[0].data) for _ in range(3)]
+    assert set(build_variant_jacobian(prep, twins, 3).offdiag) == set(weights)
+    shear = make_problem("shear_layer_small", n=8)
+    dae_ops = [DaeOps(*shear.system.blocks(shear.u0, shear.w0 * (1.0 + 0.1 * i), 0.0))
+               for i in range(3)]
+    assert set(build_variant_jacobian(prep, dae_ops, 3).offdiag) == set(weights)
+
+
+@pytest.fixture
+def blocks_applied(monkeypatch):
+    """Weak references to the 2x2 block operators GMRES applies, in order."""
+    seen = []
+    apply = irk_core.apply_block2x2
+
+    def spy(sys, x):
+        if not seen or seen[-1]() is not sys.matrix:
+            seen.append(weakref.ref(sys.matrix))
+        return apply(sys, x)
+
+    monkeypatch.setattr(irk_core, "apply_block2x2", spy)
+    return seen
+
+
+def test_heat_builds_its_block_operators_once(blocks_applied):
+    # two 2x2 eigen-blocks; the constant operator hands back the same blocks
+    problem = make_problem("heat1d", n=64)
+    tableau = make_tableau("gauss", 4)
+    per_step = []
+    u = problem.u0
+    for j in range(2):
+        start = len(blocks_applied)
+        u, _ = step(problem.system, u, j * 1e-3, 1e-3, tableau)
+        per_step.append([ref() for ref in blocks_applied[start:]])
+    assert len(per_step[0]) == 2 and all(m is not None for m in per_step[0])
+    assert all(a is b for a, b in zip(per_step[0], per_step[1], strict=True))
+
+
+def test_burgers_builds_a_block_per_newton_iteration_and_frees_it(blocks_applied):
+    problem = make_problem("burgers1d", n=64)
+    tableau = make_tableau("radau_iia", 3)
+    _, stats = step(problem.system, problem.u0, 0.0, 1e-4, tableau)
+    # one 2x2 eigen-block, a new Jacobian on each Newton iteration
+    assert stats.newton_iterations == 2 and len(blocks_applied) == 2
+    # the step has dropped its Jacobians, and with them their blocks
+    assert all(ref() is None for ref in blocks_applied)
+
+
+def test_block_operator_dies_with_its_jacobian():
+    # the memo lives on the operand, so no collector pass is needed
+    problem = make_problem("burgers1d", n=64)
+    prep = prepare_stages(make_tableau("radau_iia", 3))
+    ops = [problem.system.linearize(problem.u0 * (1.0 + 0.1 * i), 0.0) for i in range(3)]
+    vjac = build_variant_jacobian(prep, ops, 3)
+    blk = next(b for b in prep.schur.blocks if b.size == 2)
+    i = blk.offset
+    sysb = Block2x2System(blk.eta, blk.beta, blk.phi, None, vjac.diag[i], vjac.diag[i + 1],
+                          1e-4, vjac.offdiag.get((i, i + 1)), vjac.offdiag.get((i + 1, i)))
+    gone = weakref.ref(sysb.matrix)
+    rebuilt = Block2x2System(blk.eta, blk.beta, blk.phi, None, vjac.diag[i],
+                             vjac.diag[i + 1], 1e-4, vjac.offdiag.get((i, i + 1)),
+                             vjac.offdiag.get((i + 1, i)))
+    assert rebuilt.matrix is gone()
+    del sysb, rebuilt
+    del vjac
+    assert gone() is not None  # still held by the memo on the stage Jacobians' sums
+    del ops
+    assert gone() is None
