@@ -36,7 +36,6 @@ from .irk_core import (
     apply_block2x2,
     field_of_values_bound,
     measure_kappa,
-    precond_block2x2,
     solve_transformed_system,
 )
 from .nonlinear import (
@@ -101,7 +100,6 @@ __all__ = [
     "make_tableau",
     "measure_kappa",
     "newton_like_step",
-    "precond_block2x2",
     "prepare_stages",
     "real_schur",
     "solve_dae_block4x4",

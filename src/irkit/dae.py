@@ -39,8 +39,6 @@ from .irk_core import (
     PrecondSpec,
     ShiftedSolver,
     _solve_2x2,
-    apply_block2x2,
-    shifted_matrix,
 )
 from .nonlinear import (
     IntegrationResult,
@@ -51,7 +49,7 @@ from .nonlinear import (
     newton_like_step,
     stage_residual,
 )
-from .sparsela import SparseMatrix
+from .sparsela import SparseMatrix, combine
 from .tableau import SDIRK_FAMILIES, prepare_stages
 
 
@@ -196,7 +194,7 @@ class _EliminationSolver:
             self._reduced = ShiftedSolver(alpha, mass.mass, ops.lu, dt).solve
         else:
             x = self.constraint._factor.solve(ops.gu.to_dense())
-            red = shifted_matrix(alpha, mass.mass, ops.lu, dt).to_dense()
+            red = combine([alpha, -dt], [mass.mass, ops.lu]).to_dense()
             red += dt * (ops.lw.to_dense() @ x)
             lu, piv = densela.lu_factor(red)
             self._reduced = lambda r: densela.lu_solve_factored(lu, piv, r)
@@ -257,18 +255,7 @@ def solve_dae_block4x4(
             raise ConfigurationError(
                 "reordered mode requires structurally zero L_w blocks"
             )
-        diff = replace(sys2, mass=mass, l1=ops_i.lu, l2=ops_j.lu)
-        rdiff = np.concatenate([rhs[:nu], rhs[n : n + nu]])
-        sol, rep = _solve_2x2(diff, rdiff, spec, rtol, maxit)
-        counters.differential += rep.precond_applications
-        k1, k2 = sol[:nu], sol[nu:]
-        l1 = _ConstraintSolver(ops_i.gw, counters).solve(rhs[nu:n] + dt * (ops_i.gu @ k1))
-        l2 = _ConstraintSolver(ops_j.gw, counters).solve(rhs[n + nu :] + dt * (ops_j.gu @ k2))
-        x = np.concatenate([k1, -l1 / dt, k2, -l2 / dt])
-        # the constraint solves run outside gmres, so recheck the whole block
-        rnorm = np.linalg.norm(rhs)
-        res = np.linalg.norm(rhs - apply_block2x2(sys2, x))
-        true_rel = res / rnorm if rnorm > 0.0 else 0.0
+        x, rep, true_rel = _solve_reordered(sys2, rhs, spec, rtol, maxit, counters)
     elif mode == "coupled":
         exact = partial(_EliminationSolver, counters)
         x, rep = _solve_2x2(sys2, rhs, spec, rtol, maxit, exact)
@@ -283,6 +270,32 @@ def solve_dae_block4x4(
             report=rep,
         )
     return x, rep
+
+
+def _solve_reordered(sys2, rhs, spec, rtol, maxit, counters):
+    """GMRES on the differential 2x2 block of a composite pair with
+    ``L_w = 0``, then one ``G_w`` solve per stage row; returns
+    ``(x, report, true_rel)``.
+
+    ``true_rel`` is the whole block's relative true residual, taken without
+    assembling the block: GMRES's recomputed residual on the differential
+    rows, and ``b - G_w l`` on the algebraic rows of each stage row.
+    """
+    ops_i, ops_j, dt = sys2.l1, sys2.l2, sys2.dt
+    nu, n = ops_i.lu.n, ops_i.n
+    diff = replace(sys2, mass=sys2.mass.mass, l1=ops_i.lu, l2=ops_j.lu)
+    rdiff = np.concatenate([rhs[:nu], rhs[n : n + nu]])
+    sol, rep = _solve_2x2(diff, rdiff, spec, rtol, maxit)
+    counters.differential += rep.precond_applications
+    x, sq = [], (rep.residuals[-1] * np.linalg.norm(rdiff)) ** 2
+    for ops, k, rw in ((ops_i, sol[:nu], rhs[nu:n]), (ops_j, sol[nu:], rhs[n + nu :])):
+        b = rw + dt * (ops.gu @ k)
+        ell = _ConstraintSolver(ops.gw, counters).solve(b)
+        res = b - ops.gw @ ell
+        sq += res @ res
+        x += [k, -ell / dt]
+    rnorm = np.linalg.norm(rhs)
+    return np.concatenate(x), rep, np.sqrt(sq) / rnorm if rnorm > 0.0 else 0.0
 
 
 def _block_solvers(mode, counters: DaeCounters):

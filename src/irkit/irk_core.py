@@ -133,11 +133,6 @@ def _parts(op):
     return ((0, 0, op),) if op is None or isinstance(op, SparseMatrix) else op.parts
 
 
-def shifted_matrix(alpha, mass, lmat, dt):
-    """Assemble ``alpha * M - dt * L`` as a sparse matrix."""
-    return combine([alpha, -dt], [mass, lmat])
-
-
 class ShiftedSolver:
     """Applies ``(alpha*M - dt*L)^{-1}``, exactly or by damped Jacobi sweeps.
 
@@ -147,7 +142,7 @@ class ShiftedSolver:
     """
 
     def __init__(self, alpha, mass, lmat, dt, inner="exact"):
-        self.mat = shifted_matrix(alpha, mass, lmat, dt)
+        self.mat = combine([alpha, -dt], [mass, lmat])
         self.inner = inner
         if inner == "exact":
             self._factor = self.mat.factorization
@@ -204,11 +199,6 @@ def make_block2x2_preconditioner(sys: Block2x2System, spec: PrecondSpec,
     return _lower_triangular(sys, s1.solve, s2.solve)
 
 
-def precond_block2x2(sys: Block2x2System, spec: PrecondSpec, r):
-    """One application of the block lower-triangular preconditioner."""
-    return make_block2x2_preconditioner(sys, spec)(np.asarray(r, dtype=float))
-
-
 def exact_schur_preconditioner(sys: Block2x2System):
     """Test hook: the triangular preconditioner with the exact Schur complement.
 
@@ -220,7 +210,7 @@ def exact_schur_preconditioner(sys: Block2x2System):
         raise ValueError(f"exact Schur hook limited to n <= {DENSE_KAPPA_LIMIT}")
     s1 = ShiftedSolver(sys.eta, sys.mass, sys.l1, sys.dt, "exact")
     m_dense = np.eye(n) if sys.mass is None else sys.mass.to_dense()
-    a2 = shifted_matrix(sys.eta, sys.mass, sys.l2, sys.dt).to_dense()
+    a2 = combine([sys.eta, -sys.dt], [sys.mass, sys.l2]).to_dense()
     schur = a2 + sys.beta**2 * (m_dense @ s1.solve(m_dense))
     lu, piv = densela.lu_factor(schur)
     return _lower_triangular(
@@ -391,11 +381,9 @@ def field_of_values_bound(l: SparseMatrix):
     sym = SparseMatrix((l.csr + l.csr.T) * 0.5)
     if not np.any(sym.data):
         return 0.0
-    k, perm, _ = sym.pattern.band
+    k, _, inv, _ = sym.pattern.band
     rows, cols = sym.pattern.rows, sym.indices
-    if perm is not None:
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(len(perm))
+    if inv is not None:
         rows, cols = inv[rows], inv[cols]
     low = rows >= cols
     band = np.zeros((k + 1, sym.n))

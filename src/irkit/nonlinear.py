@@ -39,6 +39,10 @@ from .tableau import SDIRK_FAMILIES, ButcherTableau, StagePrep, prepare_stages
 # 37, while a genuine coupling's is of order 1 / eps.
 COUPLING_ROUNDOFF = 128
 
+# A stage solve whose residual has grown in this many consecutive iterations
+# of one call is diverging: it stops there instead of at ``newton_maxit``.
+DIVERGENCE_STREAK = 3
+
 
 @dataclass(frozen=True)
 class OdeSystem:
@@ -210,9 +214,11 @@ def richardson(residual, assemble, solve, x, cfg: SolverConfig, linearizations,
     increment and its :class:`~irkit.irk_core.SolveStats`.  The tolerance is
     ``max(newton_rtol * |F(x0)|, newton_abs_floor)``.  Work is added to
     ``stats``, a fresh :class:`StepStats` by default.  Returns ``(x, stats)``;
-    a non-finite residual norm, a ``ValueError`` from ``assemble`` (such as a
-    non-finite Jacobian) or exhausting ``newton_maxit`` raises
-    :class:`StepFailureError` carrying the stats.
+    a non-finite residual norm, a residual that grew in
+    :data:`DIVERGENCE_STREAK` consecutive iterations of this call, a
+    ``ValueError`` from ``assemble`` (such as a non-finite Jacobian) or
+    exhausting ``newton_maxit`` raises :class:`StepFailureError` carrying
+    the stats.
     """
     stats = StepStats() if stats is None else stats
     tic = time.perf_counter()
@@ -226,6 +232,7 @@ def richardson(residual, assemble, solve, x, cfg: SolverConfig, linearizations,
     tol = max(cfg.newton_rtol * rnorm, cfg.newton_abs_floor)
     jac = None
     start = stats.newton_iterations
+    grew = 0  # consecutive iterations of this call that raised the residual
     while True:
         stats.residual_history.append(rnorm)
         its = stats.newton_iterations - start
@@ -233,6 +240,9 @@ def richardson(residual, assemble, solve, x, cfg: SolverConfig, linearizations,
             fail(f"residual is non-finite after {its} iterations")
         if rnorm <= tol:
             break
+        if grew >= DIVERGENCE_STREAK:
+            fail(f"diverged: residual grew in {grew} consecutive iterations "
+                 f"to {rnorm:.3e} after {its} iterations")
         if its >= cfg.newton_maxit:
             fail(f"stalled after {its} iterations (residual {rnorm:.3e}, tol {tol:.3e})")
         if jac is None or cfg.jacobian_refresh == "every":
@@ -246,7 +256,8 @@ def richardson(residual, assemble, solve, x, cfg: SolverConfig, linearizations,
         stats.newton_iterations += 1
         stats.add_solve(solve_stats)
         res = residual(x)
-        rnorm = np.linalg.norm(res)
+        prev, rnorm = rnorm, np.linalg.norm(res)
+        grew = grew + 1 if rnorm > prev else 0
     stats.converged = True
     stats.wall_time += time.perf_counter() - tic
     return x, stats

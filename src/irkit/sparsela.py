@@ -24,22 +24,25 @@ eigen-block operators and their LU factors for as long as ``dt`` and the
 shift stay the same, as a backward-Euler code keeps its factorization.
 
 GMRES is right-preconditioned and keeps the preconditioned basis, which
-makes the preconditioner cost exactly one application per iteration.  The
-report counts preconditioner applications as ``iterations`` times the
-``solves_per_apply`` declared by the preconditioner, matching the
-convention that a 2x2 block preconditioner costs two inner solves per
-Krylov iteration.
+makes the preconditioner cost exactly one application per iteration.  Both
+bases are stored as rows, one contiguous vector each, in arrays sized to
+the columns a restart cycle uses; the Hessenberg matrix and its Givens
+rotations are scalars (Saad, *Iterative Methods for Sparse Linear
+Systems*, 6.5).  The report counts preconditioner applications as
+``iterations`` times the ``solves_per_apply`` declared by the
+preconditioner, matching the convention that a 2x2 block preconditioner
+costs two inner solves per Krylov iteration.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 from scipy.linalg import lapack
 from scipy.sparse.csgraph import reverse_cuthill_mckee
@@ -100,14 +103,14 @@ class Pattern:
 
     @cached_property
     def band(self):
-        """``(k, perm, scatter)`` for a nonempty square pattern.
+        """``(k, perm, inv, scatter)`` for a nonempty square pattern.
 
         ``k`` is the half-bandwidth in natural order, or in the reverse
         Cuthill-McKee order ``perm`` when that is strictly narrower (``perm``
-        is ``None`` otherwise): entry ``(i, j)`` moves to ``(inv[i], inv[j])``
-        with ``inv[perm] = arange(n)``.  ``scatter`` holds the flat positions
-        of the entries in a Fortran-ordered ``(3*k + 1, n)`` LAPACK ``ab``
-        array.
+        and ``inv`` are ``None`` otherwise): entry ``(i, j)`` moves to
+        ``(inv[i], inv[j])`` with ``inv[perm] = arange(n)``.  ``scatter``
+        holds the flat positions of the entries in a Fortran-ordered
+        ``(3*k + 1, n)`` LAPACK ``ab`` array.
         """
         rows, cols, perm = self.rows, self.indices, None
         k = int(np.max(np.abs(rows - cols), initial=0))
@@ -118,7 +121,7 @@ class Pattern:
         k_rcm = int(np.max(np.abs(inv[rows] - inv[cols]), initial=0))
         if k_rcm < k:
             k, perm, rows, cols = k_rcm, order, inv[rows], inv[cols]
-        return k, perm, 2 * k + rows - cols + cols * (3 * k + 1)
+        return k, perm, None if perm is None else inv, 2 * k + rows - cols + cols * (3 * k + 1)
 
     def locate(self, other):
         """Positions of ``other``'s entries in this pattern, which must hold them."""
@@ -397,93 +400,93 @@ def gmres(op, rhs, right_precond=None, rtol=1e-5, maxit=200, restart=200):
     Reaching ``maxit`` returns a non-converged report; an Arnoldi breakdown
     whose residual misses the tolerance raises
     :class:`~irkit.errors.KrylovBreakdownError`.
+
+    The Krylov vectors ``v[j]`` and their preconditioned images ``z[j]`` are
+    rows of arrays allocated per restart cycle and widened on demand; the
+    Hessenberg columns and Givens rotations are lists of floats.  Nothing is
+    sized by ``restart`` and nothing is kept between calls.
     """
     n, apply_op = _as_apply(op)
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (n,):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({n},)")
-    if not np.all(np.isfinite(rhs)):
+    # the same ddot as np.linalg.norm; a finite norm proves every entry
+    # finite, so only an overflowing one rescans the vector
+    bnorm = math.sqrt(rhs @ rhs)
+    if not (math.isfinite(bnorm) or np.all(np.isfinite(rhs))):
         raise ValueError("rhs contains non-finite entries")
     if not (0.0 < rtol < 1.0):
         raise ValueError(f"rtol must lie in (0, 1), got {rtol}")
     spa = right_precond.solves_per_apply if right_precond is not None else 0
     apply_m = right_precond if right_precond is not None else (lambda v: v)
-
-    bnorm = np.linalg.norm(rhs)
     if bnorm == 0.0:
         return np.zeros(n), KrylovReport(0, True, [0.0], 0)
 
     x = np.zeros(n)
-    r = rhs.copy()
-    beta = np.linalg.norm(r)
+    r, beta = rhs, bnorm
     residuals = [beta / bnorm]
     total_it = 0
     converged = residuals[0] <= rtol
 
     while not converged and total_it < maxit:
         m = min(restart, maxit - total_it)
-        # row-major basis, widened on demand: a cycle touches only the
-        # columns it uses, and the BLAS calls are those of a full-width one
-        z = np.zeros((n, min(m, 8)))
-        v = np.zeros((n, z.shape[1] + 1))
-        h = np.zeros((m + 1, m))
-        cs = np.zeros(m)
-        sn = np.zeros(m)
-        g = np.zeros(m + 1)
-        v[:, 0] = r / beta
-        g[0] = beta
+        z = np.empty((min(m, 8), n))
+        v = np.empty((len(z) + 1, n))
+        v[0] = r / beta
+        g = [beta]  # the rotated right-hand side
+        cols, cs, sn = [], [], []  # triangular factor by columns, rotations
         breakdown = False
-        j = -1
         for j in range(m):
-            if j == z.shape[1]:
+            if j == len(z):
                 z = _widen(z, min(2 * j, m))
-                v = _widen(v, z.shape[1] + 1)
-            zj = apply_m(v[:, j])
-            z[:, j] = zj
+                v = _widen(v, len(z) + 1)
+            zj = apply_m(v[j])
+            z[j] = zj
             w = apply_op(zj)
-            wnorm0 = np.linalg.norm(w)
-            # Modified Gram-Schmidt with one re-orthogonalization pass.
-            for _ in range(2):
-                coef = v[:, : j + 1].T @ w
-                w -= v[:, : j + 1] @ coef
-                h[: j + 1, j] += coef
-            hj = np.linalg.norm(w)
-            h[j + 1, j] = hj
+            wnorm0 = math.sqrt(w @ w)
+            # classical Gram-Schmidt, then one re-orthogonalization pass
+            basis = v[: j + 1]
+            coef = basis @ w
+            w -= coef @ basis
+            again = basis @ w
+            w -= again @ basis
+            col = (coef + again).tolist()
+            hj = math.sqrt(w @ w)
+            col.append(hj)
             if hj <= 1e-14 * max(wnorm0, 1e-300):
                 breakdown = True
             else:
-                v[:, j + 1] = w / hj
+                v[j + 1] = w / hj
             for i in range(j):
-                tmp = cs[i] * h[i, j] + sn[i] * h[i + 1, j]
-                h[i + 1, j] = -sn[i] * h[i, j] + cs[i] * h[i + 1, j]
-                h[i, j] = tmp
-            denom = np.hypot(h[j, j], h[j + 1, j])
+                a, b = col[i], col[i + 1]
+                col[i], col[i + 1] = cs[i] * a + sn[i] * b, -sn[i] * a + cs[i] * b
+            a, b = col[j], col[j + 1]
+            denom = math.hypot(a, b)
+            total_it += 1
             if denom == 0.0:
                 # dead column: the operator maps this direction into the
                 # existing span with full cancellation; drop it and stop
                 breakdown = True
-                j -= 1
-                total_it += 1
                 residuals.append(residuals[-1])
                 break
-            cs[j], sn[j] = h[j, j] / denom, h[j + 1, j] / denom
-            h[j, j] = denom
-            h[j + 1, j] = 0.0
-            g[j + 1] = -sn[j] * g[j]
+            cs.append(a / denom)
+            sn.append(b / denom)
+            cols.append(col[:j] + [denom])
+            g.append(-sn[j] * g[j])
             g[j] = cs[j] * g[j]
-            total_it += 1
             est = abs(g[j + 1]) / bnorm
             residuals.append(est)
             if est <= rtol or breakdown or total_it >= maxit:
                 break
         # Assemble the cycle solution from the preconditioned basis.
-        k = j + 1
-        y = np.zeros(k)
+        k = len(cols)
+        y = [0.0] * k
         for i in range(k - 1, -1, -1):
-            y[i] = (g[i] - h[i, i + 1 : k] @ y[i + 1 : k]) / h[i, i]
-        x = x + z[:, :k] @ y
+            y[i] = (g[i] - sum(cols[p][i] * y[p] for p in range(i + 1, k))) / cols[i][i]
+        x = x + np.array(y) @ z[:k]
         r = rhs - apply_op(x)
-        true_rel = np.linalg.norm(r) / bnorm
+        beta = math.sqrt(r @ r)
+        true_rel = beta / bnorm
         residuals[-1] = true_rel
         if true_rel <= rtol:
             converged = True
@@ -491,7 +494,6 @@ def gmres(op, rhs, right_precond=None, rtol=1e-5, maxit=200, restart=200):
             raise KrylovBreakdownError(
                 f"Arnoldi breakdown with residual {true_rel:.3e} above rtol {rtol:.3e}"
             )
-        beta = np.linalg.norm(r)
 
     report = KrylovReport(
         iterations=total_it,
@@ -502,9 +504,9 @@ def gmres(op, rhs, right_precond=None, rtol=1e-5, maxit=200, restart=200):
     return x, report
 
 
-def _widen(a, cols):
-    out = np.zeros((a.shape[0], cols))
-    out[:, : a.shape[1]] = a
+def _widen(a, rows):
+    out = np.empty((rows, a.shape[1]))
+    out[: len(a)] = a
     return out
 
 
@@ -522,8 +524,9 @@ class BandedLU:
     (1.5e-14 of the largest entry on a 20x20 torus).
     """
 
-    def __init__(self, n, k, perm, lu, piv):
-        self.n, self._k, self._perm, self._lu, self._piv = n, k, perm, lu, piv
+    def __init__(self, n, k, perm, inv, lu, piv):
+        self.n, self._k, self._lu, self._piv = n, k, lu, piv
+        self._perm, self._inv = perm, inv
 
     @classmethod
     def factor(cls, a: SparseMatrix):
@@ -531,8 +534,8 @@ class BandedLU:
             raise ValueError(f"cannot factor a non-square matrix {a.shape}")
         n = a.n
         if n == 0:
-            return cls(0, 0, None, None, None)
-        k, perm, scatter = a.pattern.band
+            return cls(0, 0, None, None, None, None)
+        k, perm, inv, scatter = a.pattern.band
         ldab = 3 * k + 1
         ab = np.zeros(n * ldab)
         ab[scatter] = a.data
@@ -547,7 +550,7 @@ class BandedLU:
         pivot = np.abs(pivots).min()
         if pivot <= n * np.finfo(float).eps * np.abs(a.data).max(initial=0.0):
             raise SingularMatrixError(f"banded LU pivot {pivot:.3e} below threshold")
-        return cls(n, k, perm, lu, piv)
+        return cls(n, k, perm, inv, lu, piv)
 
     def solve(self, rhs):
         """Solve against one vector or a matrix of stacked column vectors."""
@@ -556,16 +559,9 @@ class BandedLU:
             return np.zeros_like(b)
         if isinstance(self._lu, tuple):
             return lapack.dgttrs(*self._lu, self._piv, b)[0]
-        one_dim = b.ndim == 1
-        bb = b[:, None] if one_dim else b
-        if self._perm is not None:
-            bb = bb[self._perm]
-        y, _ = lapack.dgbtrs(self._lu, self._k, self._k, bb, self._piv)
-        if self._perm is not None:
-            y[self._perm] = y.copy()
-        return y[:, 0] if one_dim else y
-
-
-def export_matrix_market(mat: SparseMatrix, path):
-    """Write the matrix in Matrix Market coordinate format."""
-    scipy.io.mmwrite(str(path), mat.csr)
+        if self._perm is None:
+            return lapack.dgbtrs(self._lu, self._k, self._k, b, self._piv)[0]
+        # the gathered copy is LAPACK's to overwrite
+        y = lapack.dgbtrs(self._lu, self._k, self._k, b[self._perm], self._piv,
+                          overwrite_b=1)[0]
+        return y[self._inv]

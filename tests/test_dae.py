@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from irkit import dae
 from irkit.dae import (
     DaeCounters,
     DaeOps,
@@ -16,8 +17,13 @@ from irkit.dae import (
     dae_step,
     solve_dae_block4x4,
 )
-from irkit.errors import ConfigurationError, IndexViolationError
-from irkit.irk_core import solve_transformed_system
+from irkit.errors import ConfigurationError, IndexViolationError, StageSolveError
+from irkit.irk_core import (
+    Block2x2System,
+    PrecondSpec,
+    apply_block2x2,
+    solve_transformed_system,
+)
 from irkit.nonlinear import SolverConfig, build_variant_jacobian, integrate
 from irkit.problems import make_problem
 from irkit.sparsela import SparseMatrix
@@ -185,6 +191,39 @@ class TestBlockSolve:
         )
         assert cnt.constraint == 2
         assert cnt.differential == rep.precond_applications
+
+    @pytest.mark.parametrize("rtol", [1e-5, 1e-10])
+    def test_reordered_recheck_is_the_assembled_block_residual(self, rtol):
+        # the recheck adds gmres's differential residual and the algebraic
+        # rows' b - G_w l; assembling the composite block gives the same
+        problem = make_problem("shear_layer_small", n=16)
+        sysd = problem.system
+        blk = next(b for b in prepare_stages(make_tableau("radau_iia", 2)).schur.blocks
+                   if b.size == 2)
+        rng = np.random.default_rng(10)
+        oi = DaeOps(*sysd.blocks(problem.u0, problem.w0, 0.0))
+        u1 = problem.u0 + 0.01 * rng.standard_normal(sysd.dim_u)
+        oj = DaeOps(*sysd.blocks(u1, problem.w0, 0.0))
+        sys2 = Block2x2System(blk.eta, blk.beta, blk.phi, _CompositeMass(sysd.mass, oi.lu.n),
+                              oi, oj, 0.01)
+        rhs = rng.standard_normal(2 * oi.n)
+        x, _, true_rel = dae._solve_reordered(sys2, rhs, PrecondSpec(), rtol, 200,
+                                              DaeCounters())
+        assembled = np.linalg.norm(rhs - apply_block2x2(sys2, x)) / np.linalg.norm(rhs)
+        assert 0.0 < true_rel <= rtol
+        assert abs(true_rel - assembled) <= 1e-14
+
+    def test_reordered_recheck_catches_a_wrong_constraint_solve(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        oi = random_ops(rng, 3, 3, lw_zero=True)
+        oj = random_ops(rng, 3, 3, lw_zero=True)
+        rhs = rng.standard_normal(12)
+        solve = dae._ConstraintSolver.solve
+        monkeypatch.setattr(dae._ConstraintSolver, "solve",
+                            lambda self, r: 1.001 * solve(self, r))
+        with pytest.raises(StageSolveError, match="composite block residual"):
+            solve_dae_block4x4(oi, oj, 2.0, 1.3, 0.8, 0.25, rhs, mode="reordered",
+                               rtol=1e-8, maxit=100)
 
     def test_reordered_requires_structural_zero(self):
         rng = np.random.default_rng(5)

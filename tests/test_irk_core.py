@@ -13,7 +13,6 @@ from irkit.irk_core import (
     make_block2x2_preconditioner,
     measure_kappa,
     measure_kappa_system,
-    precond_block2x2,
     solve_transformed_system,
 )
 from irkit.problems import make_problem
@@ -69,7 +68,8 @@ class TestBlock2x2:
             apply_block2x2(scalar_system(0.0, 0.0), np.zeros(3))
 
     def test_precond_scalar_oracle(self):
-        z = precond_block2x2(scalar_system(0.0, 0.0), PrecondSpec(), np.array([1.0, 0.0]))
+        pre = make_block2x2_preconditioner(scalar_system(0.0, 0.0), PrecondSpec())
+        z = pre(np.array([1.0, 0.0]))
         assert np.allclose(z, [1.0 / 3.0, 0.25])
 
     def test_precond_beta_zero_is_exact(self):

@@ -5,14 +5,17 @@ import pytest
 
 from irkit.dae import dae_integrate, dae_step
 from irkit.errors import ConfigurationError, StageSolveError, StepFailureError
-from irkit.irk_core import PrecondSpec
+from irkit.irk_core import PrecondSpec, SolveStats
 from irkit.nonlinear import (
+    DIVERGENCE_STREAK,
     OdeSystem,
     SolverConfig,
     StageState,
+    StepStats,
     build_variant_jacobian,
     integrate,
     newton_like_step,
+    richardson,
     stage_residual,
     step,
     variant_weights,
@@ -205,6 +208,36 @@ class TestNewton:
             )
             its[variant] = stats.newton_iterations
         assert its[0] >= its[3]
+
+    def test_divergence_stops_before_newton_maxit(self):
+        # simplified Newton (variant 0) on a steep Burgers front with a large
+        # step: the residual grows from the first iteration and, without the
+        # divergence check, runs all 30 iterations to a "stalled" failure
+        problem = make_problem("burgers1d", n=128, nu=0.005)
+        cfg = SolverConfig(variant=0)
+        with pytest.raises(StepFailureError, match="diverged") as err:
+            step(problem.system, problem.u0, 0.0, 0.5, make_tableau("radau_iia", 2), cfg)
+        stats = err.value.stats
+        assert stats.newton_iterations == DIVERGENCE_STREAK < cfg.newton_maxit
+        hist = stats.residual_history[-DIVERGENCE_STREAK - 1 :]
+        assert all(a < b for a, b in zip(hist, hist[1:]))
+
+    @staticmethod
+    def _richardson_on(norms, stats):
+        """Run ``richardson`` on a scalar iteration whose residual norms are
+        ``norms``, one per iterate; returns the iterate it stopped at."""
+        x, _ = richardson(lambda x: np.array([norms[int(x)]]), lambda x: None,
+                          lambda jac, res: (1.0, SolveStats()), 0.0,
+                          SolverConfig(), 1, stats=stats)
+        return x
+
+    def test_divergence_counts_within_one_call(self):
+        # DIRK stages share one StepStats: growth left in the history by an
+        # earlier call does not count towards this call's streak
+        stats = StepStats(residual_history=[1.0, 2.0, 3.0])
+        assert self._richardson_on([4.0, 5.0, 6.0, 0.0], stats) == 3.0
+        with pytest.raises(StepFailureError, match="grew in 3 consecutive"):
+            self._richardson_on([4.0, 5.0, 6.0, 7.0, 0.0], StepStats())
 
     def test_step_failure_carries_stats(self):
         problem = make_problem("burgers1d", n=64, nu=0.02)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from irkit import sparsela
-from irkit.errors import SingularMatrixError
+from irkit.errors import KrylovBreakdownError, SingularMatrixError
 from irkit.irk_core import Block2x2System
 from irkit.problems import make_problem
 from irkit.sparsela import (
@@ -16,7 +16,6 @@ from irkit.sparsela import (
     Pattern,
     SparseMatrix,
     combine,
-    export_matrix_market,
     gmres,
 )
 
@@ -49,7 +48,7 @@ class TestSparseMatrix:
 
     def test_literal_bandwidth(self):
         m = SparseMatrix(sp.diags([1.0, 2.0, 1.0], [-1, 0, 1], shape=(5, 5)))
-        k, perm, _ = m.pattern.band
+        k, perm, _, _ = m.pattern.band
         assert k == 1 and perm is None
 
     def test_combine(self):
@@ -133,6 +132,65 @@ class TestGmres:
         x, rep = gmres(a, b, rtol=1e-10, maxit=400, restart=5)
         assert rep.converged
         assert np.linalg.norm(b - a @ x) / np.linalg.norm(b) <= 1e-10
+
+    @pytest.mark.parametrize("restart", [200, 6])
+    def test_wide_and_restarted_solves_match_dense(self, restart):
+        # more iterations than the 8 basis vectors a cycle starts with, and
+        # (restart = 6) more than one cycle holds
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((60, 60)) + 9 * np.eye(60)
+        b = rng.standard_normal(60)
+        x, rep = gmres(a, b, rtol=1e-12, maxit=400, restart=restart)
+        assert rep.converged and rep.iterations > min(8, restart)
+        ref = np.linalg.solve(a, b)
+        assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_interleaved_sizes_match_fresh_calls(self):
+        rng = np.random.default_rng(8)
+        cases = [(rng.standard_normal((n, n)) + 6 * np.eye(n), pre, rng.standard_normal((3, n)))
+                 for n, pre in ((20, None), (35, LinearOperator(35, lambda v: v / 6.0)))]
+        fresh = [[gmres(a, b, right_precond=pre, rtol=1e-10)[0] for b in bs]
+                 for a, pre, bs in cases]
+        for k in range(3):
+            for (a, pre, bs), ref in zip(cases, fresh):
+                x, _ = gmres(a, bs[k], right_precond=pre, rtol=1e-10)
+                assert np.array_equal(x, ref[k])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_rejects_infinite_rhs(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            gmres(np.eye(3), np.array([1.0, bad, 0.0]))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_finite_rhs_with_overflowing_norm_is_not_rejected(self):
+        # every entry is finite, so the finiteness check lets it through; its
+        # norm overflows, so the first cycle breaks down
+        with pytest.raises(KrylovBreakdownError):
+            gmres(np.eye(4), np.full(4, 1e300))
+
+    def test_breakdown_at_the_solution_converges(self):
+        # the first Arnoldi step breaks down (h[1, 0] below 1e-14 of |A v|)
+        # with the residual already met
+        a = np.diag([1.0, 1.0 + 1e-15])
+        x, rep = gmres(a, np.ones(2), rtol=1e-12)
+        assert rep.converged and rep.iterations == 1
+        assert np.allclose(x, 1.0, atol=1e-14)
+
+    def test_breakdown_above_rtol_raises(self):
+        a = np.diag([1.0, 1.0 + 1e-15])
+        with pytest.raises(KrylovBreakdownError, match="above rtol"):
+            gmres(a, np.ones(2), rtol=1e-17)
+
+    @pytest.mark.parametrize("a, b, residual", [
+        (np.array([[0.0, 1.0], [0.0, 0.0]]), [1.0, 0.0], "1.000e\\+00"),
+        (np.diag([1.0, 0.0]), [1.0, 1.0], "7.071e-01"),
+    ])
+    def test_dead_column_raises_with_the_least_squares_residual(self, a, b, residual):
+        # A v_j falls into the span already built, with full cancellation:
+        # at once for a nilpotent operator, at the second step for a
+        # singular one
+        with pytest.raises(KrylovBreakdownError, match=f"residual {residual} above"):
+            gmres(a, np.array(b), rtol=1e-8)
 
 
 class TestBandedLU:
@@ -519,7 +577,7 @@ def test_matrix_market_round_trip(tmp_path):
     n = 10
     a = SparseMatrix(sp.identity(n) - 0.3 * periodic_central(n, 0.1))
     path = tmp_path / "op.mtx"
-    export_matrix_market(a, path)
+    scipy.io.mmwrite(str(path), a.csr)
     back = scipy.io.mmread(path).tocsr()
     assert np.allclose(back.toarray(), a.to_dense())
 
@@ -527,14 +585,29 @@ def test_matrix_market_round_trip(tmp_path):
 class TestBandOrdering:
     def test_periodic_stencil_becomes_a_band(self):
         a = SparseMatrix(sp.identity(48) - 0.2 * periodic_central(48, 1.0 / 48))
-        k, perm, _ = a.pattern.band
+        k, perm, _, _ = a.pattern.band
         assert k == 2 and sorted(perm) == list(range(48))
+
+    @pytest.mark.parametrize("nrhs", [None, 3])
+    def test_reordered_solve_matches_dense_and_keeps_rhs(self, nrhs):
+        rng = np.random.default_rng(9)
+        n = 48
+        a = SparseMatrix(3.0 * sp.identity(n) - periodic_central(n, 1.0 / n) / n
+                         + sp.diags(rng.uniform(0.0, 1.0, n)))
+        _, perm, inv, _ = a.pattern.band
+        assert perm is not None and np.array_equal(inv[perm], np.arange(n))
+        b = rng.standard_normal(n if nrhs is None else (n, nrhs))
+        kept = b.copy()
+        x = a.factorization.solve(b)
+        assert x.shape == b.shape and np.array_equal(b, kept)
+        ref = np.linalg.solve(a.to_dense(), b)
+        assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_shear_operators_reordered_to_a_narrow_band(self):
         problem = make_problem("shear_layer_small", n=16)
         lmat, _, _, gw = problem.system.blocks(problem.u0, problem.w0, 0.0)
         for m in (lmat, gw):
-            k, perm, _ = m.pattern.band
+            k, perm, _, _ = m.pattern.band
             assert k < 32 and perm is not None
 
     @settings(max_examples=60, derandomize=True, deadline=None)
