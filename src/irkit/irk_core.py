@@ -412,13 +412,3 @@ def measure_kappa(eta, beta, lhat1, lhat2, gamma=None):
     p = eta * x - lhat2.csr @ x + beta**2 * s1.solve(x)
     return densela.cond2(p)
 
-
-def measure_kappa_system(sys: Block2x2System, spec: PrecondSpec):
-    """Condition measurement for a block system (identity mass only)."""
-    if sys.mass is not None:
-        raise ValueError("conditioning measurement assumes identity mass")
-    lhat1 = combine([sys.dt], [sys.l1])
-    lhat2 = combine([sys.dt], [sys.l2])
-    return measure_kappa(
-        sys.eta, sys.beta, lhat1, lhat2, gamma=spec.gamma(sys.eta, sys.beta)
-    )

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigurationError, IrkitError, StageSolveError, StepFailureError
 from .irk_core import PrecondSpec, SolveStats, _solve_1x1, solve_transformed_system
-from .sparsela import SparseMatrix, combine
+from .sparsela import SparseMatrix, combine_rows
 from .tableau import SDIRK_FAMILIES, ButcherTableau, StagePrep, prepare_stages
 
 
@@ -136,11 +136,13 @@ def variant_weights(prep: StagePrep, variant):
     return diag, offdiag
 
 
-def _weighted_sum(weights, ops):
-    """``sum_j weights[j] * ops[j]``; composite (tuple) operators block by block."""
+def _weighted_sums(weights, ops):
+    """``weights @ ops`` row by row (:func:`~irkit.sparsela.combine_rows`);
+    composite (tuple) operators part by part."""
     if isinstance(ops[0], tuple):
-        return type(ops[0])(*(combine(weights, part) for part in zip(*ops)))
-    return combine(weights, ops)
+        parts = [combine_rows(weights, part) for part in zip(*ops)]
+        return [type(ops[0])(*row) for row in zip(*parts)]
+    return combine_rows(weights, ops)
 
 
 def build_variant_jacobian(prep: StagePrep, stage_ops, variant):
@@ -149,8 +151,10 @@ def build_variant_jacobian(prep: StagePrep, stage_ops, variant):
     ``stage_ops`` holds one linearized operator per stage, evaluated at the
     current iterate (fixed per block row): a sparse matrix, or a named tuple
     of sparse blocks such as the DAE path's ``DaeOps``, summed block by block.
-    When every stage operator is one object, couplings whose weights sum to
-    roundoff (see :data:`COUPLING_ROUNDOFF`) are left out.
+    All the sums of one linearization are taken in one pass over the stage
+    operators and memoized on the last of them.  When every stage operator
+    is one object, couplings whose weights sum to roundoff (see
+    :data:`COUPLING_ROUNDOFF`) are left out.
     """
     stage_ops = list(stage_ops)
     s = prep.tableau.s
@@ -162,9 +166,8 @@ def build_variant_jacobian(prep: StagePrep, stage_ops, variant):
         roundoff = COUPLING_ROUNDOFF * np.finfo(float).eps * np.abs(w).sum(axis=1)
         genuine = np.abs(w.sum(axis=1)) > roundoff
         ow = {key: wk for (key, wk), keep in zip(ow.items(), genuine) if keep}
-    diag = tuple(_weighted_sum(dw[i], stage_ops) for i in range(s))
-    offdiag = {key: _weighted_sum(w, stage_ops) for key, w in ow.items()}
-    return VariantJacobian(diag=diag, offdiag=offdiag)
+    sums = _weighted_sums(np.vstack([dw, *ow.values()]), stage_ops)
+    return VariantJacobian(diag=tuple(sums[:s]), offdiag=dict(zip(ow, sums[s:])))
 
 
 def stage_residual(sys: OdeSystem, st: StageState, tableau: ButcherTableau):

@@ -5,19 +5,27 @@ structure) plus a ``data`` vector.  Structurally equal patterns are one
 object, so every operator of a stage solve (stage Jacobians, variant
 operators, shifted blocks ``alpha*M - dt*L``) that lives on one pattern is
 a weighted sum of ``data`` vectors: :func:`combine` is array arithmetic,
-:func:`stack` lays weighted operators out as the blocks of one matrix, and
-:class:`BandedLU` fills LAPACK's band storage through the pattern's cached
-scatter, as RADAU5 forms ``fac*M - J`` in place (Hairer & Wanner,
-*Solving ODEs II*, IV.8).  The band is the pattern's own: its literal
-half-bandwidth in natural order, or in reverse Cuthill-McKee order when
-that is strictly narrower (Cuthill & McKee 1969; George & Liu 1981), which
-turns periodic wrap-around stencils into plain bands.
+:func:`combine_rows` takes all the weighted sums of one set of stage
+operators in one pass over their data (``out[r] += w[r, l] * data_l``, the
+same operations as one :func:`combine` per row), :func:`stack` lays
+weighted operators out as the blocks of one matrix, and :class:`BandedLU`
+fills LAPACK's band storage through the pattern's cached scatter, as RADAU5
+forms ``fac*M - J`` in place (Hairer & Wanner, *Solving ODEs II*, IV.8).
+The band is the pattern's own: its literal half-bandwidth in natural order,
+or in reverse Cuthill-McKee order when that is strictly narrower (Cuthill &
+McKee 1969; George & Liu 1981), which turns periodic wrap-around stencils
+into plain bands.  A product with a vector calls the CSR kernel behind
+scipy's own ``csr @ x`` on the pattern's index arrays, so no scipy matrix is
+built for it.
 
 Values are immutable (``data`` is read-only, and no writable alias of it is
-kept), so one matrix object holds one set of values, and operator assembly
-is memoized by identity: :func:`combine` hands back the same sum for the
-same weights on the same operand objects, :func:`stack` the same block
-matrix, and :attr:`SparseMatrix.factorization` factors a matrix once.  An
+kept), so one matrix object holds one set of values, checked finite once
+when it is made: a finite sum of squares ``data @ data`` proves every entry
+finite, and only one that overflows rescans entry by entry.  Operator
+assembly is memoized by identity: :func:`combine` and :func:`combine_rows`
+hand back the same sums for the same weights on the same operand objects,
+:func:`stack` the same block matrix, and
+:attr:`SparseMatrix.factorization` factors a matrix once.  An
 unchanged stage Jacobian (a linear problem's constant operator, a DAE's
 constant constraint block) therefore reuses its shifted blocks, its 2x2
 eigen-block operators and their LU factors for as long as ``dt`` and the
@@ -45,6 +53,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
+from scipy.sparse import _sparsetools
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import KrylovBreakdownError, SingularMatrixError
@@ -211,11 +220,11 @@ class SparseMatrix:
         out._set(pattern, data)
         return out
 
-    def _set(self, pattern, data):
+    def _set(self, pattern, data, checked=False):
         if data.shape != (pattern.nnz,):
             raise ValueError(f"data has shape {data.shape}, expected ({pattern.nnz},)")
-        if pattern.nnz and not np.all(np.isfinite(data)):
-            raise ValueError("matrix contains non-finite entries")
+        if not checked:
+            _check_finite(data)
         data = data.view()
         data.setflags(write=False)
         self.pattern, self.data, self._csr, self._sums = pattern, data, None, {}
@@ -243,9 +252,20 @@ class SparseMatrix:
         return SparseMatrix.on_pattern(pattern, data)
 
     def matvec(self, x):
-        return self.csr @ x
+        return self @ x
 
     def __matmul__(self, x):
+        """Product with a matrix or a vector.
+
+        A 1-D float64 ndarray of the right length goes straight to the kernel
+        behind scipy's own ``csr @ x``, on the pattern's index arrays; any
+        other operand goes through :attr:`csr`.
+        """
+        if type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (self.shape[1],):
+            y = np.zeros(self.shape[0])
+            _sparsetools.csr_matvec(self.shape[0], self.shape[1], self.indptr, self.indices,
+                                    self.data, x, y)
+            return y
         if isinstance(x, SparseMatrix):
             return SparseMatrix(self.csr @ x.csr)
         return self.csr @ x
@@ -257,6 +277,14 @@ class SparseMatrix:
     def identity(n):
         eye = Pattern.of((n, n), np.arange(n + 1), np.arange(n))
         return SparseMatrix.on_pattern(eye, np.ones(n))
+
+
+def _check_finite(values):
+    """Raise unless every entry is finite: a finite ``values @ values`` proves
+    it, so only a sum of squares that overflows rescans entry by entry."""
+    values = values.ravel()
+    if not (math.isfinite(values @ values) or np.all(np.isfinite(values))):
+        raise ValueError("matrix contains non-finite entries")
 
 
 def combine(coeffs, mats):
@@ -306,6 +334,45 @@ def _sum(coeffs, mats, concrete):
         else:
             data[where[m.pattern]] += c * m.data
     return SparseMatrix.on_pattern(pattern, data)
+
+
+def combine_rows(weights, mats):
+    """The sums ``combine(weights[r], mats)`` for every row ``r`` of the 2-D
+    ``weights``, as a tuple of matrices taken in one pass.
+
+    When every operand is a :class:`SparseMatrix` on one pattern, the sums
+    are the rows of one read-only ``(rows, nnz)`` array built as ``out[r] +=
+    weights[r, l] * mats[l].data`` for ``l`` in ``mats`` order, starting from
+    +0.0: the operations of :func:`combine`, plus the zero-weight terms it
+    skips, which add a signed zero to a sum that is never -0.0 and so change
+    no bit.  The array's finiteness is checked once.  Operands on distinct
+    patterns are summed row by row as :func:`combine` sums them.  The tuple
+    is memoized on the last operand like a :func:`combine` sum.
+    """
+    weights = np.asarray(weights, dtype=float)
+    mats = list(mats)
+    if weights.shape[1] != len(mats):
+        raise ValueError(f"{weights.shape[1]} weights per row for {len(mats)} operands")
+    owner = mats[-1]
+    key = (weights.tobytes(), tuple([_OWNER if m is owner else m for m in mats]))
+
+    def build():
+        pattern = owner.pattern
+        if any(m.pattern is not pattern for m in mats):
+            return tuple(_sum(w, mats, mats) for w in weights)
+        out = np.zeros((len(weights), pattern.nnz))
+        for w, m in zip(weights.T, mats):
+            out += w[:, None] * m.data
+        _check_finite(out)
+        out.setflags(write=False)
+        sums = []
+        for row in out:
+            m = SparseMatrix.__new__(SparseMatrix)
+            m._set(pattern, row, checked=True)
+            sums.append(m)
+        return tuple(sums)
+
+    return _memoized(owner, key, build)
 
 
 def stack(sizes, terms, owner):
@@ -411,10 +478,16 @@ def gmres(op, rhs, right_precond=None, rtol=1e-5, maxit=200, restart=200):
     if rhs.shape != (n,):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({n},)")
     # the same ddot as np.linalg.norm; a finite norm proves every entry
-    # finite, so only an overflowing one rescans the vector
-    bnorm = math.sqrt(rhs @ rhs)
-    if not (math.isfinite(bnorm) or np.all(np.isfinite(rhs))):
-        raise ValueError("rhs contains non-finite entries")
+    # finite, so only an overflowing one rescans the vector.  A finite rhs
+    # whose norm overflows is solved scaled by its largest entry: the
+    # residual history is relative, so only x is scaled back.
+    bnorm, scale = math.sqrt(rhs @ rhs), 1.0
+    if not math.isfinite(bnorm):
+        if not np.all(np.isfinite(rhs)):
+            raise ValueError("rhs contains non-finite entries")
+        scale = float(np.abs(rhs).max())
+        rhs = rhs / scale
+        bnorm = math.sqrt(rhs @ rhs)
     if not (0.0 < rtol < 1.0):
         raise ValueError(f"rtol must lie in (0, 1), got {rtol}")
     spa = right_precond.solves_per_apply if right_precond is not None else 0
@@ -501,7 +574,7 @@ def gmres(op, rhs, right_precond=None, rtol=1e-5, maxit=200, restart=200):
         residuals=residuals,
         precond_applications=total_it * spa,
     )
-    return x, report
+    return x * scale, report
 
 
 def _widen(a, rows):

@@ -12,11 +12,10 @@ from irkit.irk_core import (
     field_of_values_bound,
     make_block2x2_preconditioner,
     measure_kappa,
-    measure_kappa_system,
     solve_transformed_system,
 )
 from irkit.problems import make_problem
-from irkit.sparsela import SparseMatrix, gmres
+from irkit.sparsela import SparseMatrix, combine, gmres
 from irkit.tableau import kappa_bound, make_tableau, prepare_stages
 
 
@@ -345,12 +344,12 @@ class TestMeasureKappa:
         assert kappa <= kappa_bound(3.0, np.sqrt(3.0), "distinct") + 1e-6
 
     def test_system_wrapper(self):
+        # a block system's operators, scaled by its dt, with its gamma
         lmat = make_problem("heat1d", n=24).operator
-        sysb = Block2x2System(
-            eta=2.0, beta=np.sqrt(2.0), phi=1.0, mass=None, l1=lmat, l2=lmat, dt=0.01
-        )
-        kappa = measure_kappa_system(sysb, PrecondSpec())
-        assert kappa <= kappa_bound(2.0, np.sqrt(2.0)) + 1e-6
+        eta, beta, dt = 2.0, np.sqrt(2.0), 0.01
+        gamma = PrecondSpec().gamma(eta, beta)
+        kappa = measure_kappa(eta, beta, combine([dt], [lmat]), combine([dt], [lmat]), gamma)
+        assert kappa <= kappa_bound(eta, beta) + 1e-6
 
     def test_size_cap(self):
         z = SparseMatrix(sp.identity(600, format="csr"))

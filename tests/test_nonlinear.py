@@ -2,8 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from irkit.dae import dae_integrate, dae_step
+from irkit.dae import DaeOps, dae_integrate, dae_step
 from irkit.errors import ConfigurationError, StageSolveError, StepFailureError
 from irkit.irk_core import PrecondSpec, SolveStats
 from irkit.nonlinear import (
@@ -21,7 +22,7 @@ from irkit.nonlinear import (
     variant_weights,
 )
 from irkit.problems import make_problem
-from irkit.sparsela import SparseMatrix
+from irkit.sparsela import SparseMatrix, combine
 from irkit.tableau import make_tableau, prepare_stages
 
 TIGHT = SolverConfig(newton_rtol=1e-12, krylov_rtol=1e-12)
@@ -140,6 +141,98 @@ class TestVariantJacobian:
         for blk in prep.blocks:
             if blk.size == 2:
                 assert (blk.offset + 1, blk.offset) in ow
+
+
+def random_stage_operators(kind, s, rng):
+    """Stage operators of one ``kind``: one object for every stage
+    (``identical``), distinct values on one pattern (``distinct``), distinct
+    patterns (``patterns``), or ``DaeOps`` composites with a coupled or a
+    structurally zero ``L_w`` (``dae``, ``dae_lw0``)."""
+    band = SparseMatrix(sp.diags([1.0, 1.0, 1.0, 1.0], [-1, 0, 1, 5], shape=(6, 6))).pattern
+    if kind == "identical":
+        return [SparseMatrix.on_pattern(band, rng.standard_normal(band.nnz))] * s
+    if kind == "distinct":
+        return [SparseMatrix.on_pattern(band, rng.standard_normal(band.nnz)) for _ in range(s)]
+    if kind == "patterns":
+        return [SparseMatrix(sp.random(6, 6, density=0.4, random_state=rng) + sp.eye(6))
+                for _ in range(s)]
+    nu, nw = 3, 2
+    return [DaeOps(SparseMatrix(rng.standard_normal((nu, nu))),
+                   SparseMatrix(np.zeros((nu, nw)) if kind == "dae_lw0"
+                                else rng.standard_normal((nu, nw))),
+                   SparseMatrix(rng.standard_normal((nw, nu))),
+                   SparseMatrix(rng.standard_normal((nw, nw))))
+            for _ in range(s)]
+
+
+def assert_same_bits(got, want):
+    """Equal patterns and bit-identical values, signed zeros included."""
+    for g, w in zip(got, want) if isinstance(want, tuple) else [(got, want)]:
+        assert g.pattern is w.pattern and g.data.tobytes() == w.data.tobytes()
+
+
+class TestOnePassAssembly:
+    """``build_variant_jacobian`` takes all sums of a linearization in one pass,
+    bit for bit what one ``combine`` per operator gives."""
+
+    @pytest.mark.parametrize("variant", [0, 1, 2, 3])
+    @pytest.mark.parametrize("s", [2, 3, 4])
+    @pytest.mark.parametrize("family", ["gauss", "radau_iia", "lobatto_iiic"])
+    def test_matches_one_combine_per_operator(self, family, s, variant):
+        prep = prepare_stages(make_tableau(family, s))
+        dw, ow = variant_weights(prep, variant)
+        rng = np.random.default_rng(100 * s + variant)
+        for kind in ("identical", "distinct", "patterns", "dae", "dae_lw0"):
+            ops = random_stage_operators(kind, s, rng)
+
+            def per_operator(w):
+                if isinstance(ops[0], tuple):
+                    return DaeOps(*(combine(w, part) for part in zip(*ops)))
+                return combine(w, ops)
+
+            vjac = build_variant_jacobian(prep, ops, variant)
+            assert len(vjac.diag) == s
+            for i in range(s):
+                assert_same_bits(vjac.diag[i], per_operator(dw[i]))
+            if kind != "identical":  # one object drops its roundoff couplings
+                assert set(vjac.offdiag) == set(ow)
+            for key, op in vjac.offdiag.items():
+                assert_same_bits(op, per_operator(ow[key]))
+
+    def test_memoized_on_the_last_stage_operator(self):
+        prep = prepare_stages(make_tableau("radau_iia", 3))
+        ops = random_stage_operators("distinct", 3, np.random.default_rng(1))
+        first = build_variant_jacobian(prep, ops, 3)
+        again = build_variant_jacobian(prep, ops, 3)
+        assert all(a is b for a, b in zip(first.diag, again.diag))
+        assert all(first.offdiag[k] is again.offdiag[k] for k in first.offdiag)
+        other = build_variant_jacobian(prep, [ops[1], ops[0], ops[2]], 3)
+        assert other.diag[0] is not first.diag[0]
+
+    def test_operators_are_read_only(self):
+        prep = prepare_stages(make_tableau("gauss", 3))
+        ops = random_stage_operators("distinct", 3, np.random.default_rng(2))
+        vjac = build_variant_jacobian(prep, ops, 3)
+        for op in (*vjac.diag, *vjac.offdiag.values()):
+            with pytest.raises(ValueError, match="read-only"):
+                op.data[0] = 1.0
+            with pytest.raises(ValueError):
+                op.data.setflags(write=True)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_sum_raises(self):
+        # every stage operator is finite; weights four times the tableau's
+        # carry their sum past the float range
+        prep = prepare_stages(make_tableau("radau_iia", 3))
+        big = replace(prep, d=4.0 * prep.d)
+        ops = [SparseMatrix(np.full((2, 2), 1e308)) for _ in range(3)]
+        with pytest.raises(ValueError, match="non-finite"):
+            build_variant_jacobian(big, ops, 2)
+        with pytest.raises(StepFailureError, match="linearization failed") as err:
+            richardson(lambda x: np.ones(2), lambda x: build_variant_jacobian(big, ops, 2),
+                       None, np.zeros(2), SolverConfig(), 3)
+        assert err.value.stats.newton_iterations == 0
+        assert err.value.stats.jacobian_assemblies == 0
 
 
 class TestNewton:

@@ -58,6 +58,60 @@ class TestSparseMatrix:
         assert np.allclose(out.to_dense(), [[5.0, -1.0], [-1.0, 7.0]])
 
 
+class TestKernelProduct:
+    """``m @ x`` on a 1-D float64 vector calls scipy's CSR kernel directly and
+    must give what ``m.csr @ x`` gives; every other operand goes through
+    ``m.csr``."""
+
+    @staticmethod
+    def fresh(m):
+        """``m``'s values on its pattern, with no scipy matrix built yet."""
+        return SparseMatrix.on_pattern(m.pattern, m.data.copy())
+
+    @pytest.mark.parametrize("shape", [(6, 6), (7, 4), (3, 5)], ids=["square", "tall", "wide"])
+    def test_matches_scipy(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        a = rng.standard_normal(shape) * (rng.random(shape) < 0.6)
+        a[1] = 0.0  # an empty row
+        m = self.fresh(SparseMatrix(a))
+        x = rng.standard_normal(shape[1])
+        y = m @ x
+        assert m._csr is None  # the kernel builds no scipy matrix
+        assert y.dtype == np.float64 and np.array_equal(y, m.csr @ x)
+        assert np.array_equal(m.matvec(x), y)
+
+    def test_no_entries(self):
+        # as shear's L_w: a square block with nnz == 0
+        m = self.fresh(SparseMatrix(sp.csr_matrix((5, 5))))
+        y = m @ np.ones(5)
+        assert m._csr is None and m.nnz == 0
+        assert np.array_equal(y, np.zeros(5)) and np.array_equal(y, m.csr @ np.ones(5))
+
+    def test_strided_and_integer_operands(self):
+        rng = np.random.default_rng(3)
+        m = self.fresh(random_operator(rng, 8, 2, True))
+        strided = rng.standard_normal(16)[::2]
+        y = m @ strided
+        assert m._csr is None
+        assert np.array_equal(y, m.csr @ strided)
+        ints = np.arange(8)
+        assert np.array_equal(m @ ints, m.csr @ ints)
+
+    def test_other_operands_behave_as_before(self):
+        rng = np.random.default_rng(4)
+        m = self.fresh(random_operator(rng, 6, 1, True))
+        block = rng.standard_normal((6, 3))
+        assert np.array_equal(m @ block, m.csr @ block)
+        column = rng.standard_normal((6, 1))
+        assert np.array_equal(m @ column, m.csr @ column)
+        for wrong in (np.ones(5), np.ones(7)):
+            with pytest.raises(ValueError) as ours:
+                m @ wrong
+            with pytest.raises(ValueError) as scipys:
+                m.csr @ wrong
+            assert str(ours.value) == str(scipys.value)
+
+
 class TestGmres:
     def test_identity_one_iteration(self):
         b = np.arange(1.0, 6.0)
@@ -164,9 +218,13 @@ class TestGmres:
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_finite_rhs_with_overflowing_norm_is_not_rejected(self):
         # every entry is finite, so the finiteness check lets it through; its
-        # norm overflows, so the first cycle breaks down
-        with pytest.raises(KrylovBreakdownError):
-            gmres(np.eye(4), np.full(4, 1e300))
+        # norm overflows, so it is solved scaled by its largest entry
+        rhs = np.array([1e300, -2e300, 5e299, 1e300])
+        a = np.diag([1.0, 2.0, 4.0, 0.5])
+        x, rep = gmres(a, rhs, rtol=1e-12)
+        assert rep.converged and rep.iterations == 4
+        assert np.all(np.isfinite(rep.residuals)) and rep.residuals[-1] <= 1e-12
+        assert np.allclose(x, rhs / np.diag(a), rtol=1e-12, atol=0.0)
 
     def test_breakdown_at_the_solution_converges(self):
         # the first Arnoldi step breaks down (h[1, 0] below 1e-14 of |A v|)

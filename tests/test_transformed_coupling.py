@@ -7,15 +7,20 @@ the linear stage system becomes ``T y = (q^T (x) I) rhs`` with blocks
 
 and the stage increments are ``x = ((q r) (x) I) y``.  Variant 2 keeps the
 operator part of ``T`` on the diagonal only; variant 3 keeps it for every
-``l`` in or after the eigen-block of row ``k``.  The oracle assembles that
-truncation densely from ``prep.schur.q`` and ``prep.schur.r`` alone, so the
-sweep's cross-block coupling terms are checked against an independent
+``l`` in or after the eigen-block of row ``k``.  Variants 0 and 1 keep only a
+diagonal operator too, one stage's ``A``: stage 0's, or that of the stage
+with the largest weight ``q[i, k]^2`` in row ``k``.  The oracle assembles
+that truncation densely from ``prep.schur.q`` and ``prep.schur.r`` alone, so
+the sweep's cross-block coupling terms are checked against an independent
 construction.  Unequal stage operators keep the coupling weights well away
 from roundoff.
 """
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from irkit.dae import DaeCounters, DaeOps, _block_solvers, _CompositeMass
 from irkit.irk_core import solve_transformed_system
@@ -41,12 +46,13 @@ def truncated_oracle(prep, stage_mats, mass, rhs, variant, in_block=True):
     big = np.zeros((s * n, s * n))
     for k in range(s):
         for l in range(s):
-            if variant == 2:
-                keep = l == k
-            else:
-                keep = l == k or start[l] > start[k] or (in_block and start[l] == start[k])
             blk = r[k, l] * mass
-            if keep:
+            if variant < 2:
+                if l == k:
+                    lumped = 0 if variant == 0 else int(np.argmax(q[:, k] ** 2))
+                    blk = blk - DT * stage_mats[lumped]
+            elif l == k or (variant == 3 and (
+                    start[l] > start[k] or (in_block and start[l] == start[k]))):
                 blk = blk - DT * sum(q[i, k] * q[i, l] * stage_mats[i] for i in range(s))
             big[k * n : (k + 1) * n, l * n : (l + 1) * n] = blk
     y = np.linalg.solve(big, (q.T @ rhs).ravel()).reshape(s, n)
@@ -75,6 +81,44 @@ def test_ode_solve_matches_truncated_operator(family, s, variant):
     if variant == 3:
         # the couplings move the solution far beyond the tolerance above
         assert np.max(np.abs(oracle - truncated_oracle(prep, mats, mass, rhs, 2))) > 1e-3
+
+
+def left_half_plane_operator(rng, n, bandwidth, periodic):
+    """Random band of half-width ``bandwidth`` (plus the two corner entries
+    if ``periodic``), shifted so its field of values lies left of -0.5."""
+    a = np.triu(np.tril(rng.standard_normal((n, n)), bandwidth), -bandwidth)
+    if periodic:
+        a[0, -1], a[-1, 0] = rng.standard_normal(2)
+    top = np.linalg.eigvalsh(0.5 * (a + a.T))[-1]
+    return a - (top + 0.5) * np.eye(n)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    scheme=hst.sampled_from([(family, s) for family in ("gauss", "radau_iia", "lobatto_iiic")
+                             for s in (2, 3, 4)]),
+    seed=hst.integers(0, 2**32 - 1),
+    n=hst.integers(3, 7),
+    bandwidths=hst.lists(hst.integers(0, 2), min_size=4, max_size=4),
+    periodic=hst.booleans(),
+    diagonal_mass=hst.booleans(),
+)
+def test_property_ode_solve_matches_truncated_operator(scheme, seed, n, bandwidths, periodic,
+                                                       diagonal_mass):
+    # unequal stage operators, each on its own drawn band, for all four variants
+    family, s = scheme
+    rng = np.random.default_rng(seed)
+    prep = prepare_stages(make_tableau(family, s))
+    mats = [left_half_plane_operator(rng, n, bandwidths[i], periodic) for i in range(s)]
+    mass = np.diag(0.5 + rng.random(n)) if diagonal_mass else np.eye(n)
+    rhs = rng.standard_normal((s, n))
+    ops = [SparseMatrix(sp.csr_matrix(a)) for a in mats]
+    for variant in range(4):
+        x, _ = solve_transformed_system(
+            prep, ops, variant, DT, rhs, mass=SparseMatrix(mass) if diagonal_mass else None,
+            krylov_rtol=1e-13, krylov_maxit=400,
+        )
+        check(x, truncated_oracle(prep, mats, mass, rhs, variant))
 
 
 def random_composite(rng, nu, nw, lw_zero):
