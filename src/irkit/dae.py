@@ -36,6 +36,7 @@ from .errors import (
 )
 from .irk_core import (
     Block2x2System,
+    PairPlan,
     PrecondSpec,
     ShiftedSolver,
     _solve_2x2,
@@ -224,6 +225,7 @@ def solve_dae_block4x4(
     rtol=1e-5,
     maxit=200,
     offdiag=None,
+    plan=None,
 ):
     """Solve one complex-pair composite block; returns ``(x, report)``.
 
@@ -235,30 +237,31 @@ def solve_dae_block4x4(
     ``{(0, 1): DaeOps, (1, 0): DaeOps}`` acting between the two stage rows;
     the reordered ordering drops them (its triangular structure assumes the
     lumped or weighted block-diagonal linearization), so there the outer
-    nonlinear iteration absorbs any coupling mismatch.
+    nonlinear iteration absorbs any coupling mismatch.  A stage solve's
+    :class:`~irkit.irk_core.PairPlan` of the block, as ``plan``, overrides the
+    block arguments, ``mass``, ``spec`` and ``offdiag``.
     """
     if counters is None:
         counters = DaeCounters()
-    nu, n = ops_i.lu.n, ops_i.n
+    if plan is None:
+        offdiag = offdiag or {}
+        plan = PairPlan(Block2x2System(eta, beta, phi, _CompositeMass(mass, ops_i.lu.n), ops_i,
+                                       ops_j, dt, offdiag.get((0, 1)), offdiag.get((1, 0))),
+                        spec, partial(_EliminationSolver, counters))
+    ops_i, ops_j = plan.system.l1, plan.system.l2
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (2 * n,):
-        raise ValueError(f"rhs has shape {rhs.shape}, expected ({2 * n},)")
-    offdiag = {} if mode == "reordered" else offdiag or {}
-    sys2 = Block2x2System(
-        eta=eta, beta=beta, phi=phi, mass=_CompositeMass(mass, nu),
-        l1=ops_i, l2=ops_j, dt=dt,
-        offdiag12=offdiag.get((0, 1)), offdiag21=offdiag.get((1, 0)),
-    )
+    if rhs.shape != (2 * ops_i.n,):
+        raise ValueError(f"rhs has shape {rhs.shape}, expected ({2 * ops_i.n},)")
 
     if mode == "reordered":
         if ops_i.lw.nnz or ops_j.lw.nnz:
             raise ConfigurationError(
                 "reordered mode requires structurally zero L_w blocks"
             )
-        x, rep, true_rel = _solve_reordered(sys2, rhs, spec, rtol, maxit, counters)
+        x, rep, true_rel = _solve_reordered(plan.system, rhs, plan.spec, rtol, maxit,
+                                            counters)
     elif mode == "coupled":
-        exact = partial(_EliminationSolver, counters)
-        x, rep = _solve_2x2(sys2, rhs, spec, rtol, maxit, exact)
+        x, rep = _solve_2x2(plan, rhs, rtol, maxit)
         # gmres has already measured the true residual of x against rtol
         true_rel = rep.residuals[-1]
     else:
@@ -283,9 +286,10 @@ def _solve_reordered(sys2, rhs, spec, rtol, maxit, counters):
     """
     ops_i, ops_j, dt = sys2.l1, sys2.l2, sys2.dt
     nu, n = ops_i.lu.n, ops_i.n
-    diff = replace(sys2, mass=sys2.mass.mass, l1=ops_i.lu, l2=ops_j.lu)
+    diff = replace(sys2, mass=sys2.mass.mass, l1=ops_i.lu, l2=ops_j.lu,
+                   offdiag12=None, offdiag21=None)
     rdiff = np.concatenate([rhs[:nu], rhs[n : n + nu]])
-    sol, rep = _solve_2x2(diff, rdiff, spec, rtol, maxit)
+    sol, rep = _solve_2x2(PairPlan(diff, spec), rdiff, rtol, maxit)
     counters.differential += rep.precond_applications
     x, sq = [], (rep.residuals[-1] * np.linalg.norm(rdiff)) ** 2
     for ops, k, rw in ((ops_i, sol[:nu], rhs[nu:n]), (ops_j, sol[nu:], rhs[n + nu :])):
@@ -301,38 +305,24 @@ def _solve_reordered(sys2, rhs, spec, rtol, maxit, counters):
 def _block_solvers(mode, counters: DaeCounters):
     """Composite block solvers for the ODE core, counting into ``counters``."""
 
-    def solve_pair(sys2, rhs, spec, rtol, maxit, shifted):
+    def solve_pair(plan, rhs, rtol, maxit):
         # a closure, not a partial, so a wrapper on the module attribute sees
-        # every call; solve_dae_block4x4 rebuilds ``shifted`` from ``counters``
-        return solve_dae_block4x4(
-            sys2.l1, sys2.l2, sys2.eta, sys2.beta, sys2.phi, sys2.dt, rhs, mode=mode,
-            mass=sys2.mass.mass, spec=spec, counters=counters, rtol=rtol, maxit=maxit,
-            offdiag={(0, 1): sys2.offdiag12, (1, 0): sys2.offdiag21},
-        )
+        # every call; the plan's ``shifted`` counts into ``counters``
+        s2 = plan.system
+        return solve_dae_block4x4(s2.l1, s2.l2, s2.eta, s2.beta, s2.phi, s2.dt, rhs, mode=mode,
+                                  counters=counters, rtol=rtol, maxit=maxit, plan=plan)
 
     return {"shifted": partial(_EliminationSolver, counters), "solve_pair": solve_pair}
 
 
-def dae_newton_step(sys: DaeSystem, st: DaeStageState, prep, cfg: SolverConfig,
-                    mode="coupled"):
-    """Newton-like iteration on the stage system of ``diag(M, 0) y' = F(y)``.
-
-    :func:`~irkit.nonlinear.newton_like_step` runs on the ODE view of
-    ``sys`` with the stage rows ``[k | ell]``, shape ``(s, dim_u + dim_w)``,
-    and the composite block solvers of ``mode``.
-    """
-    counters = DaeCounters()
-    y, stats = newton_like_step(_ode_view(sys), _stacked(st), prep, cfg,
-                                **_block_solvers(mode, counters))
-    st.k, st.ell = y.k[:, : sys.dim_u], y.k[:, sys.dim_u :]
-    stats.differential_solves = counters.differential
-    stats.constraint_solves = counters.constraint
-    return st, stats, counters
-
-
 def dae_step(sys: DaeSystem, u, w, t, dt, tableau, cfg=SolverConfig(), prep=None,
              mode="coupled"):
-    """One DAE step; returns ``(u_next, w_next, StepStats)``."""
+    """One DAE step; returns ``(u_next, w_next, StepStats)``.
+
+    :func:`~irkit.nonlinear.newton_like_step` solves the stage system of
+    ``diag(M, 0) y' = F(y)`` on the ODE view of ``sys``, with stage rows
+    ``[k | ell]`` and the composite block solvers of ``mode``.
+    """
     if tableau.family in SDIRK_FAMILIES:
         raise ConfigurationError(
             "DIRK tableaux are not supported on DAE systems; use a fully "
@@ -340,17 +330,14 @@ def dae_step(sys: DaeSystem, u, w, t, dt, tableau, cfg=SolverConfig(), prep=None
         )
     if prep is None:
         prep = prepare_stages(tableau)
-    st = DaeStageState(
-        k=np.zeros((tableau.s, sys.dim_u)),
-        ell=np.zeros((tableau.s, sys.dim_w)),
-        u=np.asarray(u, dtype=float),
-        w=np.asarray(w, dtype=float),
-        t=t,
-        dt=dt,
-    )
-    st, stats, _ = dae_newton_step(sys, st, prep, cfg, mode=mode)
-    u_next = st.u + dt * (tableau.b0 @ st.k)
-    w_next = st.w + dt * (tableau.b0 @ st.ell)
+    y = np.concatenate([np.asarray(u, dtype=float), np.asarray(w, dtype=float)])
+    st = StageState(np.zeros((tableau.s, len(y))), y, t, dt)
+    counters = DaeCounters()
+    st, stats = newton_like_step(_ode_view(sys), st, prep, cfg, **_block_solvers(mode, counters))
+    y_next = y + dt * (tableau.b0 @ st.k)
+    u_next, w_next = y_next[: sys.dim_u], y_next[sys.dim_u :]
+    stats.differential_solves = counters.differential
+    stats.constraint_solves = counters.constraint
     stats.constraint_residual = float(
         np.linalg.norm(sys.constraint(u_next, w_next, t + dt))
     )

@@ -14,10 +14,10 @@ diagonal block uses the shift ``gamma`` (optimally ``eta + beta^2/eta``).
 The coupling terms ``C12``/``C21`` are only present for the richest
 linearization variant; the preconditioner always ignores them.
 
-Each 2x2 block operator is assembled once as one CSR matrix on an interned
-block pattern (:func:`~irkit.sparsela.stack`) and memoized on ``L1``, so a
-Krylov iteration applies it with one sparse product, and a constant
-operator's blocks are built on the first step only.
+Each 2x2 block operator is one CSR matrix on an interned block pattern
+(:func:`~irkit.sparsela.stack`), so a Krylov iteration applies it with one
+sparse product.  The variant Jacobian keeps each block's plan (its system and
+preconditioner): a constant operator's are built on the first step only.
 """
 
 from __future__ import annotations
@@ -233,24 +233,56 @@ class SolveStats:
         return sum(rep.precond_applications for _, rep in self.reports)
 
 
-def _solve_2x2(sys2, rhs, spec, rtol, maxit, shifted=ShiftedSolver):
-    return gmres(
-        LinearOperator(2 * sys2.n, lambda x: apply_block2x2(sys2, x)),
-        rhs,
-        right_precond=make_block2x2_preconditioner(sys2, spec, shifted),
-        rtol=rtol,
-        maxit=maxit,
-    )
+@dataclass
+class PairPlan:
+    """A 2x2 eigen-block's system and its preconditioner, built on first use
+    by :func:`make_block2x2_preconditioner` with the ``shifted`` diagonal-block
+    solvers.  The plan refers to its system, never the other way round, so it
+    dies by reference count."""
+
+    system: Block2x2System
+    spec: PrecondSpec
+    shifted: object = ShiftedSolver
+
+    @cached_property
+    def precond(self):
+        return make_block2x2_preconditioner(self.system, self.spec, self.shifted)
 
 
-def _solve_1x1(eta, lmat, mass, dt, rhs, spec, rtol, maxit, shifted=ShiftedSolver):
+def _solve_2x2(plan, rhs, rtol, maxit):
+    sys2 = plan.system
+    op = LinearOperator(2 * sys2.n, lambda x: apply_block2x2(sys2, x))
+    return gmres(op, rhs, right_precond=plan.precond, rtol=rtol, maxit=maxit)
+
+
+def _plan_1x1(eta, lmat, mass, dt, spec, shifted=ShiftedSolver):
+    """The shifted block ``eta*M - dt*L`` as an operator, and its preconditioner."""
     op = LinearOperator(
         lmat.n,
         lambda x: eta * (x if mass is None else mass @ x) - dt * (lmat @ x),
     )
     solver = shifted(eta, mass, lmat, dt, spec.inner)
-    pre = LinearOperator(lmat.n, solver.solve, solves_per_apply=1)
-    return gmres(op, rhs, right_precond=pre, rtol=rtol, maxit=maxit)
+    return op, LinearOperator(lmat.n, solver.solve, solves_per_apply=1)
+
+
+def _block_plan(vjac, blk, dt, mass, spec, shifted):
+    """The plan ``vjac`` keeps for eigen-block ``blk``: ``(operator,
+    preconditioner)`` of a 1x1 block or the :class:`PairPlan` of a 2x2 one,
+    rebuilt (replacing the block's old one) when ``dt``, the ``mass`` object,
+    ``spec`` or the ``shifted`` factory is not what it was built for."""
+    key = (dt, mass, spec, shifted)
+    held = vjac.plans.get(blk.offset)
+    if held is not None and held[0] == key:
+        return held[1]
+    i = blk.offset
+    if blk.size == 1:
+        plan = _plan_1x1(blk.eta, vjac.diag[i], mass, dt, spec, shifted)
+    else:
+        plan = PairPlan(Block2x2System(blk.eta, blk.beta, blk.phi, mass, vjac.diag[i],
+                                       vjac.diag[i + 1], dt, vjac.offdiag.get((i, i + 1)),
+                                       vjac.offdiag.get((i + 1, i))), spec, shifted)
+    vjac.plans[i] = key, plan
+    return plan
 
 
 def block_sweep(prep, rhs_stages, mass_apply, couple, solve_block):
@@ -270,12 +302,13 @@ def block_sweep(prep, rhs_stages, mass_apply, couple, solve_block):
     r0 = prep.schur.r
     s = prep.tableau.s
     g = q.T @ rhs_stages
-    y = np.zeros_like(g)
+    y = np.empty_like(g)  # every row is solved before it is read
     my = [None] * s  # mass_apply(y[j]), cached once each block is solved
     stats = SolveStats()
     for blk in reversed(prep.schur.blocks):
         rows = range(blk.offset, blk.offset + blk.size)
-        acc = g[rows].copy()
+        span = slice(blk.offset, blk.offset + blk.size)
+        acc = g[span].copy()
         for local, i in enumerate(rows):
             for j in range(blk.offset + blk.size, s):
                 if r0[i, j] != 0.0:
@@ -290,7 +323,7 @@ def block_sweep(prep, rhs_stages, mass_apply, couple, solve_block):
                 block_offset=blk.offset,
                 report=rep,
             )
-        y[rows] = sol.reshape(blk.size, -1)
+        y[span] = sol.reshape(blk.size, -1)
         for i in rows:
             my[i] = mass_apply(y[i])
         stats.reports.append((blk.offset, rep))
@@ -316,21 +349,23 @@ def solve_transformed_system(
     ``rhs_stages`` has shape ``(s, n)``.  The quasi-triangular block system
     is swept by :func:`block_sweep` with 1x1 shifted solves and 2x2 block
     GMRES, swappable by keyword (the ODE ones by default): ``shifted(alpha,
-    mass, l, dt, inner)`` builds each exact shifted solver and ``solve_pair(sys2,
-    rhs, spec, rtol, maxit, shifted)`` returns a 2x2 block's ``(x, KrylovReport)``.
+    mass, l, dt, inner)`` builds each exact shifted solver and
+    ``solve_pair(plan, rhs, rtol, maxit)`` returns a 2x2 block's ``(x,
+    KrylovReport)`` from its :class:`PairPlan`.
 
     The block-diagonal approximation of the transformed operator is taken
     from ``variant_jacobian`` when given, otherwise built from
-    ``stage_ops`` and ``variant``.  Returns ``(k, SolveStats)``; a
-    non-convergent inner solve raises :class:`StageSolveError` carrying the
-    block offset and report.
+    ``stage_ops`` and ``variant``.  It keeps each block's plan (operator and
+    preconditioner) for as long as ``dt``, ``mass``, ``precond`` and
+    ``shifted`` stay the same, so a memoized Jacobian plans its solve once.
+    Returns ``(k, SolveStats)``; a non-convergent inner solve raises
+    :class:`StageSolveError` carrying the block offset and report.
     """
-    if variant_jacobian is None:
+    vjac = variant_jacobian
+    if vjac is None:
         from .nonlinear import build_variant_jacobian
 
         vjac = build_variant_jacobian(prep, stage_ops, variant)
-    else:
-        vjac = variant_jacobian
     rhs = np.asarray(rhs_stages, dtype=float)
     s = prep.tableau.s
     if rhs.shape[0] != s:
@@ -346,22 +381,11 @@ def solve_transformed_system(
         return None if od is None else dt * (od @ yj)
 
     def solve_block(blk, acc):
-        i = blk.offset
+        plan = _block_plan(vjac, blk, dt, mass, precond, shifted)
         if blk.size == 1:
-            return _solve_1x1(blk.eta, vjac.diag[i], mass, dt, acc[0], precond,
-                              krylov_rtol, krylov_maxit, shifted)
-        sys2 = Block2x2System(
-            eta=blk.eta,
-            beta=blk.beta,
-            phi=blk.phi,
-            mass=mass,
-            l1=vjac.diag[i],
-            l2=vjac.diag[i + 1],
-            dt=dt,
-            offdiag12=vjac.offdiag.get((i, i + 1)),
-            offdiag21=vjac.offdiag.get((i + 1, i)),
-        )
-        return solve_pair(sys2, acc.ravel(), precond, krylov_rtol, krylov_maxit, shifted)
+            return gmres(plan[0], acc[0], right_precond=plan[1], rtol=krylov_rtol,
+                         maxit=krylov_maxit)
+        return solve_pair(plan, acc.ravel(), krylov_rtol, krylov_maxit)
 
     return block_sweep(prep, rhs, mass_apply, couple, solve_block)
 

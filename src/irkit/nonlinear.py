@@ -12,7 +12,9 @@ operators.  Four approximations are supported, in increasing fidelity:
   quasi-triangular block sparsity (closest to a true Newton iteration).
 
 When all stage linearizations coincide the four variants are identical and
-the iteration converges in a single step on linear problems.
+the iteration converges in a single step on linear problems.  The variant
+Jacobian, with the eigen-block plans it keeps, is memoized on the stage
+operators, so an unchanged linearization plans its stage solve once.
 
 SDIRK tableaux bypass the Schur transform: their stage equations are lower
 triangular and are solved stage by stage, with one preconditioner
@@ -27,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, IrkitError, StageSolveError, StepFailureError
-from .irk_core import PrecondSpec, SolveStats, _solve_1x1, solve_transformed_system
-from .sparsela import SparseMatrix, combine_rows
+from .irk_core import PrecondSpec, SolveStats, _plan_1x1, solve_transformed_system
+from .sparsela import SparseMatrix, _memoized, combine_rows, gmres
 from .tableau import SDIRK_FAMILIES, ButcherTableau, StagePrep, prepare_stages
 
 
@@ -99,11 +101,14 @@ class VariantJacobian:
 
     ``diag[i]`` is the operator used on stage row ``i``; ``offdiag`` maps
     row/column pairs inside the quasi-triangular sparsity to weighted-sum
-    coupling operators (populated only by variant 3).
+    coupling operators (populated only by variant 3).  ``plans`` keeps each
+    eigen-block's operator and preconditioner, built on first use by
+    :func:`~irkit.irk_core.solve_transformed_system`.
     """
 
     diag: tuple
     offdiag: dict
+    plans: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def variant_weights(prep: StagePrep, variant):
@@ -136,15 +141,6 @@ def variant_weights(prep: StagePrep, variant):
     return diag, offdiag
 
 
-def _weighted_sums(weights, ops):
-    """``weights @ ops`` row by row (:func:`~irkit.sparsela.combine_rows`);
-    composite (tuple) operators part by part."""
-    if isinstance(ops[0], tuple):
-        parts = [combine_rows(weights, part) for part in zip(*ops)]
-        return [type(ops[0])(*row) for row in zip(*parts)]
-    return combine_rows(weights, ops)
-
-
 def build_variant_jacobian(prep: StagePrep, stage_ops, variant):
     """Materialize the variant's diagonal and coupling operators.
 
@@ -152,22 +148,45 @@ def build_variant_jacobian(prep: StagePrep, stage_ops, variant):
     current iterate (fixed per block row): a sparse matrix, or a named tuple
     of sparse blocks such as the DAE path's ``DaeOps``, summed block by block.
     All the sums of one linearization are taken in one pass over the stage
-    operators and memoized on the last of them.  When every stage operator
-    is one object, couplings whose weights sum to roundoff (see
-    :data:`COUPLING_ROUNDOFF`) are left out.
+    operators.  When every stage operator is one object, couplings whose
+    weights sum to roundoff (see :data:`COUPLING_ROUNDOFF`) are left out;
+    the weights kept are computed once per prep, variant and that case.
+
+    The Jacobian is memoized on the last stage operator (on its first part,
+    if composite: a DAE's constraint parts may never change), keyed by
+    ``prep``, ``variant`` and the other operators, so an unchanged
+    linearization hands back the same Jacobian with the block plans it keeps.
     """
     stage_ops = list(stage_ops)
     s = prep.tableau.s
     if len(stage_ops) != s:
         raise ValueError(f"expected {s} stage operators, got {len(stage_ops)}")
-    dw, ow = variant_weights(prep, variant)
-    if ow and all(op is stage_ops[0] for op in stage_ops):
-        w = np.array(list(ow.values()))
-        roundoff = COUPLING_ROUNDOFF * np.finfo(float).eps * np.abs(w).sum(axis=1)
-        genuine = np.abs(w.sum(axis=1)) > roundoff
-        ow = {key: wk for (key, wk), keep in zip(ow.items(), genuine) if keep}
-    sums = _weighted_sums(np.vstack([dw, *ow.values()]), stage_ops)
-    return VariantJacobian(diag=tuple(sums[:s]), offdiag=dict(zip(ow, sums[s:])))
+    one = all(op is stage_ops[0] for op in stage_ops)
+    rows = prep.memo.get((variant, one))
+    if rows is None:
+        dw, ow = variant_weights(prep, variant)
+        if ow and one:
+            w = np.array(list(ow.values()))
+            roundoff = COUPLING_ROUNDOFF * np.finfo(float).eps * np.abs(w).sum(axis=1)
+            genuine = np.abs(w.sum(axis=1)) > roundoff
+            ow = {key: wk for (key, wk), keep in zip(ow.items(), genuine) if keep}
+        rows = prep.memo[(variant, one)] = np.vstack([dw, *ow.values()]), tuple(ow)
+    weights, couplings = rows
+
+    last = stage_ops[-1]
+    composite = isinstance(last, tuple)
+
+    def build():
+        # weights @ stage_ops row by row; composite operators part by part
+        if composite:
+            by_part = [combine_rows(weights, part) for part in zip(*stage_ops)]
+            sums = [type(last)(*row) for row in zip(*by_part)]
+        else:
+            sums = combine_rows(weights, stage_ops)
+        return VariantJacobian(diag=tuple(sums[:s]), offdiag=dict(zip(couplings, sums[s:])))
+
+    parts = [p for op in stage_ops for p in (op if composite else (op,))]
+    return _memoized(last[0] if composite else last, (prep, variant), parts, build)
 
 
 def stage_residual(sys: OdeSystem, st: StageState, tableau: ButcherTableau):
@@ -323,8 +342,9 @@ def _dirk_step(sys: OdeSystem, u, t, dt, tableau, cfg: SolverConfig):
             return sys.rhs(base + h * ki, ti) - mk
 
         def solve(lmat, res):
-            dk, rep = _solve_1x1(1.0, lmat, sys.mass, h, res, cfg.precond,
-                                 cfg.krylov_rtol, cfg.krylov_maxit)
+            op, pre = _plan_1x1(1.0, lmat, sys.mass, h, cfg.precond)
+            dk, rep = gmres(op, res, right_precond=pre, rtol=cfg.krylov_rtol,
+                            maxit=cfg.krylov_maxit)
             if not rep.converged:
                 raise StageSolveError(
                     f"DIRK stage {i} solve did not converge", block_offset=i, report=rep

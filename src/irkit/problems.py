@@ -189,6 +189,7 @@ def burgers1d(n=128, nu=0.02, base=0.5, amplitude=0.45):
     dmat = _periodic_central(n, h)
     lap = nu * _periodic_laplacian(n, h)
     pattern = Pattern.of(lap.shape, lap.indptr, lap.indices)
+    dmat, lap = (SparseMatrix.on_pattern(pattern, m.data) for m in (dmat, lap))
     x = np.arange(n) * h
     u0 = base + amplitude * np.sin(2 * np.pi * x)
 
@@ -196,7 +197,7 @@ def burgers1d(n=128, nu=0.02, base=0.5, amplitude=0.45):
         return -(dmat @ (0.5 * u * u)) + lap @ u
 
     def linearize(u, t):
-        return SparseMatrix.on_pattern(pattern, -(dmat.data * u[dmat.indices]) + lap.data)
+        return SparseMatrix.on_pattern(pattern, -(dmat.data * u[pattern.indices]) + lap.data)
 
     system = OdeSystem(dim=n, rhs=rhs, linearize=linearize, name="burgers1d")
     spec = ProblemSpec(
@@ -273,9 +274,11 @@ def shear_layer_small(n=16, reynolds=1e4, delta=0.05, rho=np.pi / 15.0):
     gu = SparseMatrix(gu_mat.tocsr())
     lw = SparseMatrix(sp.csr_matrix((nn, nn)))
     visc = SparseMatrix((1.0 / reynolds) * lap)
+    lap = SparseMatrix.on_pattern(visc.pattern, lap.data)
     # the advection operator's values on the viscous pattern, which holds dx's and dy's
     cols = visc.indices
-    dxv, dyv = (SparseMatrix(d).project(visc.pattern).data for d in (dx, dy))
+    dx, dy = SparseMatrix(dx), SparseMatrix(dy)
+    dxv, dyv = (d.project(visc.pattern).data for d in (dx, dy))
 
     def velocity(psi):
         return -(dy @ psi), dx @ psi

@@ -22,14 +22,14 @@ Values are immutable (``data`` is read-only, and no writable alias of it is
 kept), so one matrix object holds one set of values, checked finite once
 when it is made: a finite sum of squares ``data @ data`` proves every entry
 finite, and only one that overflows rescans entry by entry.  Operator
-assembly is memoized by identity: :func:`combine` and :func:`combine_rows`
-hand back the same sums for the same weights on the same operand objects,
-:func:`stack` the same block matrix, and
-:attr:`SparseMatrix.factorization` factors a matrix once.  An
-unchanged stage Jacobian (a linear problem's constant operator, a DAE's
-constant constraint block) therefore reuses its shifted blocks, its 2x2
-eigen-block operators and their LU factors for as long as ``dt`` and the
-shift stay the same, as a backward-Euler code keeps its factorization.
+assembly is memoized by identity on an operand: :func:`combine` and
+:func:`combine_rows` hand back the same sums for the same weights on the same
+operand objects, :func:`stack` the same block matrix, the stage solve the same
+variant Jacobian and block plans, and :attr:`SparseMatrix.factorization`
+factors a matrix once.  An unchanged stage Jacobian (a linear problem's
+constant operator, a DAE's constant constraint block) therefore reuses its
+plans and LU factors for as long as ``dt`` and the shift stay the same, as a
+backward-Euler code keeps its factorization.
 
 GMRES is right-preconditioned and keeps the preconditioned basis, which
 makes the preconditioner cost exactly one application per iteration.  Both
@@ -58,10 +58,12 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import KrylovBreakdownError, SingularMatrixError
 
-# Distinct sums and block matrices memoized per operand, evicted oldest
-# first.  It must exceed the number of sums one variant Jacobian takes from
-# one operand: gauss(8) variant 3 takes 40 (8 diagonal and 32 coupling
-# operators).
+# Distinct sums, block matrices and variant Jacobians memoized per operand,
+# evicted oldest first.  One linearization puts at most two entries on one
+# operand; gauss(8) variant 3, the largest, puts its tuple of variant
+# operators and its Jacobian on the last stage operator, and a shifted sum and
+# a block matrix (or a second shifted sum) on each variant operator.  So the
+# cap holds 32 plans (tableaux, variants or step sizes) of one constant operator.
 SUM_CACHE_SIZE = 64
 _OWNER = object()  # stands for the memo's owner in its keys
 
@@ -311,10 +313,9 @@ def combine(coeffs, mats):
     concrete = [m for m in mats if m is not None]
     if not concrete:
         raise ValueError("combine needs at least one concrete matrix")
-    owner = concrete[-1]
     weights = coeffs.tolist() if isinstance(coeffs, np.ndarray) else coeffs
-    key = (tuple(map(float, weights)), tuple([_OWNER if m is owner else m for m in mats]))
-    return _memoized(owner, key, lambda: _sum(coeffs, mats, concrete))
+    return _memoized(concrete[-1], tuple(map(float, weights)), mats,
+                     lambda: _sum(coeffs, mats, concrete))
 
 
 def _sum(coeffs, mats, concrete):
@@ -354,7 +355,6 @@ def combine_rows(weights, mats):
     if weights.shape[1] != len(mats):
         raise ValueError(f"{weights.shape[1]} weights per row for {len(mats)} operands")
     owner = mats[-1]
-    key = (weights.tobytes(), tuple([_OWNER if m is owner else m for m in mats]))
 
     def build():
         pattern = owner.pattern
@@ -372,7 +372,7 @@ def combine_rows(weights, mats):
             sums.append(m)
         return tuple(sums)
 
-    return _memoized(owner, key, build)
+    return _memoized(owner, weights.tobytes(), mats, build)
 
 
 def stack(sizes, terms, owner):
@@ -391,7 +391,6 @@ def stack(sizes, terms, owner):
     """
     sizes = tuple(sizes)
     terms = [(i, j, float(w), m) for i, j, w, m in terms]
-    key = (sizes, tuple([(i, j, w, _OWNER if m is owner else m) for i, j, w, m in terms]))
 
     def build():
         places = tuple([(i, j, None if m is None else m.pattern) for i, j, _, m in terms])
@@ -404,12 +403,17 @@ def stack(sizes, terms, owner):
                 np.multiply(m.data, w, out=values[a:b])
         return SparseMatrix.on_pattern(pattern, np.bincount(pos, values, pattern.nnz))
 
-    return _memoized(owner, key, build)
+    return _memoized(owner, (sizes, tuple([t[:3] for t in terms])), [t[3] for t in terms],
+                     build)
 
 
-def _memoized(owner, key, build):
-    """``build()``, memoized on ``owner`` under ``key`` (oldest evicted first)."""
+def _memoized(owner, key, operands, build):
+    """``build()``, memoized on ``owner`` under ``key`` and the ``operands``
+    objects (oldest evicted first).  The key stands a placeholder for the
+    owner among the operands, since holding the owner itself would keep it
+    alive through a reference cycle."""
     memo = owner._sums
+    key = (key, tuple([_OWNER if m is owner else m for m in operands]))
     out = memo.get(key)
     if out is None:
         out = build()

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
@@ -85,20 +85,22 @@ class ButcherTableau:
         return f"{self.family}({self.s})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StagePrep:
     """Schur-transformed stage data for one tableau.
 
     ``d[k, l, i]`` is the elementwise product of row k of ``q.T`` with
     column l of ``q``; summing over i gives the Kronecker delta, so the
     off-diagonal weight vectors measure how much the transformed operator
-    mixes different stage linearizations.
+    mixes different stage linearizations.  A prep hashes by identity, so
+    memo keys can hold it; ``memo`` keeps the variant weights taken from ``d``.
     """
 
     tableau: ButcherTableau
     a0inv: np.ndarray
     schur: densela.SchurForm
     d: np.ndarray
+    memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def blocks(self):

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from irkit import dae
+from irkit import dae, nonlinear
 from irkit.dae import (
     DaeCounters,
     DaeOps,
@@ -343,6 +343,33 @@ class TestSolverSplitCounts:
                  "constraint_solves")
         assert tuple(res.total(name) for name in names) == (5, 15, 25, 50)
 
+    def test_reused_jacobian_counts_into_its_own_step(self, monkeypatch):
+        # the manufactured blocks are constant objects, so both steps get one
+        # memoized Jacobian; each step's block plans count into its own
+        # counters, as on a problem built afresh for that step
+        built = []
+
+        def spy(*args, _build=nonlinear.build_variant_jacobian):
+            built.append(_build(*args))
+            return built[-1]
+
+        tableau = make_tableau("radau_iia", 3)  # a real block and a complex pair
+        prep = prepare_stages(tableau)
+        problem = make_problem("dae_manufactured")
+        state, got = (problem.u0, problem.w0), []
+        with monkeypatch.context() as patch:
+            patch.setattr(nonlinear, "build_variant_jacobian", spy)
+            for t in (0.0, 0.1):
+                *state, stats = dae_step(problem.system, *state, t, 0.1, tableau, prep=prep)
+                got.append(stats)
+        assert len(built) >= 2 and all(v is built[0] for v in built)
+        state = (problem.u0, problem.w0)
+        for t, stats in zip((0.0, 0.1), got):
+            fresh = make_problem("dae_manufactured")
+            *state, want = dae_step(fresh.system, *state, t, 0.1, tableau)
+            assert stats.differential_solves == want.differential_solves > 0
+            assert stats.constraint_solves == want.constraint_solves > 0
+            assert stats.krylov_iterations == want.krylov_iterations
 
 class TestIntegration:
     def test_constant_problem(self):

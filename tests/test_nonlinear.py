@@ -625,3 +625,16 @@ def test_write_step_stats_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("step,")
     assert len(lines) == 4  # header + 3 steps
+
+
+def test_jacobian_memo_tells_dropped_preps_apart():
+    # preps made and dropped in turn can reuse one address; the memo holds
+    # each prep it is keyed by, so a new prep never gets an old one's sums
+    ops = random_stage_operators("distinct", 3, np.random.default_rng(7))
+    for family in ["gauss", "radau_iia", "lobatto_iiic"] * 4:
+        prep = prepare_stages(make_tableau(family, 3))
+        dw, _ = variant_weights(prep, 2)
+        vjac = build_variant_jacobian(prep, ops, 2)
+        for i in range(3):
+            assert_same_bits(vjac.diag[i], combine(dw[i], ops))
+        del prep, vjac

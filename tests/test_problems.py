@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from irkit.errors import ConfigurationError
-from irkit.problems import make_problem, problem_names
+from irkit.problems import (
+    _grid_ops_2d,
+    _periodic_central,
+    _periodic_laplacian,
+    make_problem,
+    problem_names,
+)
 from irkit.sparsela import SparseMatrix
 
 
@@ -104,6 +111,20 @@ class TestBurgers:
         u = problem.u0 + 0.1 * rng.standard_normal(32)
         assert abs(np.sum(problem.system.rhs(u, 0.0))) <= 1e-10
 
+    def test_products_equal_the_scipy_ones(self):
+        # rhs multiplies through SparseMatrix on the interned pattern: bit
+        # for bit the scipy products the operators are built from
+        n, nu = 64, 0.02
+        problem = make_problem("burgers1d", n=n, nu=nu)
+        h = 1.0 / n
+        dmat, lap = _periodic_central(n, h), nu * _periodic_laplacian(n, h)
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            u = problem.u0 + 0.1 * rng.standard_normal(n)
+            assert np.array_equal(problem.system.rhs(u, 0.0), -(dmat @ (0.5 * u * u)) + lap @ u)
+            jac = problem.system.linearize(u, 0.0)
+            assert np.array_equal(jac.data, -(dmat.data * u[dmat.indices]) + lap.data)
+
 
 class TestDaeManufactured:
     def test_exact_solution(self):
@@ -141,6 +162,26 @@ class TestShearLayerStructure:
         const = np.ones(64)
         visc_part = (1.0 / problem.spec.params["reynolds"])
         assert np.max(np.abs(lu @ const)) <= 1e-10 + visc_part * 1e-10
+
+    def test_products_equal_the_scipy_ones(self):
+        n, reynolds = 8, 1e4
+        problem = make_problem("shear_layer_small", n=n, reynolds=reynolds)
+        sysd = problem.system
+        dx, dy, lap, _ = _grid_ops_2d(n)
+        visc = (1.0 / reynolds) * lap
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            omega = problem.u0 + 0.1 * rng.standard_normal(n * n)
+            psi = problem.w0 + 0.1 * rng.standard_normal(n * n)
+            ux, uy = -(dy @ psi), dx @ psi
+            rhs = -(dx @ (ux * omega) + dy @ (uy * omega)) + visc @ omega
+            assert np.array_equal(sysd.rhs(omega, psi, 0.0), rhs)
+            g = lap @ psi - omega
+            g[0] = psi[0]
+            assert np.array_equal(sysd.constraint(omega, psi, 0.0), g)
+            lu = sysd.blocks(omega, psi, 0.0)[0]
+            adv = -(dx @ sp.diags(ux) + dy @ sp.diags(uy)) + visc
+            assert np.array_equal(lu.to_dense(), adv.toarray())
 
 
 def test_fov_verification_rejects_mislabels():

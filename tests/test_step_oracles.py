@@ -11,13 +11,14 @@ wrong ``gamma`` (``eta`` in its place) fails here even where the step
 still converges.
 """
 
+import gc
 import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from irkit import irk_core
+from irkit import irk_core, nonlinear
 from irkit.dae import DaeOps, dae_step
 from irkit.irk_core import Block2x2System, PrecondSpec
 from irkit.nonlinear import (
@@ -29,7 +30,7 @@ from irkit.nonlinear import (
     variant_weights,
 )
 from irkit.problems import make_problem
-from irkit.sparsela import SparseMatrix
+from irkit.sparsela import SUM_CACHE_SIZE, SparseMatrix
 from irkit.tableau import make_tableau, prepare_stages
 
 
@@ -292,3 +293,102 @@ def test_block_operator_dies_with_its_jacobian():
     assert gone() is not None  # still held by the memo on the stage Jacobians' sums
     del ops
     assert gone() is None
+
+
+@pytest.fixture
+def planned(monkeypatch):
+    """Every Jacobian ``build_variant_jacobian`` returns to the Newton loop and
+    every 2x2 block preconditioner built, in order."""
+    seen = {"jacobians": [], "preconditioners": []}
+    for module, name, key in ((nonlinear, "build_variant_jacobian", "jacobians"),
+                              (irk_core, "make_block2x2_preconditioner", "preconditioners")):
+        def spy(*args, _original=getattr(module, name), _out=seen[key], **kwargs):
+            out = _original(*args, **kwargs)
+            _out.append(out)
+            return out
+
+        monkeypatch.setattr(module, name, spy)
+    return seen
+
+
+def test_heat_plans_its_stage_solve_once(planned, factored):
+    # a loose Krylov tolerance takes several Newton iterations a step; the
+    # constant operator hands back one Jacobian, and its block plans, to all
+    problem = make_problem("heat1d", n=64)
+    tableau = make_tableau("gauss", 4)
+    cfg = SolverConfig(krylov_rtol=1e-3)
+    prep = prepare_stages(tableau)
+    u, built = problem.u0, []
+    for j in range(2):
+        u, stats = step(problem.system, u, j * 1e-3, 1e-3, tableau, cfg, prep=prep)
+        assert stats.newton_iterations >= 2
+        built.append((len(planned["preconditioners"]), len(factored)))
+    jacobians = planned["jacobians"]
+    assert len(jacobians) >= 4 and all(v is jacobians[0] for v in jacobians)
+    # two 2x2 eigen-blocks with two shifted blocks each, all in the first step
+    assert built == [(2, 4), (2, 4)]
+
+
+@pytest.mark.parametrize("change", ["dt", "gamma", "variant"])
+def test_changed_step_gets_a_new_plan_with_the_same_bits(planned, change):
+    problem = make_problem("heat1d", n=64)
+    lmat = problem.operator
+    tableau = make_tableau("gauss", 4)
+    prep = prepare_stages(tableau)
+    u1, _ = step(problem.system, problem.u0, 0.0, 1e-3, tableau, prep=prep)
+    first = (planned["jacobians"][-1], len(planned["preconditioners"]))
+    dt, cfg = {"dt": (2e-3, SolverConfig()),
+               "gamma": (1e-3, SolverConfig(precond=PrecondSpec(gamma_mode="eta"))),
+               "variant": (1e-3, SolverConfig(variant=2))}[change]
+    u2, stats = step(problem.system, u1, 1e-3, dt, tableau, cfg, prep=prep)
+    assert len(planned["preconditioners"]) == first[1] + 2
+    assert (planned["jacobians"][-1] is first[0]) == (change != "variant")
+    # the same step on a copy of the operator, which has no memo yet
+    fresh = SparseMatrix.on_pattern(lmat.pattern, lmat.data.copy())
+    system = OdeSystem(problem.system.dim, lambda u, t: fresh @ u, lambda u, t: fresh)
+    want, want_stats = step(system, u1, 1e-3, dt, tableau, cfg, prep=prep)
+    assert u2.tobytes() == want.tobytes()
+    assert counts(stats) == counts(want_stats)
+
+
+@pytest.mark.parametrize("name", ["burgers", "shear"])
+def test_plans_die_with_their_step(planned, name):
+    # each Newton iteration plans its own Jacobian; reference counting alone
+    # frees them all once the step returns (on shear, although the constraint
+    # parts of every stage operator are constant objects)
+    gc.disable()
+    try:
+        if name == "burgers":
+            problem = make_problem("burgers1d", n=64)
+            _, stats = step(problem.system, problem.u0, 0.0, 1e-4, make_tableau("radau_iia", 3))
+        else:
+            problem = make_problem("shear_layer_small", n=8)
+            *_, stats = dae_step(problem.system, problem.u0, problem.w0, 0.0, 1e-2,
+                                 make_tableau("radau_iia", 2), mode="reordered")
+        refs = [weakref.ref(obj) for key in ("jacobians", "preconditioners")
+                for obj in planned[key]]
+        planned["jacobians"].clear()
+        planned["preconditioners"].clear()
+        assert stats.newton_iterations >= 2 and len(refs) == 2 * stats.newton_iterations
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+
+
+def test_largest_plan_fits_the_memo(planned):
+    # gauss(8) with variant 3 on one constant operator: the second Newton
+    # iteration reuses every plan, and no memo entry of the first is evicted
+    lmat = make_problem("heat1d", n=32).operator
+    prep = prepare_stages(make_tableau("gauss", 8))
+    rng = np.random.default_rng(3)
+    jacobians, memos = [], []
+    for _ in range(2):
+        vjac = build_variant_jacobian(prep, [lmat] * 8, 3)
+        irk_core.solve_transformed_system(prep, dt=1e-3, rhs_stages=rng.standard_normal((8, 32)),
+                                          variant_jacobian=vjac)
+        operands = [lmat, *vjac.diag, *vjac.offdiag.values()]
+        jacobians.append(vjac)
+        memos.append([set(op._sums) for op in operands])
+    assert jacobians[0] is jacobians[1] and len(planned["preconditioners"]) == 4
+    assert memos[0] == memos[1]
+    assert max(len(op._sums) for op in operands) <= SUM_CACHE_SIZE
