@@ -17,6 +17,11 @@ when the differential rows do not couple to the algebraic variable
 (``L_w = 0``, as in a lagged advection/streamfunction splitting): the
 differential 2x2 is solved first, then the two constraint solves are
 independent.
+
+No state of a step is kept here: the composite mass compares by value and
+the block solvers plug in as they are, so a stage Jacobian's block plans
+serve every step while its blocks are unchanged.  Inner solves count into
+the running totals :data:`COUNTERS`, which :func:`dae_step` reads as deltas.
 """
 
 from __future__ import annotations
@@ -28,28 +33,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import densela
-from .errors import (
-    ConfigurationError,
-    IndexViolationError,
-    SingularMatrixError,
-    StageSolveError,
-)
-from .irk_core import (
-    Block2x2System,
-    PairPlan,
-    PrecondSpec,
-    ShiftedSolver,
-    _solve_2x2,
-)
-from .nonlinear import (
-    IntegrationResult,
-    OdeSystem,
-    SolverConfig,
-    StageState,
-    march,
-    newton_like_step,
-    stage_residual,
-)
+from .errors import (ConfigurationError, IndexViolationError, SingularMatrixError,
+                     StageSolveError)
+from .irk_core import PairPlan, ShiftedSolver, _solve_2x2
+from .nonlinear import (IntegrationResult, OdeSystem, SolverConfig, StageState, _state_vector,
+                        march, newton_like_step, stage_residual)
 from .sparsela import SparseMatrix, combine
 from .tableau import SDIRK_FAMILIES, prepare_stages
 
@@ -97,12 +85,16 @@ class DaeOps(NamedTuple):
         return np.concatenate([self.lu @ xu + self.lw @ xw, self.gu @ xu + self.gw @ xw])
 
 
-class _CompositeMass:
-    """Composite mass ``diag(M, 0)`` on stacked ``[u | w]``; ``M = None`` is I."""
+class _CompositeMass(NamedTuple):
+    """Composite mass ``diag(M, 0)`` on stacked ``[u | w]``; ``M = None`` is I.
+    Equal values compare equal, so one step's block plans serve the next."""
 
-    def __init__(self, mass, nu):
-        self.mass, self.nu = mass, nu
-        self.parts = ((0, 0, mass),)
+    mass: SparseMatrix | None
+    nu: int
+
+    @property
+    def parts(self):
+        return ((0, 0, self.mass),)
 
     def __matmul__(self, y):
         out = np.zeros_like(y)
@@ -126,6 +118,11 @@ class DaeCounters:
 
     differential: int = 0
     constraint: int = 0
+
+
+# Running totals since import; :func:`dae_step` reports its own share as the
+# difference, so no counter is passed down the call chain.
+COUNTERS = DaeCounters()
 
 
 def _ode_view(sys: DaeSystem) -> OdeSystem:
@@ -155,48 +152,42 @@ def dae_stage_residual(sys: DaeSystem, st: DaeStageState, tableau):
     return stage_residual(_ode_view(sys), _stacked(st), tableau)
 
 
-class _ConstraintSolver:
-    """Factored solves with the constraint block ``G_w``, through its cached
-    factorization: an unchanged ``G_w`` object is factored once."""
+def _gw_factor(gw: SparseMatrix):
+    """The cached factorization of ``G_w``: an unchanged ``G_w`` object is
+    factored once.  A singular ``G_w`` raises :class:`IndexViolationError`."""
+    try:
+        return gw.factorization
+    except SingularMatrixError as exc:
+        raise IndexViolationError(f"constraint Jacobian is singular: {exc}") from exc
 
-    def __init__(self, gw: SparseMatrix, counters: DaeCounters):
-        self.nw = gw.n
-        self.counters = counters
-        if self.nw:
-            try:
-                self._factor = gw.factorization
-            except SingularMatrixError as exc:
-                raise IndexViolationError(
-                    f"constraint Jacobian is singular: {exc}"
-                ) from exc
 
-    def solve(self, r):
-        if self.nw == 0:
-            return np.zeros_like(r)
-        self.counters.constraint += 1 if np.ndim(r) == 1 else np.shape(r)[1]
-        return self._factor.solve(r)
+def _solve_gw(gw: SparseMatrix, r):
+    """One constraint solve ``G_w^{-1} r``, counted in :data:`COUNTERS`."""
+    if gw.n == 0:
+        return np.zeros_like(r)
+    COUNTERS.constraint += 1
+    return _gw_factor(gw).solve(r)
 
 
 class _EliminationSolver:
     """Applies ``(alpha*diag(M, 0) - dt*J)^{-1}`` exactly for a composite ``J``.
 
-    The algebraic rows are eliminated through ``G_w``.  The reduced operator
+    The algebraic rows are eliminated through ``G_w``, factored here (a
+    singular ``G_w`` fails at once).  The reduced operator
     ``alpha*M - dt*(L_u - L_w G_w^{-1} G_u)`` stays banded when ``L_w``
     vanishes; otherwise it is materialized densely (desk-scale dimensions
-    only).  Built in place of :class:`~irkit.irk_core.ShiftedSolver` on
-    composite blocks, so ``mass`` is a :class:`_CompositeMass` and ``inner``
-    is ignored.
+    only).  The ``shifted`` factory of composite blocks: ``mass`` is a
+    :class:`_CompositeMass` and ``inner`` is ignored.
     """
 
-    def __init__(self, counters: DaeCounters, alpha, mass, ops: DaeOps, dt, inner=None):
-        self.ops, self.dt, self.counters = ops, dt, counters
-        self.constraint = _ConstraintSolver(ops.gw, counters)
+    def __init__(self, alpha, mass, ops: DaeOps, dt, inner=None):
+        self.ops, self.dt = ops, dt
+        factor = _gw_factor(ops.gw) if ops.gw.n else None
         if ops.lw.nnz == 0:
             self._reduced = ShiftedSolver(alpha, mass.mass, ops.lu, dt).solve
         else:
-            x = self.constraint._factor.solve(ops.gu.to_dense())
             red = combine([alpha, -dt], [mass.mass, ops.lu]).to_dense()
-            red += dt * (ops.lw.to_dense() @ x)
+            red += dt * (ops.lw.to_dense() @ factor.solve(ops.gu.to_dense()))
             lu, piv = densela.lu_factor(red)
             self._reduced = lambda r: densela.lu_solve_factored(lu, piv, r)
 
@@ -204,50 +195,26 @@ class _EliminationSolver:
         ops, dt = self.ops, self.dt
         ru, rw = r[: ops.lu.n], r[ops.lu.n :]
         if ops.lw.nnz:
-            ru = ru - ops.lw @ self.constraint.solve(rw)
-        self.counters.differential += 1
+            ru = ru - ops.lw @ _solve_gw(ops.gw, rw)
+        COUNTERS.differential += 1
         zu = self._reduced(ru)
-        return np.concatenate([zu, -self.constraint.solve(rw + dt * (ops.gu @ zu)) / dt])
+        return np.concatenate([zu, -_solve_gw(ops.gw, rw + dt * (ops.gu @ zu)) / dt])
 
 
-def solve_dae_block4x4(
-    ops_i: DaeOps,
-    ops_j: DaeOps,
-    eta,
-    beta,
-    phi,
-    dt,
-    rhs,
-    mode="coupled",
-    mass=None,
-    spec=PrecondSpec(),
-    counters=None,
-    rtol=1e-5,
-    maxit=200,
-    offdiag=None,
-    plan=None,
-):
+def solve_dae_block4x4(plan: PairPlan, rhs, rtol=1e-5, maxit=200, mode="coupled"):
     """Solve one complex-pair composite block; returns ``(x, report)``.
 
-    ``rhs`` stacks ``(f_i, g_i, f_j, g_j)``.  ``mode`` is ``"coupled"`` or
-    ``"reordered"``; the reordered forward substitution requires both
-    ``L_w`` blocks to vanish structurally.  Both modes check the block's true
-    residual against ``rtol`` and raise :class:`StageSolveError` otherwise.
-    ``offdiag`` optionally carries variant-3 coupling operators
-    ``{(0, 1): DaeOps, (1, 0): DaeOps}`` acting between the two stage rows;
-    the reordered ordering drops them (its triangular structure assumes the
-    lumped or weighted block-diagonal linearization), so there the outer
-    nonlinear iteration absorbs any coupling mismatch.  A stage solve's
-    :class:`~irkit.irk_core.PairPlan` of the block, as ``plan``, overrides the
-    block arguments, ``mass``, ``spec`` and ``offdiag``.
+    ``plan`` is the block's :class:`~irkit.irk_core.PairPlan`: a system on
+    :class:`DaeOps` with the mass ``_CompositeMass(M, dim_u)``, and the
+    elimination solver as ``shifted``.  ``rhs`` stacks ``(f_i, g_i, f_j,
+    g_j)``.  ``mode`` is ``"coupled"`` or ``"reordered"``; the reordered
+    forward substitution requires both ``L_w`` blocks to vanish
+    structurally and drops the variant-3 couplings (its triangular
+    structure assumes the lumped or weighted block-diagonal linearization),
+    so the outer nonlinear iteration absorbs any coupling mismatch.  Both
+    modes check the block's true residual against ``rtol`` and raise
+    :class:`StageSolveError` otherwise.
     """
-    if counters is None:
-        counters = DaeCounters()
-    if plan is None:
-        offdiag = offdiag or {}
-        plan = PairPlan(Block2x2System(eta, beta, phi, _CompositeMass(mass, ops_i.lu.n), ops_i,
-                                       ops_j, dt, offdiag.get((0, 1)), offdiag.get((1, 0))),
-                        spec, partial(_EliminationSolver, counters))
     ops_i, ops_j = plan.system.l1, plan.system.l2
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (2 * ops_i.n,):
@@ -255,11 +222,8 @@ def solve_dae_block4x4(
 
     if mode == "reordered":
         if ops_i.lw.nnz or ops_j.lw.nnz:
-            raise ConfigurationError(
-                "reordered mode requires structurally zero L_w blocks"
-            )
-        x, rep, true_rel = _solve_reordered(plan.system, rhs, plan.spec, rtol, maxit,
-                                            counters)
+            raise ConfigurationError("reordered mode requires structurally zero L_w blocks")
+        x, rep, true_rel = _solve_reordered(plan, rhs, rtol, maxit)
     elif mode == "coupled":
         x, rep = _solve_2x2(plan, rhs, rtol, maxit)
         # gmres has already measured the true residual of x against rtol
@@ -275,44 +239,37 @@ def solve_dae_block4x4(
     return x, rep
 
 
-def _solve_reordered(sys2, rhs, spec, rtol, maxit, counters):
+def _solve_reordered(plan: PairPlan, rhs, rtol, maxit):
     """GMRES on the differential 2x2 block of a composite pair with
     ``L_w = 0``, then one ``G_w`` solve per stage row; returns
     ``(x, report, true_rel)``.
 
-    ``true_rel`` is the whole block's relative true residual, taken without
-    assembling the block: GMRES's recomputed residual on the differential
-    rows, and ``b - G_w l`` on the algebraic rows of each stage row.
+    The differential block's plan is kept with the pair's ``plan``, so it
+    lives as long as the stage Jacobian that holds it.  ``true_rel`` is the
+    whole block's relative true residual, taken without assembling the
+    block: GMRES's recomputed residual on the differential rows, and
+    ``b - G_w l`` on the algebraic rows of each stage row.
     """
+    sys2 = plan.system
     ops_i, ops_j, dt = sys2.l1, sys2.l2, sys2.dt
     nu, n = ops_i.lu.n, ops_i.n
-    diff = replace(sys2, mass=sys2.mass.mass, l1=ops_i.lu, l2=ops_j.lu,
-                   offdiag12=None, offdiag21=None)
+    diff = getattr(plan, "_differential", None)
+    if diff is None:
+        diff = plan._differential = PairPlan(
+            replace(sys2, mass=sys2.mass.mass, l1=ops_i.lu, l2=ops_j.lu, offdiag12=None,
+                    offdiag21=None), plan.spec)
     rdiff = np.concatenate([rhs[:nu], rhs[n : n + nu]])
-    sol, rep = _solve_2x2(PairPlan(diff, spec), rdiff, rtol, maxit)
-    counters.differential += rep.precond_applications
+    sol, rep = _solve_2x2(diff, rdiff, rtol, maxit)
+    COUNTERS.differential += rep.precond_applications
     x, sq = [], (rep.residuals[-1] * np.linalg.norm(rdiff)) ** 2
     for ops, k, rw in ((ops_i, sol[:nu], rhs[nu:n]), (ops_j, sol[nu:], rhs[n + nu :])):
         b = rw + dt * (ops.gu @ k)
-        ell = _ConstraintSolver(ops.gw, counters).solve(b)
+        ell = _solve_gw(ops.gw, b)
         res = b - ops.gw @ ell
         sq += res @ res
         x += [k, -ell / dt]
     rnorm = np.linalg.norm(rhs)
     return np.concatenate(x), rep, np.sqrt(sq) / rnorm if rnorm > 0.0 else 0.0
-
-
-def _block_solvers(mode, counters: DaeCounters):
-    """Composite block solvers for the ODE core, counting into ``counters``."""
-
-    def solve_pair(plan, rhs, rtol, maxit):
-        # a closure, not a partial, so a wrapper on the module attribute sees
-        # every call; the plan's ``shifted`` counts into ``counters``
-        s2 = plan.system
-        return solve_dae_block4x4(s2.l1, s2.l2, s2.eta, s2.beta, s2.phi, s2.dt, rhs, mode=mode,
-                                  counters=counters, rtol=rtol, maxit=maxit, plan=plan)
-
-    return {"shifted": partial(_EliminationSolver, counters), "solve_pair": solve_pair}
 
 
 def dae_step(sys: DaeSystem, u, w, t, dt, tableau, cfg=SolverConfig(), prep=None,
@@ -321,23 +278,27 @@ def dae_step(sys: DaeSystem, u, w, t, dt, tableau, cfg=SolverConfig(), prep=None
 
     :func:`~irkit.nonlinear.newton_like_step` solves the stage system of
     ``diag(M, 0) y' = F(y)`` on the ODE view of ``sys``, with stage rows
-    ``[k | ell]`` and the composite block solvers of ``mode``.
+    ``[k | ell]`` and the composite block solvers of ``mode``.  ``u`` and
+    ``w`` must have lengths ``dim_u`` and ``dim_w``; otherwise a
+    ``ValueError`` is raised before any work.
     """
     if tableau.family in SDIRK_FAMILIES:
         raise ConfigurationError(
             "DIRK tableaux are not supported on DAE systems; use a fully "
             "implicit collocation scheme"
         )
+    y = np.concatenate([_state_vector(u, sys.dim_u, "u", "dim_u"),
+                        _state_vector(w, sys.dim_w, "w", "dim_w")])
     if prep is None:
         prep = prepare_stages(tableau)
-    y = np.concatenate([np.asarray(u, dtype=float), np.asarray(w, dtype=float)])
     st = StageState(np.zeros((tableau.s, len(y))), y, t, dt)
-    counters = DaeCounters()
-    st, stats = newton_like_step(_ode_view(sys), st, prep, cfg, **_block_solvers(mode, counters))
+    start = replace(COUNTERS)
+    st, stats = newton_like_step(_ode_view(sys), st, prep, cfg, shifted=_EliminationSolver,
+                                 solve_pair=partial(solve_dae_block4x4, mode=mode))
     y_next = y + dt * (tableau.b0 @ st.k)
     u_next, w_next = y_next[: sys.dim_u], y_next[sys.dim_u :]
-    stats.differential_solves = counters.differential
-    stats.constraint_solves = counters.constraint
+    stats.differential_solves = COUNTERS.differential - start.differential
+    stats.constraint_solves = COUNTERS.constraint - start.constraint
     stats.constraint_residual = float(
         np.linalg.norm(sys.constraint(u_next, w_next, t + dt))
     )
@@ -366,11 +327,13 @@ def dae_integrate(sys: DaeSystem, u0, w0, t0, t_final, dt, tableau,
                   cfg=SolverConfig(), mode="coupled"):
     """Fixed-step DAE march.
 
-    The initial state must satisfy the constraint to 1e-10; a failing step
-    raises its :class:`~irkit.errors.IrkitError` with the partial
-    trajectories attached as ``partial``.
+    ``u0``/``w0`` must have lengths ``dim_u``/``dim_w`` and satisfy the
+    constraint to 1e-10; a failing step raises its :class:`~irkit.errors.IrkitError`
+    with the partial trajectories attached as ``partial``.
     """
-    g0 = np.linalg.norm(sys.constraint(np.asarray(u0, float), np.asarray(w0, float), t0))
+    u0 = _state_vector(u0, sys.dim_u, "u0", "dim_u")
+    w0 = _state_vector(w0, sys.dim_w, "w0", "dim_w")
+    g0 = np.linalg.norm(sys.constraint(u0, w0, t0))
     if g0 > 1e-10:
         raise ConfigurationError(
             f"inconsistent initial condition: |G(u0, w0, t0)| = {g0:.3e}"
@@ -389,5 +352,5 @@ def dae_integrate(sys: DaeSystem, u0, w0, t0, t_final, dt, tableau,
             step_stats=step_stats,
         )
 
-    state0 = (np.array(u0, dtype=float), np.array(w0, dtype=float))
+    state0 = (u0.copy(), w0.copy())
     return march(advance, state0, t0, t_final, dt, pack)

@@ -359,19 +359,28 @@ def _dirk_step(sys: OdeSystem, u, t, dt, tableau, cfg: SolverConfig):
     return u_next, k, stats
 
 
+def _state_vector(x, n, name, dim):
+    """``x`` as a float vector; a shape other than ``(n,)`` raises ``ValueError``
+    naming the expected length ``dim``."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"{name} has shape {x.shape}; expected length {dim} = {n}")
+    return x
+
+
 def step(sys: OdeSystem, u, t, dt, tableau, cfg=SolverConfig(), prep=None):
     """Advance one step: solve the stages, then ``u + dt * sum b_i k_i``.
 
-    Returns ``(u_next, StepStats)``.
+    Returns ``(u_next, StepStats)``.  ``u`` must have length ``sys.dim``;
+    otherwise a ``ValueError`` is raised before any work.
     """
+    u = _state_vector(u, sys.dim, "u", "dim")
     if tableau.family in SDIRK_FAMILIES:
-        u_next, _, stats = _dirk_step(sys, np.asarray(u, dtype=float), t, dt, tableau, cfg)
+        u_next, _, stats = _dirk_step(sys, u, t, dt, tableau, cfg)
         return u_next, stats
     if prep is None:
         prep = prepare_stages(tableau)
-    st = StageState(
-        k=np.zeros((tableau.s, sys.dim)), u=np.asarray(u, dtype=float), t=t, dt=dt
-    )
+    st = StageState(k=np.zeros((tableau.s, sys.dim)), u=u, t=t, dt=dt)
     st, stats = newton_like_step(sys, st, prep, cfg)
     u_next = st.u + dt * (tableau.b0 @ st.k)
     return u_next, stats

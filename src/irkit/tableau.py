@@ -25,7 +25,6 @@ the approximate linearizations.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -39,7 +38,6 @@ GAUSS = "gauss"
 RADAU_IIA = "radau_iia"
 LOBATTO_IIIC = "lobatto_iiic"
 SDIRK_FAMILIES = ("sdirk1", "sdirk2", "sdirk3", "sdirk4")
-COLLOCATION_FAMILIES = (GAUSS, RADAU_IIA, LOBATTO_IIIC)
 
 _ALIASES = {
     "gauss": GAUSS,
@@ -75,10 +73,6 @@ class ButcherTableau:
     b0: np.ndarray
     c0: np.ndarray
     order: int
-
-    @property
-    def is_dirk(self):
-        return bool(np.all(np.triu(self.a0, 1) == 0.0))
 
     @property
     def label(self):
@@ -288,33 +282,3 @@ def kappa_bound(eta, beta, regime="general"):
     if regime == "distinct":
         return 2.0 + beta * beta / (eta * eta)
     raise ValueError(f"unknown regime {regime!r}")
-
-
-def tableau_to_json(prep_or_tableau):
-    """Serialize a tableau (and eigen-blocks, when prepared) to JSON."""
-    if isinstance(prep_or_tableau, StagePrep):
-        t = prep_or_tableau.tableau
-        blocks = [
-            {
-                "offset": blk.offset,
-                "size": blk.size,
-                "eta": blk.eta,
-                "beta": blk.beta,
-                "phi": blk.phi,
-            }
-            for blk in prep_or_tableau.blocks
-        ]
-    else:
-        t = prep_or_tableau
-        blocks = None
-    doc = {
-        "family": t.family,
-        "s": t.s,
-        "order": t.order,
-        "a0": t.a0.tolist(),
-        "b0": t.b0.tolist(),
-        "c0": t.c0.tolist(),
-    }
-    if blocks is not None:
-        doc["eigen_blocks"] = blocks
-    return json.dumps(doc, sort_keys=True)

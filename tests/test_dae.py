@@ -1,3 +1,6 @@
+from dataclasses import replace
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,12 +9,11 @@ from hypothesis import strategies as hst
 
 from irkit import dae, nonlinear
 from irkit.dae import (
-    DaeCounters,
     DaeOps,
     DaeStageState,
     DaeSystem,
-    _block_solvers,
     _CompositeMass,
+    _EliminationSolver,
     dae_integrate,
     dae_stage_residual,
     dae_step,
@@ -20,6 +22,7 @@ from irkit.dae import (
 from irkit.errors import ConfigurationError, IndexViolationError, StageSolveError
 from irkit.irk_core import (
     Block2x2System,
+    PairPlan,
     PrecondSpec,
     apply_block2x2,
     solve_transformed_system,
@@ -40,6 +43,12 @@ def random_ops(rng, nu, nw, lw_zero=False):
     gu = SparseMatrix(0.5 * rng.standard_normal((nw, nu)))
     gw = SparseMatrix(rng.standard_normal((nw, nw)) + 4 * np.eye(nw))
     return DaeOps(lu, lw, gu, gw)
+
+
+def pair_plan(oi, oj, eta, beta, phi, dt):
+    """The plan a stage solve keeps for a composite pair block, identity mass."""
+    system = Block2x2System(eta, beta, phi, _CompositeMass(None, oi.lu.n), oi, oj, dt)
+    return PairPlan(system, PrecondSpec(), _EliminationSolver)
 
 
 def dense_pair_block(oi, oj, eta, beta, phi, dt, nu, nw):
@@ -147,9 +156,8 @@ class TestBlockSolve:
         rhs = rng.standard_normal(2 * (nu + nw))
         z = dense_pair_block(oi, oj, 2.0, 0.0, 0.8, 0.25, nu, nw)
         oracle = np.linalg.solve(z, rhs)
-        x, rep = solve_dae_block4x4(
-            oi, oj, 2.0, 0.0, 0.8, 0.25, rhs, mode="coupled", rtol=1e-12, maxit=100
-        )
+        x, rep = solve_dae_block4x4(pair_plan(oi, oj, 2.0, 0.0, 0.8, 0.25), rhs, rtol=1e-12,
+                                    maxit=100, mode="coupled")
         assert np.max(np.abs(x - oracle)) < 1e-9
 
     @pytest.mark.parametrize("mode", ["coupled", "reordered"])
@@ -161,9 +169,8 @@ class TestBlockSolve:
         rhs = rng.standard_normal(2 * (nu + nw))
         z = dense_pair_block(oi, oj, 2.0, 1.3, 0.8, 0.25, nu, nw)
         oracle = np.linalg.solve(z, rhs)
-        x, _ = solve_dae_block4x4(
-            oi, oj, 2.0, 1.3, 0.8, 0.25, rhs, mode=mode, rtol=1e-12, maxit=100
-        )
+        x, _ = solve_dae_block4x4(pair_plan(oi, oj, 2.0, 1.3, 0.8, 0.25), rhs, rtol=1e-12,
+                                  maxit=100, mode=mode)
         assert np.max(np.abs(x - oracle)) < 1e-9
 
     def test_lw_coupled_matches_dense(self):
@@ -173,9 +180,8 @@ class TestBlockSolve:
         rhs = rng.standard_normal(2 * (nu + nw))
         z = dense_pair_block(oi, oj, 1.5, 2.0, -0.6, 0.3, nu, nw)
         oracle = np.linalg.solve(z, rhs)
-        x, _ = solve_dae_block4x4(
-            oi, oj, 1.5, 2.0, -0.6, 0.3, rhs, mode="coupled", rtol=1e-12, maxit=200
-        )
+        x, _ = solve_dae_block4x4(pair_plan(oi, oj, 1.5, 2.0, -0.6, 0.3), rhs, rtol=1e-12,
+                                  maxit=200, mode="coupled")
         assert np.max(np.abs(x - oracle)) < 1e-8
 
     def test_reordered_counts_one_diff_solve_two_constraint_solves(self):
@@ -184,13 +190,11 @@ class TestBlockSolve:
         oi = random_ops(rng, nu, nw, lw_zero=True)
         oj = random_ops(rng, nu, nw, lw_zero=True)
         rhs = rng.standard_normal(2 * (nu + nw))
-        cnt = DaeCounters()
-        _, rep = solve_dae_block4x4(
-            oi, oj, 2.0, 1.3, 0.8, 0.25, rhs, mode="reordered",
-            counters=cnt, rtol=1e-11, maxit=100,
-        )
-        assert cnt.constraint == 2
-        assert cnt.differential == rep.precond_applications
+        start = replace(dae.COUNTERS)
+        _, rep = solve_dae_block4x4(pair_plan(oi, oj, 2.0, 1.3, 0.8, 0.25), rhs,
+                                    rtol=1e-11, maxit=100, mode="reordered")
+        assert dae.COUNTERS.constraint - start.constraint == 2
+        assert dae.COUNTERS.differential - start.differential == rep.precond_applications
 
     @pytest.mark.parametrize("rtol", [1e-5, 1e-10])
     def test_reordered_recheck_is_the_assembled_block_residual(self, rtol):
@@ -207,8 +211,8 @@ class TestBlockSolve:
         sys2 = Block2x2System(blk.eta, blk.beta, blk.phi, _CompositeMass(sysd.mass, oi.lu.n),
                               oi, oj, 0.01)
         rhs = rng.standard_normal(2 * oi.n)
-        x, _, true_rel = dae._solve_reordered(sys2, rhs, PrecondSpec(), rtol, 200,
-                                              DaeCounters())
+        plan = PairPlan(sys2, PrecondSpec(), _EliminationSolver)
+        x, _, true_rel = dae._solve_reordered(plan, rhs, rtol, 200)
         assembled = np.linalg.norm(rhs - apply_block2x2(sys2, x)) / np.linalg.norm(rhs)
         assert 0.0 < true_rel <= rtol
         assert abs(true_rel - assembled) <= 1e-14
@@ -218,35 +222,35 @@ class TestBlockSolve:
         oi = random_ops(rng, 3, 3, lw_zero=True)
         oj = random_ops(rng, 3, 3, lw_zero=True)
         rhs = rng.standard_normal(12)
-        solve = dae._ConstraintSolver.solve
-        monkeypatch.setattr(dae._ConstraintSolver, "solve",
-                            lambda self, r: 1.001 * solve(self, r))
+        solve = dae._solve_gw
+        monkeypatch.setattr(dae, "_solve_gw", lambda gw, r: 1.001 * solve(gw, r))
         with pytest.raises(StageSolveError, match="composite block residual"):
-            solve_dae_block4x4(oi, oj, 2.0, 1.3, 0.8, 0.25, rhs, mode="reordered",
-                               rtol=1e-8, maxit=100)
+            solve_dae_block4x4(pair_plan(oi, oj, 2.0, 1.3, 0.8, 0.25), rhs, rtol=1e-8,
+                               maxit=100, mode="reordered")
 
     def test_reordered_requires_structural_zero(self):
         rng = np.random.default_rng(5)
         oi = random_ops(rng, 3, 3)
         with pytest.raises(ConfigurationError):
-            solve_dae_block4x4(
-                oi, oi, 2.0, 1.3, 0.8, 0.25, np.ones(12), mode="reordered"
-            )
+            solve_dae_block4x4(pair_plan(oi, oi, 2.0, 1.3, 0.8, 0.25), np.ones(12),
+                               mode="reordered")
 
     def test_singular_constraint_is_index_violation(self):
         rng = np.random.default_rng(6)
         oi = random_ops(rng, 2, 2, lw_zero=True)
         bad = DaeOps(oi.lu, oi.lw, oi.gu, SparseMatrix(np.zeros((2, 2))))
         with pytest.raises(IndexViolationError):
-            solve_dae_block4x4(
-                bad, bad, 2.0, 1.3, 0.8, 0.25, np.ones(8), mode="coupled"
-            )
+            solve_dae_block4x4(pair_plan(bad, bad, 2.0, 1.3, 0.8, 0.25), np.ones(8),
+                               mode="coupled")
+        # eagerly: building the block solver already fails
+        with pytest.raises(IndexViolationError):
+            _EliminationSolver(2.0, _CompositeMass(None, 2), bad, 0.25)
 
     def test_unknown_mode(self):
         rng = np.random.default_rng(7)
         oi = random_ops(rng, 2, 2)
         with pytest.raises(ConfigurationError):
-            solve_dae_block4x4(oi, oi, 2.0, 1.0, 1.0, 0.1, np.ones(8), mode="foo")
+            solve_dae_block4x4(pair_plan(oi, oi, 2.0, 1.0, 1.0, 0.1), np.ones(8), mode="foo")
 
 
 def composite_solve(prep, stage_ops, variant, mass_diag, dt, rhs, mode):
@@ -255,7 +259,7 @@ def composite_solve(prep, stage_ops, variant, mass_diag, dt, rhs, mode):
     x, _ = solve_transformed_system(
         prep, dt=dt, rhs_stages=rhs, mass=mass, krylov_rtol=1e-12, krylov_maxit=400,
         variant_jacobian=build_variant_jacobian(prep, stage_ops, variant),
-        **_block_solvers(mode, DaeCounters()),
+        shifted=_EliminationSolver, solve_pair=partial(solve_dae_block4x4, mode=mode),
     )
     return x
 

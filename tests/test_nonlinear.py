@@ -450,6 +450,29 @@ class TestStepAndIntegrate:
         assert err.value.stats.krylov_iterations == 0
         assert err.value.stats.newton_iterations == 0
 
+    @pytest.mark.parametrize("family", ["gauss", "sdirk2"])
+    def test_mis_sized_state_fails_fast(self, family):
+        # named before any work, not a numpy broadcasting error deep in the step
+        problem = make_problem("heat1d", n=8)
+        tableau = make_tableau(family, 2) if family == "gauss" else make_tableau(family)
+        with pytest.raises(ValueError, match=r"u has shape \(9,\); expected length dim = 8"):
+            step(problem.system, np.zeros(9), 0.0, 1e-3, tableau)
+
+    @pytest.mark.parametrize("which", ["u", "w", "u0", "w0"])
+    def test_mis_sized_dae_state_fails_fast(self, which):
+        problem = make_problem("dae_manufactured")
+        state = {"u": problem.u0, "w": problem.w0}
+        state[which[0]] = np.zeros(2)
+        dim = "dim_u" if which[0] == "u" else "dim_w"
+        with pytest.raises(ValueError,
+                           match=rf"{which} has shape \(2,\); expected length {dim} = 1"):
+            if which in ("u", "w"):
+                dae_step(problem.system, state["u"], state["w"], 0.0, 0.1,
+                         make_tableau("radau_iia", 2))
+            else:
+                dae_integrate(problem.system, state["u"], state["w"], 0.0, 0.2, 0.1,
+                              make_tableau("radau_iia", 2))
+
     @pytest.mark.parametrize("path", ["ode", "dirk", "dae"])
     def test_non_finite_jacobian_attaches_partial(self, path):
         # the residual stays finite but the Jacobian turns NaN at t >= 0.25, so

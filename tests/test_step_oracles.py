@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from irkit import irk_core, nonlinear
-from irkit.dae import DaeOps, dae_step
+from irkit import densela, irk_core, nonlinear
+from irkit.dae import DaeOps, DaeSystem, dae_step
 from irkit.irk_core import Block2x2System, PrecondSpec
 from irkit.nonlinear import (
     COUPLING_ROUNDOFF,
@@ -327,6 +327,58 @@ def test_heat_plans_its_stage_solve_once(planned, factored):
     assert len(jacobians) >= 4 and all(v is jacobians[0] for v in jacobians)
     # two 2x2 eigen-blocks with two shifted blocks each, all in the first step
     assert built == [(2, 4), (2, 4)]
+
+
+def test_dae_plans_its_stage_solve_once(planned, monkeypatch):
+    # the manufactured blocks are constant objects, so the first step's plans
+    # serve every step: 3 dense reduced operators (L_w != 0; one real block,
+    # two rows of the complex pair) and 1 pair preconditioner, on step 0 only
+    problem = make_problem("dae_manufactured")
+    tableau = make_tableau("radau_iia", 3)
+    prep = prepare_stages(tableau)
+    lu_factor, factored = densela.lu_factor, []
+    monkeypatch.setattr(densela, "lu_factor", lambda a: factored.append(a) or lu_factor(a))
+    state, seen = (problem.u0, problem.w0), []
+    for j in range(3):
+        *state, stats = dae_step(problem.system, *state, 0.1 * j, 0.1, tableau, prep=prep)
+        seen.append((len(factored), len(planned["preconditioners"]), stats.newton_iterations,
+                     stats.differential_solves, stats.precond_applications,
+                     stats.constraint_solves))
+        factored.clear()
+        planned["preconditioners"].clear()
+    assert seen == [(3, 1, 1, 5, 5, 10), (0, 0, 1, 5, 5, 10), (0, 0, 1, 5, 5, 10)]
+
+
+def constant_dae_lw0():
+    """``u' = L_u u``, ``0 = G_u u + G_w w`` with constant blocks, 2 + 1 rows."""
+    lu = SparseMatrix(np.array([[-1.0, 0.5], [0.0, -2.0]]))
+    lw = SparseMatrix(sp.csr_matrix((2, 1)))
+    gu, gw = SparseMatrix(np.array([[1.0, 1.0]])), SparseMatrix(np.array([[2.0]]))
+    system = DaeSystem(2, 1, rhs=lambda u, w, t: lu @ u,
+                       constraint=lambda u, w, t: gu @ u + gw @ w,
+                       blocks=lambda u, w, t: (lu, lw, gu, gw))
+    return system, np.array([1.0, 0.5]), np.array([-0.75])
+
+
+@pytest.mark.parametrize("name,built", [("constant", [1, 0, 0]), ("shear", [4, 4, 4])],
+                         ids=["constant", "shear"])
+def test_reordered_dae_keeps_its_differential_plan(planned, name, built):
+    # the differential block's plan lives with the pair's plan: a constant
+    # system builds its preconditioner once, shear (whose L_u changes every
+    # Newton iteration) once per iteration
+    if name == "constant":
+        (system, u, w), tableau, dt = constant_dae_lw0(), make_tableau("radau_iia", 2), 0.1
+    else:
+        problem = make_problem("shear_layer_small", n=16)
+        system, u, w, tableau, dt = (problem.system, problem.u0, problem.w0,
+                                     make_tableau("radau_iia", 2), 1e-2)
+    prep, got = prepare_stages(tableau), []
+    for j in range(3):
+        u, w, stats = dae_step(system, u, w, j * dt, dt, tableau, prep=prep, mode="reordered")
+        got.append(len(planned["preconditioners"]))
+        planned["preconditioners"].clear()
+        assert stats.converged and stats.constraint_solves > 0
+    assert got == built
 
 
 @pytest.mark.parametrize("change", ["dt", "gamma", "variant"])

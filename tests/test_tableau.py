@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -11,7 +10,6 @@ from irkit.tableau import (
     kappa_bound,
     make_tableau,
     prepare_stages,
-    tableau_to_json,
 )
 
 ALL_COLLOCATION = [("gauss", s) for s in range(1, 9)] + [
@@ -99,7 +97,7 @@ class TestSdirk:
     ])
     def test_shape_and_quadrature(self, family, order, s):
         t = make_tableau(family)
-        assert t.s == s and t.order == order and t.is_dirk
+        assert t.s == s and t.order == order and not np.triu(t.a0, 1).any()
         for q in range(1, order + 1):
             assert abs(t.b0 @ t.c0 ** (q - 1) - 1.0 / q) < 1e-12
 
@@ -201,16 +199,3 @@ class TestShiftAndBounds:
             kappa_bound(0.0, 1.0)
         with pytest.raises(ValueError):
             kappa_bound(1.0, 1.0, "weird")
-
-
-def test_json_export_round_trips():
-    prep = prepare_stages(make_tableau("radau_iia", 3))
-    doc = json.loads(tableau_to_json(prep))
-    assert doc["family"] == "radau_iia"
-    assert doc["s"] == 3
-    assert len(doc["eigen_blocks"]) == 2
-    a0 = np.array(doc["a0"])
-    assert np.allclose(a0, prep.tableau.a0)
-    # plain tableau export carries no blocks
-    doc2 = json.loads(tableau_to_json(prep.tableau))
-    assert "eigen_blocks" not in doc2

@@ -31,7 +31,8 @@ def test_entry_point_resolves(mod_name, attr):
 
 
 
-def test_traced_dae_step_runs_through_shared_core():
+@pytest.mark.parametrize("mode", ["coupled", "reordered"])
+def test_traced_dae_step_runs_through_shared_core(mode):
     # a DAE step must enter the shared stage-solve layers, so the traced
     # per-layer costs of the DAE workload are the ODE core's
     import irkit
@@ -47,7 +48,7 @@ def test_traced_dae_step_runs_through_shared_core():
     tracer.install()
     try:
         _, _, stats = irkit.dae_step(system, problem.u0, problem.w0, 0.0, 0.01, tableau,
-                                     prep=prep, mode="reordered")
+                                     prep=prep, mode=mode)
     finally:
         tracer.uninstall()
     assert tracer.bindings_restored()

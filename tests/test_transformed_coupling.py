@@ -16,13 +16,15 @@ construction.  Unequal stage operators keep the coupling weights well away
 from roundoff.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from irkit.dae import DaeCounters, DaeOps, _block_solvers, _CompositeMass
+from irkit.dae import DaeOps, _CompositeMass, _EliminationSolver, solve_dae_block4x4
 from irkit.irk_core import solve_transformed_system
 from irkit.nonlinear import build_variant_jacobian
 from irkit.sparsela import SparseMatrix
@@ -150,6 +152,6 @@ def test_dae_solve_matches_truncated_operator(family, s, variant, mode):
         mass=_CompositeMass(SparseMatrix(mass_u), nu),
         krylov_rtol=1e-13, krylov_maxit=400,
         variant_jacobian=build_variant_jacobian(prep, ops, variant),
-        **_block_solvers(mode, DaeCounters()),
+        shifted=_EliminationSolver, solve_pair=partial(solve_dae_block4x4, mode=mode),
     )
     check(x, truncated_oracle(prep, mats, mass, rhs, variant, in_block=mode == "coupled"))
