@@ -34,7 +34,7 @@ import numpy as np
 
 from . import densela
 from .errors import (ConfigurationError, IndexViolationError, SingularMatrixError,
-                     StageSolveError)
+                     StageSolveError, StepFailureError)
 from .irk_core import PairPlan, ShiftedSolver, _solve_2x2
 from .nonlinear import (IntegrationResult, OdeSystem, SolverConfig, StageState, _state_vector,
                         march, newton_like_step, stage_residual)
@@ -189,16 +189,20 @@ class _EliminationSolver:
             red = combine([alpha, -dt], [mass.mass, ops.lu]).to_dense()
             red += dt * (ops.lw.to_dense() @ factor.solve(ops.gu.to_dense()))
             lu, piv = densela.lu_factor(red)
-            self._reduced = lambda r: densela.lu_solve_factored(lu, piv, r)
+            self._reduced = lambda r, out: np.copyto(out, densela.lu_solve_factored(lu, piv, r))
 
-    def solve(self, r):
-        ops, dt = self.ops, self.dt
-        ru, rw = r[: ops.lu.n], r[ops.lu.n :]
+    def solve(self, r, out=None):
+        """The solve of ``r``, written into ``out`` when given (which may be ``r``)."""
+        ops, dt, nu = self.ops, self.dt, self.ops.lu.n
+        ru, rw = r[:nu], r[nu:]
         if ops.lw.nnz:
             ru = ru - ops.lw @ _solve_gw(ops.gw, rw)
         COUNTERS.differential += 1
-        zu = self._reduced(ru)
-        return np.concatenate([zu, -_solve_gw(ops.gw, rw + dt * (ops.gu @ zu)) / dt])
+        out = np.empty_like(r) if out is None else out
+        zu = out[:nu]
+        self._reduced(ru, zu)
+        out[nu:] = -_solve_gw(ops.gw, rw + dt * (ops.gu @ zu)) / dt
+        return out
 
 
 def solve_dae_block4x4(plan: PairPlan, rhs, rtol=1e-5, maxit=200, mode="coupled"):
@@ -280,7 +284,8 @@ def dae_step(sys: DaeSystem, u, w, t, dt, tableau, cfg=SolverConfig(), prep=None
     ``diag(M, 0) y' = F(y)`` on the ODE view of ``sys``, with stage rows
     ``[k | ell]`` and the composite block solvers of ``mode``.  ``u`` and
     ``w`` must have lengths ``dim_u`` and ``dim_w``; otherwise a
-    ``ValueError`` is raised before any work.
+    ``ValueError`` is raised before any work.  A raised ``StepFailureError``
+    carries the step's stats with its inner solves counted.
     """
     if tableau.family in SDIRK_FAMILIES:
         raise ConfigurationError(
@@ -292,13 +297,18 @@ def dae_step(sys: DaeSystem, u, w, t, dt, tableau, cfg=SolverConfig(), prep=None
     if prep is None:
         prep = prepare_stages(tableau)
     st = StageState(np.zeros((tableau.s, len(y))), y, t, dt)
-    start = replace(COUNTERS)
-    st, stats = newton_like_step(_ode_view(sys), st, prep, cfg, shifted=_EliminationSolver,
-                                 solve_pair=partial(solve_dae_block4x4, mode=mode))
-    y_next = y + dt * (tableau.b0 @ st.k)
-    u_next, w_next = y_next[: sys.dim_u], y_next[sys.dim_u :]
+    start, failure = replace(COUNTERS), None
+    try:
+        st, stats = newton_like_step(_ode_view(sys), st, prep, cfg, shifted=_EliminationSolver,
+                                     solve_pair=partial(solve_dae_block4x4, mode=mode))
+    except StepFailureError as exc:
+        stats, failure = exc.stats, exc
     stats.differential_solves = COUNTERS.differential - start.differential
     stats.constraint_solves = COUNTERS.constraint - start.constraint
+    if failure is not None:
+        raise failure
+    y_next = y + dt * (tableau.b0 @ st.k)
+    u_next, w_next = y_next[: sys.dim_u], y_next[sys.dim_u :]
     stats.constraint_residual = float(
         np.linalg.norm(sys.constraint(u_next, w_next, t + dt))
     )

@@ -152,13 +152,17 @@ class ShiftedSolver:
                 raise ValueError("Jacobi inner solver needs a nonzero diagonal")
             self._invdiag = 1.0 / diag
 
-    def solve(self, r):
+    def solve(self, r, out=None):
+        """The solve of ``r``, written into ``out`` when given (which may be ``r``)."""
         if self.inner == "exact":
-            return self._factor.solve(r)
+            return self._factor.solve(r, out=out)
         x = np.zeros_like(r)
         for _ in range(self.inner):
             x = x + (2.0 / 3.0) * (self._invdiag * (r - self.mat @ x))
-        return x
+        if out is None:
+            return x
+        out[...] = x
+        return out
 
 
 def apply_block2x2(sys: Block2x2System, x):
@@ -172,16 +176,19 @@ def apply_block2x2(sys: Block2x2System, x):
 
 
 def _lower_triangular(sys: Block2x2System, solve1, solve2):
-    """Solves ``z1 = solve1(r1)``, then ``z2 = solve2(r2 + (beta^2/phi) M z1)``."""
+    """Writes ``z1 = solve1(r1)``, then ``z2 = solve2(r2 + (beta^2/phi) M z1)``, into ``out``."""
     n = sys.n
     coupling = sys.beta**2 / sys.phi
 
-    def apply(r):
-        z1 = solve1(r[:n])
-        z2 = solve2(r[n:] + coupling * sys.mass_apply(z1))
-        return np.concatenate([z1, z2])
+    def into(r, out):
+        z1, z2 = out[:n], out[n:]
+        solve1(r[:n], z1)
+        np.multiply(sys.mass_apply(z1), coupling, out=z2)
+        z2 += r[n:]
+        solve2(z2, z2)
+        return out
 
-    return LinearOperator(2 * n, apply, solves_per_apply=2)
+    return LinearOperator(2 * n, into=into, solves_per_apply=2)
 
 
 def make_block2x2_preconditioner(sys: Block2x2System, spec: PrecondSpec,
@@ -214,7 +221,7 @@ def exact_schur_preconditioner(sys: Block2x2System):
     schur = a2 + sys.beta**2 * (m_dense @ s1.solve(m_dense))
     lu, piv = densela.lu_factor(schur)
     return _lower_triangular(
-        sys, s1.solve, lambda v: densela.lu_solve_factored(lu, piv, v)
+        sys, s1.solve, lambda v, out: np.copyto(out, densela.lu_solve_factored(lu, piv, v))
     )
 
 
@@ -262,7 +269,7 @@ def _plan_1x1(eta, lmat, mass, dt, spec, shifted=ShiftedSolver):
         lambda x: eta * (x if mass is None else mass @ x) - dt * (lmat @ x),
     )
     solver = shifted(eta, mass, lmat, dt, spec.inner)
-    return op, LinearOperator(lmat.n, solver.solve, solves_per_apply=1)
+    return op, LinearOperator(lmat.n, into=solver.solve)
 
 
 def _block_plan(vjac, blk, dt, mass, spec, shifted):

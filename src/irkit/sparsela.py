@@ -424,23 +424,26 @@ def _memoized(owner, key, operands, build):
 
 
 class LinearOperator:
-    """Abstract linear action ``y = A x`` of dimension ``n``.
-
-    ``solves_per_apply`` declares how many diagonal-block solver
-    applications one call costs; preconditioner operators set it so Krylov
-    reports can account for solver work in the standard unit.
+    """Linear action ``y = A x`` of dimension ``n``: ``apply(x)`` returns it,
+    or ``into(x, out)`` writes it into ``out`` and returns ``out`` (how right
+    preconditioners fill GMRES's rows in place).  ``solves_per_apply``
+    declares how many diagonal-block solver applications one call costs;
+    preconditioner operators set it so Krylov reports can account for
+    solver work in the standard unit.
     """
 
-    def __init__(self, n, apply, solves_per_apply=1):
-        self.n = n
-        self._apply = apply
-        self.solves_per_apply = solves_per_apply
-
-    def __call__(self, x):
-        return self._apply(x)
+    def __init__(self, n, apply=None, solves_per_apply=1, into=None):
+        self.n, self.solves_per_apply = n, solves_per_apply
+        self._apply, self._into = apply, into
 
     def matvec(self, x):
-        return self._apply(x)
+        return self._apply(x) if self._into is None else self._into(x, np.empty(self.n))
+
+    def matvec_into(self, x, out):
+        if self._into is None:
+            out[...] = self._apply(x)
+        else:
+            self._into(x, out)
 
 
 @dataclass
@@ -453,15 +456,6 @@ class KrylovReport:
     precond_applications: int = 0
 
 
-def _as_apply(op):
-    if isinstance(op, (LinearOperator, SparseMatrix)):
-        return op.n, op.matvec
-    a = np.asarray(op, dtype=float)
-    if a.ndim == 2 and a.shape[0] == a.shape[1]:
-        return a.shape[0], lambda x: a @ x
-    raise TypeError(f"cannot interpret {type(op)!r} as a linear operator")
-
-
 def gmres(op, rhs, right_precond=None, rtol=1e-5, maxit=200, restart=200):
     """Restarted GMRES with right preconditioning.
 
@@ -472,12 +466,15 @@ def gmres(op, rhs, right_precond=None, rtol=1e-5, maxit=200, restart=200):
     whose residual misses the tolerance raises
     :class:`~irkit.errors.KrylovBreakdownError`.
 
-    The Krylov vectors ``v[j]`` and their preconditioned images ``z[j]`` are
-    rows of arrays allocated per restart cycle and widened on demand; the
-    Hessenberg columns and Givens rotations are lists of floats.  Nothing is
-    sized by ``restart`` and nothing is kept between calls.
+    ``op`` has ``n`` and ``matvec`` (a :class:`LinearOperator` or a
+    :class:`SparseMatrix`).  The Krylov vectors ``v[j]`` and their
+    preconditioned images ``z[j]`` are rows of arrays allocated per restart
+    cycle, widened on demand and written in place: the preconditioner fills
+    ``z[j]`` through :meth:`LinearOperator.matvec_into`.  The Hessenberg
+    columns and Givens rotations are lists of floats.  Nothing is sized by
+    ``restart`` and nothing is kept between calls.
     """
-    n, apply_op = _as_apply(op)
+    n, apply_op = op.n, op.matvec
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (n,):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({n},)")
@@ -494,12 +491,12 @@ def gmres(op, rhs, right_precond=None, rtol=1e-5, maxit=200, restart=200):
         bnorm = math.sqrt(rhs @ rhs)
     if not (0.0 < rtol < 1.0):
         raise ValueError(f"rtol must lie in (0, 1), got {rtol}")
-    spa = right_precond.solves_per_apply if right_precond is not None else 0
-    apply_m = right_precond if right_precond is not None else (lambda v: v)
+    pre = right_precond or LinearOperator(n, lambda v: v, solves_per_apply=0)
+    spa, apply_m = pre.solves_per_apply, pre.matvec_into
     if bnorm == 0.0:
         return np.zeros(n), KrylovReport(0, True, [0.0], 0)
 
-    x = np.zeros(n)
+    x = None  # the first cycle's solution is its update alone
     r, beta = rhs, bnorm
     residuals = [beta / bnorm]
     total_it = 0
@@ -509,7 +506,7 @@ def gmres(op, rhs, right_precond=None, rtol=1e-5, maxit=200, restart=200):
         m = min(restart, maxit - total_it)
         z = np.empty((min(m, 8), n))
         v = np.empty((len(z) + 1, n))
-        v[0] = r / beta
+        np.divide(r, beta, out=v[0])
         g = [beta]  # the rotated right-hand side
         cols, cs, sn = [], [], []  # triangular factor by columns, rotations
         breakdown = False
@@ -517,9 +514,8 @@ def gmres(op, rhs, right_precond=None, rtol=1e-5, maxit=200, restart=200):
             if j == len(z):
                 z = _widen(z, min(2 * j, m))
                 v = _widen(v, len(z) + 1)
-            zj = apply_m(v[j])
-            z[j] = zj
-            w = apply_op(zj)
+            apply_m(v[j], z[j])
+            w = apply_op(z[j])
             wnorm0 = math.sqrt(w @ w)
             # classical Gram-Schmidt, then one re-orthogonalization pass
             basis = v[: j + 1]
@@ -533,7 +529,7 @@ def gmres(op, rhs, right_precond=None, rtol=1e-5, maxit=200, restart=200):
             if hj <= 1e-14 * max(wnorm0, 1e-300):
                 breakdown = True
             else:
-                v[j + 1] = w / hj
+                np.divide(w, hj, out=v[j + 1])
             for i in range(j):
                 a, b = col[i], col[i + 1]
                 col[i], col[i + 1] = cs[i] * a + sn[i] * b, -sn[i] * a + cs[i] * b
@@ -560,7 +556,8 @@ def gmres(op, rhs, right_precond=None, rtol=1e-5, maxit=200, restart=200):
         y = [0.0] * k
         for i in range(k - 1, -1, -1):
             y[i] = (g[i] - sum(cols[p][i] * y[p] for p in range(i + 1, k))) / cols[i][i]
-        x = x + np.array(y) @ z[:k]
+        dx = np.array(y) @ z[:k]
+        x = dx if x is None else x + dx
         r = rhs - apply_op(x)
         beta = math.sqrt(r @ r)
         true_rel = beta / bnorm
@@ -578,7 +575,7 @@ def gmres(op, rhs, right_precond=None, rtol=1e-5, maxit=200, restart=200):
         residuals=residuals,
         precond_applications=total_it * spa,
     )
-    return x * scale, report
+    return (np.zeros(n) if x is None else x) * scale, report
 
 
 def _widen(a, rows):
@@ -591,12 +588,13 @@ class BandedLU:
     """LU factorization of a square matrix in its pattern's band (LAPACK
     ``gbtrf``), in the bandwidth-reducing order :attr:`Pattern.band` picks.
 
-    A band of half-width 1 in natural order (n >= 3; scipy's ``gttrf``
-    wrapper rejects smaller ones) is factored and solved as a tridiagonal
-    matrix (``gttrf``/``gttrs``), whose solve costs about half of
-    ``gbtrs``'s column-by-column one.  Raises
-    :class:`SingularMatrixError` when a pivot falls below ``n * eps`` times
-    the largest entry: on singular periodic operators LAPACK leaves
+    A band of half-width 1 in natural order whose sub- and superdiagonal are
+    equal, and which LAPACK's ``pttrf`` finds positive definite, is factored
+    as ``L D L^T`` without pivoting (``pttrf``/``pttrs``), whose solve costs
+    about half of ``gbtrs``'s; every other band (nonsymmetric, indefinite,
+    singular) takes ``gbtrf``/``gbtrs``.  Raises :class:`SingularMatrixError`
+    when a pivot (an entry of ``D``) falls below ``n * eps`` times the
+    largest entry: on singular periodic operators LAPACK leaves
     roundoff-sized pivots, not exact zeros, and their size grows with ``n``
     (1.5e-14 of the largest entry on a 20x20 torus).
     """
@@ -617,10 +615,11 @@ class BandedLU:
         ab = np.zeros(n * ldab)
         ab[scatter] = a.data
         ab = ab.reshape(n, ldab)
-        if k == 1 and perm is None and n >= 3:
-            # columns 3, 2 and 1 of ab hold the sub-, main and superdiagonal
-            dl, d, du, du2, piv, _ = lapack.dgttrf(ab[:-1, 3], ab[:, 2], ab[1:, 1])
-            lu, pivots = (dl, d, du, du2), d
+        # columns 3, 2 and 1 of ab hold the sub-, main and superdiagonal
+        sym = k == 1 and perm is None and np.array_equal(ab[:-1, 3], ab[1:, 1])
+        d, e, info = lapack.dpttrf(ab[:, 2], ab[1:, 1]) if sym else (None, None, 1)
+        if info == 0:
+            lu, piv, pivots = (d, e), None, d
         else:
             lu, piv, _ = lapack.dgbtrf(ab.T, k, k, overwrite_ab=1)
             pivots = lu[2 * k]
@@ -629,16 +628,25 @@ class BandedLU:
             raise SingularMatrixError(f"banded LU pivot {pivot:.3e} below threshold")
         return cls(n, k, perm, inv, lu, piv)
 
-    def solve(self, rhs):
-        """Solve against one vector or a matrix of stacked column vectors."""
+    def solve(self, rhs, out=None):
+        """Solve against one vector or a matrix of stacked column vectors, into
+        ``out`` (which may be ``rhs``) when given: LAPACK overwrites a vector there."""
         b = np.asarray(rhs, dtype=float)
         if self.n == 0:
-            return np.zeros_like(b)
-        if isinstance(self._lu, tuple):
-            return lapack.dgttrs(*self._lu, self._piv, b)[0]
-        if self._perm is None:
-            return lapack.dgbtrs(self._lu, self._k, self._k, b, self._piv)[0]
-        # the gathered copy is LAPACK's to overwrite
-        y = lapack.dgbtrs(self._lu, self._k, self._k, b[self._perm], self._piv,
-                          overwrite_b=1)[0]
-        return y[self._inv]
+            return np.zeros_like(b) if out is None else out
+        if self._perm is not None:
+            # the gathered copy is LAPACK's to overwrite; mode "raise" would buffer out
+            return self._trs(b[self._perm], 1).take(self._inv, 0, out, "clip")
+        if out is None:
+            return self._trs(b, 0)
+        if out is not b:
+            out[...] = b
+        x = self._trs(out, 1)
+        if x is not out:
+            out[...] = x
+        return out
+
+    def _trs(self, b, overwrite):
+        if self._piv is None:
+            return lapack.dpttrs(*self._lu, b, overwrite_b=overwrite)[0]
+        return lapack.dgbtrs(self._lu, self._k, self._k, b, self._piv, overwrite_b=overwrite)[0]

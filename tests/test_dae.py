@@ -19,17 +19,20 @@ from irkit.dae import (
     dae_step,
     solve_dae_block4x4,
 )
-from irkit.errors import ConfigurationError, IndexViolationError, StageSolveError
+from irkit import densela
+from irkit.errors import (ConfigurationError, IndexViolationError, StageSolveError,
+                          StepFailureError)
 from irkit.irk_core import (
     Block2x2System,
     PairPlan,
     PrecondSpec,
+    ShiftedSolver,
     apply_block2x2,
     solve_transformed_system,
 )
 from irkit.nonlinear import SolverConfig, build_variant_jacobian, integrate
 from irkit.problems import make_problem
-from irkit.sparsela import SparseMatrix
+from irkit.sparsela import SparseMatrix, combine
 from irkit.tableau import make_tableau, prepare_stages
 
 TIGHT = SolverConfig(newton_rtol=1e-11, krylov_rtol=1e-12)
@@ -228,6 +231,35 @@ class TestBlockSolve:
             solve_dae_block4x4(pair_plan(oi, oj, 2.0, 1.3, 0.8, 0.25), rhs, rtol=1e-8,
                                maxit=100, mode="reordered")
 
+    @pytest.mark.parametrize("lw_zero", [True, False], ids=["banded", "dense"])
+    def test_elimination_solver_writes_the_returned_bits(self, lw_zero):
+        # the reduced solve is banded when L_w vanishes and dense otherwise; the
+        # solve into a row, onto its own rhs, and returned all hold the bits of
+        # the eliminated formula, with the same inner-solve counts
+        rng = np.random.default_rng(7)
+        nu, nw, alpha, dt = 5, 3, 2.0, 0.25
+        ops = random_ops(rng, nu, nw, lw_zero=lw_zero)
+        solver = _EliminationSolver(alpha, _CompositeMass(None, nu), ops, dt)
+        r = rng.standard_normal(nu + nw)
+        ru, rw, gw = r[:nu], r[nu:], ops.gw.factorization
+        if lw_zero:
+            zu = ShiftedSolver(alpha, None, ops.lu, dt).solve(ru)
+        else:
+            red = combine([alpha, -dt], [None, ops.lu]).to_dense()
+            red += dt * (ops.lw.to_dense() @ gw.solve(ops.gu.to_dense()))
+            zu = densela.lu_solve_factored(*densela.lu_factor(red), ru - ops.lw @ gw.solve(rw))
+        want = np.concatenate([zu, -gw.solve(rw + dt * (ops.gu @ zu)) / dt])
+        start = replace(dae.COUNTERS)
+        rows = np.full((3, nu + nw), np.nan)
+        solver.solve(r, out=rows[1])
+        rows[2] = r
+        solver.solve(rows[2], rows[2])
+        assert np.array_equal(solver.solve(r), want)
+        assert np.array_equal(rows[1], want) and np.array_equal(rows[2], want)
+        assert np.all(np.isnan(rows[0]))
+        assert dae.COUNTERS.differential - start.differential == 3
+        assert dae.COUNTERS.constraint - start.constraint == 3 * (1 if lw_zero else 2)
+
     def test_reordered_requires_structural_zero(self):
         rng = np.random.default_rng(5)
         oi = random_ops(rng, 3, 3)
@@ -337,6 +369,19 @@ class TestSolverSplitCounts:
                             make_tableau(family, s), SolverConfig(), mode=mode)
         assert (st.newton_iterations, st.krylov_iterations, st.precond_applications,
                 st.differential_solves, st.constraint_solves) == counts
+
+    def test_failed_step_counts_its_inner_solves(self):
+        # the stats a failed step raises with hold the inner solves it made
+        problem = make_problem("shear_layer_small", n=8)
+        start = replace(dae.COUNTERS)
+        with pytest.raises(StepFailureError) as failure:
+            dae_step(problem.system, problem.u0, problem.w0, 0.0, 0.01,
+                     make_tableau("radau_iia", 2), SolverConfig(newton_maxit=1),
+                     mode="reordered")
+        st = failure.value.stats
+        assert (st.newton_iterations, st.krylov_iterations, st.precond_applications) == (1, 3, 6)
+        assert st.differential_solves == dae.COUNTERS.differential - start.differential > 0
+        assert st.constraint_solves == dae.COUNTERS.constraint - start.constraint > 0
 
     @pytest.mark.parametrize("variant", [0, 1, 2, 3])
     def test_manufactured_totals(self, variant):

@@ -7,6 +7,8 @@ from irkit.errors import StageSolveError
 from irkit.irk_core import (
     Block2x2System,
     PrecondSpec,
+    ShiftedSolver,
+    _plan_1x1,
     apply_block2x2,
     exact_schur_preconditioner,
     field_of_values_bound,
@@ -15,7 +17,8 @@ from irkit.irk_core import (
     solve_transformed_system,
 )
 from irkit.problems import make_problem
-from irkit.sparsela import SparseMatrix, combine, gmres
+from irkit.nonlinear import integrate
+from irkit.sparsela import BandedLU, LinearOperator, SparseMatrix, combine, gmres
 from irkit.tableau import kappa_bound, make_tableau, prepare_stages
 
 
@@ -68,7 +71,7 @@ class TestBlock2x2:
 
     def test_precond_scalar_oracle(self):
         pre = make_block2x2_preconditioner(scalar_system(0.0, 0.0), PrecondSpec())
-        z = pre(np.array([1.0, 0.0]))
+        z = pre.matvec(np.array([1.0, 0.0]))
         assert np.allclose(z, [1.0 / 3.0, 0.25])
 
     def test_precond_beta_zero_is_exact(self):
@@ -123,6 +126,80 @@ class TestBlock2x2:
             PrecondSpec(gamma_mode=-1.0)
         with pytest.raises(ValueError):
             PrecondSpec(inner=0)
+
+
+def heat_pair(mass_kind):
+    """A 2x2 eigen-block of gauss(4) on heat1d: SPD diagonal blocks."""
+    lmat = make_problem("heat1d", n=64).operator
+    mass = None if mass_kind == "identity" else SparseMatrix(sp.diags(np.linspace(1.0, 2.0, 64)))
+    return Block2x2System(eta=4.2, beta=5.3, phi=1.1, mass=mass, l1=lmat, l2=lmat, dt=1e-3)
+
+
+def returning_preconditioner(sysb, spec):
+    """The block lower-triangular preconditioner as a plain ``apply(x)``
+    operator, from the shifted solvers' returning solves."""
+    n, coupling = sysb.n, sysb.beta**2 / sysb.phi
+    s1 = ShiftedSolver(sysb.eta, sysb.mass, sysb.l1, sysb.dt, spec.inner)
+    s2 = ShiftedSolver(spec.gamma(sysb.eta, sysb.beta), sysb.mass, sysb.l2, sysb.dt, spec.inner)
+
+    def apply(r):
+        z1 = s1.solve(r[:n])
+        return np.concatenate([z1, s2.solve(r[n:] + coupling * sysb.mass_apply(z1))])
+
+    return LinearOperator(2 * n, apply, solves_per_apply=2)
+
+
+class TestInPlacePreconditioners:
+    """A preconditioner written into a row of GMRES's basis holds the bits of
+    the returning solves it is built from."""
+
+    @pytest.mark.parametrize("inner", ["exact", 2])
+    @pytest.mark.parametrize("mass_kind", ["identity", "spd_diagonal"])
+    def test_block2x2_row_matches_returned_vector(self, inner, mass_kind):
+        sysb, spec = heat_pair(mass_kind), PrecondSpec(inner=inner)
+        r = np.random.default_rng(3).standard_normal(2 * sysb.n)
+        want = returning_preconditioner(sysb, spec).matvec(r)
+        rows = np.full((3, 2 * sysb.n), np.nan)
+        make_block2x2_preconditioner(sysb, spec).matvec_into(r, rows[1])
+        assert np.array_equal(rows[1], want) and np.all(np.isnan(rows[[0, 2]]))
+
+    @pytest.mark.parametrize("inner", ["exact", 2])
+    def test_1x1_row_matches_returned_vector(self, inner):
+        sysb = heat_pair("spd_diagonal")
+        r = np.random.default_rng(4).standard_normal(sysb.n)
+        _, pre = _plan_1x1(2.5, sysb.l1, sysb.mass, sysb.dt, PrecondSpec(inner=inner))
+        rows = np.full((2, sysb.n), np.nan)
+        pre.matvec_into(r, rows[0])
+        want = ShiftedSolver(2.5, sysb.mass, sysb.l1, sysb.dt, inner).solve(r)
+        assert np.array_equal(rows[0], want) and np.all(np.isnan(rows[1]))
+
+    @pytest.mark.parametrize("restart", [200, 3])
+    def test_gmres_in_place_matches_plain_apply(self, restart):
+        sysb, spec = heat_pair("identity"), PrecondSpec()
+        rhs = np.random.default_rng(5).standard_normal(2 * sysb.n)
+        runs = [gmres(sysb.matrix, rhs, right_precond=pre, rtol=1e-12, restart=restart)
+                for pre in (make_block2x2_preconditioner(sysb, spec),
+                            returning_preconditioner(sysb, spec))]
+        (x, rep), (x_plain, rep_plain) = runs
+        assert rep.converged and rep.iterations > (3 if restart == 3 else 1)
+        assert np.array_equal(x, x_plain) and rep == rep_plain
+
+    def test_one_banded_solve_per_inner_solve_on_heat(self, monkeypatch):
+        # the tracer's per-step BandedLU.solve count reads as preconditioner
+        # applications only while each inner solve makes exactly one call
+        calls = []
+        solve = BandedLU.solve
+
+        def spy(self, *args, **kwargs):
+            calls.append(1)
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(BandedLU, "solve", spy)
+        problem = make_problem("heat1d", n=64)
+        res = integrate(problem.system, problem.u0, 0.0, 3e-3, 1e-3, make_tableau("gauss", 4))
+        applications = res.total("precond_applications")
+        assert len(res.step_stats) == 3 and applications > 0
+        assert len(calls) == applications
 
 
 def dense(op, n):

@@ -28,6 +28,11 @@ def periodic_central(n, h):
     return d.tocsr()
 
 
+def dense_op(a):
+    """A dense array as the operator GMRES takes."""
+    return LinearOperator(len(a), a.__matmul__)
+
+
 class TestSparseMatrix:
     def test_sorted_unique_indices(self):
         m = SparseMatrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
@@ -115,13 +120,13 @@ class TestKernelProduct:
 class TestGmres:
     def test_identity_one_iteration(self):
         b = np.arange(1.0, 6.0)
-        x, rep = gmres(np.eye(5), b, rtol=1e-12)
+        x, rep = gmres(dense_op(np.eye(5)), b, rtol=1e-12)
         assert rep.converged and rep.iterations == 1
         assert np.allclose(x, b)
 
     def test_diagonal_krylov_bound(self):
         d = np.diag(np.arange(1.0, 11.0))
-        x, rep = gmres(d, np.ones(10), rtol=1e-12, maxit=50)
+        x, rep = gmres(dense_op(d), np.ones(10), rtol=1e-12, maxit=50)
         assert rep.converged and rep.iterations <= 10
         assert np.allclose(d @ x, np.ones(10), atol=1e-10)
 
@@ -129,7 +134,7 @@ class TestGmres:
         rng = np.random.default_rng(1)
         a = rng.standard_normal((24, 24)) + 5 * np.eye(24)
         b = rng.standard_normal(24)
-        x, rep = gmres(a, b, rtol=1e-13, maxit=100, restart=100)
+        x, rep = gmres(dense_op(a), b, rtol=1e-13, maxit=100, restart=100)
         assert rep.converged and rep.iterations <= 24
         assert np.linalg.norm(b - a @ x) / np.linalg.norm(b) <= 1e-13
 
@@ -137,7 +142,7 @@ class TestGmres:
         rng = np.random.default_rng(2)
         a = rng.standard_normal((16, 16)) + 4 * np.eye(16)
         b = rng.standard_normal(16)
-        x, rep = gmres(a, b, rtol=1e-8)
+        x, rep = gmres(dense_op(a), b, rtol=1e-8)
         true_rel = np.linalg.norm(b - a @ x) / np.linalg.norm(b)
         assert abs(true_rel - rep.residuals[-1]) <= 1e-13
 
@@ -145,7 +150,7 @@ class TestGmres:
         rng = np.random.default_rng(3)
         a = rng.standard_normal((20, 20)) + 6 * np.eye(20)
         b = rng.standard_normal(20)
-        _, rep = gmres(a, b, rtol=1e-12, restart=7)
+        _, rep = gmres(dense_op(a), b, rtol=1e-12, restart=7)
         h = rep.residuals
         assert all(h[i + 1] <= h[i] * (1 + 1e-10) + 1e-15 for i in range(len(h) - 1))
 
@@ -155,7 +160,7 @@ class TestGmres:
         b = rng.standard_normal(12)
         inv = np.linalg.inv(a)
         pre = LinearOperator(12, lambda v: inv @ v, solves_per_apply=2)
-        x, rep = gmres(a, b, right_precond=pre, rtol=1e-12)
+        x, rep = gmres(dense_op(a), b, right_precond=pre, rtol=1e-12)
         assert rep.converged and rep.iterations == 1
         assert rep.precond_applications == 2 * rep.iterations
 
@@ -163,27 +168,27 @@ class TestGmres:
         rng = np.random.default_rng(5)
         a = rng.standard_normal((30, 30)) + 6 * np.eye(30)
         b = rng.standard_normal(30)
-        _, rep = gmres(a, b, rtol=1e-15, maxit=3, restart=2)
+        _, rep = gmres(dense_op(a), b, rtol=1e-15, maxit=3, restart=2)
         assert not rep.converged and rep.iterations == 3
 
     def test_zero_rhs(self):
-        x, rep = gmres(np.eye(4), np.zeros(4))
+        x, rep = gmres(dense_op(np.eye(4)), np.zeros(4))
         assert rep.converged and rep.iterations == 0
         assert np.all(x == 0.0)
 
     def test_rtol_domain(self):
         with pytest.raises(ValueError):
-            gmres(np.eye(3), np.ones(3), rtol=2.0)
+            gmres(dense_op(np.eye(3)), np.ones(3), rtol=2.0)
 
     def test_rejects_nonfinite_rhs(self):
         with pytest.raises(ValueError, match="non-finite"):
-            gmres(np.eye(3), np.array([1.0, np.nan, 0.0]))
+            gmres(dense_op(np.eye(3)), np.array([1.0, np.nan, 0.0]))
 
     def test_restarted_convergence(self):
         rng = np.random.default_rng(6)
         a = rng.standard_normal((40, 40)) + 8 * np.eye(40)
         b = rng.standard_normal(40)
-        x, rep = gmres(a, b, rtol=1e-10, maxit=400, restart=5)
+        x, rep = gmres(dense_op(a), b, rtol=1e-10, maxit=400, restart=5)
         assert rep.converged
         assert np.linalg.norm(b - a @ x) / np.linalg.norm(b) <= 1e-10
 
@@ -194,7 +199,7 @@ class TestGmres:
         rng = np.random.default_rng(7)
         a = rng.standard_normal((60, 60)) + 9 * np.eye(60)
         b = rng.standard_normal(60)
-        x, rep = gmres(a, b, rtol=1e-12, maxit=400, restart=restart)
+        x, rep = gmres(dense_op(a), b, rtol=1e-12, maxit=400, restart=restart)
         assert rep.converged and rep.iterations > min(8, restart)
         ref = np.linalg.solve(a, b)
         assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
@@ -203,17 +208,17 @@ class TestGmres:
         rng = np.random.default_rng(8)
         cases = [(rng.standard_normal((n, n)) + 6 * np.eye(n), pre, rng.standard_normal((3, n)))
                  for n, pre in ((20, None), (35, LinearOperator(35, lambda v: v / 6.0)))]
-        fresh = [[gmres(a, b, right_precond=pre, rtol=1e-10)[0] for b in bs]
+        fresh = [[gmres(dense_op(a), b, right_precond=pre, rtol=1e-10)[0] for b in bs]
                  for a, pre, bs in cases]
         for k in range(3):
             for (a, pre, bs), ref in zip(cases, fresh):
-                x, _ = gmres(a, bs[k], right_precond=pre, rtol=1e-10)
+                x, _ = gmres(dense_op(a), bs[k], right_precond=pre, rtol=1e-10)
                 assert np.array_equal(x, ref[k])
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     def test_rejects_infinite_rhs(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
-            gmres(np.eye(3), np.array([1.0, bad, 0.0]))
+            gmres(dense_op(np.eye(3)), np.array([1.0, bad, 0.0]))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_finite_rhs_with_overflowing_norm_is_not_rejected(self):
@@ -221,7 +226,7 @@ class TestGmres:
         # norm overflows, so it is solved scaled by its largest entry
         rhs = np.array([1e300, -2e300, 5e299, 1e300])
         a = np.diag([1.0, 2.0, 4.0, 0.5])
-        x, rep = gmres(a, rhs, rtol=1e-12)
+        x, rep = gmres(dense_op(a), rhs, rtol=1e-12)
         assert rep.converged and rep.iterations == 4
         assert np.all(np.isfinite(rep.residuals)) and rep.residuals[-1] <= 1e-12
         assert np.allclose(x, rhs / np.diag(a), rtol=1e-12, atol=0.0)
@@ -230,14 +235,14 @@ class TestGmres:
         # the first Arnoldi step breaks down (h[1, 0] below 1e-14 of |A v|)
         # with the residual already met
         a = np.diag([1.0, 1.0 + 1e-15])
-        x, rep = gmres(a, np.ones(2), rtol=1e-12)
+        x, rep = gmres(dense_op(a), np.ones(2), rtol=1e-12)
         assert rep.converged and rep.iterations == 1
         assert np.allclose(x, 1.0, atol=1e-14)
 
     def test_breakdown_above_rtol_raises(self):
         a = np.diag([1.0, 1.0 + 1e-15])
         with pytest.raises(KrylovBreakdownError, match="above rtol"):
-            gmres(a, np.ones(2), rtol=1e-17)
+            gmres(dense_op(a), np.ones(2), rtol=1e-17)
 
     @pytest.mark.parametrize("a, b, residual", [
         (np.array([[0.0, 1.0], [0.0, 0.0]]), [1.0, 0.0], "1.000e\\+00"),
@@ -248,7 +253,7 @@ class TestGmres:
         # at once for a nilpotent operator, at the second step for a
         # singular one
         with pytest.raises(KrylovBreakdownError, match=f"residual {residual} above"):
-            gmres(a, np.array(b), rtol=1e-8)
+            gmres(dense_op(a), np.array(b), rtol=1e-8)
 
 
 class TestBandedLU:
@@ -304,11 +309,41 @@ class TestBandedLU:
         with pytest.raises(ValueError):
             BandedLU.factor(SparseMatrix(np.ones((2, 3))))
 
+    @pytest.mark.parametrize("kind,routine", [("spd", "dpttrs"), ("natural", "dgbtrs"),
+                                              ("rcm", "dgbtrs")])
+    def test_solve_into_a_row_is_bit_identical(self, monkeypatch, kind, routine):
+        # the in-place solve writes the very bits the returning one gives, into
+        # a row of a 2-D array as GMRES passes it, and onto its own rhs
+        n, rng = 64, np.random.default_rng(11)
+        if kind == "rcm":
+            a = SparseMatrix(sp.identity(n) - 0.2 * periodic_central(n, 1.0 / n))
+        else:
+            a = (spd_tridiagonal if kind == "spd" else tridiagonal)(rng, n)
+        assert (a.pattern.band[1] is not None) == (kind == "rcm")
+        f = a.factorization
+        b = rng.standard_normal(n)
+        b.setflags(write=False)
+        calls = lapack_calls(monkeypatch)
+        want = f.solve(b)
+        rows = np.full((3, n), np.nan)
+        row = rows[1]
+        assert f.solve(b, out=row) is row
+        assert np.array_equal(row, want) and np.all(np.isnan(rows[[0, 2]]))
+        row = rows[2]
+        row[:] = b
+        f.solve(row, out=row)
+        assert np.array_equal(row, want)
+        # a C-ordered matrix out, which LAPACK cannot overwrite in place
+        bs, outs = rng.standard_normal((n, 3)), np.empty((n, 3))
+        assert f.solve(bs, out=outs) is outs and np.array_equal(outs, f.solve(bs))
+        assert calls == [routine] * 5
 
-def lapack_calls(monkeypatch):
-    """Names of the LAPACK solve routines :class:`BandedLU` calls, in order."""
+
+def lapack_calls(monkeypatch, names=("dpttrs", "dgbtrs")):
+    """Names of the LAPACK routines among ``names`` that :class:`BandedLU`
+    calls, in order (by default its two solve routines)."""
     calls = []
-    for name in ("dgttrs", "dgbtrs"):
+    for name in names:
         routine = getattr(sparsela.lapack, name)
 
         def spy(*args, _name=name, _routine=routine, **kwargs):
@@ -326,14 +361,27 @@ def tridiagonal(rng, n):
                                  shape=(n, n)))
 
 
-class TestTridiagonal:
-    """Natural-order bands of half-width at most 1 factor through gttrf/gttrs."""
+def spd_tridiagonal(rng, n):
+    """Random symmetric diagonally dominant tridiagonal matrix with a positive
+    diagonal, so symmetric positive definite (``eta*I - dt*L`` on heat)."""
+    off = rng.standard_normal(n - 1)
+    return SparseMatrix(sp.diags([off, 4.0 + rng.random(n), off], [-1, 0, 1], shape=(n, n)))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 1024])
+
+SIZES = [1, 2, 3, 4, 9, 1024]
+
+
+class TestTridiagonal:
+    """Natural-order bands of half-width 1 factor as ``L D L^T`` through
+    pttrf/pttrs when symmetric positive definite, otherwise through gbtrf/gbtrs."""
+
+    @pytest.mark.parametrize("make,n", [(tridiagonal, n) for n in SIZES]
+                             + [(spd_tridiagonal, n) for n in (2, 3, 9, 1024)],
+                             ids=[str(n) for n in SIZES] + ["spd2", "spd3", "spd9", "spd1024"])
     @pytest.mark.parametrize("nrhs", [None, 1, 3])
-    def test_solve_matches_dense(self, n, nrhs):
+    def test_solve_matches_dense(self, make, n, nrhs):
         rng = np.random.default_rng(n)
-        a = tridiagonal(rng, n)
+        a = make(rng, n)
         b = rng.standard_normal(n if nrhs is None else (n, nrhs))
         x = a.factorization.solve(b)
         ref = np.linalg.solve(a.to_dense(), b)
@@ -347,11 +395,14 @@ class TestTridiagonal:
         ref = np.linalg.solve(a.to_dense(), b)
         assert np.max(np.abs(a.factorization.solve(b) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("n,routine", [(1, "dgbtrs"), (2, "dgbtrs"), (3, "dgttrs"),
-                                           (64, "dgttrs")])
+    @pytest.mark.parametrize("n,routine", [(1, "dgbtrs"), (2, "dgbtrs"), (3, "dgbtrs"),
+                                           (64, "dgbtrs"), (2, "dpttrs"), (3, "dpttrs"),
+                                           (64, "dpttrs")])
     def test_routine_by_size(self, monkeypatch, n, routine):
-        # scipy's gttrf wrapper rejects n < 3, so the two smallest sizes stay banded
-        a = tridiagonal(np.random.default_rng(0), n)
+        # the nonsymmetric inputs keep the general band solve at every size; an
+        # SPD band takes LDL^T from n = 2 (a 1x1 matrix has half-width 0)
+        make = spd_tridiagonal if routine == "dpttrs" else tridiagonal
+        a = make(np.random.default_rng(0), n)
         calls = lapack_calls(monkeypatch)
         a.factorization.solve(np.ones(n))
         a.factorization.solve(np.ones((n, 2)))
@@ -375,6 +426,32 @@ class TestTridiagonal:
         values = np.where(band.rows == 1, 0.0, 2.0)
         with pytest.raises(SingularMatrixError):
             SparseMatrix.on_pattern(band, values).factorization
+
+    def test_symmetric_indefinite_falls_back_to_gbtrf(self, monkeypatch):
+        # pttrf meets the negative pivot -3 - 1/2 in row 2 and reports it
+        n = 9
+        a = SparseMatrix(sp.diags([1.0, [2.0, -3.0] * 4 + [2.0], 1.0], [-1, 0, 1], shape=(n, n)))
+        calls = lapack_calls(monkeypatch, ("dpttrf", "dgbtrf", "dpttrs", "dgbtrs"))
+        b = np.arange(1.0, n + 1)
+        x = a.factorization.solve(b)
+        assert calls == ["dpttrf", "dgbtrf", "dgbtrs"]
+        ref = np.linalg.solve(a.to_dense(), b)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [3, 4, 17])
+    @pytest.mark.parametrize("last,routines", [(1.0, ["dpttrf", "dgbtrf"]),
+                                               (1.0 + 2.0**-50, ["dpttrf"])])
+    def test_singular_psd_band_raises(self, monkeypatch, n, last, routines):
+        # the negated Neumann Laplacian [1, 2, ..., 2, 1] with off-diagonals -1
+        # is positive semidefinite: pttrf fails on its zero pivot and gbtrf's
+        # pivot check raises; with its last entry 2**-50 larger, pttrf succeeds
+        # and the check on D raises
+        lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)).tolil()
+        lap[0, 0], lap[n - 1, n - 1] = 1.0, last
+        calls = lapack_calls(monkeypatch, ("dpttrf", "dgbtrf"))
+        with pytest.raises(SingularMatrixError):
+            SparseMatrix(lap.tocsr()).factorization
+        assert calls == routines
 
     def test_burgers_and_shear_stay_banded(self, monkeypatch):
         # burgers is periodic (a band only in RCM order), shear's 2-D operators
