@@ -7,27 +7,27 @@ DAE into that :class:`~irkit.nonlinear.OdeSystem`: stage rows stack
 ``[k_i | l_i]``, the composite operator ``J = [[L_u, L_w], [G_u, G_w]]``
 (:class:`DaeOps`) is its linearization and ``diag(M, 0)`` its mass.  The
 ODE core then does the whole stage solve (residual, variant assembly,
-transformed sweep, Newton-like iteration) with two composite block solvers
-plugged in: the exact shifted solve eliminates the algebraic rows through
-factored ``G_w`` solves, and complex pairs go to :func:`solve_dae_block4x4`.
+transformed sweep, Newton-like iteration) with a pair-plan class plugged in:
+its exact shifted solve eliminates the algebraic rows through factored
+``G_w`` solves, and complex pairs go to :func:`solve_dae_block4x4`.
 
-Two orderings are available for a complex-pair block.  The coupled mode
-runs GMRES on the whole composite 2x2 block.  The reordered mode applies
-when the differential rows do not couple to the algebraic variable
-(``L_w = 0``, as in a lagged advection/streamfunction splitting): the
-differential 2x2 is solved first, then the two constraint solves are
-independent.
+Two orderings are available for a complex-pair block, one plan class each
+(:data:`PAIR_PLANS`).  The coupled mode runs GMRES on the whole composite
+2x2 block.  The reordered mode applies when the differential rows do not
+couple to the algebraic variable (``L_w = 0``, as in a lagged
+advection/streamfunction splitting): the differential 2x2 is solved first,
+then the two constraint solves are independent.
 
 No state of a step is kept here: the composite mass compares by value and
-the block solvers plug in as they are, so a stage Jacobian's block plans
-serve every step while its blocks are unchanged.  Inner solves count into
+the plan classes are module-level, so a stage Jacobian's block plans serve
+every step while its blocks are unchanged.  Inner solves count into
 the running totals :data:`COUNTERS`, which :func:`dae_step` reads as deltas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -35,7 +35,7 @@ import numpy as np
 from . import densela
 from .errors import (ConfigurationError, IndexViolationError, SingularMatrixError,
                      StageSolveError, StepFailureError)
-from .irk_core import PairPlan, ShiftedSolver, _solve_2x2
+from .irk_core import PairPlan, ShiftedSolver
 from .nonlinear import (IntegrationResult, OdeSystem, SolverConfig, StageState, _state_vector,
                         march, newton_like_step, stage_residual)
 from .sparsela import SparseMatrix, combine
@@ -177,7 +177,8 @@ class _EliminationSolver:
     ``alpha*M - dt*(L_u - L_w G_w^{-1} G_u)`` stays banded when ``L_w``
     vanishes; otherwise it is materialized densely (desk-scale dimensions
     only).  The ``shifted`` factory of composite blocks: ``mass`` is a
-    :class:`_CompositeMass` and ``inner`` is ignored.
+    :class:`_CompositeMass`, and ``inner`` is unused, since :func:`dae_step`
+    accepts only exact inner solves.
     """
 
     def __init__(self, alpha, mass, ops: DaeOps, dt, inner=None):
@@ -208,16 +209,16 @@ class _EliminationSolver:
 def solve_dae_block4x4(plan: PairPlan, rhs, rtol=1e-5, maxit=200, mode="coupled"):
     """Solve one complex-pair composite block; returns ``(x, report)``.
 
-    ``plan`` is the block's :class:`~irkit.irk_core.PairPlan`: a system on
-    :class:`DaeOps` with the mass ``_CompositeMass(M, dim_u)``, and the
-    elimination solver as ``shifted``.  ``rhs`` stacks ``(f_i, g_i, f_j,
-    g_j)``.  ``mode`` is ``"coupled"`` or ``"reordered"``; the reordered
-    forward substitution requires both ``L_w`` blocks to vanish
-    structurally and drops the variant-3 couplings (its triangular
-    structure assumes the lumped or weighted block-diagonal linearization),
-    so the outer nonlinear iteration absorbs any coupling mismatch.  Both
-    modes check the block's true residual against ``rtol`` and raise
-    :class:`StageSolveError` otherwise.
+    ``plan`` is the block's plan from :data:`PAIR_PLANS` (the reordered
+    one in ``reordered`` mode): a system on :class:`DaeOps` with the mass
+    ``_CompositeMass(M, dim_u)``.  ``rhs`` stacks ``(f_i, g_i, f_j, g_j)``.
+    ``mode`` is ``"coupled"`` or ``"reordered"``; the reordered forward
+    substitution requires both ``L_w`` blocks to vanish structurally and
+    drops the variant-3 couplings (its triangular structure assumes the
+    lumped or weighted block-diagonal linearization), so the outer nonlinear
+    iteration absorbs any coupling mismatch.  Both modes check the block's
+    true residual against ``rtol`` and raise :class:`StageSolveError`
+    otherwise.
     """
     ops_i, ops_j = plan.system.l1, plan.system.l2
     rhs = np.asarray(rhs, dtype=float)
@@ -229,7 +230,7 @@ def solve_dae_block4x4(plan: PairPlan, rhs, rtol=1e-5, maxit=200, mode="coupled"
             raise ConfigurationError("reordered mode requires structurally zero L_w blocks")
         x, rep, true_rel = _solve_reordered(plan, rhs, rtol, maxit)
     elif mode == "coupled":
-        x, rep = _solve_2x2(plan, rhs, rtol, maxit)
+        x, rep = PairPlan.solve(plan, rhs, rtol, maxit)  # GMRES, not the plan's own solve
         # gmres has already measured the true residual of x against rtol
         true_rel = rep.residuals[-1]
     else:
@@ -243,27 +244,20 @@ def solve_dae_block4x4(plan: PairPlan, rhs, rtol=1e-5, maxit=200, mode="coupled"
     return x, rep
 
 
-def _solve_reordered(plan: PairPlan, rhs, rtol, maxit):
+def _solve_reordered(plan, rhs, rtol, maxit):
     """GMRES on the differential 2x2 block of a composite pair with
     ``L_w = 0``, then one ``G_w`` solve per stage row; returns
     ``(x, report, true_rel)``.
 
-    The differential block's plan is kept with the pair's ``plan``, so it
-    lives as long as the stage Jacobian that holds it.  ``true_rel`` is the
-    whole block's relative true residual, taken without assembling the
-    block: GMRES's recomputed residual on the differential rows, and
-    ``b - G_w l`` on the algebraic rows of each stage row.
+    ``true_rel`` is the whole block's relative true residual, taken without
+    assembling the block: GMRES's recomputed residual on the differential
+    rows, and ``b - G_w l`` on the algebraic rows of each stage row.
     """
     sys2 = plan.system
     ops_i, ops_j, dt = sys2.l1, sys2.l2, sys2.dt
     nu, n = ops_i.lu.n, ops_i.n
-    diff = getattr(plan, "_differential", None)
-    if diff is None:
-        diff = plan._differential = PairPlan(
-            replace(sys2, mass=sys2.mass.mass, l1=ops_i.lu, l2=ops_j.lu, offdiag12=None,
-                    offdiag21=None), plan.spec)
     rdiff = np.concatenate([rhs[:nu], rhs[n : n + nu]])
-    sol, rep = _solve_2x2(diff, rdiff, rtol, maxit)
+    sol, rep = plan.differential.solve(rdiff, rtol, maxit)
     COUNTERS.differential += rep.precond_applications
     x, sq = [], (rep.residuals[-1] * np.linalg.norm(rdiff)) ** 2
     for ops, k, rw in ((ops_i, sol[:nu], rhs[nu:n]), (ops_j, sol[nu:], rhs[n + nu :])):
@@ -276,22 +270,54 @@ def _solve_reordered(plan: PairPlan, rhs, rtol, maxit):
     return np.concatenate(x), rep, np.sqrt(sq) / rnorm if rnorm > 0.0 else 0.0
 
 
+class _CoupledPlan(PairPlan):
+    """A composite pair's plan, solved by :func:`solve_dae_block4x4` in ``mode``."""
+
+    shifted = _EliminationSolver
+    mode = "coupled"
+
+    def solve(self, rhs, rtol, maxit):
+        return solve_dae_block4x4(self, rhs, rtol, maxit, self.mode)
+
+
+class _ReorderedPlan(_CoupledPlan):
+    """The plan of a pair with ``L_w = 0``; keeps its differential block's plan."""
+
+    mode = "reordered"
+
+    @cached_property
+    def differential(self):
+        sys2 = self.system
+        return PairPlan(replace(sys2, mass=sys2.mass.mass, l1=sys2.l1.lu, l2=sys2.l2.lu,
+                                offdiag12=None, offdiag21=None), self.spec)
+
+
+PAIR_PLANS = {"coupled": _CoupledPlan, "reordered": _ReorderedPlan}
+
+
 def dae_step(sys: DaeSystem, u, w, t, dt, tableau, cfg=SolverConfig(), prep=None,
              mode="coupled"):
     """One DAE step; returns ``(u_next, w_next, StepStats)``.
 
     :func:`~irkit.nonlinear.newton_like_step` solves the stage system of
     ``diag(M, 0) y' = F(y)`` on the ODE view of ``sys``, with stage rows
-    ``[k | ell]`` and the composite block solvers of ``mode``.  ``u`` and
-    ``w`` must have lengths ``dim_u`` and ``dim_w``; otherwise a
-    ``ValueError`` is raised before any work.  A raised ``StepFailureError``
-    carries the step's stats with its inner solves counted.
+    ``[k | ell]`` and the pair-plan class of ``mode``.  ``u`` and ``w``
+    must have lengths ``dim_u`` and ``dim_w``; otherwise a ``ValueError``
+    is raised before any work, as is a :class:`ConfigurationError` for an
+    unknown ``mode`` or an inexact ``cfg.precond.inner``.  A raised
+    ``StepFailureError`` carries the step's stats with its inner solves
+    counted.
     """
     if tableau.family in SDIRK_FAMILIES:
         raise ConfigurationError(
             "DIRK tableaux are not supported on DAE systems; use a fully "
             "implicit collocation scheme"
         )
+    if mode not in PAIR_PLANS:
+        raise ConfigurationError(f"unknown mode {mode!r}; expected one of {list(PAIR_PLANS)}")
+    if cfg.precond.inner != "exact":
+        raise ConfigurationError(
+            f"inner={cfg.precond.inner!r}: the DAE's shifted solve is exact only")
     y = np.concatenate([_state_vector(u, sys.dim_u, "u", "dim_u"),
                         _state_vector(w, sys.dim_w, "w", "dim_w")])
     if prep is None:
@@ -299,8 +325,7 @@ def dae_step(sys: DaeSystem, u, w, t, dt, tableau, cfg=SolverConfig(), prep=None
     st = StageState(np.zeros((tableau.s, len(y))), y, t, dt)
     start, failure = replace(COUNTERS), None
     try:
-        st, stats = newton_like_step(_ode_view(sys), st, prep, cfg, shifted=_EliminationSolver,
-                                     solve_pair=partial(solve_dae_block4x4, mode=mode))
+        st, stats = newton_like_step(_ode_view(sys), st, prep, cfg, PAIR_PLANS[mode])
     except StepFailureError as exc:
         stats, failure = exc.stats, exc
     stats.differential_solves = COUNTERS.differential - start.differential

@@ -14,10 +14,15 @@ diagonal block uses the shift ``gamma`` (optimally ``eta + beta^2/eta``).
 The coupling terms ``C12``/``C21`` are only present for the richest
 linearization variant; the preconditioner always ignores them.
 
+Each eigen-block (and DIRK stage) is solved by its plan's ``solve(rhs, rtol,
+maxit) -> (x, KrylovReport)``: a :class:`ShiftedPlan` or a :class:`PairPlan`.
+The DAE path plugs in a ``PairPlan`` subclass as ``pair_plan=``; its
+``shifted`` solver serves both kinds of block.
+
 Each 2x2 block operator is one CSR matrix on an interned block pattern
 (:func:`~irkit.sparsela.stack`), so a Krylov iteration applies it with one
-sparse product.  The variant Jacobian keeps each block's plan (its system and
-preconditioner): a constant operator's are built on the first step only.
+sparse product.  The variant Jacobian keeps each block's plan: a constant
+operator's are built on the first step only.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ class PrecondSpec:
         if self.inner != "exact" and not (
             isinstance(self.inner, int) and self.inner > 0
         ):
-            raise ValueError(f"inner must be 'exact' or a positive int")
+            raise ValueError(f"inner must be 'exact' or a positive int, got {self.inner!r}")
 
     def gamma(self, eta, beta):
         if self.gamma_mode == "star":
@@ -206,25 +211,6 @@ def make_block2x2_preconditioner(sys: Block2x2System, spec: PrecondSpec,
     return _lower_triangular(sys, s1.solve, s2.solve)
 
 
-def exact_schur_preconditioner(sys: Block2x2System):
-    """Test hook: the triangular preconditioner with the exact Schur complement.
-
-    Materializes ``S = eta*M - dt*L2 + beta^2 * M (eta*M - dt*L1)^{-1} M``
-    densely, so GMRES on the 2x2 block converges in at most two iterations.
-    """
-    n = sys.n
-    if n > DENSE_KAPPA_LIMIT:
-        raise ValueError(f"exact Schur hook limited to n <= {DENSE_KAPPA_LIMIT}")
-    s1 = ShiftedSolver(sys.eta, sys.mass, sys.l1, sys.dt, "exact")
-    m_dense = np.eye(n) if sys.mass is None else sys.mass.to_dense()
-    a2 = combine([sys.eta, -sys.dt], [sys.mass, sys.l2]).to_dense()
-    schur = a2 + sys.beta**2 * (m_dense @ s1.solve(m_dense))
-    lu, piv = densela.lu_factor(schur)
-    return _lower_triangular(
-        sys, s1.solve, lambda v, out: np.copyto(out, densela.lu_solve_factored(lu, piv, v))
-    )
-
-
 @dataclass
 class SolveStats:
     """Krylov accounting for one transformed stage solve."""
@@ -242,99 +228,68 @@ class SolveStats:
 
 @dataclass
 class PairPlan:
-    """A 2x2 eigen-block's system and its preconditioner, built on first use
-    by :func:`make_block2x2_preconditioner` with the ``shifted`` diagonal-block
-    solvers.  The plan refers to its system, never the other way round, so it
-    dies by reference count."""
+    """A 2x2 eigen-block's plan: its system and, built on first use by
+    :func:`make_block2x2_preconditioner`, its preconditioner.  The class
+    attribute ``shifted`` builds the diagonal-block solvers, and a
+    :class:`ShiftedPlan`'s solver in the same sweep.  The plan refers to its
+    system, never the other way round, so it dies by reference count."""
 
     system: Block2x2System
     spec: PrecondSpec
-    shifted: object = ShiftedSolver
+    shifted = ShiftedSolver
 
     @cached_property
     def precond(self):
         return make_block2x2_preconditioner(self.system, self.spec, self.shifted)
 
-
-def _solve_2x2(plan, rhs, rtol, maxit):
-    sys2 = plan.system
-    op = LinearOperator(2 * sys2.n, lambda x: apply_block2x2(sys2, x))
-    return gmres(op, rhs, right_precond=plan.precond, rtol=rtol, maxit=maxit)
-
-
-def _plan_1x1(eta, lmat, mass, dt, spec, shifted=ShiftedSolver):
-    """The shifted block ``eta*M - dt*L`` as an operator, and its preconditioner."""
-    op = LinearOperator(
-        lmat.n,
-        lambda x: eta * (x if mass is None else mass @ x) - dt * (lmat @ x),
-    )
-    solver = shifted(eta, mass, lmat, dt, spec.inner)
-    return op, LinearOperator(lmat.n, into=solver.solve)
+    def solve(self, rhs, rtol, maxit):
+        """GMRES on the block; returns ``(x, KrylovReport)``."""
+        sys2 = self.system
+        op = LinearOperator(2 * sys2.n, lambda x: apply_block2x2(sys2, x))
+        return gmres(op, rhs, right_precond=self.precond, rtol=rtol, maxit=maxit)
 
 
-def _block_plan(vjac, blk, dt, mass, spec, shifted):
-    """The plan ``vjac`` keeps for eigen-block ``blk``: ``(operator,
-    preconditioner)`` of a 1x1 block or the :class:`PairPlan` of a 2x2 one,
-    rebuilt (replacing the block's old one) when ``dt``, the ``mass`` object,
-    ``spec`` or the ``shifted`` factory is not what it was built for."""
-    key = (dt, mass, spec, shifted)
+class ShiftedPlan:
+    """A real eigen-block's plan: GMRES on ``eta*M - dt*L`` with its
+    ``shifted`` solver as right preconditioner."""
+
+    def __init__(self, eta, lmat, mass, dt, spec, shifted=ShiftedSolver):
+        self.op = LinearOperator(
+            lmat.n, lambda x: eta * (x if mass is None else mass @ x) - dt * (lmat @ x)
+        )
+        self.precond = LinearOperator(lmat.n, into=shifted(eta, mass, lmat, dt, spec.inner).solve)
+
+    def solve(self, rhs, rtol, maxit):
+        return gmres(self.op, rhs, right_precond=self.precond, rtol=rtol, maxit=maxit)
+
+
+def solve_block(plan, rhs, rtol, maxit, what, offset):
+    """``plan.solve(rhs, rtol, maxit)``; a solve that did not converge raises
+    :class:`StageSolveError` naming ``what``, with ``offset`` and the report."""
+    x, rep = plan.solve(rhs, rtol, maxit)
+    if not rep.converged:
+        raise StageSolveError(f"{what} did not converge", block_offset=offset, report=rep)
+    return x, rep
+
+
+def _block_plan(vjac, blk, dt, mass, spec, pair_plan):
+    """The plan ``vjac`` keeps for eigen-block ``blk``: a :class:`ShiftedPlan`
+    of a 1x1 block or a ``pair_plan`` of a 2x2 one, rebuilt (replacing the
+    block's old one) when ``dt``, the ``mass`` object, ``spec`` or the
+    ``pair_plan`` class is not what it was built for."""
+    key = (dt, mass, spec, pair_plan)
     held = vjac.plans.get(blk.offset)
     if held is not None and held[0] == key:
         return held[1]
     i = blk.offset
     if blk.size == 1:
-        plan = _plan_1x1(blk.eta, vjac.diag[i], mass, dt, spec, shifted)
+        plan = ShiftedPlan(blk.eta, vjac.diag[i], mass, dt, spec, pair_plan.shifted)
     else:
-        plan = PairPlan(Block2x2System(blk.eta, blk.beta, blk.phi, mass, vjac.diag[i],
-                                       vjac.diag[i + 1], dt, vjac.offdiag.get((i, i + 1)),
-                                       vjac.offdiag.get((i + 1, i))), spec, shifted)
+        plan = pair_plan(Block2x2System(blk.eta, blk.beta, blk.phi, mass, vjac.diag[i],
+                                        vjac.diag[i + 1], dt, vjac.offdiag.get((i, i + 1)),
+                                        vjac.offdiag.get((i + 1, i))), spec)
     vjac.plans[i] = key, plan
     return plan
-
-
-def block_sweep(prep, rhs_stages, mass_apply, couple, solve_block):
-    """Backward substitution over the eigen-blocks of the transformed system.
-
-    ``rhs_stages`` has one row per stage.  It is rotated by ``q.T``; each
-    eigen-block's right-hand side then loses the ``r[i, j]``-weighted mass
-    action ``mass_apply(y_j)`` of the rows already solved below it and gains
-    ``couple(i, j, y_j)`` (a variant-3 coupling term, or ``None``).
-    ``solve_block(blk, acc)`` solves the block for its ``(size, m)`` right-hand
-    side and returns the stacked rows and their :class:`KrylovReport`.  The
-    stage increments are recovered with ``q @ r``.  Returns
-    ``(x, SolveStats)``; a non-convergent block raises
-    :class:`StageSolveError` carrying the block offset and report.
-    """
-    q = prep.schur.q
-    r0 = prep.schur.r
-    s = prep.tableau.s
-    g = q.T @ rhs_stages
-    y = np.empty_like(g)  # every row is solved before it is read
-    my = [None] * s  # mass_apply(y[j]), cached once each block is solved
-    stats = SolveStats()
-    for blk in reversed(prep.schur.blocks):
-        rows = range(blk.offset, blk.offset + blk.size)
-        span = slice(blk.offset, blk.offset + blk.size)
-        acc = g[span].copy()
-        for local, i in enumerate(rows):
-            for j in range(blk.offset + blk.size, s):
-                if r0[i, j] != 0.0:
-                    acc[local] -= r0[i, j] * my[j]
-                term = couple(i, j, y[j])
-                if term is not None:
-                    acc[local] += term
-        sol, rep = solve_block(blk, acc)
-        if not rep.converged:
-            raise StageSolveError(
-                f"{blk.size}x{blk.size} block at offset {blk.offset} did not converge",
-                block_offset=blk.offset,
-                report=rep,
-            )
-        y[span] = sol.reshape(blk.size, -1)
-        for i in rows:
-            my[i] = mass_apply(y[i])
-        stats.reports.append((blk.offset, rep))
-    return (q @ r0) @ y, stats
 
 
 def solve_transformed_system(
@@ -348,25 +303,26 @@ def solve_transformed_system(
     krylov_rtol=1e-5,
     krylov_maxit=200,
     variant_jacobian=None,
-    shifted=ShiftedSolver,
-    solve_pair=_solve_2x2,
+    pair_plan=PairPlan,
 ):
     """Solve one linearized stage system through the Schur transform.
 
-    ``rhs_stages`` has shape ``(s, n)``.  The quasi-triangular block system
-    is swept by :func:`block_sweep` with 1x1 shifted solves and 2x2 block
-    GMRES, swappable by keyword (the ODE ones by default): ``shifted(alpha,
-    mass, l, dt, inner)`` builds each exact shifted solver and
-    ``solve_pair(plan, rhs, rtol, maxit)`` returns a 2x2 block's ``(x,
-    KrylovReport)`` from its :class:`PairPlan`.
+    ``rhs_stages`` has shape ``(s, n)``.  It is rotated by ``q.T`` and swept
+    backward over the eigen-blocks of the quasi-triangular factor: each
+    block's right-hand side loses the ``r[i, j]``-weighted mass action of
+    the rows already solved below it and gains their variant-3 couplings,
+    and the block is solved by its plan's ``solve``: a :class:`ShiftedPlan`
+    for a 1x1 block, a ``pair_plan`` (a :class:`PairPlan` class, whose
+    ``shifted`` also builds the 1x1 solvers) for a 2x2 one.  The stage
+    increments are recovered with ``q @ r``.
 
     The block-diagonal approximation of the transformed operator is taken
     from ``variant_jacobian`` when given, otherwise built from
-    ``stage_ops`` and ``variant``.  It keeps each block's plan (operator and
-    preconditioner) for as long as ``dt``, ``mass``, ``precond`` and
-    ``shifted`` stay the same, so a memoized Jacobian plans its solve once.
-    Returns ``(k, SolveStats)``; a non-convergent inner solve raises
-    :class:`StageSolveError` carrying the block offset and report.
+    ``stage_ops`` and ``variant``.  It keeps each block's plan for as long
+    as ``dt``, ``mass``, ``precond`` and ``pair_plan`` stay the same, so a
+    memoized Jacobian plans its solve once.  Returns ``(k, SolveStats)``; a
+    non-convergent inner solve raises :class:`StageSolveError` carrying the
+    block offset and report.
     """
     vjac = variant_jacobian
     if vjac is None:
@@ -379,22 +335,30 @@ def solve_transformed_system(
         raise ValueError(f"rhs has {rhs.shape[0]} stage rows, expected {s}")
     if dt is None or dt <= 0.0:
         raise ValueError("dt must be positive")
-
-    def mass_apply(vec):
-        return vec if mass is None else mass @ vec
-
-    def couple(i, j, yj):
-        od = vjac.offdiag.get((i, j))
-        return None if od is None else dt * (od @ yj)
-
-    def solve_block(blk, acc):
-        plan = _block_plan(vjac, blk, dt, mass, precond, shifted)
-        if blk.size == 1:
-            return gmres(plan[0], acc[0], right_precond=plan[1], rtol=krylov_rtol,
-                         maxit=krylov_maxit)
-        return solve_pair(plan, acc.ravel(), krylov_rtol, krylov_maxit)
-
-    return block_sweep(prep, rhs, mass_apply, couple, solve_block)
+    q, r0 = prep.schur.q, prep.schur.r
+    g = q.T @ rhs
+    y = np.empty_like(g)  # every row is solved before it is read
+    my = [None] * s  # M y[j], cached once each block is solved
+    stats = SolveStats()
+    for blk in reversed(prep.schur.blocks):
+        rows = range(blk.offset, blk.offset + blk.size)
+        span = slice(blk.offset, blk.offset + blk.size)
+        acc = g[span].copy()
+        for local, i in enumerate(rows):
+            for j in range(blk.offset + blk.size, s):
+                if r0[i, j] != 0.0:
+                    acc[local] -= r0[i, j] * my[j]
+                od = vjac.offdiag.get((i, j))
+                if od is not None:
+                    acc[local] += dt * (od @ y[j])
+        plan = _block_plan(vjac, blk, dt, mass, precond, pair_plan)
+        sol, rep = solve_block(plan, acc.ravel(), krylov_rtol, krylov_maxit,
+                               f"{blk.size}x{blk.size} block at offset {blk.offset}", blk.offset)
+        y[span] = sol.reshape(blk.size, -1)
+        for i in rows:
+            my[i] = y[i] if mass is None else mass @ y[i]
+        stats.reports.append((blk.offset, rep))
+    return (q @ r0) @ y, stats
 
 
 def field_of_values_bound(l: SparseMatrix):

@@ -17,8 +17,10 @@ Jacobian, with the eigen-block plans it keeps, is memoized on the stage
 operators, so an unchanged linearization plans its stage solve once.
 
 SDIRK tableaux bypass the Schur transform: their stage equations are lower
-triangular and are solved stage by stage, with one preconditioner
-application per Krylov iteration (the usual accounting for such schemes).
+triangular and are solved stage by stage, each through the same 1x1 block
+plan (:class:`~irkit.irk_core.ShiftedPlan`) and convergence check as a real
+eigen-block, with one preconditioner application per Krylov iteration (the
+usual accounting for such schemes).
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, IrkitError, StageSolveError, StepFailureError
-from .irk_core import PrecondSpec, SolveStats, _plan_1x1, solve_transformed_system
-from .sparsela import SparseMatrix, _memoized, combine_rows, gmres
+from .errors import ConfigurationError, IrkitError, StepFailureError
+from .irk_core import (PairPlan, PrecondSpec, ShiftedPlan, SolveStats, solve_block,
+                       solve_transformed_system)
+from .sparsela import SparseMatrix, _memoized, combine_rows
 from .tableau import SDIRK_FAMILIES, ButcherTableau, StagePrep, prepare_stages
 
 
@@ -102,7 +105,7 @@ class VariantJacobian:
     ``diag[i]`` is the operator used on stage row ``i``; ``offdiag`` maps
     row/column pairs inside the quasi-triangular sparsity to weighted-sum
     coupling operators (populated only by variant 3).  ``plans`` keeps each
-    eigen-block's operator and preconditioner, built on first use by
+    eigen-block's plan, built on first use by
     :func:`~irkit.irk_core.solve_transformed_system`.
     """
 
@@ -286,12 +289,13 @@ def richardson(residual, assemble, solve, x, cfg: SolverConfig, linearizations,
 
 
 def newton_like_step(sys: OdeSystem, st: StageState, prep: StagePrep, cfg: SolverConfig,
-                     **block_solvers):
+                     pair_plan=PairPlan):
     """Drive the stage vectors to the residual tolerance.
 
     Returns the updated state and iteration statistics; exhausting
     ``newton_maxit`` raises :class:`StepFailureError` carrying the stats.
-    ``block_solvers`` go on to :func:`~irkit.irk_core.solve_transformed_system`.
+    ``pair_plan``, the eigen-block plan class, goes on to
+    :func:`~irkit.irk_core.solve_transformed_system`.
     """
     tableau = prep.tableau
 
@@ -317,7 +321,7 @@ def newton_like_step(sys: OdeSystem, st: StageState, prep: StagePrep, cfg: Solve
             krylov_rtol=cfg.krylov_rtol,
             krylov_maxit=cfg.krylov_maxit,
             variant_jacobian=vjac,
-            **block_solvers,
+            pair_plan=pair_plan,
         )
 
     _, stats = richardson(residual, assemble, solve, st.k, cfg, tableau.s)
@@ -342,13 +346,8 @@ def _dirk_step(sys: OdeSystem, u, t, dt, tableau, cfg: SolverConfig):
             return sys.rhs(base + h * ki, ti) - mk
 
         def solve(lmat, res):
-            op, pre = _plan_1x1(1.0, lmat, sys.mass, h, cfg.precond)
-            dk, rep = gmres(op, res, right_precond=pre, rtol=cfg.krylov_rtol,
-                            maxit=cfg.krylov_maxit)
-            if not rep.converged:
-                raise StageSolveError(
-                    f"DIRK stage {i} solve did not converge", block_offset=i, report=rep
-                )
+            dk, rep = solve_block(ShiftedPlan(1.0, lmat, sys.mass, h, cfg.precond), res,
+                                  cfg.krylov_rtol, cfg.krylov_maxit, f"DIRK stage {i} solve", i)
             return dk, SolveStats([(i, rep)])
 
         k[i], _ = richardson(

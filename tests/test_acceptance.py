@@ -11,7 +11,6 @@ from irkit.dae import dae_integrate
 from irkit.irk_core import (
     Block2x2System,
     PrecondSpec,
-    exact_schur_preconditioner,
     measure_kappa,
     solve_transformed_system,
 )
@@ -19,6 +18,8 @@ from irkit.nonlinear import SolverConfig, integrate, step
 from irkit.problems import make_problem
 from irkit.sparsela import SparseMatrix, gmres
 from irkit.tableau import kappa_bound, make_tableau, prepare_stages
+
+from exact_schur import exact_schur_preconditioner
 
 # Published condition-number bounds for the shift-preconditioned Schur
 # complement, schemes with 2..5 stages (values as printed; the last digit of

@@ -1,5 +1,4 @@
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from irkit.errors import (ConfigurationError, IndexViolationError, StageSolveErr
                           StepFailureError)
 from irkit.irk_core import (
     Block2x2System,
-    PairPlan,
     PrecondSpec,
     ShiftedSolver,
     apply_block2x2,
@@ -49,9 +47,10 @@ def random_ops(rng, nu, nw, lw_zero=False):
 
 
 def pair_plan(oi, oj, eta, beta, phi, dt):
-    """The plan a stage solve keeps for a composite pair block, identity mass."""
+    """The plan a stage solve keeps for a composite pair block, identity mass
+    (the reordered one, which serves either mode of ``solve_dae_block4x4``)."""
     system = Block2x2System(eta, beta, phi, _CompositeMass(None, oi.lu.n), oi, oj, dt)
-    return PairPlan(system, PrecondSpec(), _EliminationSolver)
+    return dae.PAIR_PLANS["reordered"](system, PrecondSpec())
 
 
 def dense_pair_block(oi, oj, eta, beta, phi, dt, nu, nw):
@@ -214,7 +213,7 @@ class TestBlockSolve:
         sys2 = Block2x2System(blk.eta, blk.beta, blk.phi, _CompositeMass(sysd.mass, oi.lu.n),
                               oi, oj, 0.01)
         rhs = rng.standard_normal(2 * oi.n)
-        plan = PairPlan(sys2, PrecondSpec(), _EliminationSolver)
+        plan = dae.PAIR_PLANS["reordered"](sys2, PrecondSpec())
         x, _, true_rel = dae._solve_reordered(plan, rhs, rtol, 200)
         assembled = np.linalg.norm(rhs - apply_block2x2(sys2, x)) / np.linalg.norm(rhs)
         assert 0.0 < true_rel <= rtol
@@ -291,7 +290,7 @@ def composite_solve(prep, stage_ops, variant, mass_diag, dt, rhs, mode):
     x, _ = solve_transformed_system(
         prep, dt=dt, rhs_stages=rhs, mass=mass, krylov_rtol=1e-12, krylov_maxit=400,
         variant_jacobian=build_variant_jacobian(prep, stage_ops, variant),
-        shifted=_EliminationSolver, solve_pair=partial(solve_dae_block4x4, mode=mode),
+        pair_plan=dae.PAIR_PLANS[mode],
     )
     return x
 
@@ -419,6 +418,43 @@ class TestSolverSplitCounts:
             assert stats.differential_solves == want.differential_solves > 0
             assert stats.constraint_solves == want.constraint_solves > 0
             assert stats.krylov_iterations == want.krylov_iterations
+
+class TestConfigurationChecks:
+    """A DAE run rejects an unknown mode or an inexact inner solve before any
+    work, on tableaux with and without a complex pair."""
+
+    @staticmethod
+    def counted_manufactured(calls):
+        system = make_problem("dae_manufactured").system
+
+        def counted(name, fn):
+            return lambda *args: calls.append(name) or fn(*args)
+
+        return replace(system, rhs=counted("rhs", system.rhs),
+                       blocks=counted("blocks", system.blocks))
+
+    @pytest.mark.parametrize("family,s", [("gauss", 1), ("radau_iia", 1), ("radau_iia", 3)])
+    @pytest.mark.parametrize("cfg,mode,match", [
+        (SolverConfig(), "foo", "unknown mode 'foo'"),
+        (SolverConfig(precond=PrecondSpec(inner=2)), "coupled", "exact only"),
+        (SolverConfig(precond=PrecondSpec(inner=2)), "reordered", "exact only"),
+    ], ids=["mode", "inner-coupled", "inner-reordered"])
+    def test_rejected_before_any_work(self, family, s, cfg, mode, match):
+        calls = []
+        system = self.counted_manufactured(calls)
+        tableau = make_tableau(family, s)
+        with pytest.raises(ConfigurationError, match=match):
+            dae_step(system, np.ones(1), np.ones(1), 0.0, 0.1, tableau, cfg, mode=mode)
+        with pytest.raises(ConfigurationError, match=match) as err:
+            dae_integrate(system, np.ones(1), np.ones(1), 0.0, 0.2, 0.1, tableau, cfg,
+                          mode=mode)
+        assert calls == [] and err.value.partial.step_stats == []
+
+    def test_precond_spec_names_a_rejected_inner(self):
+        for inner in (0, -1, "jacobi", 1.5):
+            with pytest.raises(ValueError, match=f"got {inner!r}"):
+                PrecondSpec(inner=inner)
+
 
 class TestIntegration:
     def test_constant_problem(self):

@@ -8,9 +8,8 @@ from irkit.irk_core import (
     Block2x2System,
     PrecondSpec,
     ShiftedSolver,
-    _plan_1x1,
+    ShiftedPlan,
     apply_block2x2,
-    exact_schur_preconditioner,
     field_of_values_bound,
     make_block2x2_preconditioner,
     measure_kappa,
@@ -20,6 +19,8 @@ from irkit.problems import make_problem
 from irkit.nonlinear import integrate
 from irkit.sparsela import BandedLU, LinearOperator, SparseMatrix, combine, gmres
 from irkit.tableau import kappa_bound, make_tableau, prepare_stages
+
+from exact_schur import exact_schur_preconditioner
 
 
 def scalar_system(l1, l2, eta=3.0, beta=np.sqrt(3.0), phi=1.0, dt=1.0):
@@ -167,7 +168,7 @@ class TestInPlacePreconditioners:
     def test_1x1_row_matches_returned_vector(self, inner):
         sysb = heat_pair("spd_diagonal")
         r = np.random.default_rng(4).standard_normal(sysb.n)
-        _, pre = _plan_1x1(2.5, sysb.l1, sysb.mass, sysb.dt, PrecondSpec(inner=inner))
+        pre = ShiftedPlan(2.5, sysb.l1, sysb.mass, sysb.dt, PrecondSpec(inner=inner)).precond
         rows = np.full((2, sysb.n), np.nan)
         pre.matvec_into(r, rows[0])
         want = ShiftedSolver(2.5, sysb.mass, sysb.l1, sysb.dt, inner).solve(r)

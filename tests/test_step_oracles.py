@@ -381,6 +381,22 @@ def test_reordered_dae_keeps_its_differential_plan(planned, name, built):
     assert got == built
 
 
+def test_alternating_dae_modes_get_their_own_plans():
+    # one constant system and one prep: the stage Jacobian is memoized across
+    # steps, so its block plans are reused unless their key, which holds the
+    # pair-plan class, tells the two orderings apart
+    (system, u, w), tableau, dt = constant_dae_lw0(), make_tableau("radau_iia", 2), 0.1
+    prep = prepare_stages(tableau)
+    for j, mode in enumerate(["coupled", "reordered", "coupled", "reordered"]):
+        u1, w1, stats = dae_step(system, u, w, j * dt, dt, tableau, prep=prep, mode=mode)
+        fresh, *_ = constant_dae_lw0()
+        u2, w2, want = dae_step(fresh, u, w, j * dt, dt, tableau, prep=prep, mode=mode)
+        assert u1.tobytes() == u2.tobytes() and w1.tobytes() == w2.tobytes()
+        assert (*counts(stats), stats.differential_solves, stats.constraint_solves) == (
+            *counts(want), want.differential_solves, want.constraint_solves)
+        u, w = u1, w1
+
+
 @pytest.mark.parametrize("change", ["dt", "gamma", "variant"])
 def test_changed_step_gets_a_new_plan_with_the_same_bits(planned, change):
     problem = make_problem("heat1d", n=64)

@@ -16,15 +16,13 @@ construction.  Unequal stage operators keep the coupling weights well away
 from roundoff.
 """
 
-from functools import partial
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from irkit.dae import DaeOps, _CompositeMass, _EliminationSolver, solve_dae_block4x4
+from irkit.dae import PAIR_PLANS, DaeOps, _CompositeMass
 from irkit.irk_core import solve_transformed_system
 from irkit.nonlinear import build_variant_jacobian
 from irkit.sparsela import SparseMatrix
@@ -152,6 +150,6 @@ def test_dae_solve_matches_truncated_operator(family, s, variant, mode):
         mass=_CompositeMass(SparseMatrix(mass_u), nu),
         krylov_rtol=1e-13, krylov_maxit=400,
         variant_jacobian=build_variant_jacobian(prep, ops, variant),
-        shifted=_EliminationSolver, solve_pair=partial(solve_dae_block4x4, mode=mode),
+        pair_plan=PAIR_PLANS[mode],
     )
     check(x, truncated_oracle(prep, mats, mass, rhs, variant, in_block=mode == "coupled"))
