@@ -264,7 +264,7 @@ def _solve_reordered(plan, rhs, rtol, maxit):
         b = rw + dt * (ops.gu @ k)
         ell = _solve_gw(ops.gw, b)
         res = b - ops.gw @ ell
-        sq += res @ res
+        sq += res.dot(res)
         x += [k, -ell / dt]
     rnorm = np.linalg.norm(rhs)
     return np.concatenate(x), rep, np.sqrt(sq) / rnorm if rnorm > 0.0 else 0.0
@@ -332,7 +332,7 @@ def dae_step(sys: DaeSystem, u, w, t, dt, tableau, cfg=SolverConfig(), prep=None
     stats.constraint_solves = COUNTERS.constraint - start.constraint
     if failure is not None:
         raise failure
-    y_next = y + dt * (tableau.b0 @ st.k)
+    y_next = y + dt * tableau.b0.dot(st.k)
     u_next, w_next = y_next[: sys.dim_u], y_next[sys.dim_u :]
     stats.constraint_residual = float(
         np.linalg.norm(sys.constraint(u_next, w_next, t + dt))

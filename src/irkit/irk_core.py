@@ -55,20 +55,24 @@ class PrecondSpec:
     ``gamma_mode`` is ``"star"`` (optimal shift), ``"eta"`` (naive shift) or
     a positive float.  ``inner`` is ``"exact"`` for factored solves or an
     integer for that many damped-Jacobi sweeps (a stand-in for one cycle of
-    an iterative inner preconditioner).
+    an iterative inner preconditioner).  A ``bool`` is neither, although
+    Python counts it as an int: it raises ``ValueError``.
     """
 
     gamma_mode: object = "star"
     inner: object = "exact"
 
     def __post_init__(self):
+        if isinstance(self.gamma_mode, bool):
+            raise ValueError(f"gamma mode must be 'star', 'eta' or a positive float, "
+                             f"got {self.gamma_mode!r}")
         if isinstance(self.gamma_mode, str):
             if self.gamma_mode not in ("star", "eta"):
                 raise ValueError(f"unknown gamma mode {self.gamma_mode!r}")
         elif not (float(self.gamma_mode) > 0.0):
             raise ValueError("custom gamma must be positive")
         if self.inner != "exact" and not (
-            isinstance(self.inner, int) and self.inner > 0
+            isinstance(self.inner, int) and not isinstance(self.inner, bool) and self.inner > 0
         ):
             raise ValueError(f"inner must be 'exact' or a positive int, got {self.inner!r}")
 
@@ -336,7 +340,7 @@ def solve_transformed_system(
     if dt is None or dt <= 0.0:
         raise ValueError("dt must be positive")
     q, r0 = prep.schur.q, prep.schur.r
-    g = q.T @ rhs
+    g = q.T.dot(rhs)
     y = np.empty_like(g)  # every row is solved before it is read
     my = [None] * s  # M y[j], cached once each block is solved
     stats = SolveStats()
@@ -358,7 +362,7 @@ def solve_transformed_system(
         for i in rows:
             my[i] = y[i] if mass is None else mass @ y[i]
         stats.reports.append((blk.offset, rep))
-    return (q @ r0) @ y, stats
+    return q.dot(r0).dot(y), stats
 
 
 def field_of_values_bound(l: SparseMatrix):

@@ -194,7 +194,7 @@ def build_variant_jacobian(prep: StagePrep, stage_ops, variant):
 
 def stage_residual(sys: OdeSystem, st: StageState, tableau: ButcherTableau):
     """Residual ``N(u + dt * sum a_ij k_j, t + c_i dt) - M k_i`` per stage."""
-    u_stage = st.u[None, :] + st.dt * (tableau.a0 @ st.k)
+    u_stage = st.u[None, :] + st.dt * tableau.a0.dot(st.k)
     out = np.empty_like(st.k)
     for i in range(tableau.s):
         out[i] = sys.rhs(u_stage[i], st.t + tableau.c0[i] * st.dt)
@@ -304,7 +304,7 @@ def newton_like_step(sys: OdeSystem, st: StageState, prep: StagePrep, cfg: Solve
         return stage_residual(sys, st, tableau)
 
     def assemble(k):
-        u_stage = st.u[None, :] + st.dt * (tableau.a0 @ k)
+        u_stage = st.u[None, :] + st.dt * tableau.a0.dot(k)
         ops = [
             sys.linearize(u_stage[i], st.t + tableau.c0[i] * st.dt)
             for i in range(tableau.s)
@@ -333,11 +333,13 @@ def _dirk_step(sys: OdeSystem, u, t, dt, tableau, cfg: SolverConfig):
 
     Each stage is a backward-Euler-type solve ``M k_i - h L k_i`` with
     ``h = dt * a_ii``, each driven to tolerance by its own Richardson iteration.
+    Each linearization is planned once, as the stage's :class:`ShiftedPlan`,
+    which every solve until the next linearization reuses.
     """
     k = np.zeros((tableau.s, sys.dim))
     stats = StepStats()
     for i in range(tableau.s):
-        base = u + dt * (tableau.a0[i, :i] @ k[:i]) if i else u.copy()
+        base = u + dt * tableau.a0[i, :i].dot(k[:i]) if i else u.copy()
         h = dt * tableau.a0[i, i]
         ti = t + tableau.c0[i] * dt
 
@@ -345,16 +347,17 @@ def _dirk_step(sys: OdeSystem, u, t, dt, tableau, cfg: SolverConfig):
             mk = ki if sys.mass is None else sys.mass @ ki
             return sys.rhs(base + h * ki, ti) - mk
 
-        def solve(lmat, res):
-            dk, rep = solve_block(ShiftedPlan(1.0, lmat, sys.mass, h, cfg.precond), res,
-                                  cfg.krylov_rtol, cfg.krylov_maxit, f"DIRK stage {i} solve", i)
+        def assemble(ki):
+            return ShiftedPlan(1.0, sys.linearize(base + h * ki, ti), sys.mass, h, cfg.precond)
+
+        def solve(plan, res):
+            dk, rep = solve_block(plan, res, cfg.krylov_rtol, cfg.krylov_maxit,
+                                  f"DIRK stage {i} solve", i)
             return dk, SolveStats([(i, rep)])
 
-        k[i], _ = richardson(
-            residual, lambda ki: sys.linearize(base + h * ki, ti), solve,
-            np.zeros(sys.dim), cfg, 1, label=f"DIRK stage {i}", stats=stats,
-        )
-    u_next = u + dt * (tableau.b0 @ k)
+        k[i], _ = richardson(residual, assemble, solve, np.zeros(sys.dim), cfg, 1,
+                             label=f"DIRK stage {i}", stats=stats)
+    u_next = u + dt * tableau.b0.dot(k)
     return u_next, k, stats
 
 
@@ -381,7 +384,7 @@ def step(sys: OdeSystem, u, t, dt, tableau, cfg=SolverConfig(), prep=None):
         prep = prepare_stages(tableau)
     st = StageState(k=np.zeros((tableau.s, sys.dim)), u=u, t=t, dt=dt)
     st, stats = newton_like_step(sys, st, prep, cfg)
-    u_next = st.u + dt * (tableau.b0 @ st.k)
+    u_next = st.u + dt * tableau.b0.dot(st.k)
     return u_next, stats
 
 

@@ -8,13 +8,22 @@ Regenerate it with
 
     PYTHONPATH=src python tests/golden_steps.py
 
-and say in CHANGES.md why it moved.
+and say in CHANGES.md why it moved.  Check a change against it, writing
+nothing, with
+
+    PYTHONPATH=src python tests/golden_steps.py --check
+
+which recomputes every cell, names each one whose counts or sha256 differ
+from the file's, and exits 1 if any does: a strict bit-for-bit check, where
+``test_golden_steps.py`` only warns on a sha256 that differs.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -91,7 +100,29 @@ def sha256(states):
     return hashlib.sha256(np.concatenate(states).astype("<f8").tobytes()).hexdigest()
 
 
-def main():
+def check():
+    """Names every cell whose counts or sha256 differ from the file's; returns
+    the number of such cells."""
+    want = json.loads(GOLDEN.read_text())["cells"]
+    bad = 0
+    for name in CELLS:
+        counts, states = run_cell(name)
+        diffs = []
+        if counts != want[name]["counts"]:
+            diffs.append("counts")
+        if sha256(states) != want[name]["sha256"]:
+            diffs.append("sha256")
+        print(f"{name}: differs in {' and '.join(diffs)}" if diffs else f"{name}: identical")
+        bad += bool(diffs)
+    return bad
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Write or check golden_steps.json.")
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the file instead of writing it; exit 1 on a difference")
+    if parser.parse_args(argv).check:
+        return 1 if check() else 0
     cells = {}
     for name in CELLS:
         counts, states = run_cell(name)
@@ -99,7 +130,8 @@ def main():
                        "final_state": [float(v) for v in states[-1]]}
     data = {"steps": STEPS, "state_rtol": STATE_RTOL, "counts": list(COUNTS), "cells": cells}
     GOLDEN.write_text(json.dumps(data, indent=1) + "\n")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

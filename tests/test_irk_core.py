@@ -128,6 +128,13 @@ class TestBlock2x2:
         with pytest.raises(ValueError):
             PrecondSpec(inner=0)
 
+    @pytest.mark.parametrize("field", ["gamma_mode", "inner"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bools_rejected(self, field, flag):
+        # a bool is an int to Python, but neither a shift nor a sweep count
+        with pytest.raises(ValueError, match=f"got {flag}"):
+            PrecondSpec(**{field: flag})
+
 
 def heat_pair(mass_kind):
     """A 2x2 eigen-block of gauss(4) on heat1d: SPD diagonal blocks."""

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from irkit.dae import DaeOps, dae_integrate, dae_step
 from irkit.errors import ConfigurationError, StageSolveError, StepFailureError
-from irkit.irk_core import PrecondSpec, SolveStats
+from irkit.irk_core import PrecondSpec, ShiftedSolver, SolveStats
 from irkit.nonlinear import (
     DIVERGENCE_STREAK,
     OdeSystem,
@@ -527,6 +527,38 @@ class TestSdirkPath:
         _, stats = step(problem.system, problem.u0, 0.0, 0.05,
                         make_tableau("sdirk2"), cfg)
         assert stats.precond_applications == stats.krylov_iterations
+
+    @pytest.mark.parametrize("refresh", ["every", "frozen"])
+    def test_one_stage_solver_per_linearization(self, monkeypatch, refresh):
+        # a frozen stage keeps its linearization over several Richardson
+        # iterations, and its plan's shifted solver with it
+        built = []
+        init = ShiftedSolver.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ShiftedSolver, "__init__", spy)
+        problem = make_problem("burgers1d", n=64)
+        _, stats = step(problem.system, problem.u0, 0.0, 1e-2, make_tableau("sdirk3"),
+                        SolverConfig(jacobian_refresh=refresh))
+        assert len(built) == stats.jacobian_assemblies
+        if refresh == "frozen":
+            assert stats.jacobian_assemblies == 3 < stats.newton_iterations
+        else:
+            assert stats.jacobian_assemblies == stats.newton_iterations
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_stage_matrix_fails_as_a_linearization(self):
+        # the stage plan is built with the linearization, so a shifted matrix
+        # that overflows fails the step as the IRK path's Jacobians do
+        problem = make_problem("dahlquist")
+        sys = replace(problem.system,
+                      linearize=lambda u, t: SparseMatrix(np.array([[-1e308]])))
+        with pytest.raises(StepFailureError, match="DIRK stage 0 linearization failed") as err:
+            step(sys, problem.u0, 0.0, 10.0, make_tableau("sdirk2"))
+        assert isinstance(err.value.__cause__, ValueError)
 
 
 class TestAccounting:
