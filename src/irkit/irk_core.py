@@ -19,9 +19,11 @@ maxit) -> (x, KrylovReport)``: a :class:`ShiftedPlan` or a :class:`PairPlan`.
 The DAE path plugs in a ``PairPlan`` subclass as ``pair_plan=``; its
 ``shifted`` solver serves both kinds of block.
 
-Each 2x2 block operator is one CSR matrix on an interned block pattern
-(:func:`~irkit.sparsela.stack`), so a Krylov iteration applies it with one
-sparse product.  The variant Jacobian keeps each block's plan: a constant
+Every block's operator (a 2x2 block, a real 1x1 block or DIRK stage, a
+composite DAE block) is one CSR matrix assembled by
+:func:`~irkit.sparsela.stack`, so a Krylov iteration applies it with one
+sparse product; a plain 1x1 block's is its preconditioner's own shifted
+matrix.  The variant Jacobian keeps each block's plan: a constant
 operator's are built on the first step only.
 """
 
@@ -53,10 +55,10 @@ class PrecondSpec:
     """Shift choice and inner-solver policy for the block preconditioners.
 
     ``gamma_mode`` is ``"star"`` (optimal shift), ``"eta"`` (naive shift) or
-    a positive float.  ``inner`` is ``"exact"`` for factored solves or an
-    integer for that many damped-Jacobi sweeps (a stand-in for one cycle of
-    an iterative inner preconditioner).  A ``bool`` is neither, although
-    Python counts it as an int: it raises ``ValueError``.
+    a positive finite float.  ``inner`` is ``"exact"`` for factored solves
+    or an integer for that many damped-Jacobi sweeps (a stand-in for one
+    cycle of an iterative inner preconditioner).  A ``bool`` is neither,
+    although Python counts it as an int: it raises ``ValueError``.
     """
 
     gamma_mode: object = "star"
@@ -69,8 +71,8 @@ class PrecondSpec:
         if isinstance(self.gamma_mode, str):
             if self.gamma_mode not in ("star", "eta"):
                 raise ValueError(f"unknown gamma mode {self.gamma_mode!r}")
-        elif not (float(self.gamma_mode) > 0.0):
-            raise ValueError("custom gamma must be positive")
+        elif not 0.0 < float(self.gamma_mode) < float("inf"):
+            raise ValueError(f"custom gamma must be positive and finite, got {self.gamma_mode!r}")
         if self.inner != "exact" and not (
             isinstance(self.inner, int) and not isinstance(self.inner, bool) and self.inner > 0
         ):
@@ -117,10 +119,7 @@ class Block2x2System:
     def matrix(self) -> SparseMatrix:
         """The block operator as one :class:`~irkit.sparsela.SparseMatrix`.
 
-        Composite operators put their parts on a finer block grid.  Assembled
-        by :func:`~irkit.sparsela.stack` in one scatter and memoized on
-        ``l1`` (on its first part, if composite), keyed by the other operands
-        and the scalars: the same operands and scalars give the same matrix.
+        Built by :func:`_block_matrix`, memoized on ``l1``.
         """
         dt, mass = self.dt, self.mass
         blocks = [(0, 0, self.eta, mass), (0, 0, -dt, self.l1), (0, 1, self.phi, mass),
@@ -129,11 +128,20 @@ class Block2x2System:
         for bi, bj, coupling in ((0, 1, self.offdiag12), (1, 0, self.offdiag21)):
             if coupling is not None:
                 blocks.append((bi, bj, -dt, coupling))
-        sizes = getattr(self.l1, "sizes", (self.n,))
-        g = len(sizes)
-        terms = [(bi * g + i, bj * g + j, w, m)
-                 for bi, bj, w, op in blocks for i, j, m in _parts(op)]
-        return stack(sizes * 2, terms, owner=_parts(self.l1)[0][2])
+        return _block_matrix(blocks, self.l1)
+
+
+def _block_matrix(blocks, like):
+    """One :class:`~irkit.sparsela.SparseMatrix` holding ``w * op`` in block
+    ``(bi, bj)`` for each of ``blocks``, the blocks as large as ``like``.
+    A composite operand puts its parts on its finer grid.  Assembled by
+    :func:`~irkit.sparsela.stack` and memoized on ``like`` (its first part,
+    if composite): the same operands and weights give the same matrix."""
+    sizes = getattr(like, "sizes", (like.n,))
+    g = len(sizes)
+    terms = [(bi * g + i, bj * g + j, w, m)
+             for bi, bj, w, op in blocks for i, j, m in _parts(op)]
+    return stack(sizes * (1 + max(b[0] for b in blocks)), terms, owner=_parts(like)[0][2])
 
 
 def _parts(op):
@@ -254,14 +262,13 @@ class PairPlan:
 
 
 class ShiftedPlan:
-    """A real eigen-block's plan: GMRES on ``eta*M - dt*L`` with its
-    ``shifted`` solver as right preconditioner."""
+    """A real eigen-block's plan: GMRES on the assembled ``eta*M - dt*L``
+    with its ``shifted`` solver as right preconditioner.  The solver is built
+    first, so a plain block's operator is its solver's memoized ``mat``."""
 
     def __init__(self, eta, lmat, mass, dt, spec, shifted=ShiftedSolver):
-        self.op = LinearOperator(
-            lmat.n, lambda x: eta * (x if mass is None else mass @ x) - dt * (lmat @ x)
-        )
         self.precond = LinearOperator(lmat.n, into=shifted(eta, mass, lmat, dt, spec.inner).solve)
+        self.op = _block_matrix([(0, 0, eta, mass), (0, 0, -dt, lmat)], lmat)
 
     def solve(self, rhs, rtol, maxit):
         return gmres(self.op, rhs, right_precond=self.precond, rtol=rtol, maxit=maxit)
@@ -269,8 +276,14 @@ class ShiftedPlan:
 
 def solve_block(plan, rhs, rtol, maxit, what, offset):
     """``plan.solve(rhs, rtol, maxit)``; a solve that did not converge raises
-    :class:`StageSolveError` naming ``what``, with ``offset`` and the report."""
-    x, rep = plan.solve(rhs, rtol, maxit)
+    :class:`StageSolveError` naming ``what``, with ``offset`` and the report,
+    and one the plan raises itself gets ``offset`` if it names none."""
+    try:
+        x, rep = plan.solve(rhs, rtol, maxit)
+    except StageSolveError as exc:
+        if exc.block_offset is None:
+            exc.block_offset = offset
+        raise
     if not rep.converged:
         raise StageSolveError(f"{what} did not converge", block_offset=offset, report=rep)
     return x, rep

@@ -87,7 +87,7 @@ class SolverConfig:
     jacobian_refresh: str = "every"  # or "frozen"
 
     def __post_init__(self):
-        if self.variant not in (0, 1, 2, 3):
+        if isinstance(self.variant, bool) or self.variant not in (0, 1, 2, 3):
             raise ConfigurationError(f"variant must be 0..3, got {self.variant}")
         for tol in (self.newton_rtol, self.krylov_rtol):
             if not (0.0 < tol < 1.0):

@@ -2,15 +2,15 @@
 
 A :class:`SparseMatrix` is a :class:`Pattern` (an interned, immutable CSR
 structure) plus a ``data`` vector.  Structurally equal patterns are one
-object, so every operator of a stage solve (stage Jacobians, variant
-operators, shifted blocks ``alpha*M - dt*L``) that lives on one pattern is
-a weighted sum of ``data`` vectors: :func:`combine` is array arithmetic,
-:func:`combine_rows` takes all the weighted sums of one set of stage
-operators in one pass over their data (``out[r] += w[r, l] * data_l``, the
-same operations as one :func:`combine` per row), :func:`stack` lays
-weighted operators out as the blocks of one matrix, and :class:`BandedLU`
-fills LAPACK's band storage through the pattern's cached scatter, as RADAU5
-forms ``fac*M - J`` in place (Hairer & Wanner, *Solving ODEs II*, IV.8).
+object, so the operators of a stage solve (stage Jacobians, variant
+operators, shifted blocks ``alpha*M - dt*L``) keep the pattern they share.
+One scatter builds every weighted operator sum: :func:`stack` lays weighted
+operators out as the blocks of one matrix on a cached block pattern, and
+:func:`combine` is its one-block case.  Only :func:`combine_rows` on one
+pattern takes its own pass (``out[r] += w[r, l] * data_l``, the operations
+of one :func:`combine` per row).  :class:`BandedLU` fills LAPACK's band
+storage through the pattern's cached scatter, as RADAU5 forms ``fac*M - J``
+in place (Hairer & Wanner, *Solving ODEs II*, IV.8).
 The band is the pattern's own: its literal half-bandwidth in natural order,
 or in reverse Cuthill-McKee order when that is strictly narrower (Cuthill &
 McKee 1969; George & Liu 1981), which turns periodic wrap-around stencils
@@ -73,9 +73,8 @@ class Pattern:
     (sorted and unique per row).
 
     Build patterns with :meth:`of`; structurally equal ones resolve to one
-    object, so operators on one pattern are recognized by identity.  Index
-    arrays for the diagonal and the band storage are computed on first use
-    and cached.
+    object, so operators on one pattern are recognized by identity.  Row
+    indices and the band storage are computed on first use and cached.
     """
 
     _interned = weakref.WeakValueDictionary()
@@ -105,12 +104,6 @@ class Pattern:
     def csr(self):
         """A ``scipy.sparse`` CSR matrix on this pattern, with zero values."""
         return sp.csr_matrix((np.zeros(self.nnz), self.indices, self.indptr), shape=self.shape)
-
-    @cached_property
-    def diagonal(self):
-        """Positions of the diagonal entries, or ``None`` if one is absent."""
-        pos = np.flatnonzero(self.rows == self.indices)
-        return pos if len(pos) == min(self.shape) else None
 
     @cached_property
     def band(self):
@@ -145,31 +138,16 @@ class Pattern:
 
 
 @lru_cache(maxsize=256)
-def _union(patterns, identity, shape):
-    """Union of ``patterns`` (and the diagonal if ``identity``), with each
-    pattern's positions in it."""
-    acc = sp.csr_matrix(shape)
-    for p in patterns:
-        if p.shape != shape:
-            raise ValueError(f"cannot combine shapes {shape} and {p.shape}")
-        acc = acc + sp.csr_matrix((np.ones(p.nnz), p.indices, p.indptr), shape=shape)
-    if identity:
-        acc = acc + sp.identity(shape[0], format="csr")
-    union = Pattern.of(shape, acc.indptr, acc.indices)
-    return union, {p: union.locate(p) for p in patterns}
-
-
-@lru_cache(maxsize=256)
-def _block_layout(sizes, places):
-    """Pattern of a block matrix with blocks ``sizes[i] x sizes[j]`` holding
+def _block_layout(grid, places):
+    """Pattern of a block matrix on ``grid`` (row sizes, column sizes) holding
     ``places`` (``(i, j, pattern)``, ``None`` for the identity), the
     positions in it of all places' entries, one place after the other, and
     the bounds of each place's run of them."""
-    start = np.cumsum((0,) + sizes)
-    n = int(start[-1])
-    keys = []
+    rstart, cstart = (np.cumsum((0,) + sizes) for sizes in grid)
+    nr, nc = int(rstart[-1]), int(cstart[-1])
+    keys = [np.zeros(0, np.int64)]
     for i, j, p in places:
-        shape = (sizes[i], sizes[j])
+        shape = (grid[0][i], grid[1][j])
         if p is None and shape[0] == shape[1]:
             rows = cols = np.arange(shape[0])
         elif p is not None and p.shape == shape:
@@ -177,11 +155,11 @@ def _block_layout(sizes, places):
         else:
             raise ValueError(f"block ({i}, {j}) is {shape}: cannot hold "
                              f"{'an identity' if p is None else p.shape}")
-        keys.append((rows + start[i]).astype(np.int64) * n + (cols + start[j]))
-    bounds = np.cumsum([0] + [len(k) for k in keys]).tolist()
+        keys.append((rows + rstart[i]).astype(np.int64) * nc + (cols + cstart[j]))
+    bounds = np.cumsum([len(k) for k in keys]).tolist()
     keys = np.concatenate(keys)
     union = np.unique(keys)
-    pattern = Pattern.of((n, n), np.searchsorted(union // n, np.arange(n + 1)), union % n)
+    pattern = Pattern.of((nr, nc), np.searchsorted(union // nc, np.arange(nr + 1)), union % nc)
     return pattern, np.searchsorted(union, keys), bounds
 
 
@@ -293,48 +271,31 @@ def combine(coeffs, mats):
     """Weighted sum ``sum_k coeffs[k] * mats[k]`` of same-shape matrices.
 
     ``None`` entries in ``mats`` stand for the identity; zero weights are
-    skipped.  The sum is taken on ``data`` vectors, in ``mats`` order with
-    the identity added on the diagonal positions, so each entry sees the
-    same floating-point operations as an entrywise sparse sum.  It lives on
-    the operands' pattern when they all share one that holds the diagonal
-    the identity needs; otherwise on the union of the patterns of the
-    operands with nonzero weight.
+    skipped.  The sum is the one-block :func:`stack` of the nonzero-weight
+    terms: it lives on the union of their patterns (the operands' shared
+    pattern when they have one that holds the diagonal the identity needs)
+    and adds them from zero in ``mats`` order, as an entrywise sparse sum
+    does.  All-zero weights give zeros on the operands' shared pattern, or
+    on an empty one when their patterns differ.
 
     Sums are memoized on the last concrete operand (the operator, in
     ``alpha*M - dt*L``), keyed by the weights and the operand objects: the
     same weights on the same objects return the same matrix, with its
-    factorization if one was taken.  The key holds the other operands and
-    stands in a placeholder for the owner, since holding the owner itself
-    would keep it alive through a reference cycle.
+    factorization if one was taken.
     """
     mats = list(mats)
-    if not mats:
-        raise ValueError("empty combination")
     concrete = [m for m in mats if m is not None]
     if not concrete:
         raise ValueError("combine needs at least one concrete matrix")
-    weights = coeffs.tolist() if isinstance(coeffs, np.ndarray) else coeffs
-    return _memoized(concrete[-1], tuple(map(float, weights)), mats,
-                     lambda: _sum(coeffs, mats, concrete))
+    return _stacked(*_sum_terms(coeffs, mats, concrete), concrete[-1])
 
 
-def _sum(coeffs, mats, concrete):
-    shared = {m.pattern for m in concrete}
-    terms = [(c, m) for c, m in zip(coeffs, mats) if c != 0.0]
-    identity = any(m is None for _, m in terms)
-    pattern, where = shared.pop(), None
-    if shared or (identity and pattern.diagonal is None):
-        used = tuple(dict.fromkeys(m.pattern for _, m in terms if m is not None))
-        pattern, where = _union(used, identity, pattern.shape)
-    data = np.zeros(pattern.nnz)
-    for c, m in terms:
-        if m is None:
-            data[pattern.diagonal] += c
-        elif where is None:
-            data += c * m.data
-        else:
-            data[where[m.pattern]] += c * m.data
-    return SparseMatrix.on_pattern(pattern, data)
+def _sum_terms(coeffs, mats, concrete):
+    """The one-block grid and the placed terms of ``combine(coeffs, mats)``."""
+    terms = [(0, 0, float(c), m) for c, m in zip(coeffs, mats) if c != 0.0]
+    if not terms and len({m.pattern for m in concrete}) == 1:
+        terms = [(0, 0, 0.0, m) for m in concrete]
+    return ((concrete[0].shape[0],), (concrete[0].shape[1],)), terms
 
 
 def combine_rows(weights, mats):
@@ -347,8 +308,8 @@ def combine_rows(weights, mats):
     +0.0: the operations of :func:`combine`, plus the zero-weight terms it
     skips, which add a signed zero to a sum that is never -0.0 and so change
     no bit.  The array's finiteness is checked once.  Operands on distinct
-    patterns are summed row by row as :func:`combine` sums them.  The tuple
-    is memoized on the last operand like a :func:`combine` sum.
+    patterns are summed row by row through :func:`combine`'s scatter.  The
+    tuple is memoized on the last operand like a :func:`combine` sum.
     """
     weights = np.asarray(weights, dtype=float)
     mats = list(mats)
@@ -359,7 +320,7 @@ def combine_rows(weights, mats):
     def build():
         pattern = owner.pattern
         if any(m.pattern is not pattern for m in mats):
-            return tuple(_sum(w, mats, mats) for w in weights)
+            return tuple(_scatter(*_sum_terms(w, mats, mats)) for w in weights)
         out = np.zeros((len(weights), pattern.nnz))
         for w, m in zip(weights.T, mats):
             out += w[:, None] * m.data
@@ -380,31 +341,34 @@ def stack(sizes, terms, owner):
     ``sizes[i] x sizes[j]`` and holds the sum of ``weight * mat`` over the
     ``terms`` ``(i, j, weight, mat)`` placed there.
 
-    ``mat`` is a :class:`SparseMatrix` or ``None`` for the identity.  The
-    stacked pattern and the positions of every term's entries in it are
-    cached per tuple of sizes and placed patterns, so assembling is one
-    scatter: the weighted entries of all terms, one term after the other,
-    are summed into ``data`` by ``bincount``, which adds them from zero in
-    ``terms`` order, as :func:`combine` does.  The matrix is memoized on
-    ``owner`` (one of the term matrices) like a :func:`combine` sum, keyed by
-    the sizes, placements, weights and operand objects.
+    ``mat`` is a :class:`SparseMatrix` or ``None`` for the identity.  This
+    scatter builds every operator sum, :func:`combine`'s too.  The stacked
+    pattern and the positions of every term's entries in it are cached per
+    grid and placed patterns, so assembling is one scatter: the weighted
+    entries of all terms, one term after the other, are summed into
+    ``data`` by ``bincount``, which adds them from zero in ``terms`` order.
+    The matrix is memoized on ``owner`` (one of the term matrices), keyed by
+    the grid, placements, weights and operand objects.
     """
     sizes = tuple(sizes)
-    terms = [(i, j, float(w), m) for i, j, w, m in terms]
+    return _stacked((sizes, sizes), [(i, j, float(w), m) for i, j, w, m in terms], owner)
 
-    def build():
-        places = tuple([(i, j, None if m is None else m.pattern) for i, j, _, m in terms])
-        pattern, pos, bounds = _block_layout(sizes, places)
-        values = np.empty(len(pos))
-        for (_, _, w, m), a, b in zip(terms, bounds, bounds[1:]):
-            if m is None:
-                values[a:b] = w
-            else:
-                np.multiply(m.data, w, out=values[a:b])
-        return SparseMatrix.on_pattern(pattern, np.bincount(pos, values, pattern.nnz))
 
-    return _memoized(owner, (sizes, tuple([t[:3] for t in terms])), [t[3] for t in terms],
-                     build)
+def _stacked(grid, terms, owner):
+    return _memoized(owner, (grid, tuple([t[:3] for t in terms])), [t[3] for t in terms],
+                     lambda: _scatter(grid, terms))
+
+
+def _scatter(grid, terms):
+    places = tuple([(i, j, None if m is None else m.pattern) for i, j, _, m in terms])
+    pattern, pos, bounds = _block_layout(grid, places)
+    values = np.empty(len(pos))
+    for (_, _, w, m), a, b in zip(terms, bounds, bounds[1:]):
+        if m is None:
+            values[a:b] = w
+        else:
+            np.multiply(m.data, w, out=values[a:b])
+    return SparseMatrix.on_pattern(pattern, np.bincount(pos, values, pattern.nnz))
 
 
 def _memoized(owner, key, operands, build):

@@ -230,6 +230,18 @@ class TestBlockSolve:
             solve_dae_block4x4(pair_plan(oi, oj, 2.0, 1.3, 0.8, 0.25), rhs, rtol=1e-8,
                                maxit=100, mode="reordered")
 
+    @pytest.mark.parametrize("mode", ["coupled", "reordered"])
+    def test_failed_composite_pair_names_its_block(self, mode):
+        # the block's own residual recheck raises; the sweep adds the offset
+        problem = make_problem("shear_layer_small", n=8)
+        tableau = make_tableau("radau_iia", 2)
+        (pair,) = [b.offset for b in prepare_stages(tableau).schur.blocks if b.size == 2]
+        cfg = SolverConfig(krylov_maxit=1, krylov_rtol=1e-12)
+        with pytest.raises(StageSolveError, match="composite block residual") as err:
+            dae_step(problem.system, problem.u0, problem.w0, 0.0, 0.01, tableau, cfg, mode=mode)
+        assert err.value.block_offset == pair
+        assert err.value.report is not None and not err.value.report.converged
+
     @pytest.mark.parametrize("lw_zero", [True, False], ids=["banded", "dense"])
     def test_elimination_solver_writes_the_returned_bits(self, lw_zero):
         # the reduced solve is banded when L_w vanishes and dense otherwise; the

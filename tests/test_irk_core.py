@@ -15,8 +15,9 @@ from irkit.irk_core import (
     measure_kappa,
     solve_transformed_system,
 )
+from irkit import sparsela
 from irkit.problems import make_problem
-from irkit.nonlinear import integrate
+from irkit.nonlinear import SolverConfig, integrate
 from irkit.sparsela import BandedLU, LinearOperator, SparseMatrix, combine, gmres
 from irkit.tableau import kappa_bound, make_tableau, prepare_stages
 
@@ -125,6 +126,9 @@ class TestBlock2x2:
         assert PrecondSpec(gamma_mode=2.5).gamma(3.0, 1.0) == 2.5
         with pytest.raises(ValueError):
             PrecondSpec(gamma_mode=-1.0)
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                PrecondSpec(gamma_mode=bad)
         with pytest.raises(ValueError):
             PrecondSpec(inner=0)
 
@@ -291,6 +295,32 @@ class TestBlockMatrix:
                                DaeOps(*sysb.l1), sysb.l2, sysb.dt)
         assert again.matrix is sysb.matrix
         assert any(v is sysb.matrix for v in sysb.l1.lu._sums.values())
+
+
+class TestShiftedPlan:
+    """A real eigen-block's operator is its shifted solver's matrix."""
+
+    @pytest.mark.parametrize("inner", ["exact", 2])
+    def test_operator_is_the_solvers_matrix(self, inner):
+        lmat = make_problem("heat1d", n=16).operator
+        for mass in (None, SparseMatrix(sp.identity(16) * 2.0)):
+            plan = ShiftedPlan(1.5, lmat, mass, 0.1, PrecondSpec(inner=inner))
+            assert plan.op is ShiftedSolver(1.5, mass, lmat, 0.1, inner).mat
+
+    def test_one_assembly_per_shift(self, monkeypatch):
+        # sdirk2's two stages share one shift, and heat's operator never
+        # changes: three steps assemble one shifted matrix, not one per use
+        built = []
+        scatter = sparsela._scatter
+        monkeypatch.setattr(sparsela, "_scatter",
+                            lambda grid, terms: built.append(terms) or scatter(grid, terms))
+        problem = make_problem("heat1d", n=32)
+        dt = 1e-3
+        res = integrate(problem.system, problem.u0, 0.0, 3 * dt, dt, make_tableau("sdirk2"),
+                        SolverConfig())
+        assert len(res.step_stats) == 3
+        assert len(built) == 1
+        assert [m for _, _, _, m in built[0]] == [None, problem.operator]
 
 
 class TestSolveTransformed:

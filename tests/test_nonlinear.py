@@ -376,6 +376,12 @@ class TestStepAndIntegrate:
         res = integrate(problem.system, problem.u0, 0.0, 1.0, dt, tableau, TIGHT)
         assert res.u_final[0] == pytest.approx(per**10, abs=1e-13)
 
+    @pytest.mark.parametrize("variant", [True, False, 4, -1, 1.5])
+    def test_bad_variant_rejected(self, variant):
+        # a bool is an int to Python, but not a variant number
+        with pytest.raises(ConfigurationError, match="variant must be 0..3"):
+            SolverConfig(variant=variant)
+
     def test_non_integer_step_count_rejected(self):
         problem = make_problem("dahlquist")
         with pytest.raises(ConfigurationError):

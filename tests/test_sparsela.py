@@ -16,6 +16,7 @@ from irkit.sparsela import (
     Pattern,
     SparseMatrix,
     combine,
+    combine_rows,
     gmres,
 )
 
@@ -683,10 +684,42 @@ class TestPatternPath:
             if c != 0.0:
                 dense += c * (np.eye(n) if m is None else m.to_dense())
         assert np.array_equal(out.to_dense(), dense)
-        if all(m is None or m.pattern is shared.pattern for m in mats) and (
-            shared.pattern.diagonal is not None
-        ):
+        holds_diagonal = np.count_nonzero(shared.pattern.rows == shared.indices) == n
+        if all(m is None or m.pattern is shared.pattern for m in mats) and holds_diagonal:
             assert out.pattern is shared.pattern
+
+    @pytest.mark.parametrize("zero_row", [False, True])
+    def test_rectangular_sums_on_distinct_patterns(self, zero_row):
+        # a rectangular one-block scatter: each sum lives on the union of its
+        # nonzero-weight operands' patterns and holds the bits of scipy's
+        # entrywise sum in mats order; an all-zero row holds no entry at all
+        mats = [SparseMatrix(sp.random(4, 6, density=0.4, random_state=seed, format="csr"))
+                for seed in (1, 2, 3)]
+        assert len({m.pattern for m in mats}) == 3
+        last = [0.0, 0.0, 0.0] if zero_row else [-2.0, 0.0, 0.5]
+        weights = np.array([[1.5, -0.25, 3.0], [0.0, 2.0, -1.0], last])
+        for w, row in zip(weights, combine_rows(weights, mats)):
+            single = combine(w, mats)
+            assert row.pattern is single.pattern
+            assert row.data.tobytes() == single.data.tobytes()
+            union, want = sp.csr_matrix((4, 6)), sp.csr_matrix((4, 6))
+            for c, m in zip(w, mats):
+                if c != 0.0:
+                    union = union + sp.csr_matrix((np.ones(m.nnz), m.indices, m.indptr), (4, 6))
+                    want = want + c * m.csr
+            assert row.pattern is Pattern.of((4, 6), union.indptr, union.indices)
+            assert row.to_dense().tobytes() == want.toarray().tobytes()
+        assert (row.nnz == 0) is zero_row
+
+    def test_all_zero_weights_keep_a_shared_pattern(self):
+        a = SparseMatrix(sp.random(4, 6, density=0.4, random_state=1, format="csr"))
+        twin = SparseMatrix.on_pattern(a.pattern, -a.data)
+        other = SparseMatrix(sp.random(4, 6, density=0.4, random_state=2, format="csr"))
+        shared = combine([0.0, 0.0], [a, twin])
+        assert shared.pattern is a.pattern
+        assert shared.data.tobytes() == np.zeros(a.nnz).tobytes()  # +0.0, never -0.0
+        assert combine([0.0, 0.0], [a, other]).shape == (4, 6)
+        assert combine([0.0, 0.0], [a, other]).nnz == 0
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(
