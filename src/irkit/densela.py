@@ -1,8 +1,9 @@
 """Small dense linear-algebra kernels for Runge-Kutta coefficient matrices.
 
-The real Schur decomposition, LU solves and the singular values behind
-two-norm condition numbers call LAPACK through scipy.  The Schur form is
-meant for coefficient matrices, so its size is capped at 16x16.
+The Schur form and the LU factorization and solve call LAPACK's ``dgees``,
+``dgetrf`` and ``dgetrs`` directly; condition numbers go through scipy's
+``svdvals``.  The Schur form is meant for coefficient matrices, so its size
+is capped at 16x16.
 
 The quasi-triangular factor produced by :func:`real_schur` is standardized:
 every 2x2 diagonal block carrying a complex pair ``eta +- i*beta`` has equal
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import DecompositionError, SingularMatrixError
 
@@ -91,7 +93,7 @@ def _standardized(a):
 def real_schur(a):
     """Real Schur decomposition ``a = q @ r @ q.T`` with standardized blocks.
 
-    LAPACK ``gees`` (through :func:`scipy.linalg.schur`) returns each 2x2
+    LAPACK ``dgees`` (as :func:`scipy.linalg.schur` calls it) returns each 2x2
     block standardized by ``lanv2``, with equal diagonal entries; an ``a``
     already in that form to roundoff keeps ``q = I``.  Intended
     for Runge-Kutta coefficient matrices, so the dimension is capped at
@@ -106,10 +108,10 @@ def real_schur(a):
         raise ValueError(f"real_schur supports n <= {MAX_SCHUR_DIM}, got {n}")
     h, q = _standardized(a), np.eye(n)
     if h is None:
-        try:
-            h, q = scipy.linalg.schur(a, output="real", check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise DecompositionError(f"real Schur form did not converge: {exc}") from exc
+        # unsorted, so never a callback; n <= 16 runs unblocked, as in scipy's schur
+        h, _, _, _, q, _, info = lapack.dgees(lambda re, im: None, a)
+        if info > 0:
+            raise DecompositionError(f"real Schur form did not converge (info {info})")
 
     blocks = []
     i = 0
@@ -148,14 +150,16 @@ def lu_factor(a):
     if a.size == 0:
         return a, np.zeros(0, dtype=np.int32)
     # getrf directly: scipy's lu_factor would warn before the pivot check raises
-    lu, piv, _ = scipy.linalg.lapack.dgetrf(a)
+    lu, piv, _ = lapack.dgetrf(a)
     _check_pivots(lu, a)
     return lu, piv
 
 
 def lu_solve_factored(lu, piv, rhs):
     """Solve with a factorization from :func:`lu_factor`; rhs may be 1D or 2D."""
-    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    if lu.size == 0:
+        return np.array(rhs, dtype=float)
+    return lapack.dgetrs(lu, piv, rhs)[0]
 
 
 def lu_solve(a, rhs):

@@ -25,6 +25,7 @@ usual accounting for such schemes).
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -92,6 +93,12 @@ class SolverConfig:
         for tol in (self.newton_rtol, self.krylov_rtol):
             if not (0.0 < tol < 1.0):
                 raise ConfigurationError(f"tolerance {tol} outside (0, 1)")
+        for name in ("newton_maxit", "krylov_maxit"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
+        if not self.newton_abs_floor >= 0.0:  # NaN fails this as well
+            raise ConfigurationError(f"newton_abs_floor must be >= 0, got {self.newton_abs_floor}")
         if self.jacobian_refresh not in ("every", "frozen"):
             raise ConfigurationError(
                 f"unknown jacobian_refresh {self.jacobian_refresh!r}"

@@ -16,8 +16,10 @@ field-of-values class of the linearized operator:
 * ``shear_layer_small`` 2D vorticity/streamfunction system on a periodic
                     grid with lagged advection (index-1, zero L_w)
 
-Field-of-values labels are verified at build time: ``snsd`` requires the
-symmetric-part bound to be non-positive, ``skew`` requires it to vanish.
+Periodic stencils are written straight onto CSR arrays on interned
+patterns.  Field-of-values labels are verified at build time: ``snsd``
+requires the symmetric-part bound to be non-positive, ``skew`` requires it
+to vanish.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .dae import DaeSystem
 from .errors import ConfigurationError
 from .irk_core import field_of_values_bound
 from .nonlinear import OdeSystem
-from .sparsela import Pattern, SparseMatrix
+from .sparsela import BandedLU, Pattern, SparseMatrix
 
 FOV_TOL = 1e-8
 
@@ -123,15 +125,19 @@ def _periodic_spacing(n, length=1.0):
     return length / n
 
 
+def _stencil(cols, vals):
+    """The square matrix whose row i holds ``vals`` at the distinct columns
+    ``cols[i]``, written straight onto its CSR arrays (zero values stored)."""
+    m, k = cols.shape
+    order = np.argsort((np.arange(m)[:, None] * m + cols).ravel())
+    pattern = Pattern.of((m, m), np.arange(0, m * k + 1, k), cols.ravel()[order])
+    return SparseMatrix.on_pattern(pattern, np.asarray(vals, dtype=float)[order % k])
+
+
 def _periodic_tridiagonal(n, lower, diag, upper):
     """Circulant ``[lower, diag, upper]`` stencil on the full 3-point circulant
     pattern (a zero ``diag`` stays stored), so all such operators share it."""
-    cols = (np.arange(n)[:, None] + np.arange(-1, 2)) % n
-    order = np.argsort(cols, axis=1)
-    vals = np.take_along_axis(np.tile([lower, diag, upper], (n, 1)), order, axis=1)
-    cols = np.take_along_axis(cols, order, axis=1)
-    return sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, 3 * n + 1, 3)),
-                         shape=(n, n))
+    return _stencil((np.arange(n)[:, None] + np.arange(-1, 2)) % n, [lower, diag, upper])
 
 
 def _periodic_central(n, h):
@@ -145,7 +151,7 @@ def _periodic_laplacian(n, h):
 def advection1d(n=64, speed=1.0):
     """Periodic transport ``u_t = speed * u_x`` with central differences."""
     h = _periodic_spacing(n)
-    mat = SparseMatrix(speed * _periodic_central(n, h))
+    mat = SparseMatrix(speed * _periodic_central(n, h).csr)
     x = np.arange(n) * h
     u0 = np.sin(2 * np.pi * x) + 0.3 * np.cos(4 * np.pi * x)
     coeffs = np.fft.fft(u0)
@@ -166,7 +172,7 @@ def advection1d(n=64, speed=1.0):
 def advdiff1d(n=64, speed=1.0, nu=0.01):
     """Periodic advection-diffusion (general class; still left half-plane)."""
     h = _periodic_spacing(n)
-    mat = SparseMatrix(speed * _periodic_central(n, h) + nu * _periodic_laplacian(n, h))
+    mat = SparseMatrix(speed * _periodic_central(n, h).csr + nu * _periodic_laplacian(n, h).csr)
     x = np.arange(n) * h
     u0 = np.sin(2 * np.pi * x) + 0.2 * np.sin(6 * np.pi * x)
     system = OdeSystem(
@@ -187,9 +193,8 @@ def burgers1d(n=128, nu=0.02, base=0.5, amplitude=0.45):
     """
     h = _periodic_spacing(n)
     dmat = _periodic_central(n, h)
-    lap = nu * _periodic_laplacian(n, h)
-    pattern = Pattern.of(lap.shape, lap.indptr, lap.indices)
-    dmat, lap = (SparseMatrix.on_pattern(pattern, m.data) for m in (dmat, lap))
+    pattern = dmat.pattern
+    lap = SparseMatrix.on_pattern(pattern, nu * _periodic_laplacian(n, h).data)
     x = np.arange(n) * h
     u0 = base + amplitude * np.sin(2 * np.pi * x)
 
@@ -240,15 +245,16 @@ def dae_manufactured():
 
 
 def _grid_ops_2d(n, length=2.0 * np.pi):
-    """Periodic central difference and Laplacian operators on an n x n grid."""
-    h = _periodic_spacing(n, length)
-    d1 = _periodic_central(n, h)
-    eye = sp.identity(n, format="csr")
-    dx = sp.kron(eye, d1, format="csr")
-    dy = sp.kron(d1, eye, format="csr")
-    lap1 = _periodic_laplacian(n, h)
-    lap = sp.kron(eye, lap1, format="csr") + sp.kron(lap1, eye, format="csr")
-    return dx, dy, lap, h
+    """Periodic ``dx``, ``dy`` (``I kron D``, ``D kron I`` for the central
+    circulant ``D``, zero diagonal stored) and the 5-point Laplacian, the sum
+    of the 1-D ones, on an n x n grid (point ``(a, b)`` at ``a * n + b``)."""
+    h, nn = _periodic_spacing(n, length), n * n
+    a, b = np.divmod(np.arange(nn)[:, None], n)
+    step = np.arange(-1, 2)
+    along_x, along_y = a * n + (b + step) % n, (a + step) % n * n + b
+    lo, mid, half = 1.0 / h**2, -2.0 / h**2, 1.0 / (2.0 * h)
+    return (_stencil(along_x, [-half, 0.0, half]), _stencil(along_y, [-half, 0.0, half]),
+            _stencil(np.hstack([along_x, along_y[:, ::2]]), [lo, mid + mid, lo, lo, lo]), h)
 
 
 def shear_layer_small(n=16, reynolds=1e4, delta=0.05, rho=np.pi / 15.0):
@@ -263,21 +269,17 @@ def shear_layer_small(n=16, reynolds=1e4, delta=0.05, rho=np.pi / 15.0):
     dx, dy, lap, h = _grid_ops_2d(n)
     nn = n * n
 
-    # Pinned constraint operator: Lap with row 0 replaced by the identity row.
-    pinned = lap.tolil()
-    pinned[0, :] = 0.0
-    pinned[0, 0] = 1.0
-    gw = SparseMatrix(pinned.tocsr())
-    neg_eye = sp.identity(nn, format="csr") * (-1.0)
-    gu_mat = neg_eye.tolil()
-    gu_mat[0, :] = 0.0
-    gu = SparseMatrix(gu_mat.tocsr())
-    lw = SparseMatrix(sp.csr_matrix((nn, nn)))
-    visc = SparseMatrix((1.0 / reynolds) * lap)
-    lap = SparseMatrix.on_pattern(visc.pattern, lap.data)
+    # Pinned constraint operator: Lap with row 0 (five entries) replaced by the
+    # identity row; -I with row 0 emptied; no L_w entries
+    ops = [(np.append(0, lap.indptr[1:] - 4), np.append(0, lap.indices[5:]),
+            np.append(1.0, lap.data[5:])),
+           (np.append(0, np.arange(nn)), np.arange(1, nn), np.full(nn - 1, -1.0)),
+           (np.zeros(nn + 1, int), [], np.zeros(0))]
+    gw, gu, lw = (SparseMatrix.on_pattern(Pattern.of((nn, nn), indptr, indices), data)
+                  for indptr, indices, data in ops)
+    visc = SparseMatrix.on_pattern(lap.pattern, (1.0 / reynolds) * lap.data)
     # the advection operator's values on the viscous pattern, which holds dx's and dy's
     cols = visc.indices
-    dx, dy = SparseMatrix(dx), SparseMatrix(dy)
     dxv, dyv = (d.project(visc.pattern).data for d in (dx, dy))
 
     def velocity(psi):
@@ -315,8 +317,6 @@ def shear_layer_small(n=16, reynolds=1e4, delta=0.05, rho=np.pi / 15.0):
         delta * np.cos(xg.ravel())
         + np.cosh(np.clip((3 * np.pi / 2 - yg.ravel()) / rho, -30, 30)) ** -2 / rho,
     )
-    from .sparsela import BandedLU
-
     rhs_psi = omega0.copy()
     rhs_psi[0] = 0.0
     psi0 = BandedLU.factor(gw).solve(rhs_psi)

@@ -8,8 +8,9 @@ Supported families:
   ``P_s - P_{s-1}``, i.e. the fixed node 1 and the Jacobi ``(1, 0)`` roots
   (Radau IIA), and the nodes -1, 1 with the roots of ``P'_{s-1}``, i.e. the
   Jacobi ``(1, 1)`` roots (Lobatto IIIC).  The coefficient matrix and
-  weights are assembled from exact integrals of the barycentric Lagrange
-  basis so the collocation identities hold to roundoff at every stage count.
+  weights are exact Gauss-Legendre integrals of the barycentric Lagrange
+  basis (Berrut & Trefethen, SIAM Review 46, 2004), every quadrature point
+  in one broadcast, so the collocation identities hold to roundoff.
 * ``sdirk1`` .. ``sdirk4``: singly diagonally implicit reference schemes of
   orders 1-4 (backward Euler; the 2-stage L-stable scheme with
   gamma = 1 - 1/sqrt(2); the classical 3-stage L-stable scheme; the 5-stage
@@ -26,6 +27,7 @@ the approximate linearizations.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,64 +103,49 @@ class StagePrep:
         return self.schur.blocks
 
 
-def _gauss_quadrature(m):
-    """Gauss-Legendre nodes and weights on [0, 1]."""
-    u, w = roots_legendre(m)
-    return 0.5 * (u + 1.0), 0.5 * w
-
-
 def _barycentric_weights(nodes):
-    w = np.ones(len(nodes))
-    for j, cj in enumerate(nodes):
-        diff = cj - np.delete(nodes, j)
-        w[j] = 1.0 / np.prod(diff)
-    return w
+    """Weights ``1 / prod_{k != j} (c_j - c_k)``, one row product per node."""
+    diff = nodes[:, None] - nodes
+    np.fill_diagonal(diff, 1.0)
+    return 1.0 / np.prod(diff, axis=1)
 
 
 def _lagrange_matrix(nodes, x):
-    """Values ``L[i, j] = ell_j(x_i)`` of the Lagrange basis on ``nodes``."""
-    nodes = np.asarray(nodes)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    wbar = _barycentric_weights(nodes)
-    out = np.empty((len(x), len(nodes)))
-    for i, xi in enumerate(x):
-        diff = xi - nodes
-        hit = np.isclose(diff, 0.0, atol=1e-15)
-        if np.any(hit):
-            out[i] = hit.astype(float)
-        else:
-            terms = wbar / diff
-            out[i] = terms / terms.sum()
+    """Values ``L[i, j] = ell_j(x_i)`` of the Lagrange basis on ``nodes``, all
+    points in one broadcast: a point within 1e-15 of a node takes its unit
+    row, any other the barycentric formula of the second kind."""
+    diff = np.reshape(x, (-1, 1)) - nodes
+    hit = np.abs(diff) <= 1e-15
+    out = hit.astype(float)
+    far = ~hit.any(axis=1)
+    terms = _barycentric_weights(nodes) / diff[far]
+    out[far] = terms / terms.sum(axis=1, keepdims=True)
     return out
 
 
 def _integrated_lagrange(nodes, uppers, quad):
-    """Integrals ``I[i, j] = int_0^{uppers[i]} ell_j`` over the node basis."""
+    """Integrals ``I[i, j] = int_0^{uppers[i]} ell_j`` over the node basis, the
+    quadrature ``quad`` on [0, 1] scaled to all ``[0, uppers[i]]`` at once; an
+    upper limit of 0 gives a row of +0.0, not the -0.0 of a negative product."""
     xg, wg = quad
-    out = np.empty((len(uppers), len(nodes)))
-    for i, ci in enumerate(uppers):
-        if ci == 0.0:
-            out[i] = 0.0
-            continue
-        vals = _lagrange_matrix(nodes, ci * xg)
-        out[i] = ci * (wg @ vals)
+    vals = _lagrange_matrix(nodes, np.multiply.outer(uppers, xg))
+    out = uppers[:, None] * (wg @ vals.reshape(len(uppers), len(xg), len(nodes)))
+    out[uppers == 0.0] = 0.0
     return out
 
 
-def _collocation_tableau(family, s, c):
-    quad = _gauss_quadrature(max(s, 2))
-    b = _integrated_lagrange(c, np.array([1.0]), quad)[0]
-    if family == LOBATTO_IIIC:
-        # First column pinned to b[0]; the rest from quadrature conditions of
-        # degree s-2 expressed in the Lagrange basis on the trailing nodes.
-        a = np.empty((s, s))
-        a[:, 0] = b[0]
-        sub = c[1:]
-        ints = _integrated_lagrange(sub, c, quad)
-        vals0 = _lagrange_matrix(sub, 0.0)[0]
-        a[:, 1:] = ints - b[0] * vals0
-    else:
-        a = _integrated_lagrange(c, c, quad)
+def _collocation_tableau(family, s, c, quad):
+    if family != LOBATTO_IIIC:
+        # one pass for the rows of a (integrals up to c) and b (up to 1)
+        ints = _integrated_lagrange(c, np.append(c, 1.0), quad)
+        return ints[:-1].copy(), ints[-1].copy()
+    b = _integrated_lagrange(c, np.ones(1), quad)[0]
+    # First column pinned to b[0]; the rest from quadrature conditions of
+    # degree s-2 expressed in the Lagrange basis on the trailing nodes.
+    a = np.empty((s, s))
+    a[:, 0] = b[0]
+    sub = c[1:]
+    a[:, 1:] = _integrated_lagrange(sub, c, quad) - b[0] * _lagrange_matrix(sub, 0.0)[0]
     return a, b
 
 
@@ -208,10 +195,18 @@ def _sdirk_tableau(family):
 def make_tableau(family, s=None):
     """Construct the Butcher tableau for ``(family, s)``.
 
-    For SDIRK families the stage count is fixed by the scheme; passing a
+    ``s`` must be an integer (numpy integers pass, ``bool`` does not).  For
+    SDIRK families the stage count is fixed by the scheme; passing a
     mismatching ``s`` is a configuration error.
     """
     family = canonical_family(family)
+    if s is not None:
+        try:
+            if isinstance(s, bool):
+                raise TypeError
+            s = operator.index(s)
+        except TypeError:
+            raise ConfigurationError(f"stage count must be an integer, got {s!r}") from None
     if family in SDIRK_FAMILIES:
         fixed = _SDIRK_STAGES[family]
         if s is not None and s != fixed:
@@ -221,14 +216,14 @@ def make_tableau(family, s=None):
 
     if s is None:
         raise ConfigurationError(f"{family} requires an explicit stage count")
-    s = int(s)
     lo = 2 if family == LOBATTO_IIIC else 1
     if not (lo <= s <= MAX_COLLOCATION_STAGES):
         raise ConfigurationError(
             f"{family} supports {lo} <= s <= {MAX_COLLOCATION_STAGES}, got {s}"
         )
+    u, w = roots_legendre(max(s, 2))  # the quadrature; for s >= 2 the Gauss nodes too
     if family == GAUSS:
-        x = roots_legendre(s)[0]
+        x = u if s > 1 else roots_legendre(1)[0]
         order = 2 * s
     elif family == RADAU_IIA:
         interior = roots_jacobi(s - 1, 1.0, 0.0)[0] if s > 1 else []
@@ -239,7 +234,7 @@ def make_tableau(family, s=None):
         x = np.concatenate(([-1.0], interior, [1.0]))
         order = 2 * s - 2
     c = 0.5 * (x + 1.0)
-    a, b = _collocation_tableau(family, s, c)
+    a, b = _collocation_tableau(family, s, c, (0.5 * (u + 1.0), 0.5 * w))
     return ButcherTableau(family, s, a, b, c, order)
 
 

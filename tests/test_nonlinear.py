@@ -382,6 +382,17 @@ class TestStepAndIntegrate:
         with pytest.raises(ConfigurationError, match="variant must be 0..3"):
             SolverConfig(variant=variant)
 
+    @pytest.mark.parametrize("bad", [dict(krylov_maxit=2.5), dict(newton_maxit=0),
+                                     dict(krylov_maxit=True), dict(newton_abs_floor=np.nan),
+                                     dict(newton_abs_floor=-1.0)])
+    def test_bad_budget_or_floor_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match=next(iter(bad))):
+            SolverConfig(**bad)
+
+    def test_numpy_integer_budgets_accepted(self):
+        cfg = SolverConfig(newton_maxit=np.int64(3), krylov_maxit=np.int64(3))
+        assert (cfg.newton_maxit, cfg.krylov_maxit) == (3, 3)
+
     def test_non_integer_step_count_rejected(self):
         problem = make_problem("dahlquist")
         with pytest.raises(ConfigurationError):

@@ -117,7 +117,7 @@ class TestBurgers:
         n, nu = 64, 0.02
         problem = make_problem("burgers1d", n=n, nu=nu)
         h = 1.0 / n
-        dmat, lap = _periodic_central(n, h), nu * _periodic_laplacian(n, h)
+        dmat, lap = _periodic_central(n, h).csr, nu * _periodic_laplacian(n, h).csr
         rng = np.random.default_rng(4)
         for _ in range(3):
             u = problem.u0 + 0.1 * rng.standard_normal(n)
@@ -167,7 +167,7 @@ class TestShearLayerStructure:
         n, reynolds = 8, 1e4
         problem = make_problem("shear_layer_small", n=n, reynolds=reynolds)
         sysd = problem.system
-        dx, dy, lap, _ = _grid_ops_2d(n)
+        dx, dy, lap = (op.csr for op in _grid_ops_2d(n)[:3])
         visc = (1.0 / reynolds) * lap
         rng = np.random.default_rng(5)
         for _ in range(3):

@@ -86,6 +86,16 @@ class TestMakeTableau:
         with pytest.raises(ConfigurationError):
             make_tableau("sdirk2", 3)
 
+    @pytest.mark.parametrize("s", [2.5, True, np.float64(3.7), "3"])
+    def test_non_integer_stage_count_rejected(self, s):
+        # a bool is an int to Python, and int() would round 2.5 down to gauss(2)
+        with pytest.raises(ConfigurationError, match="stage count must be an integer"):
+            make_tableau("gauss", s)
+
+    def test_numpy_integer_stage_count_accepted(self):
+        tab = make_tableau("radau_iia", np.int64(3))
+        assert type(tab.s) is int and tab.s == 3
+
     def test_family_aliases(self):
         assert make_tableau("Radau", 2).family == "radau_iia"
         assert make_tableau("LOBATTO_IIIC", 2).family == "lobatto_iiic"
