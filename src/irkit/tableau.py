@@ -125,18 +125,16 @@ def _lagrange_matrix(nodes, x):
 
 def _integrated_lagrange(nodes, uppers, quad):
     """Integrals ``I[i, j] = int_0^{uppers[i]} ell_j`` over the node basis, the
-    quadrature ``quad`` on [0, 1] scaled to all ``[0, uppers[i]]`` at once; an
-    upper limit of 0 gives a row of +0.0, not the -0.0 of a negative product."""
+    quadrature ``quad`` on [0, 1] scaled to all ``[0, uppers[i]]`` at once."""
     xg, wg = quad
     vals = _lagrange_matrix(nodes, np.multiply.outer(uppers, xg))
-    out = uppers[:, None] * (wg @ vals.reshape(len(uppers), len(xg), len(nodes)))
-    out[uppers == 0.0] = 0.0
-    return out
+    return uppers[:, None] * (wg @ vals.reshape(len(uppers), len(xg), len(nodes)))
 
 
 def _collocation_tableau(family, s, c, quad):
     if family != LOBATTO_IIIC:
-        # one pass for the rows of a (integrals up to c) and b (up to 1)
+        # one pass for the rows of a (integrals up to c) and b (up to 1); the
+        # copies keep b0 from being a view into a0's buffer
         ints = _integrated_lagrange(c, np.append(c, 1.0), quad)
         return ints[:-1].copy(), ints[-1].copy()
     b = _integrated_lagrange(c, np.ones(1), quad)[0]

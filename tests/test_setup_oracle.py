@@ -17,7 +17,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.special import roots_jacobi, roots_legendre
 
-from irkit import densela
+from irkit import densela, tableau
 from irkit.errors import DecompositionError
 from irkit.problems import _grid_ops_2d, make_problem
 from irkit.sparsela import BandedLU, SparseMatrix
@@ -121,6 +121,15 @@ def reference_prepare(a0):
             blocks.append((i, 1, r[i, i], 0.0, 0.0))
             i += 1
     return a0inv, q, r, np.einsum("ik,il->kli", q, q), blocks
+
+
+def test_lagrange_rows_at_near_and_off_nodes_are_the_scalar_bits():
+    # no tableau evaluates the basis within 1e-15 of a node, so the unit-row
+    # branch is checked here: exact nodes, points 5e-16 off (hits) and 2e-15
+    # off (barycentric), and a grid that contains the node 1
+    nodes = make_tableau(RADAU_IIA, 4).c0
+    x = np.concatenate([nodes, nodes + 5e-16, nodes - 2e-15, np.linspace(0.0, 1.0, 7)])
+    assert same_bits(tableau._lagrange_matrix(nodes, x), _lagrange_matrix(nodes, x))
 
 
 @pytest.mark.parametrize("family, s", SCHEMES)
