@@ -17,8 +17,8 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from pathlib import Path
 
 from .errors import ConfigurationError, IrkitError
 from .experiments import RUNNERS, RunManifest, any_failed, run
@@ -87,8 +87,11 @@ def _param_value(text):
 
 def _manifest_from_args(experiment, args):
     if args.manifest:
-        doc = json.loads(open(args.manifest).read())
-        manifest = RunManifest.from_dict(doc)
+        manifest = RunManifest.from_json(Path(args.manifest).read_text())
+        if manifest.experiment != experiment:
+            raise ConfigurationError(
+                f"{args.manifest} is for {manifest.experiment!r}, not {experiment!r}"
+            )
         if args.out:
             manifest = RunManifest.from_dict({**manifest.to_dict(), "out": args.out})
         return manifest

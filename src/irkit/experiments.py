@@ -2,9 +2,11 @@
 
 Each driver consumes a :class:`RunManifest`, runs one study type, and
 returns the result rows (also written as CSV when an output path is set,
-with the manifest stored alongside as JSON).  Every row carries a short
-hash of the canonical manifest so results can be traced to their exact
-configuration.  Failed cells are marked and the run continues.
+with the manifest stored alongside as JSON).  Every row is laid out by
+one cell helper: the study's columns, ``status`` and a short hash of the
+canonical manifest, so results can be traced to their exact
+configuration.  A cell whose solve raises an :class:`IrkitError` is marked
+``failed: <type>`` and the run continues.
 
 Study types:
 
@@ -21,6 +23,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -53,6 +56,8 @@ class RunManifest:
     newton_rtol: float = 1e-9
     krylov_rtol: float = 1e-5
     out: str | None = None
+    # read by no driver, but part of every hash: dropping it would stop a
+    # stored manifest from replaying to its own CSV
     seed: int = 0
 
     def __post_init__(self):
@@ -72,6 +77,18 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, doc):
+        """The manifest ``doc`` describes; :class:`ConfigurationError` if it is
+        not a dict, has a key that is no field or lacks a field without default."""
+        if not isinstance(doc, dict):
+            raise ConfigurationError(f"a manifest is a JSON object, not {type(doc).__name__}")
+        fields = dataclasses.fields(cls)
+        unknown = [key for key in doc if key not in {f.name for f in fields}]
+        if unknown:
+            raise ConfigurationError(f"unknown manifest keys: {', '.join(map(repr, unknown))}")
+        missing = [f.name for f in fields
+                   if f.name not in doc and f.default is dataclasses.MISSING is f.default_factory]
+        if missing:
+            raise ConfigurationError(f"manifest lacks keys: {', '.join(map(repr, missing))}")
         doc = dict(doc)
         doc["schemes"] = tuple((f, int(s)) for f, s in doc.get("schemes", ()))
         doc["dts"] = tuple(doc.get("dts", ()))
@@ -101,9 +118,29 @@ def _fmt(x):
     return repr(float(x))
 
 
+@contextmanager
+def _cell(rows, fields, manifest, **values):
+    """Appends one row to ``rows``: every one of ``fields`` blank, then
+    ``status="ok"``, the manifest hash and ``values`` (which may set another
+    ``status``).  The body fills in the row; an :class:`IrkitError` it raises
+    marks the row ``failed: <type>`` and goes no further."""
+    row = {**dict.fromkeys(fields, ""), "status": "ok", "manifest_hash": manifest.hash, **values}
+    try:
+        yield row
+    except IrkitError as exc:
+        row["status"] = _failed(exc)
+    rows.append(row)
+
+
+def _failed(exc):
+    return f"failed: {type(exc).__name__}"
+
+
 def _write_rows(manifest, rows, fieldnames):
+    """Writes ``rows`` as CSV, with the manifest beside it, when the
+    manifest sets ``out``; returns ``rows``."""
     if manifest.out is None:
-        return
+        return rows
     out = Path(manifest.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="") as fh:
@@ -112,6 +149,7 @@ def _write_rows(manifest, rows, fieldnames):
         for row in rows:
             writer.writerow(row)
     out.with_suffix(out.suffix + ".manifest.json").write_text(manifest.to_json() + "\n")
+    return rows
 
 
 def _final_error(problem, result, manifest, reference_cache):
@@ -121,17 +159,9 @@ def _final_error(problem, result, manifest, reference_cache):
             exact = exact[0]
         return float(np.linalg.norm(result.u_final - exact))
     if "reference" not in reference_cache:
-        fam, s = REFERENCE_SCHEME
         dt_ref = min(manifest.dts) / REFERENCE_REFINEMENT
-        ref = integrate(
-            problem.system,
-            problem.u0,
-            0.0,
-            manifest.t_final,
-            dt_ref,
-            make_tableau(fam, s),
-            manifest.solver_config(),
-        )
+        ref = integrate(problem.system, problem.u0, 0.0, manifest.t_final, dt_ref,
+                        make_tableau(*REFERENCE_SCHEME), manifest.solver_config())
         reference_cache["reference"] = ref.u_final
     return float(np.linalg.norm(result.u_final - reference_cache["reference"]))
 
@@ -157,10 +187,9 @@ def run_convergence(manifest: RunManifest, dae_only=False):
         tab = make_tableau(fam, s)
         prev_err = None
         for dt in sorted(manifest.dts, reverse=True):
-            row = dict.fromkeys(fields, "")
-            row.update(scheme=tab.label, order=tab.order, dt=dt, status="ok",
-                       manifest_hash=manifest.hash)
-            try:
+            # a failed cell leaves prev_err unset, so the next reports no rate
+            last, prev_err = prev_err, None
+            with _cell(rows, fields, manifest, scheme=tab.label, order=tab.order, dt=dt) as row:
                 res = _run_problem(problem, manifest, tab, dt, cfg)
                 err = _final_error(problem, res, manifest, reference_cache)
                 row["error"] = _fmt(err)
@@ -168,15 +197,10 @@ def run_convergence(manifest: RunManifest, dae_only=False):
                     row["constraint_residual"] = _fmt(
                         max(st.constraint_residual for st in res.step_stats)
                     )
-                if prev_err is not None and err > 0.0:
-                    row["rate"] = _fmt(np.log2(prev_err / err))
+                if last is not None and err > 0.0:
+                    row["rate"] = _fmt(np.log2(last / err))
                 prev_err = err
-            except IrkitError as exc:
-                row["status"] = f"failed: {type(exc).__name__}"
-                prev_err = None
-            rows.append(row)
-    _write_rows(manifest, rows, fields)
-    return rows
+    return _write_rows(manifest, rows, fields)
 
 
 def _run_problem(problem, manifest, tab, dt, cfg):
@@ -197,18 +221,11 @@ def run_iterations(manifest: RunManifest):
     for fam, s in manifest.schemes:
         tab = make_tableau(fam, s)
         for dt in manifest.dts:
-            row = dict.fromkeys(fields, "")
-            row.update(scheme=tab.label, order=tab.order, dt=dt, status="ok",
-                       manifest_hash=manifest.hash)
-            try:
+            with _cell(rows, fields, manifest, scheme=tab.label, order=tab.order, dt=dt) as row:
                 res = _run_problem(problem, manifest, tab, dt, cfg)
                 row["steps"] = len(res.step_stats)
                 row.update((name, res.total(name)) for name in counts)
-            except IrkitError as exc:
-                row["status"] = f"failed: {type(exc).__name__}"
-            rows.append(row)
-    _write_rows(manifest, rows, fields)
-    return rows
+    return _write_rows(manifest, rows, fields)
 
 
 def _block_means(result, prep):
@@ -233,32 +250,21 @@ def run_gamma_compare(manifest: RunManifest):
         if all(blk.size == 1 for blk in prep.blocks):
             raise ConfigurationError(f"{tab.label} has no complex eigen-block")
         for dt in manifest.dts:
-            means = {}
-            status = "ok"
+            # each dt's two runs fill all its block rows: a failed run marks them all
+            means, status = {}, "ok"
             for mode in ("eta", "star"):
                 cfg = manifest.solver_config(precond=PrecondSpec(gamma_mode=mode))
                 try:
-                    res = _run_problem(problem, manifest, tab, dt, cfg)
-                    means[mode] = _block_means(res, prep)
+                    means[mode] = _block_means(_run_problem(problem, manifest, tab, dt, cfg), prep)
                 except IrkitError as exc:
-                    status = f"failed: {type(exc).__name__}"
-                    means[mode] = {}
-            for blk in prep.blocks:
-                if blk.size != 2:
-                    continue
-                row = dict.fromkeys(fields, "")
-                row.update(
-                    scheme=tab.label, order=tab.order, dt=dt, block_offset=blk.offset,
-                    eta=_fmt(blk.eta), beta=_fmt(blk.beta), status=status,
-                    manifest_hash=manifest.hash,
-                )
-                for mode in ("eta", "star"):
-                    row[f"mean_krylov_{mode}"] = _fmt(
-                        means[mode].get(blk.offset, float("nan"))
-                    )
-                rows.append(row)
-    _write_rows(manifest, rows, fields)
-    return rows
+                    status, means[mode] = _failed(exc), {}
+            for blk in (blk for blk in prep.blocks if blk.size == 2):
+                with _cell(rows, fields, manifest, scheme=tab.label, order=tab.order, dt=dt,
+                           block_offset=blk.offset, eta=_fmt(blk.eta), beta=_fmt(blk.beta),
+                           status=status) as row:
+                    for mode, mean in means.items():
+                        row[f"mean_krylov_{mode}"] = _fmt(mean.get(blk.offset, float("nan")))
+    return _write_rows(manifest, rows, fields)
 
 
 def run_condition(manifest: RunManifest):
@@ -273,38 +279,24 @@ def run_condition(manifest: RunManifest):
               "dt", "kappa", "bound_general", "bound_distinct", "fov_class", "status",
               "manifest_hash"]
     rows = []
-    gamma_mode = manifest.gamma
+    spec = PrecondSpec(gamma_mode=manifest.gamma)
     for fam, s in manifest.schemes:
         tab = make_tableau(fam, s)
         prep = prepare_stages(tab)
         for dt in manifest.dts:
             lhat = combine([dt], [lmat])
             for blk in prep.blocks:
-                spec = PrecondSpec(gamma_mode=gamma_mode)
-                row = dict.fromkeys(fields, "")
-                row.update(
-                    scheme=tab.label, s=tab.s, block_offset=blk.offset,
-                    eta=_fmt(blk.eta), beta=_fmt(blk.beta), gamma_mode=str(gamma_mode),
+                with _cell(
+                    rows, fields, manifest, scheme=tab.label, s=tab.s, block_offset=blk.offset,
+                    eta=_fmt(blk.eta), beta=_fmt(blk.beta), gamma_mode=str(manifest.gamma),
                     problem=problem.spec.name, n=problem.system.dim, dt=dt,
                     bound_general=_fmt(kappa_bound(blk.eta, blk.beta, "general")),
                     bound_distinct=_fmt(kappa_bound(blk.eta, blk.beta, "distinct")),
-                    fov_class=problem.spec.fov_class, status="ok",
-                    manifest_hash=manifest.hash,
-                )
-                try:
-                    kappa = measure_kappa(
-                        blk.eta,
-                        blk.beta,
-                        lhat,
-                        lhat,
-                        gamma=spec.gamma(blk.eta, blk.beta),
-                    )
-                    row["kappa"] = _fmt(kappa)
-                except IrkitError as exc:
-                    row["status"] = f"failed: {type(exc).__name__}"
-                rows.append(row)
-    _write_rows(manifest, rows, fields)
-    return rows
+                    fov_class=problem.spec.fov_class,
+                ) as row:
+                    gamma = spec.gamma(blk.eta, blk.beta)
+                    row["kappa"] = _fmt(measure_kappa(blk.eta, blk.beta, lhat, lhat, gamma=gamma))
+    return _write_rows(manifest, rows, fields)
 
 
 RUNNERS = {

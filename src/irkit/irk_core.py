@@ -255,10 +255,9 @@ class PairPlan:
         return make_block2x2_preconditioner(self.system, self.spec, self.shifted)
 
     def solve(self, rhs, rtol, maxit):
-        """GMRES on the block; returns ``(x, KrylovReport)``."""
-        sys2 = self.system
-        op = LinearOperator(2 * sys2.n, lambda x: apply_block2x2(sys2, x))
-        return gmres(op, rhs, right_precond=self.precond, rtol=rtol, maxit=maxit)
+        """GMRES on the block's :attr:`~Block2x2System.matrix`; returns
+        ``(x, KrylovReport)``."""
+        return gmres(self.system.matrix, rhs, right_precond=self.precond, rtol=rtol, maxit=maxit)
 
 
 class ShiftedPlan:

@@ -114,17 +114,19 @@ class Pattern:
         and ``inv`` are ``None`` otherwise): entry ``(i, j)`` moves to
         ``(inv[i], inv[j])`` with ``inv[perm] = arange(n)``.  ``scatter``
         holds the flat positions of the entries in a Fortran-ordered
-        ``(3*k + 1, n)`` LAPACK ``ab`` array.
+        ``(3*k + 1, n)`` LAPACK ``ab`` array.  At ``k <= 1`` no ordering is
+        tried: a strictly narrower one would make the pattern diagonal.
         """
-        rows, cols, perm = self.rows, self.indices, None
+        rows, cols, perm, inv = self.rows, self.indices, None, None
         k = int(np.max(np.abs(rows - cols), initial=0))
-        graph = sp.csr_matrix((np.ones(self.nnz), cols, self.indptr), shape=self.shape)
-        order = reverse_cuthill_mckee(graph, symmetric_mode=False)
-        inv = np.empty_like(order)
-        inv[order] = np.arange(len(order))
-        k_rcm = int(np.max(np.abs(inv[rows] - inv[cols]), initial=0))
-        if k_rcm < k:
-            k, perm, rows, cols = k_rcm, order, inv[rows], inv[cols]
+        if k > 1:
+            graph = sp.csr_matrix((np.ones(self.nnz), cols, self.indptr), shape=self.shape)
+            order = reverse_cuthill_mckee(graph, symmetric_mode=False)
+            inv = np.empty_like(order)
+            inv[order] = np.arange(len(order))
+            k_rcm = int(np.max(np.abs(inv[rows] - inv[cols]), initial=0))
+            if k_rcm < k:
+                k, perm, rows, cols = k_rcm, order, inv[rows], inv[cols]
         return k, perm, None if perm is None else inv, 2 * k + rows - cols + cols * (3 * k + 1)
 
     def locate(self, other):

@@ -228,6 +228,21 @@ class TestCli:
                    "--stages", "2", "--dt", "0.1"])
         assert rc == 2
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"experiment": "convergence", "problem": "dahlquist", "bogus": 1},
+         "unknown manifest keys: 'bogus'"),
+        ([1, 2], "a manifest is a JSON object, not list"),
+        ({"experiment": "convergence"}, "manifest lacks keys: 'problem'"),
+        ({"experiment": "iterations", "problem": "dahlquist", "schemes": [["gauss", 1]],
+          "dts": [0.1]}, "is for 'iterations', not 'convergence'"),
+    ], ids=["unknown-key", "array", "missing-key", "other-experiment"])
+    def test_manifest_it_cannot_run_exit_code(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        assert main(["convergence", "--manifest", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_missing_flags_exit_code(self):
         rc = main(["convergence", "--problem", "dahlquist"])
         assert rc == 2

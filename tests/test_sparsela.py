@@ -756,6 +756,19 @@ class TestBandOrdering:
         k, perm, _, _ = a.pattern.band
         assert k == 2 and sorted(perm) == list(range(48))
 
+    @pytest.mark.parametrize("offsets", [[0], [-1, 0, 1]])
+    def test_no_ordering_tried_at_half_bandwidth_one(self, monkeypatch, offsets):
+        def refuse(*args, **kwargs):
+            raise AssertionError("reverse Cuthill-McKee called")
+
+        monkeypatch.setattr(sparsela, "reverse_cuthill_mckee", refuse)
+        csr = sp.diags([np.ones(37 - abs(d)) for d in offsets], offsets, format="csr")
+        pattern = sparsela.Pattern(csr.shape, csr.indptr, csr.indices)
+        k, perm, inv, scatter = pattern.band
+        assert (k, perm, inv) == (len(offsets) // 2, None, None)
+        np.testing.assert_array_equal(
+            scatter, 2 * k + pattern.rows - csr.indices + csr.indices * (3 * k + 1))
+
     @pytest.mark.parametrize("nrhs", [None, 3])
     def test_reordered_solve_matches_dense_and_keeps_rhs(self, nrhs):
         rng = np.random.default_rng(9)

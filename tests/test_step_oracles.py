@@ -236,16 +236,19 @@ def test_distinct_operators_keep_every_coupling():
 
 @pytest.fixture
 def blocks_applied(monkeypatch):
-    """Weak references to the 2x2 block operators GMRES applies, in order."""
+    """Weak references to the 2x2 block operators GMRES applies, in order: the
+    operators of the GMRES calls whose preconditioner makes two diagonal-block
+    solves, a repeat of the previous operator recorded once."""
     seen = []
-    apply = irk_core.apply_block2x2
+    solve = irk_core.gmres
 
-    def spy(sys, x):
-        if not seen or seen[-1]() is not sys.matrix:
-            seen.append(weakref.ref(sys.matrix))
-        return apply(sys, x)
+    def spy(op, rhs, right_precond=None, **kwargs):
+        pair = right_precond is not None and right_precond.solves_per_apply == 2
+        if pair and (not seen or seen[-1]() is not op):
+            seen.append(weakref.ref(op))
+        return solve(op, rhs, right_precond=right_precond, **kwargs)
 
-    monkeypatch.setattr(irk_core, "apply_block2x2", spy)
+    monkeypatch.setattr(irk_core, "gmres", spy)
     return seen
 
 
