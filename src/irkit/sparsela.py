@@ -117,7 +117,7 @@ class Pattern:
         ``(3*k + 1, n)`` LAPACK ``ab`` array.  At ``k <= 1`` no ordering is
         tried: a strictly narrower one would make the pattern diagonal.
         """
-        rows, cols, perm, inv = self.rows, self.indices, None, None
+        rows, cols, perm = self.rows, self.indices, None
         k = int(np.max(np.abs(rows - cols), initial=0))
         if k > 1:
             graph = sp.csr_matrix((np.ones(self.nnz), cols, self.indptr), shape=self.shape)

@@ -99,9 +99,7 @@ def test_file_matches_the_manifests(golden):
 
 @pytest.mark.parametrize("name", list(MANIFESTS))
 def test_golden_study(golden, name):
-    manifest, rows = study(name)
-    assert all(row["manifest_hash"] == manifest.hash for row in rows)
-    assert_rows_match(rows, golden[name])
+    assert_rows_match(study(name)[1], golden[name])
 
 
 def test_csv_holds_the_returned_rows(golden, tmp_path):
