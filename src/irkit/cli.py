@@ -23,7 +23,7 @@ from pathlib import Path
 from .errors import ConfigurationError, IrkitError
 from .experiments import RUNNERS, RunManifest, any_failed, run
 from .problems import problem_names
-from .tableau import SDIRK_FAMILIES, _SDIRK_STAGES, canonical_family
+from .tableau import SDIRK_FAMILIES, canonical_family, make_tableau
 
 
 def _parse_floats(text):
@@ -46,7 +46,7 @@ def _schemes_from_args(args):
     schemes = []
     for fam in families:
         if fam in SDIRK_FAMILIES:
-            schemes.append((fam, _SDIRK_STAGES[fam]))
+            schemes.append((fam, make_tableau(fam).s))
         elif not stages:
             raise ConfigurationError(f"{fam} needs --stages")
         else:

@@ -206,35 +206,32 @@ class _EliminationSolver:
         return out
 
 
-def solve_dae_block4x4(plan: PairPlan, rhs, rtol=1e-5, maxit=200, mode="coupled"):
+def solve_dae_block4x4(plan: PairPlan, rhs, rtol=1e-5, maxit=200):
     """Solve one complex-pair composite block; returns ``(x, report)``.
 
-    ``plan`` is the block's plan from :data:`PAIR_PLANS` (the reordered
-    one in ``reordered`` mode): a system on :class:`DaeOps` with the mass
-    ``_CompositeMass(M, dim_u)``.  ``rhs`` stacks ``(f_i, g_i, f_j, g_j)``.
-    ``mode`` is ``"coupled"`` or ``"reordered"``; the reordered forward
-    substitution requires both ``L_w`` blocks to vanish structurally and
-    drops the variant-3 couplings (its triangular structure assumes the
-    lumped or weighted block-diagonal linearization), so the outer nonlinear
-    iteration absorbs any coupling mismatch.  Both modes check the block's
-    true residual against ``rtol`` and raise :class:`StageSolveError`
-    otherwise.
+    ``plan`` is the block's plan from :data:`PAIR_PLANS`: a system on
+    :class:`DaeOps` with the mass ``_CompositeMass(M, dim_u)``, whose class
+    sets the ordering ``plan.mode``.  ``rhs`` stacks ``(f_i, g_i, f_j, g_j)``.
+    The reordered forward substitution requires both ``L_w`` blocks to
+    vanish structurally and drops the variant-3 couplings (its triangular
+    structure assumes the lumped or weighted block-diagonal linearization),
+    so the outer nonlinear iteration absorbs any coupling mismatch.  Both
+    orderings check the block's true residual against ``rtol`` and raise
+    :class:`StageSolveError` otherwise.
     """
     ops_i, ops_j = plan.system.l1, plan.system.l2
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (2 * ops_i.n,):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({2 * ops_i.n},)")
 
-    if mode == "reordered":
+    if plan.mode == "reordered":
         if ops_i.lw.nnz or ops_j.lw.nnz:
             raise ConfigurationError("reordered mode requires structurally zero L_w blocks")
         x, rep, true_rel = _solve_reordered(plan, rhs, rtol, maxit)
-    elif mode == "coupled":
+    else:
         x, rep = PairPlan.solve(plan, rhs, rtol, maxit)  # GMRES, not the plan's own solve
         # gmres has already measured the true residual of x against rtol
         true_rel = rep.residuals[-1]
-    else:
-        raise ConfigurationError(f"unknown mode {mode!r}")
 
     if true_rel > rtol:
         raise StageSolveError(
@@ -277,7 +274,7 @@ class _CoupledPlan(PairPlan):
     mode = "coupled"
 
     def solve(self, rhs, rtol, maxit):
-        return solve_dae_block4x4(self, rhs, rtol, maxit, self.mode)
+        return solve_dae_block4x4(self, rhs, rtol, maxit)
 
 
 class _ReorderedPlan(_CoupledPlan):

@@ -24,7 +24,7 @@ import dataclasses
 import hashlib
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -90,8 +90,6 @@ class RunManifest:
         if missing:
             raise ConfigurationError(f"manifest lacks keys: {', '.join(map(repr, missing))}")
         doc = dict(doc)
-        doc["schemes"] = tuple((f, int(s)) for f, s in doc.get("schemes", ()))
-        doc["dts"] = tuple(doc.get("dts", ()))
         doc["problem_params"] = dict(doc.get("problem_params", {}))
         return cls(**doc)
 
@@ -101,7 +99,8 @@ class RunManifest:
 
     @property
     def hash(self):
-        return hashlib.sha256(self.to_json().encode()).hexdigest()[:12]
+        """Short hash of the configuration: the output path ``out`` is left out."""
+        return hashlib.sha256(replace(self, out=None).to_json().encode()).hexdigest()[:12]
 
     def solver_config(self, **overrides):
         kwargs = dict(

@@ -310,15 +310,13 @@ def _block_plan(vjac, blk, dt, mass, spec, pair_plan):
 
 def solve_transformed_system(
     prep,
-    stage_ops=None,
-    variant=None,
-    dt=None,
-    rhs_stages=None,
+    variant_jacobian,
+    dt,
+    rhs_stages,
     mass=None,
     precond=PrecondSpec(),
     krylov_rtol=1e-5,
     krylov_maxit=200,
-    variant_jacobian=None,
     pair_plan=PairPlan,
 ):
     """Solve one linearized stage system through the Schur transform.
@@ -332,24 +330,20 @@ def solve_transformed_system(
     ``shifted`` also builds the 1x1 solvers) for a 2x2 one.  The stage
     increments are recovered with ``q @ r``.
 
-    The block-diagonal approximation of the transformed operator is taken
-    from ``variant_jacobian`` when given, otherwise built from
-    ``stage_ops`` and ``variant``.  It keeps each block's plan for as long
-    as ``dt``, ``mass``, ``precond`` and ``pair_plan`` stay the same, so a
-    memoized Jacobian plans its solve once.  Returns ``(k, SolveStats)``; a
+    The block-diagonal approximation of the transformed operator is
+    ``variant_jacobian``, from :func:`~irkit.nonlinear.build_variant_jacobian`.
+    It keeps each block's plan for as long as ``dt``, ``mass``, ``precond``
+    and ``pair_plan`` stay the same, so a memoized Jacobian plans its solve
+    once.  A ``dt`` that is not positive or a row count other than ``s``
+    raises ``ValueError``.  Returns ``(k, SolveStats)``; a
     non-convergent inner solve raises :class:`StageSolveError` carrying the
     block offset and report.
     """
-    vjac = variant_jacobian
-    if vjac is None:
-        from .nonlinear import build_variant_jacobian
-
-        vjac = build_variant_jacobian(prep, stage_ops, variant)
     rhs = np.asarray(rhs_stages, dtype=float)
     s = prep.tableau.s
     if rhs.shape[0] != s:
         raise ValueError(f"rhs has {rhs.shape[0]} stage rows, expected {s}")
-    if dt is None or dt <= 0.0:
+    if dt <= 0.0:
         raise ValueError("dt must be positive")
     q, r0 = prep.schur.q, prep.schur.r
     g = q.T.dot(rhs)
@@ -364,10 +358,10 @@ def solve_transformed_system(
             for j in range(blk.offset + blk.size, s):
                 if r0[i, j] != 0.0:
                     acc[local] -= r0[i, j] * my[j]
-                od = vjac.offdiag.get((i, j))
+                od = variant_jacobian.offdiag.get((i, j))
                 if od is not None:
                     acc[local] += dt * (od @ y[j])
-        plan = _block_plan(vjac, blk, dt, mass, precond, pair_plan)
+        plan = _block_plan(variant_jacobian, blk, dt, mass, precond, pair_plan)
         sol, rep = solve_block(plan, acc.ravel(), krylov_rtol, krylov_maxit,
                                f"{blk.size}x{blk.size} block at offset {blk.offset}", blk.offset)
         y[span] = sol.reshape(blk.size, -1)

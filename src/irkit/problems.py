@@ -66,6 +66,11 @@ def _verify_fov(label, lmat):
     return bound
 
 
+def _linear_system(mat, name):
+    """The system ``u' = mat @ u``, linearized to ``mat`` itself."""
+    return OdeSystem(dim=mat.n, rhs=lambda u, t: mat @ u, linearize=lambda u, t: mat, name=name)
+
+
 def dahlquist(lam_re=-1.0, lam_im=0.0):
     """Scalar test equation ``u' = lam * u`` (2x2 real form when complex)."""
     if lam_im == 0.0:
@@ -83,12 +88,7 @@ def dahlquist(lam_re=-1.0, lam_im=0.0):
             r = np.exp(lam_re * t)
             return r * np.array([np.cos(lam_im * t), np.sin(lam_im * t)])
 
-    system = OdeSystem(
-        dim=mat.n,
-        rhs=lambda u, t: mat @ u,
-        linearize=lambda u, t: mat,
-        name="dahlquist",
-    )
+    system = _linear_system(mat, "dahlquist")
     spec = ProblemSpec(
         "dahlquist", "ode-linear", {"lam_re": lam_re, "lam_im": lam_im}, "general"
     )
@@ -109,9 +109,7 @@ def heat1d(n=64, nu=1.0):
     def exact(t):
         return sum(a * np.exp(lam[k] * t) * np.sin(k * np.pi * x) for k, a in modes)
 
-    system = OdeSystem(
-        dim=n, rhs=lambda u, t: mat @ u, linearize=lambda u, t: mat, name="heat1d"
-    )
+    system = _linear_system(mat, "heat1d")
     spec = ProblemSpec("heat1d", "ode-linear", {"n": n, "nu": nu}, "snsd")
     bound = _verify_fov("snsd", mat)
     return Problem(spec, system, u0, exact=exact, operator=mat, fov_bound=bound)
@@ -161,9 +159,7 @@ def advection1d(n=64, speed=1.0):
     def exact(t):
         return np.real(np.fft.ifft(coeffs * np.exp(lam * t)))
 
-    system = OdeSystem(
-        dim=n, rhs=lambda u, t: mat @ u, linearize=lambda u, t: mat, name="advection1d"
-    )
+    system = _linear_system(mat, "advection1d")
     spec = ProblemSpec("advection1d", "ode-linear", {"n": n, "speed": speed}, "skew")
     bound = _verify_fov("skew", mat)
     return Problem(spec, system, u0, exact=exact, operator=mat, fov_bound=bound)
@@ -175,9 +171,7 @@ def advdiff1d(n=64, speed=1.0, nu=0.01):
     mat = SparseMatrix(speed * _periodic_central(n, h).csr + nu * _periodic_laplacian(n, h).csr)
     x = np.arange(n) * h
     u0 = np.sin(2 * np.pi * x) + 0.2 * np.sin(6 * np.pi * x)
-    system = OdeSystem(
-        dim=n, rhs=lambda u, t: mat @ u, linearize=lambda u, t: mat, name="advdiff1d"
-    )
+    system = _linear_system(mat, "advdiff1d")
     spec = ProblemSpec(
         "advdiff1d", "ode-linear", {"n": n, "speed": speed, "nu": nu}, "general"
     )
@@ -246,15 +240,19 @@ def dae_manufactured():
 
 def _grid_ops_2d(n, length=2.0 * np.pi):
     """Periodic ``dx``, ``dy`` (``I kron D``, ``D kron I`` for the central
-    circulant ``D``, zero diagonal stored) and the 5-point Laplacian, the sum
-    of the 1-D ones, on an n x n grid (point ``(a, b)`` at ``a * n + b``)."""
+    circulant ``D``, zero diagonal stored), the 5-point Laplacian (the sum
+    of the 1-D ones), the spacing, and ``dx``'s and ``dy``'s values on the
+    Laplacian's pattern, on an n x n grid (point ``(a, b)`` at ``a * n + b``)."""
     h, nn = _periodic_spacing(n, length), n * n
     a, b = np.divmod(np.arange(nn)[:, None], n)
     step = np.arange(-1, 2)
     along_x, along_y = a * n + (b + step) % n, (a + step) % n * n + b
+    five = np.hstack([along_x, along_y[:, ::2]])
     lo, mid, half = 1.0 / h**2, -2.0 / h**2, 1.0 / (2.0 * h)
     return (_stencil(along_x, [-half, 0.0, half]), _stencil(along_y, [-half, 0.0, half]),
-            _stencil(np.hstack([along_x, along_y[:, ::2]]), [lo, mid + mid, lo, lo, lo]), h)
+            _stencil(five, [lo, mid + mid, lo, lo, lo]), h,
+            _stencil(five, [-half, 0.0, half, 0.0, 0.0]).data,
+            _stencil(five, [0.0, 0.0, 0.0, -half, half]).data)
 
 
 def shear_layer_small(n=16, reynolds=1e4, delta=0.05, rho=np.pi / 15.0):
@@ -266,7 +264,7 @@ def shear_layer_small(n=16, reynolds=1e4, delta=0.05, rho=np.pi / 15.0):
     advection operator is lagged in the linearization so the differential
     rows never couple to the streamfunction (``L_w = 0``).
     """
-    dx, dy, lap, h = _grid_ops_2d(n)
+    dx, dy, lap, h, dxv, dyv = _grid_ops_2d(n)
     nn = n * n
 
     # Pinned constraint operator: Lap with row 0 (five entries) replaced by the
@@ -278,9 +276,7 @@ def shear_layer_small(n=16, reynolds=1e4, delta=0.05, rho=np.pi / 15.0):
     gw, gu, lw = (SparseMatrix.on_pattern(Pattern.of((nn, nn), indptr, indices), data)
                   for indptr, indices, data in ops)
     visc = SparseMatrix.on_pattern(lap.pattern, (1.0 / reynolds) * lap.data)
-    # the advection operator's values on the viscous pattern, which holds dx's and dy's
     cols = visc.indices
-    dxv, dyv = (d.project(visc.pattern).data for d in (dx, dy))
 
     def velocity(psi):
         return -(dy @ psi), dx @ psi

@@ -129,15 +129,6 @@ class Pattern:
                 k, perm, rows, cols = k_rcm, order, inv[rows], inv[cols]
         return k, perm, None if perm is None else inv, 2 * k + rows - cols + cols * (3 * k + 1)
 
-    def locate(self, other):
-        """Positions of ``other``'s entries in this pattern, which must hold them."""
-        keys = self.rows.astype(np.int64) * self.shape[1] + self.indices
-        want = other.rows.astype(np.int64) * self.shape[1] + other.indices
-        pos = np.searchsorted(keys, want)
-        if not (np.all(pos < self.nnz) and np.array_equal(keys[pos], want)):
-            raise ValueError("pattern is not contained in the target pattern")
-        return pos
-
 
 @lru_cache(maxsize=256)
 def _block_layout(grid, places):
@@ -227,17 +218,11 @@ class SparseMatrix:
         """The :class:`BandedLU` of this square matrix, computed on first use."""
         return BandedLU.factor(self)
 
-    def project(self, pattern: Pattern):
-        """This matrix on ``pattern``, a superset of its own, with zeros added."""
-        data = np.zeros(pattern.nnz)
-        data[pattern.locate(self.pattern)] = self.data
-        return SparseMatrix.on_pattern(pattern, data)
-
     def matvec(self, x):
         return self @ x
 
     def __matmul__(self, x):
-        """Product with a matrix or a vector.
+        """Product with a dense matrix or a vector.
 
         A 1-D float64 ndarray of the right length goes straight to the kernel
         behind scipy's own ``csr @ x``, on the pattern's index arrays; any
@@ -248,8 +233,6 @@ class SparseMatrix:
             _sparsetools.csr_matvec(self.shape[0], self.shape[1], self.indptr, self.indices,
                                     self.data, x, y)
             return y
-        if isinstance(x, SparseMatrix):
-            return SparseMatrix(self.csr @ x.csr)
         return self.csr @ x
 
     def to_dense(self):

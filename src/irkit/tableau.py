@@ -45,23 +45,17 @@ _ALIASES = {
     "gauss": GAUSS,
     "radau": RADAU_IIA,
     "radauiia": RADAU_IIA,
-    "radau_iia": RADAU_IIA,
     "lobatto": LOBATTO_IIIC,
     "lobattoiiic": LOBATTO_IIIC,
-    "lobatto_iiic": LOBATTO_IIIC,
-    "sdirk1": "sdirk1",
-    "sdirk2": "sdirk2",
-    "sdirk3": "sdirk3",
-    "sdirk4": "sdirk4",
+    **{family: family for family in SDIRK_FAMILIES},
 }
 
-_SDIRK_STAGES = {"sdirk1": 1, "sdirk2": 2, "sdirk3": 3, "sdirk4": 5}
 MAX_COLLOCATION_STAGES = 8
 
 
 def canonical_family(name):
-    key = str(name).strip().lower().replace("-", "_").replace(" ", "")
-    key = key.replace("_", "") if key.replace("_", "") in _ALIASES else key
+    """The family ``name`` spells, with case, ``-``, ``_`` and spaces ignored."""
+    key = str(name).strip().lower().replace("-", "").replace("_", "").replace(" ", "")
     if key not in _ALIASES:
         raise ConfigurationError(f"unknown scheme family {name!r}")
     return _ALIASES[key]
@@ -206,11 +200,10 @@ def make_tableau(family, s=None):
         except TypeError:
             raise ConfigurationError(f"stage count must be an integer, got {s!r}") from None
     if family in SDIRK_FAMILIES:
-        fixed = _SDIRK_STAGES[family]
-        if s is not None and s != fixed:
-            raise ConfigurationError(f"{family} has s = {fixed}, got s = {s}")
         a, b, c, order = _sdirk_tableau(family)
-        return ButcherTableau(family, fixed, a, b, c, order)
+        if s is not None and s != len(b):
+            raise ConfigurationError(f"{family} has s = {len(b)}, got s = {s}")
+        return ButcherTableau(family, len(b), a, b, c, order)
 
     if s is None:
         raise ConfigurationError(f"{family} requires an explicit stage count")

@@ -14,7 +14,7 @@ from irkit.irk_core import (
     measure_kappa,
     solve_transformed_system,
 )
-from irkit.nonlinear import SolverConfig, integrate, step
+from irkit.nonlinear import SolverConfig, build_variant_jacobian, integrate, step
 from irkit.problems import make_problem
 from irkit.sparsela import SparseMatrix, gmres
 from irkit.tableau import kappa_bound, make_tableau, prepare_stages
@@ -289,7 +289,7 @@ def test_criterion_8_variant_consistency():
         oracle = np.linalg.solve(big, rhs.ravel()).reshape(s, n)
         for variant in range(4):
             k, _ = solve_transformed_system(
-                prep, [lmat] * s, variant, dt, rhs,
+                prep, build_variant_jacobian(prep, [lmat] * s, variant), dt, rhs,
                 krylov_rtol=1e-12, krylov_maxit=400,
             )
             worst = max(worst, float(np.max(np.abs(k - oracle))))

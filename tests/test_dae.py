@@ -46,11 +46,11 @@ def random_ops(rng, nu, nw, lw_zero=False):
     return DaeOps(lu, lw, gu, gw)
 
 
-def pair_plan(oi, oj, eta, beta, phi, dt):
-    """The plan a stage solve keeps for a composite pair block, identity mass
-    (the reordered one, which serves either mode of ``solve_dae_block4x4``)."""
+def pair_plan(oi, oj, eta, beta, phi, dt, mode):
+    """The plan a stage solve keeps for a composite pair block, identity mass,
+    in the ordering ``mode``, which ``solve_dae_block4x4`` reads off the plan."""
     system = Block2x2System(eta, beta, phi, _CompositeMass(None, oi.lu.n), oi, oj, dt)
-    return dae.PAIR_PLANS["reordered"](system, PrecondSpec())
+    return dae.PAIR_PLANS[mode](system, PrecondSpec())
 
 
 def dense_pair_block(oi, oj, eta, beta, phi, dt, nu, nw):
@@ -158,8 +158,8 @@ class TestBlockSolve:
         rhs = rng.standard_normal(2 * (nu + nw))
         z = dense_pair_block(oi, oj, 2.0, 0.0, 0.8, 0.25, nu, nw)
         oracle = np.linalg.solve(z, rhs)
-        x, rep = solve_dae_block4x4(pair_plan(oi, oj, 2.0, 0.0, 0.8, 0.25), rhs, rtol=1e-12,
-                                    maxit=100, mode="coupled")
+        x, rep = solve_dae_block4x4(pair_plan(oi, oj, 2.0, 0.0, 0.8, 0.25, mode="coupled"), rhs,
+                                    rtol=1e-12, maxit=100)
         assert np.max(np.abs(x - oracle)) < 1e-9
 
     @pytest.mark.parametrize("mode", ["coupled", "reordered"])
@@ -171,8 +171,8 @@ class TestBlockSolve:
         rhs = rng.standard_normal(2 * (nu + nw))
         z = dense_pair_block(oi, oj, 2.0, 1.3, 0.8, 0.25, nu, nw)
         oracle = np.linalg.solve(z, rhs)
-        x, _ = solve_dae_block4x4(pair_plan(oi, oj, 2.0, 1.3, 0.8, 0.25), rhs, rtol=1e-12,
-                                  maxit=100, mode=mode)
+        x, _ = solve_dae_block4x4(pair_plan(oi, oj, 2.0, 1.3, 0.8, 0.25, mode=mode), rhs,
+                                  rtol=1e-12, maxit=100)
         assert np.max(np.abs(x - oracle)) < 1e-9
 
     def test_lw_coupled_matches_dense(self):
@@ -182,8 +182,8 @@ class TestBlockSolve:
         rhs = rng.standard_normal(2 * (nu + nw))
         z = dense_pair_block(oi, oj, 1.5, 2.0, -0.6, 0.3, nu, nw)
         oracle = np.linalg.solve(z, rhs)
-        x, _ = solve_dae_block4x4(pair_plan(oi, oj, 1.5, 2.0, -0.6, 0.3), rhs, rtol=1e-12,
-                                  maxit=200, mode="coupled")
+        x, _ = solve_dae_block4x4(pair_plan(oi, oj, 1.5, 2.0, -0.6, 0.3, mode="coupled"), rhs,
+                                  rtol=1e-12, maxit=200)
         assert np.max(np.abs(x - oracle)) < 1e-8
 
     def test_reordered_counts_one_diff_solve_two_constraint_solves(self):
@@ -193,8 +193,8 @@ class TestBlockSolve:
         oj = random_ops(rng, nu, nw, lw_zero=True)
         rhs = rng.standard_normal(2 * (nu + nw))
         start = replace(dae.COUNTERS)
-        _, rep = solve_dae_block4x4(pair_plan(oi, oj, 2.0, 1.3, 0.8, 0.25), rhs,
-                                    rtol=1e-11, maxit=100, mode="reordered")
+        _, rep = solve_dae_block4x4(pair_plan(oi, oj, 2.0, 1.3, 0.8, 0.25, mode="reordered"),
+                                    rhs, rtol=1e-11, maxit=100)
         assert dae.COUNTERS.constraint - start.constraint == 2
         assert dae.COUNTERS.differential - start.differential == rep.precond_applications
 
@@ -227,8 +227,8 @@ class TestBlockSolve:
         solve = dae._solve_gw
         monkeypatch.setattr(dae, "_solve_gw", lambda gw, r: 1.001 * solve(gw, r))
         with pytest.raises(StageSolveError, match="composite block residual"):
-            solve_dae_block4x4(pair_plan(oi, oj, 2.0, 1.3, 0.8, 0.25), rhs, rtol=1e-8,
-                               maxit=100, mode="reordered")
+            solve_dae_block4x4(pair_plan(oi, oj, 2.0, 1.3, 0.8, 0.25, mode="reordered"), rhs,
+                               rtol=1e-8, maxit=100)
 
     @pytest.mark.parametrize("mode", ["coupled", "reordered"])
     def test_failed_composite_pair_names_its_block(self, mode):
@@ -275,25 +275,26 @@ class TestBlockSolve:
         rng = np.random.default_rng(5)
         oi = random_ops(rng, 3, 3)
         with pytest.raises(ConfigurationError):
-            solve_dae_block4x4(pair_plan(oi, oi, 2.0, 1.3, 0.8, 0.25), np.ones(12),
-                               mode="reordered")
+            solve_dae_block4x4(pair_plan(oi, oi, 2.0, 1.3, 0.8, 0.25, mode="reordered"),
+                               np.ones(12))
+
+    def test_wrongly_shaped_rhs_rejected(self):
+        rng = np.random.default_rng(8)
+        oi = random_ops(rng, 3, 3, lw_zero=True)
+        with pytest.raises(ValueError, match=r"rhs has shape \(5,\), expected \(12,\)"):
+            solve_dae_block4x4(pair_plan(oi, oi, 2.0, 1.3, 0.8, 0.25, mode="coupled"),
+                               np.ones(5))
 
     def test_singular_constraint_is_index_violation(self):
         rng = np.random.default_rng(6)
         oi = random_ops(rng, 2, 2, lw_zero=True)
         bad = DaeOps(oi.lu, oi.lw, oi.gu, SparseMatrix(np.zeros((2, 2))))
         with pytest.raises(IndexViolationError):
-            solve_dae_block4x4(pair_plan(bad, bad, 2.0, 1.3, 0.8, 0.25), np.ones(8),
-                               mode="coupled")
+            solve_dae_block4x4(pair_plan(bad, bad, 2.0, 1.3, 0.8, 0.25, mode="coupled"),
+                               np.ones(8))
         # eagerly: building the block solver already fails
         with pytest.raises(IndexViolationError):
             _EliminationSolver(2.0, _CompositeMass(None, 2), bad, 0.25)
-
-    def test_unknown_mode(self):
-        rng = np.random.default_rng(7)
-        oi = random_ops(rng, 2, 2)
-        with pytest.raises(ConfigurationError):
-            solve_dae_block4x4(pair_plan(oi, oi, 2.0, 1.0, 1.0, 0.1), np.ones(8), mode="foo")
 
 
 def composite_solve(prep, stage_ops, variant, mass_diag, dt, rhs, mode):

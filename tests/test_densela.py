@@ -154,6 +154,10 @@ class TestRealSchur:
         with pytest.raises(ValueError):
             real_schur(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match=r"a must be a square matrix, got shape \(2, 3\)"):
+            real_schur(np.ones((2, 3)))
+
 
 class TestLu:
     def test_identity(self):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -30,6 +31,18 @@ class TestManifest:
         m3 = RunManifest(experiment="convergence", problem="dahlquist",
                          schemes=(("gauss", 2),), dts=(0.2,))
         assert m1.hash != m3.hash
+
+    def test_hash_names_the_configuration_not_the_output(self, tmp_path):
+        # one study written to two paths is stamped with the hash of its
+        # manifest without an output path
+        base = RunManifest(experiment="convergence", problem="dahlquist",
+                           schemes=(("gauss", 1),), dts=(0.2, 0.1), t_final=1.0)
+        stamps = set()
+        for name in ("a.csv", "b.csv"):
+            out = tmp_path / name
+            run(replace(base, out=str(out)))
+            stamps |= {line.rsplit(",", 1)[1] for line in out.read_text().splitlines()[1:]}
+        assert stamps == {base.hash}
 
     def test_unknown_experiment(self):
         m = RunManifest(experiment="nope", problem="dahlquist",
@@ -240,6 +253,19 @@ class TestCli:
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
         assert main(["convergence", "--manifest", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["dae-convergence", "--problem", "shear_layer_small", "--scheme", "radau_iia",
+          "--stages", "2", "--dt", "0.01"], "shear_layer_small has no exact solution handle"),
+        (["convergence", "--problem", "dahlquist", "--problem-param", "lam_re", "--scheme",
+          "gauss", "--stages", "1", "--dt", "0.1"], "bad --problem-param 'lam_re'"),
+        (["convergence", "--problem", "dahlquist", "--scheme", "gauss", "--dt", "0.1"],
+         "gauss needs --stages"),
+    ], ids=["no-exact-solution", "param-without-value", "gauss-without-stages"])
+    def test_flags_it_cannot_run_exit_code(self, capsys, argv, message):
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 

@@ -17,7 +17,7 @@ from irkit.irk_core import (
 )
 from irkit import sparsela
 from irkit.problems import make_problem
-from irkit.nonlinear import SolverConfig, integrate
+from irkit.nonlinear import SolverConfig, build_variant_jacobian, integrate
 from irkit.sparsela import BandedLU, LinearOperator, SparseMatrix, combine, gmres
 from irkit.tableau import kappa_bound, make_tableau, prepare_stages
 
@@ -131,6 +131,8 @@ class TestBlock2x2:
                 PrecondSpec(gamma_mode=bad)
         with pytest.raises(ValueError):
             PrecondSpec(inner=0)
+        with pytest.raises(ValueError, match="unknown gamma mode 'bogus'"):
+            PrecondSpec(gamma_mode="bogus")
 
     @pytest.mark.parametrize("field", ["gamma_mode", "inner"])
     @pytest.mark.parametrize("flag", [True, False])
@@ -138,6 +140,11 @@ class TestBlock2x2:
         # a bool is an int to Python, but neither a shift nor a sweep count
         with pytest.raises(ValueError, match=f"got {flag}"):
             PrecondSpec(**{field: flag})
+
+    def test_jacobi_needs_a_nonzero_diagonal(self):
+        # alpha*I - dt*I has a zero diagonal for alpha = dt = 1
+        with pytest.raises(ValueError, match="Jacobi inner solver needs a nonzero diagonal"):
+            ShiftedSolver(1.0, None, SparseMatrix.identity(3), 1.0, inner=2)
 
 
 def heat_pair(mass_kind):
@@ -329,7 +336,7 @@ class TestSolveTransformed:
         lmat = SparseMatrix(np.array([[-2.0]]))
         rhs = np.array([[1.0]])
         k, stats = solve_transformed_system(
-            prep, [lmat], 0, 0.1, rhs, krylov_rtol=1e-13
+            prep, build_variant_jacobian(prep, [lmat], 0), 0.1, rhs, krylov_rtol=1e-13
         )
         # (I - dt*L) k = f  ->  k = 1 / 1.2
         assert k[0, 0] == pytest.approx(1.0 / 1.2, abs=1e-12)
@@ -343,7 +350,8 @@ class TestSolveTransformed:
         rhs = np.array([[lam], [lam]])
         big = dense_stage_matrix(prep.tableau, [lmat, lmat], dt)
         oracle = np.linalg.solve(big, rhs.ravel()).reshape(2, 1)
-        k, _ = solve_transformed_system(prep, [lmat, lmat], 3, dt, rhs, krylov_rtol=1e-13)
+        k, _ = solve_transformed_system(prep, build_variant_jacobian(prep, [lmat, lmat], 3), dt,
+                                        rhs, krylov_rtol=1e-13)
         assert np.max(np.abs(k - oracle)) < 1e-10
 
     @pytest.mark.parametrize("family,s", [("gauss", 3), ("radau_iia", 3), ("lobatto_iiic", 4), ("gauss", 4)])
@@ -359,7 +367,8 @@ class TestSolveTransformed:
         big = dense_stage_matrix(prep.tableau, [lmat] * s, dt)
         oracle = np.linalg.solve(big, rhs.ravel()).reshape(s, 24)
         k, _ = solve_transformed_system(
-            prep, [lmat] * s, variant, dt, rhs, krylov_rtol=1e-12, krylov_maxit=400
+            prep, build_variant_jacobian(prep, [lmat] * s, variant), dt, rhs, krylov_rtol=1e-12,
+            krylov_maxit=400
         )
         assert np.max(np.abs(k - oracle)) < 1e-9
 
@@ -377,7 +386,8 @@ class TestSolveTransformed:
         big = dense_stage_matrix(prep.tableau, lmats, dt)
         oracle = np.linalg.solve(big, rhs.ravel()).reshape(2, 16)
         k, _ = solve_transformed_system(
-            prep, lmats, 3, dt, rhs, krylov_rtol=1e-13, krylov_maxit=400
+            prep, build_variant_jacobian(prep, lmats, 3), dt, rhs, krylov_rtol=1e-13,
+            krylov_maxit=400
         )
         assert np.max(np.abs(k - oracle)) < 1e-8
 
@@ -390,7 +400,8 @@ class TestSolveTransformed:
         big = dense_stage_matrix(prep.tableau, [lmat, lmat], dt, mass=mass)
         oracle = np.linalg.solve(big, rhs.ravel()).reshape(2, 2)
         k, _ = solve_transformed_system(
-            prep, [lmat, lmat], 2, dt, rhs, mass=mass, krylov_rtol=1e-13
+            prep, build_variant_jacobian(prep, [lmat, lmat], 2), dt, rhs, mass=mass,
+            krylov_rtol=1e-13
         )
         assert np.max(np.abs(k - oracle)) < 1e-10
 
@@ -400,10 +411,22 @@ class TestSolveTransformed:
         rhs = np.ones((2, 32))
         with pytest.raises(StageSolveError) as err:
             solve_transformed_system(
-                prep, [lmat, lmat], 2, 1.0, rhs, krylov_rtol=1e-13, krylov_maxit=2
+                prep, build_variant_jacobian(prep, [lmat, lmat], 2), 1.0, rhs,
+                krylov_rtol=1e-13, krylov_maxit=2
             )
         assert err.value.report is not None
         assert err.value.block_offset is not None
+
+    @pytest.mark.parametrize("dt, rows, fragment", [
+        (0.1, 3, "rhs has 3 stage rows, expected 2"),
+        (0.0, 2, "dt must be positive"),
+    ], ids=["stage-rows", "zero-dt"])
+    def test_bad_input_rejected(self, dt, rows, fragment):
+        prep = prepare_stages(make_tableau("gauss", 2))
+        lmat = make_problem("heat1d", n=8).operator
+        vjac = build_variant_jacobian(prep, [lmat, lmat], 2)
+        with pytest.raises(ValueError, match=fragment):
+            solve_transformed_system(prep, vjac, dt, np.ones((rows, 8)))
 
 
 class TestFieldOfValues:

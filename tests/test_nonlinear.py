@@ -132,6 +132,12 @@ class TestVariantJacobian:
         vj = build_variant_jacobian(prep, [l1, l2], 0)
         assert [float(op.to_dense()[0, 0]) for op in vj.diag] == [1.0, 1.0]
 
+    def test_wrong_operator_count_rejected(self):
+        prep = prepare_stages(make_tableau("gauss", 2))
+        lmat = SparseMatrix(np.array([[-1.0]]))
+        with pytest.raises(ValueError, match="expected 2 stage operators, got 1"):
+            build_variant_jacobian(prep, [lmat], 2)
+
     def test_variant3_offdiag_keys(self):
         prep = prepare_stages(make_tableau("gauss", 4))
         dw, ow = variant_weights(prep, 3)
@@ -387,6 +393,16 @@ class TestStepAndIntegrate:
                                      dict(newton_abs_floor=-1.0)])
     def test_bad_budget_or_floor_rejected(self, bad):
         with pytest.raises(ConfigurationError, match=next(iter(bad))):
+            SolverConfig(**bad)
+
+    @pytest.mark.parametrize("bad, fragment", [
+        (dict(newton_rtol=0.0), r"tolerance 0.0 outside \(0, 1\)"),
+        (dict(krylov_rtol=1.0), r"tolerance 1.0 outside \(0, 1\)"),
+        (dict(newton_rtol=np.nan), r"tolerance nan outside \(0, 1\)"),
+        (dict(jacobian_refresh="sometimes"), "unknown jacobian_refresh 'sometimes'"),
+    ], ids=["zero-rtol", "unit-rtol", "nan-rtol", "refresh"])
+    def test_bad_tolerance_or_refresh_rejected(self, bad, fragment):
+        with pytest.raises(ConfigurationError, match=fragment):
             SolverConfig(**bad)
 
     def test_numpy_integer_budgets_accepted(self):

@@ -212,3 +212,14 @@ def test_shear_operators_are_the_kron_bits(n):
     rhs = problem.u0.copy()
     rhs[0] = 0.0
     assert same_bits(problem.w0, BandedLU.factor(ref[3]).solve(rhs))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 16, 32])
+def test_shear_advection_values_are_the_dense_entries(n):
+    # dx's and dy's values on the Laplacian's pattern: their own entries, and
+    # +0.0 where they hold none, as the bytes compare signs of zero too
+    dx, dy, lap, _, dxv, dyv = _grid_ops_2d(n)
+    rows, cols = lap.pattern.rows, lap.indices
+    for values, op in ((dxv, dx), (dyv, dy)):
+        assert same_bits(values, op.to_dense()[rows, cols])
+        assert not np.any(np.signbit(values[values == 0.0]))

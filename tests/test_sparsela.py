@@ -63,6 +63,18 @@ class TestSparseMatrix:
         out = combine([2.0, -1.0, 3.0], [a, b, None])
         assert np.allclose(out.to_dense(), [[5.0, -1.0], [-1.0, 7.0]])
 
+    @pytest.mark.parametrize("call, fragment", [
+        (lambda m: combine([1.0], [None]), "combine needs at least one concrete matrix"),
+        (lambda m: combine_rows(np.ones((1, 2)), [m]), "2 weights per row for 1 operands"),
+        (lambda m: gmres(m, np.ones(3)), r"rhs has shape \(3,\), expected \(2,\)"),
+        (lambda m: SparseMatrix.on_pattern(m.pattern, np.ones(3)),
+         r"data has shape \(3,\), expected \(2,\)"),
+    ], ids=["combine-no-matrix", "combine-rows-weights", "gmres-rhs", "on-pattern-data"])
+    def test_bad_operand_rejected(self, call, fragment):
+        m = SparseMatrix(np.array([[1.0, 0.0], [0.0, 2.0]]))
+        with pytest.raises(ValueError, match=fragment):
+            call(m)
+
 
 class TestKernelProduct:
     """``m @ x`` on a 1-D float64 vector calls scipy's CSR kernel directly and

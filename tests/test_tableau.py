@@ -85,6 +85,8 @@ class TestMakeTableau:
             make_tableau("nonsense", 2)
         with pytest.raises(ConfigurationError):
             make_tableau("sdirk2", 3)
+        with pytest.raises(ConfigurationError, match="gauss requires an explicit stage count"):
+            make_tableau("gauss")
 
     @pytest.mark.parametrize("s", [2.5, True, np.float64(3.7), "3"])
     def test_non_integer_stage_count_rejected(self, s):

@@ -73,7 +73,7 @@ def test_ode_solve_matches_truncated_operator(family, s, variant):
     mass = np.diag(1.0 + rng.random(n))
     rhs = rng.standard_normal((s, n))
     x, _ = solve_transformed_system(
-        prep, [SparseMatrix(a) for a in mats], variant, DT, rhs,
+        prep, build_variant_jacobian(prep, [SparseMatrix(a) for a in mats], variant), DT, rhs,
         mass=SparseMatrix(mass), krylov_rtol=1e-13, krylov_maxit=400,
     )
     oracle = truncated_oracle(prep, mats, mass, rhs, variant)
@@ -115,7 +115,8 @@ def test_property_ode_solve_matches_truncated_operator(scheme, seed, n, bandwidt
     ops = [SparseMatrix(sp.csr_matrix(a)) for a in mats]
     for variant in range(4):
         x, _ = solve_transformed_system(
-            prep, ops, variant, DT, rhs, mass=SparseMatrix(mass) if diagonal_mass else None,
+            prep, build_variant_jacobian(prep, ops, variant), DT, rhs,
+            mass=SparseMatrix(mass) if diagonal_mass else None,
             krylov_rtol=1e-13, krylov_maxit=400,
         )
         check(x, truncated_oracle(prep, mats, mass, rhs, variant))
