@@ -49,7 +49,6 @@ from .nonlinear import (
     step,
 )
 from .dae import (
-    DaeStageState,
     DaeSystem,
     dae_integrate,
     dae_stage_residual,
@@ -64,7 +63,6 @@ __all__ = [
     "Block2x2System",
     "ButcherTableau",
     "ConfigurationError",
-    "DaeStageState",
     "DaeSystem",
     "DecompositionError",
     "EigenBlock",

@@ -103,16 +103,6 @@ class _CompositeMass(NamedTuple):
 
 
 @dataclass
-class DaeStageState:
-    k: np.ndarray  # (s, dim_u)
-    ell: np.ndarray  # (s, dim_w)
-    u: np.ndarray
-    w: np.ndarray
-    t: float
-    dt: float
-
-
-@dataclass
 class DaeCounters:
     """Inner-solver applications split by block type."""
 
@@ -142,14 +132,10 @@ def _ode_view(sys: DaeSystem) -> OdeSystem:
     )
 
 
-def _stacked(st: DaeStageState) -> StageState:
-    """The ODE view's stage state: rows ``[k_i | l_i]`` and state ``[u | w]``."""
-    return StageState(np.hstack([st.k, st.ell]), np.concatenate([st.u, st.w]), st.t, st.dt)
-
-
-def dae_stage_residual(sys: DaeSystem, st: DaeStageState, tableau):
-    """Composite residual: ``N(U_i, W_i, t_i) - M k_i`` and ``G(U_i, W_i, t_i)``."""
-    return stage_residual(_ode_view(sys), _stacked(st), tableau)
+def dae_stage_residual(sys: DaeSystem, st: StageState, tableau):
+    """Composite residual ``N(U_i, W_i, t_i) - M k_i`` and ``G(U_i, W_i, t_i)`` of
+    :func:`dae_step`'s stacked stage state: rows ``[k_i | l_i]``, state ``[u | w]``."""
+    return stage_residual(_ode_view(sys), st, tableau)
 
 
 def _gw_factor(gw: SparseMatrix):
@@ -360,7 +346,8 @@ def dae_integrate(sys: DaeSystem, u0, w0, t0, t_final, dt, tableau,
     """Fixed-step DAE march.
 
     ``u0``/``w0`` must have lengths ``dim_u``/``dim_w`` and satisfy the
-    constraint to 1e-10; a failing step raises its :class:`~irkit.errors.IrkitError`
+    constraint to 1e-10, and the reordered ``mode`` needs ``L_w(u0, w0, t0)``
+    to be structurally zero; a failing step raises its :class:`~irkit.errors.IrkitError`
     with the partial trajectories attached as ``partial``.
     """
     u0 = _state_vector(u0, sys.dim_u, "u0", "dim_u")
@@ -370,6 +357,9 @@ def dae_integrate(sys: DaeSystem, u0, w0, t0, t_final, dt, tableau,
         raise ConfigurationError(
             f"inconsistent initial condition: |G(u0, w0, t0)| = {g0:.3e}"
         )
+    # an inexact inner solve is rejected by the first step, before any call
+    if mode == "reordered" and cfg.precond.inner == "exact" and sys.blocks(u0, w0, t0)[1].nnz:
+        raise ConfigurationError("reordered mode requires structurally zero L_w blocks")
     prep = prepare_stages(tableau)
 
     def advance(state, t):

@@ -29,7 +29,7 @@ operator's are built on the first step only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -224,21 +224,6 @@ def make_block2x2_preconditioner(sys: Block2x2System, spec: PrecondSpec,
 
 
 @dataclass
-class SolveStats:
-    """Krylov accounting for one transformed stage solve."""
-
-    reports: list = field(default_factory=list)  # (block_offset, KrylovReport)
-
-    @property
-    def krylov_iterations(self):
-        return sum(rep.iterations for _, rep in self.reports)
-
-    @property
-    def precond_applications(self):
-        return sum(rep.precond_applications for _, rep in self.reports)
-
-
-@dataclass
 class PairPlan:
     """A 2x2 eigen-block's plan: its system and, built on first use by
     :func:`make_block2x2_preconditioner`, its preconditioner.  The class
@@ -335,9 +320,9 @@ def solve_transformed_system(
     It keeps each block's plan for as long as ``dt``, ``mass``, ``precond``
     and ``pair_plan`` stay the same, so a memoized Jacobian plans its solve
     once.  A ``dt`` that is not positive or a row count other than ``s``
-    raises ``ValueError``.  Returns ``(k, SolveStats)``; a
-    non-convergent inner solve raises :class:`StageSolveError` carrying the
-    block offset and report.
+    raises ``ValueError``.  Returns ``(k, reports)``: a ``(block_offset,
+    KrylovReport)`` per block in sweep order, by descending offset; a failed
+    inner solve raises :class:`StageSolveError` carrying the offset and report.
     """
     rhs = np.asarray(rhs_stages, dtype=float)
     s = prep.tableau.s
@@ -349,7 +334,7 @@ def solve_transformed_system(
     g = q.T.dot(rhs)
     y = np.empty_like(g)  # every row is solved before it is read
     my = [None] * s  # M y[j], cached once each block is solved
-    stats = SolveStats()
+    reports = []
     for blk in reversed(prep.schur.blocks):
         rows = range(blk.offset, blk.offset + blk.size)
         span = slice(blk.offset, blk.offset + blk.size)
@@ -367,8 +352,8 @@ def solve_transformed_system(
         y[span] = sol.reshape(blk.size, -1)
         for i in rows:
             my[i] = y[i] if mass is None else mass @ y[i]
-        stats.reports.append((blk.offset, rep))
-    return q.dot(r0).dot(y), stats
+        reports.append((blk.offset, rep))
+    return q.dot(r0).dot(y), reports
 
 
 def field_of_values_bound(l: SparseMatrix):

@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, IrkitError, StepFailureError
-from .irk_core import (PairPlan, PrecondSpec, ShiftedPlan, SolveStats, solve_block,
-                       solve_transformed_system)
+from .irk_core import PairPlan, PrecondSpec, ShiftedPlan, solve_block, solve_transformed_system
 from .sparsela import SparseMatrix, _memoized, combine_rows
 from .tableau import SDIRK_FAMILIES, ButcherTableau, StagePrep, prepare_stages
 
@@ -90,9 +89,9 @@ class SolverConfig:
     def __post_init__(self):
         if isinstance(self.variant, bool) or self.variant not in (0, 1, 2, 3):
             raise ConfigurationError(f"variant must be 0..3, got {self.variant}")
-        for tol in (self.newton_rtol, self.krylov_rtol):
-            if not (0.0 < tol < 1.0):
-                raise ConfigurationError(f"tolerance {tol} outside (0, 1)")
+        for name in ("newton_rtol", "krylov_rtol"):
+            if not (0.0 < getattr(self, name) < 1.0):
+                raise ConfigurationError(f"{name} {getattr(self, name)} outside (0, 1)")
         for name in ("newton_maxit", "krylov_maxit"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
@@ -199,12 +198,17 @@ def build_variant_jacobian(prep: StagePrep, stage_ops, variant):
     return _memoized(last[0] if composite else last, (prep, variant), parts, build)
 
 
+def _stage_points(st: StageState, tableau: ButcherTableau):
+    """Stage values ``u + dt * sum a_ij k_j`` (one row each) and times ``t + c_i dt``."""
+    return st.u[None, :] + st.dt * tableau.a0.dot(st.k), st.t + tableau.c0 * st.dt
+
+
 def stage_residual(sys: OdeSystem, st: StageState, tableau: ButcherTableau):
     """Residual ``N(u + dt * sum a_ij k_j, t + c_i dt) - M k_i`` per stage."""
-    u_stage = st.u[None, :] + st.dt * tableau.a0.dot(st.k)
+    u_stage, t_stage = _stage_points(st, tableau)
     out = np.empty_like(st.k)
     for i in range(tableau.s):
-        out[i] = sys.rhs(u_stage[i], st.t + tableau.c0[i] * st.dt)
+        out[i] = sys.rhs(u_stage[i], t_stage[i])
         out[i] -= st.k[i] if sys.mass is None else sys.mass @ st.k[i]
     return out
 
@@ -229,10 +233,10 @@ class StepStats:
     constraint_solves: int = 0
     wall_time: float = 0.0
 
-    def add_solve(self, solve_stats):
-        self.krylov_iterations += solve_stats.krylov_iterations
-        self.precond_applications += solve_stats.precond_applications
-        for off, rep in solve_stats.reports:
+    def add_solve(self, reports):
+        for off, rep in reports:
+            self.krylov_iterations += rep.iterations
+            self.precond_applications += rep.precond_applications
             self.block_iterations.setdefault(off, []).append(rep.iterations)
 
 
@@ -243,7 +247,7 @@ def richardson(residual, assemble, solve, x, cfg: SolverConfig, linearizations,
     ``residual(x)`` evaluates ``F``; ``assemble(x)`` linearizes at ``x`` into
     ``P``, which counts ``linearizations`` Jacobian assemblies and is
     refreshed per ``cfg.jacobian_refresh``; ``solve(P, F)`` returns the
-    increment and its :class:`~irkit.irk_core.SolveStats`.  The tolerance is
+    increment and its ``(block_offset, KrylovReport)`` pairs.  The tolerance is
     ``max(newton_rtol * |F(x0)|, newton_abs_floor)``.  Work is added to
     ``stats``, a fresh :class:`StepStats` by default.  Returns ``(x, stats)``;
     a non-finite residual norm, a residual that grew in
@@ -283,10 +287,10 @@ def richardson(residual, assemble, solve, x, cfg: SolverConfig, linearizations,
             except ValueError as exc:
                 fail(f"linearization failed after {its} iterations: {exc}", exc)
             stats.jacobian_assemblies += linearizations
-        dx, solve_stats = solve(jac, res)
+        dx, reports = solve(jac, res)
         x = x + dx
         stats.newton_iterations += 1
-        stats.add_solve(solve_stats)
+        stats.add_solve(reports)
         res = residual(x)
         prev, rnorm = rnorm, np.linalg.norm(res)
         grew = grew + 1 if rnorm > prev else 0
@@ -311,11 +315,8 @@ def newton_like_step(sys: OdeSystem, st: StageState, prep: StagePrep, cfg: Solve
         return stage_residual(sys, st, tableau)
 
     def assemble(k):
-        u_stage = st.u[None, :] + st.dt * tableau.a0.dot(k)
-        ops = [
-            sys.linearize(u_stage[i], st.t + tableau.c0[i] * st.dt)
-            for i in range(tableau.s)
-        ]
+        st.k = k
+        ops = [sys.linearize(*point) for point in zip(*_stage_points(st, tableau))]
         return build_variant_jacobian(prep, ops, cfg.variant)
 
     def solve(vjac, res):
@@ -348,19 +349,21 @@ def _dirk_step(sys: OdeSystem, u, t, dt, tableau, cfg: SolverConfig):
     for i in range(tableau.s):
         base = u + dt * tableau.a0[i, :i].dot(k[:i]) if i else u.copy()
         h = dt * tableau.a0[i, i]
-        ti = t + tableau.c0[i] * dt
+
+        def point(ki):  # the stage's value and time
+            return base + h * ki, t + tableau.c0[i] * dt
 
         def residual(ki):
             mk = ki if sys.mass is None else sys.mass @ ki
-            return sys.rhs(base + h * ki, ti) - mk
+            return sys.rhs(*point(ki)) - mk
 
         def assemble(ki):
-            return ShiftedPlan(1.0, sys.linearize(base + h * ki, ti), sys.mass, h, cfg.precond)
+            return ShiftedPlan(1.0, sys.linearize(*point(ki)), sys.mass, h, cfg.precond)
 
         def solve(plan, res):
             dk, rep = solve_block(plan, res, cfg.krylov_rtol, cfg.krylov_maxit,
                                   f"DIRK stage {i} solve", i)
-            return dk, SolveStats([(i, rep)])
+            return dk, [(i, rep)]
 
         k[i], _ = richardson(residual, assemble, solve, np.zeros(sys.dim), cfg, 1,
                              label=f"DIRK stage {i}", stats=stats)

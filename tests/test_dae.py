@@ -9,7 +9,6 @@ from hypothesis import strategies as hst
 from irkit import dae, nonlinear
 from irkit.dae import (
     DaeOps,
-    DaeStageState,
     DaeSystem,
     _CompositeMass,
     _EliminationSolver,
@@ -28,7 +27,7 @@ from irkit.irk_core import (
     apply_block2x2,
     solve_transformed_system,
 )
-from irkit.nonlinear import SolverConfig, build_variant_jacobian, integrate
+from irkit.nonlinear import SolverConfig, StageState, build_variant_jacobian, integrate
 from irkit.problems import make_problem
 from irkit.sparsela import SparseMatrix, combine
 from irkit.tableau import make_tableau, prepare_stages
@@ -120,19 +119,15 @@ class TestResidual:
                     blk = blk + mbar
                 big[i * n : (i + 1) * n, j * n : (j + 1) * n] = blk
         x = np.linalg.solve(big, rhs).reshape(s, n)
-        st = DaeStageState(
-            k=x[:, :nu].copy(), ell=x[:, nu:].copy(), u=u0, w=w0, t=0.0, dt=dt
-        )
+        st = StageState(k=x, u=np.concatenate([u0, w0]), t=0.0, dt=dt)
         res = dae_stage_residual(sys, st, tableau)
         assert np.max(np.abs(res)) <= 1e-12
 
     def test_zero_guess_evaluates_base_state(self):
         problem = make_problem("dae_manufactured")
         tableau = make_tableau("radau_iia", 2)
-        st = DaeStageState(
-            k=np.zeros((2, 1)), ell=np.zeros((2, 1)),
-            u=problem.u0, w=problem.w0, t=0.0, dt=0.1,
-        )
+        st = StageState(k=np.zeros((2, 2)), u=np.concatenate([problem.u0, problem.w0]),
+                        t=0.0, dt=0.1)
         res = dae_stage_residual(problem.system, st, tableau)
         for i, ci in enumerate(tableau.c0):
             assert res[i, 0] == pytest.approx(-1.0 + 1.0)  # -u0 + w0
@@ -141,10 +136,7 @@ class TestResidual:
     def test_single_stage_hand_values(self):
         problem = make_problem("dae_manufactured")
         tableau = make_tableau("radau_iia", 1)
-        st = DaeStageState(
-            k=np.zeros((1, 1)), ell=np.zeros((1, 1)),
-            u=np.array([2.0]), w=np.array([0.5]), t=0.0, dt=0.2,
-        )
+        st = StageState(k=np.zeros((1, 2)), u=np.array([2.0, 0.5]), t=0.0, dt=0.2)
         res = dae_stage_residual(problem.system, st, tableau)
         assert res[0, 0] == pytest.approx(-2.0 + 0.5, abs=1e-14)
         assert res[0, 1] == pytest.approx(0.5 - np.cos(0.2), abs=1e-14)
@@ -434,7 +426,8 @@ class TestSolverSplitCounts:
 
 class TestConfigurationChecks:
     """A DAE run rejects an unknown mode or an inexact inner solve before any
-    work, on tableaux with and without a complex pair."""
+    work, on tableaux with and without a complex pair, and a march in the
+    reordered mode a structurally nonzero ``L_w`` before its first step."""
 
     @staticmethod
     def counted_manufactured(calls):
@@ -462,6 +455,15 @@ class TestConfigurationChecks:
             dae_integrate(system, np.ones(1), np.ones(1), 0.0, 0.2, 0.1, tableau, cfg,
                           mode=mode)
         assert calls == [] and err.value.partial.step_stats == []
+
+    def test_reordered_needs_zero_lw_before_the_first_step(self):
+        # the manufactured L_w is structurally nonzero: the initial blocks
+        # show it before any residual is evaluated
+        calls = []
+        with pytest.raises(ConfigurationError, match="structurally zero L_w"):
+            dae_integrate(self.counted_manufactured(calls), np.ones(1), np.ones(1), 0.0, 0.5,
+                          0.1, make_tableau("radau_iia", 3), mode="reordered")
+        assert calls == ["blocks"]
 
     def test_precond_spec_names_a_rejected_inner(self):
         for inner in (0, -1, "jacobi", 1.5):

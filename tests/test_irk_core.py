@@ -15,9 +15,9 @@ from irkit.irk_core import (
     measure_kappa,
     solve_transformed_system,
 )
-from irkit import sparsela
+from irkit import nonlinear, sparsela
 from irkit.problems import make_problem
-from irkit.nonlinear import SolverConfig, build_variant_jacobian, integrate
+from irkit.nonlinear import SolverConfig, build_variant_jacobian, integrate, step
 from irkit.sparsela import BandedLU, LinearOperator, SparseMatrix, combine, gmres
 from irkit.tableau import kappa_bound, make_tableau, prepare_stages
 
@@ -335,12 +335,43 @@ class TestSolveTransformed:
         prep = prepare_stages(make_tableau("radau_iia", 1))
         lmat = SparseMatrix(np.array([[-2.0]]))
         rhs = np.array([[1.0]])
-        k, stats = solve_transformed_system(
+        k, reports = solve_transformed_system(
             prep, build_variant_jacobian(prep, [lmat], 0), 0.1, rhs, krylov_rtol=1e-13
         )
         # (I - dt*L) k = f  ->  k = 1 / 1.2
         assert k[0, 0] == pytest.approx(1.0 / 1.2, abs=1e-12)
-        assert stats.krylov_iterations == 1
+        assert [(off, rep.iterations) for off, rep in reports] == [(0, 1)]
+
+    def test_gauss3_reports_each_block_once_in_sweep_order(self, monkeypatch):
+        # gauss(3) has one real block and one complex pair
+        prep = prepare_stages(make_tableau("gauss", 3))
+        blocks = prep.schur.blocks
+        assert sorted(blk.size for blk in blocks) == [1, 2]
+        lmat = make_problem("heat1d", n=16).operator
+        _, reports = solve_transformed_system(prep, build_variant_jacobian(prep, [lmat] * 3, 3),
+                                              0.01, np.ones((3, 16)))
+        offsets = [off for off, _ in reports]
+        assert offsets == sorted((blk.offset for blk in blocks), reverse=True)
+        assert all(rep.converged for _, rep in reports)
+
+        # a step's counters are the sums over its solves' report lists
+        lists = []
+
+        def spy(*args, **kwargs):
+            k, reps = solve_transformed_system(*args, **kwargs)
+            lists.append(reps)
+            return k, reps
+
+        monkeypatch.setattr(nonlinear, "solve_transformed_system", spy)
+        problem = make_problem("burgers1d", n=32)
+        _, stats = step(problem.system, problem.u0, 0.0, 1e-2, prep.tableau, prep=prep)
+        pairs = [pair for reps in lists for pair in reps]
+        assert len(lists) == stats.newton_iterations > 1
+        assert [off for off, _ in pairs] == offsets * len(lists)
+        assert stats.krylov_iterations == sum(rep.iterations for _, rep in pairs)
+        assert stats.precond_applications == sum(rep.precond_applications for _, rep in pairs)
+        assert stats.block_iterations == {
+            off: [rep.iterations for o, rep in pairs if o == off] for off in offsets}
 
     def test_dahlquist_gauss2_matches_dense(self):
         prep = prepare_stages(make_tableau("gauss", 2))

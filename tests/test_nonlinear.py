@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from irkit.dae import DaeOps, dae_integrate, dae_step
 from irkit.errors import ConfigurationError, StageSolveError, StepFailureError
-from irkit.irk_core import PrecondSpec, ShiftedSolver, SolveStats
+from irkit.irk_core import PrecondSpec, ShiftedSolver
 from irkit.nonlinear import (
     DIVERGENCE_STREAK,
     OdeSystem,
@@ -326,7 +326,7 @@ class TestNewton:
         """Run ``richardson`` on a scalar iteration whose residual norms are
         ``norms``, one per iterate; returns the iterate it stopped at."""
         x, _ = richardson(lambda x: np.array([norms[int(x)]]), lambda x: None,
-                          lambda jac, res: (1.0, SolveStats()), 0.0,
+                          lambda jac, res: (1.0, []), 0.0,
                           SolverConfig(), 1, stats=stats)
         return x
 
@@ -390,17 +390,15 @@ class TestStepAndIntegrate:
 
     @pytest.mark.parametrize("bad", [dict(krylov_maxit=2.5), dict(newton_maxit=0),
                                      dict(krylov_maxit=True), dict(newton_abs_floor=np.nan),
-                                     dict(newton_abs_floor=-1.0)])
+                                     dict(newton_abs_floor=-1.0), dict(newton_rtol=0.0),
+                                     dict(krylov_rtol=1.0), dict(newton_rtol=np.nan)])
     def test_bad_budget_or_floor_rejected(self, bad):
         with pytest.raises(ConfigurationError, match=next(iter(bad))):
             SolverConfig(**bad)
 
     @pytest.mark.parametrize("bad, fragment", [
-        (dict(newton_rtol=0.0), r"tolerance 0.0 outside \(0, 1\)"),
-        (dict(krylov_rtol=1.0), r"tolerance 1.0 outside \(0, 1\)"),
-        (dict(newton_rtol=np.nan), r"tolerance nan outside \(0, 1\)"),
         (dict(jacobian_refresh="sometimes"), "unknown jacobian_refresh 'sometimes'"),
-    ], ids=["zero-rtol", "unit-rtol", "nan-rtol", "refresh"])
+    ], ids=["refresh"])
     def test_bad_tolerance_or_refresh_rejected(self, bad, fragment):
         with pytest.raises(ConfigurationError, match=fragment):
             SolverConfig(**bad)
@@ -560,6 +558,9 @@ class TestSdirkPath:
         _, stats = step(problem.system, problem.u0, 0.0, 0.05,
                         make_tableau("sdirk2"), cfg)
         assert stats.precond_applications == stats.krylov_iterations
+        # each stage's solves are counted under its stage index
+        assert sorted(stats.block_iterations) == [0, 1]
+        assert sum(map(sum, stats.block_iterations.values())) == stats.krylov_iterations
 
     @pytest.mark.parametrize("refresh", ["every", "frozen"])
     def test_one_stage_solver_per_linearization(self, monkeypatch, refresh):
