@@ -34,7 +34,7 @@ import numpy as np
 
 from . import densela
 from .errors import ConfigurationError, IndexViolationError, SingularMatrixError, StageSolveError
-from .irk_core import PairPlan, ShiftedSolver
+from .irk_core import PairPlan, ShiftedSolver, _block_matrix
 from .nonlinear import (COUNTERS, IntegrationResult, OdeSystem, SolverConfig, StageState,
                         _state_vector, march, newton_like_step, stage_residual)
 from .sparsela import SparseMatrix, combine
@@ -150,11 +150,11 @@ class _EliminationSolver:
     vanishes; otherwise it is materialized densely (desk-scale dimensions
     only).  The ``shifted`` factory of composite blocks: ``mass`` is a
     :class:`_CompositeMass`, and ``inner`` is unused, since :func:`dae_step`
-    accepts only exact inner solves.
+    accepts only exact inner solves.  :attr:`mat` is assembled on first use.
     """
 
     def __init__(self, alpha, mass, ops: DaeOps, dt, inner=None):
-        self.ops, self.dt = ops, dt
+        self.alpha, self.mass, self.ops, self.dt = alpha, mass, ops, dt
         factor = _gw_factor(ops.gw) if ops.gw.n else None
         if ops.lw.nnz == 0:
             self._reduced = ShiftedSolver(alpha, mass.mass, ops.lu, dt).solve
@@ -163,6 +163,11 @@ class _EliminationSolver:
             red += dt * (ops.lw.to_dense() @ factor.solve(ops.gu.to_dense()))
             lu, piv = densela.lu_factor(red)
             self._reduced = lambda r, out: np.copyto(out, densela.lu_solve_factored(lu, piv, r))
+
+    @cached_property
+    def mat(self):
+        """``alpha*diag(M, 0) - dt*J`` as one sparse matrix, memoized on ``L_u``."""
+        return _block_matrix([(0, 0, self.alpha, self.mass), (0, 0, -self.dt, self.ops)], self.ops)
 
     def solve(self, r, out=None):
         """The solve of ``r``, written into ``out`` when given (which may be ``r``)."""

@@ -159,11 +159,9 @@ class ShiftedSolver:
     """
 
     def __init__(self, alpha, mass, lmat, dt, inner="exact"):
-        self.mat = combine([alpha, -dt], [mass, lmat])
-        self.inner = inner
-        if inner == "exact":
-            self._factor = self.mat.factorization
-        else:
+        self.mat, self.inner = combine([alpha, -dt], [mass, lmat]), inner
+        self._factor = self.mat.factorization if inner == "exact" else None
+        if self._factor is None:
             diag = self.mat.csr.diagonal()
             if np.any(diag == 0.0):
                 raise ValueError("Jacobi inner solver needs a nonzero diagonal")
@@ -171,7 +169,7 @@ class ShiftedSolver:
 
     def solve(self, r, out=None):
         """The solve of ``r``, written into ``out`` when given (which may be ``r``)."""
-        if self.inner == "exact":
+        if self._factor is not None:
             return self._factor.solve(r, out=out)
         x = np.zeros_like(r)
         for _ in range(self.inner):
@@ -247,12 +245,13 @@ class PairPlan:
 
 class ShiftedPlan:
     """A real eigen-block's plan: GMRES on the assembled ``eta*M - dt*L``
-    with its ``shifted`` solver as right preconditioner.  The solver is built
-    first, so a plain block's operator is its solver's memoized ``mat``."""
+    with its ``shifted`` solver as right preconditioner.  The operator is
+    the solver's own ``mat``: the matrix a :class:`ShiftedSolver` factors,
+    or the one a composite solver assembles on first use."""
 
     def __init__(self, eta, lmat, mass, dt, spec, shifted=ShiftedSolver):
-        self.precond = LinearOperator(lmat.n, into=shifted(eta, mass, lmat, dt, spec.inner).solve)
-        self.op = _block_matrix([(0, 0, eta, mass), (0, 0, -dt, lmat)], lmat)
+        solver = shifted(eta, mass, lmat, dt, spec.inner)
+        self.op, self.precond = solver.mat, LinearOperator(lmat.n, into=solver.solve)
 
     def solve(self, rhs, rtol, maxit):
         return gmres(self.op, rhs, right_precond=self.precond, rtol=rtol, maxit=maxit)
@@ -260,8 +259,8 @@ class ShiftedPlan:
 
 def solve_block(plan, rhs, rtol, maxit, what, offset):
     """``plan.solve(rhs, rtol, maxit)``; a solve that did not converge raises
-    :class:`StageSolveError` naming ``what``, with ``offset`` and the report,
-    and one the plan raises itself gets ``offset`` if it names none."""
+    :class:`StageSolveError` named by ``what()``, with ``offset`` and the
+    report, and one the plan raises itself gets ``offset`` if it names none."""
     try:
         x, rep = plan.solve(rhs, rtol, maxit)
     except StageSolveError as exc:
@@ -269,7 +268,7 @@ def solve_block(plan, rhs, rtol, maxit, what, offset):
             exc.block_offset = offset
         raise
     if not rep.converged:
-        raise StageSolveError(f"{what} did not converge", block_offset=offset, report=rep)
+        raise StageSolveError(f"{what()} did not converge", block_offset=offset, report=rep)
     return x, rep
 
 
@@ -330,30 +329,38 @@ def solve_transformed_system(
         raise ValueError(f"rhs has {rhs.shape[0]} stage rows, expected {s}")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    q, r0 = prep.schur.q, prep.schur.r
-    g = q.T.dot(rhs)
+    sweep = prep.memo.get(_sweep) or prep.memo.setdefault(_sweep, _sweep(prep))
+    g = prep.schur.q.T.dot(rhs)
     y = np.empty_like(g)  # every row is solved before it is read
     my = [None] * s  # M y[j], cached once each block is solved
     reports = []
-    for blk in reversed(prep.schur.blocks):
-        rows = range(blk.offset, blk.offset + blk.size)
-        span = slice(blk.offset, blk.offset + blk.size)
+    for blk, span, rows, what in sweep[1]:
         acc = g[span].copy()
-        for local, i in enumerate(rows):
-            for j in range(blk.offset + blk.size, s):
-                if r0[i, j] != 0.0:
-                    acc[local] -= r0[i, j] * my[j]
-                od = variant_jacobian.offdiag.get((i, j))
+        for row, cols in zip(acc, rows):  # each row a view, its terms added in place
+            for j, key, rij in cols:
+                if rij != 0.0:
+                    row -= rij * my[j]
+                od = variant_jacobian.offdiag.get(key)
                 if od is not None:
-                    acc[local] += dt * (od @ y[j])
+                    row += dt * (od @ y[j])
         plan = _block_plan(variant_jacobian, blk, dt, mass, precond, pair_plan)
-        sol, rep = solve_block(plan, acc.ravel(), krylov_rtol, krylov_maxit,
-                               f"{blk.size}x{blk.size} block at offset {blk.offset}", blk.offset)
+        sol, rep = solve_block(plan, acc.ravel(), krylov_rtol, krylov_maxit, what, blk.offset)
         y[span] = sol.reshape(blk.size, -1)
-        for i in rows:
+        for i in range(span.start, span.stop):
             my[i] = y[i] if mass is None else mass @ y[i]
         reports.append((blk.offset, rep))
-    return q.dot(r0).dot(y), reports
+    return sweep[0].dot(y), reports
+
+
+def _sweep(prep):
+    """``q @ r`` and, per block in sweep order, its span, its rows' ``(j, (i,
+    j), r[i, j])`` for the columns right of it, and its name for a failed solve."""
+    q, r, s = prep.schur.q, prep.schur.r, prep.tableau.s
+    return q.dot(r), [(blk, slice(blk.offset, blk.offset + blk.size),
+                       [[(j, (i, j), float(r[i, j])) for j in range(blk.offset + blk.size, s)]
+                        for i in range(blk.offset, blk.offset + blk.size)],
+                       lambda b=blk: f"{b.size}x{b.size} block at offset {b.offset}")
+                      for blk in reversed(prep.schur.blocks)]
 
 
 def field_of_values_bound(l: SparseMatrix):

@@ -93,15 +93,20 @@ class SolverConfig:
             if not (0.0 < getattr(self, name) < 1.0):
                 raise ConfigurationError(f"{name} {getattr(self, name)} outside (0, 1)")
         for name in ("newton_maxit", "krylov_maxit"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
+            if not _is_count(getattr(self, name)):
+                raise ConfigurationError(
+                    f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
         if not self.newton_abs_floor >= 0.0:  # NaN fails this as well
             raise ConfigurationError(f"newton_abs_floor must be >= 0, got {self.newton_abs_floor}")
         if self.jacobian_refresh not in ("every", "frozen"):
             raise ConfigurationError(
                 f"unknown jacobian_refresh {self.jacobian_refresh!r}"
             )
+
+
+def _is_count(value):
+    """True for an integer >= 1 that is not a ``bool``."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 1
 
 
 @dataclass(frozen=True)
@@ -380,7 +385,7 @@ def _dirk_step(sys: OdeSystem, u, t, dt, tableau, cfg: SolverConfig):
 
         def solve(plan, res):
             dk, rep = solve_block(plan, res, cfg.krylov_rtol, cfg.krylov_maxit,
-                                  f"DIRK stage {i} solve", i)
+                                  lambda: f"DIRK stage {i} solve", i)
             return dk, [(i, rep)]
 
         k[i], _ = richardson(residual, assemble, solve, np.zeros(sys.dim), cfg, 1,
@@ -436,15 +441,19 @@ def march(advance, state, t0, t_final, dt, pack, snapshot_every=None):
     """Fixed-step loop from ``t0`` to ``t_final``, shared by ODE and DAE runs.
 
     ``advance(state, t)`` returns the next state and its :class:`StepStats`;
-    ``pack(times, states, step_stats)`` builds the result.  Before any step,
-    ``0 < dt < inf``, ``t0 <= t_final`` and an integer step count ``(t_final -
-    t0) / dt`` are checked.  A failing step's :class:`IrkitError` is re-raised
-    with ``partial`` set to the packed trajectory up to the last accepted step.
-    ``snapshot_every`` keeps every j-th state (initial and final always kept).
+    ``pack(times, states, step_stats)`` builds the result.  ``snapshot_every``
+    keeps every j-th state (initial and final always kept).  Before any step,
+    ``0 < dt < inf``, ``t0 <= t_final``, an integer step count ``(t_final -
+    t0) / dt`` and ``snapshot_every`` (``None`` or an integer >= 1) are
+    checked.  A failing step's :class:`IrkitError` is re-raised with
+    ``partial`` set to the packed trajectory up to the last accepted step.
     """
     if not (0.0 < dt < np.inf and t0 <= t_final):
         raise ConfigurationError(f"need 0 < dt < inf and t0 <= t_final, got dt={dt}, "
                                  f"t0={t0}, t_final={t_final}")
+    if not (snapshot_every is None or _is_count(snapshot_every)):
+        raise ConfigurationError(
+            f"snapshot_every must be None or an integer >= 1, got {snapshot_every!r}")
     nsteps_f = (t_final - t0) / dt
     nsteps = int(round(nsteps_f))
     if abs(nsteps_f - nsteps) > 1e-8 * max(1.0, abs(nsteps_f)):
@@ -480,10 +489,10 @@ def integrate(
 ):
     """Fixed-step march from ``t0`` to ``t_final``.
 
-    ``dt`` and ``t_final`` are checked as :func:`march` says.  The first
-    failing step raises its :class:`IrkitError` with the partial result
-    attached as ``partial``.  ``snapshot_every`` keeps every j-th state (the
-    initial and final states are always kept).
+    ``dt``, ``t_final`` and ``snapshot_every`` are checked as :func:`march`
+    says.  The first failing step raises its :class:`IrkitError` with the
+    partial result attached as ``partial``.  ``snapshot_every`` keeps every
+    j-th state (the initial and final states are always kept).
     """
     prep = None if tableau.family in SDIRK_FAMILIES else prepare_stages(tableau)
     return march(

@@ -4,19 +4,20 @@ A :class:`SparseMatrix` is a :class:`Pattern` (an interned, immutable CSR
 structure) plus a ``data`` vector.  Structurally equal patterns are one
 object, so the operators of a stage solve (stage Jacobians, variant
 operators, shifted blocks ``alpha*M - dt*L``) keep the pattern they share.
-One scatter builds every weighted operator sum: :func:`stack` lays weighted
-operators out as the blocks of one matrix on a cached block pattern, and
-:func:`combine` is its one-block case.  Only :func:`combine_rows` on one
-pattern takes its own pass (``out[r] += w[r, l] * data_l``, the operations
-of one :func:`combine` per row).  :class:`BandedLU` fills LAPACK's band
-storage through the pattern's cached scatter, as RADAU5 forms ``fac*M - J``
-in place (Hairer & Wanner, *Solving ODEs II*, IV.8).
-The band is the pattern's own: its literal half-bandwidth in natural order,
-or in reverse Cuthill-McKee order when that is strictly narrower (Cuthill &
-McKee 1969; George & Liu 1981), which turns periodic wrap-around stencils
-into plain bands.  A product with a vector calls the CSR kernel behind
-scipy's own ``csr @ x`` on the pattern's index arrays, so no scipy matrix is
-built for it.
+:func:`stack` lays weighted operators out as the blocks of one matrix on a
+cached block pattern, and :func:`combine` is its one-block case.  When all
+operands of a one-block sum are on one pattern that stores the whole
+diagonal, and in :func:`combine_rows` on one pattern, the sum is one array
+pass (``out += w * data`` per term, ``out[diag] += w`` for the identity)
+that adds in a block scatter's order, to the same bits.
+:class:`BandedLU` fills LAPACK's band storage through the pattern's cached
+scatter, as RADAU5 forms ``fac*M - J`` in place (Hairer & Wanner, *Solving
+ODEs II*, IV.8).  The band is the pattern's own: its literal half-bandwidth
+in natural order, or in reverse Cuthill-McKee order when that is strictly
+narrower (Cuthill & McKee 1969; George & Liu 1981), which turns periodic
+wrap-around stencils into plain bands.  A product with a vector calls the
+CSR kernel behind scipy's own ``csr @ x`` on the pattern's index arrays, so
+no scipy matrix is built for it.
 
 Values are immutable (``data`` is read-only, and no writable alias of it is
 kept), so one matrix object holds one set of values, checked finite once
@@ -66,6 +67,7 @@ from .errors import KrylovBreakdownError, SingularMatrixError
 # cap holds 32 plans (tableaux, variants or step sizes) of one constant operator.
 SUM_CACHE_SIZE = 64
 _OWNER = object()  # stands for the memo's owner in its keys
+_EPS = np.finfo(float).eps
 
 
 class Pattern:
@@ -99,6 +101,12 @@ class Pattern:
     @cached_property
     def rows(self):
         return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    @cached_property
+    def diag(self):
+        """Positions of a square pattern's diagonal entries, ``None`` unless it stores all."""
+        pos = np.flatnonzero(self.rows == self.indices)
+        return pos if self.shape[0] == self.shape[1] == len(pos) else None
 
     @cached_property
     def csr(self):
@@ -185,24 +193,23 @@ class SparseMatrix:
         read-only, so a later write by the caller raises; a view is copied.
         """
         data = np.asarray(data, dtype=float)
-        if data.base is None:
-            data.setflags(write=False)
-        else:
+        if data.base is not None:
             data = data.copy()
-        out = cls.__new__(cls)
-        out._set(pattern, data)
-        return out
+        data.setflags(write=False)
+        return cls.__new__(cls)._set(pattern, data)
 
-    def _set(self, pattern, data, checked=False):
+    def _set(self, pattern, data):
         if data.shape != (pattern.nnz,):
             raise ValueError(f"data has shape {data.shape}, expected ({pattern.nnz},)")
-        if not checked:
-            _check_finite(data)
-        data = data.view()
-        data.setflags(write=False)
+        _check_finite(data)
+        return self._bind(pattern, data)
+
+    def _bind(self, pattern, data):
+        """Takes ``data``, checked and read-only, as the values on ``pattern``."""
         self.pattern, self.data, self._csr, self._sums = pattern, data, None, {}
         self.shape, self.nnz = pattern.shape, pattern.nnz
         self.indptr, self.indices, self.n = pattern.indptr, pattern.indices, pattern.shape[0]
+        return self
 
     @property
     def csr(self):
@@ -218,9 +225,6 @@ class SparseMatrix:
         """The :class:`BandedLU` of this square matrix, computed on first use."""
         return BandedLU.factor(self)
 
-    def matvec(self, x):
-        return self @ x
-
     def __matmul__(self, x):
         """Product with a dense matrix or a vector.
 
@@ -234,6 +238,8 @@ class SparseMatrix:
                                     self.data, x, y)
             return y
         return self.csr @ x
+
+    matvec = __matmul__
 
     def to_dense(self):
         return self.csr.toarray()
@@ -306,17 +312,10 @@ def combine_rows(weights, mats):
         pattern = owner.pattern
         if any(m.pattern is not pattern for m in mats):
             return tuple(_scatter(*_sum_terms(w, mats, mats)) for w in weights)
-        out = np.zeros((len(weights), pattern.nnz))
-        for w, m in zip(weights.T, mats):
-            out += w[:, None] * m.data
+        out = _summed(pattern, (len(weights), pattern.nnz), zip(weights.T[:, :, None], mats))
         _check_finite(out)
         out.setflags(write=False)
-        sums = []
-        for row in out:
-            m = SparseMatrix.__new__(SparseMatrix)
-            m._set(pattern, row, checked=True)
-            sums.append(m)
-        return tuple(sums)
+        return tuple([SparseMatrix.__new__(SparseMatrix)._bind(pattern, row) for row in out])
 
     return _memoized(owner, weights.tobytes(), mats, build)
 
@@ -332,6 +331,7 @@ def stack(sizes, terms, owner):
     grid and placed patterns, so assembling is one scatter: the weighted
     entries of all terms, one term after the other, are summed into
     ``data`` by ``bincount``, which adds them from zero in ``terms`` order.
+    A one-block sum on one pattern adds them in that order in one pass.
     The matrix is memoized on ``owner`` (one of the term matrices), keyed by
     the grid, placements, weights and operand objects.
     """
@@ -345,6 +345,10 @@ def _stacked(grid, terms, owner):
 
 
 def _scatter(grid, terms):
+    shared = {m.pattern for _, _, _, m in terms if m is not None}
+    p = shared.pop() if len(shared) == 1 else None
+    if p is not None and p.diag is not None and grid == ((p.shape[0],),) * 2:  # one block
+        return SparseMatrix.on_pattern(p, _summed(p, p.nnz, [t[2:] for t in terms]))
     places = tuple([(i, j, None if m is None else m.pattern) for i, j, _, m in terms])
     pattern, pos, bounds = _block_layout(grid, places)
     values = np.empty(len(pos))
@@ -354,6 +358,19 @@ def _scatter(grid, terms):
         else:
             np.multiply(m.data, w, out=values[a:b])
     return SparseMatrix.on_pattern(pattern, np.bincount(pos, values, pattern.nnz))
+
+
+def _summed(pattern, shape, terms):
+    """``zeros(shape) + w * m`` for ``(w, m)`` in ``terms``, ``m`` on ``pattern`` or
+    ``None`` (the identity, in 1-D sums) on its diagonal: each entry's terms added
+    from +0.0 in order, as ``bincount`` over a :func:`_block_layout` adds them."""
+    out = np.zeros(shape)
+    for w, m in terms:
+        if m is None:
+            out[pattern.diag] += w
+        else:
+            out += m.data * w
+    return out
 
 
 def _memoized(owner, key, operands, build):
@@ -374,25 +391,24 @@ def _memoized(owner, key, operands, build):
 
 class LinearOperator:
     """Linear action ``y = A x`` of dimension ``n``: ``apply(x)`` returns it,
-    or ``into(x, out)`` writes it into ``out`` and returns ``out`` (how right
-    preconditioners fill GMRES's rows in place).  ``solves_per_apply``
-    declares how many diagonal-block solver applications one call costs;
-    preconditioner operators set it so Krylov reports can account for
-    solver work in the standard unit.
+    or ``into(x, out)``, bound as :meth:`matvec_into`, writes it into ``out``
+    and returns ``out`` (how right preconditioners fill GMRES's rows in
+    place).  ``solves_per_apply`` declares how many diagonal-block solver
+    applications one call costs; preconditioner operators set it so Krylov
+    reports can account for solver work in the standard unit.
     """
 
     def __init__(self, n, apply=None, solves_per_apply=1, into=None):
         self.n, self.solves_per_apply = n, solves_per_apply
         self._apply, self._into = apply, into
+        if into is not None:
+            self.matvec_into = into  # one frame fewer per application
 
     def matvec(self, x):
         return self._apply(x) if self._into is None else self._into(x, np.empty(self.n))
 
     def matvec_into(self, x, out):
-        if self._into is None:
-            out[...] = self._apply(x)
-        else:
-            self._into(x, out)
+        out[...] = self._apply(x)
 
 
 @dataclass
@@ -415,13 +431,14 @@ def gmres(op, rhs, right_precond=None, rtol=1e-5, maxit=200, restart=200):
     whose residual misses the tolerance raises
     :class:`~irkit.errors.KrylovBreakdownError`.
 
-    ``op`` has ``n`` and ``matvec`` (a :class:`LinearOperator` or a
-    :class:`SparseMatrix`).  The Krylov vectors ``v[j]`` and their
-    preconditioned images ``z[j]`` are rows of arrays allocated per restart
-    cycle, widened on demand and written in place: the preconditioner fills
-    ``z[j]`` through :meth:`LinearOperator.matvec_into`.  The Hessenberg
-    columns and Givens rotations are lists of floats.  Nothing is sized by
-    ``restart`` and nothing is kept between calls.
+    ``op`` has ``n`` and ``matvec`` (a :class:`LinearOperator`, or a
+    :class:`SparseMatrix`, whose ``matvec`` is its ``@``).  The Krylov vectors
+    ``v[j]`` and their preconditioned images ``z[j]`` are rows of arrays
+    allocated per restart cycle, widened on demand and written in place: the
+    preconditioner fills ``z[j]`` through :meth:`LinearOperator.matvec_into`,
+    its ``into`` itself.  The Hessenberg columns and Givens rotations are
+    lists of floats.  Nothing is sized by ``restart`` and nothing is kept
+    between calls.  A ``maxit`` or ``restart`` below 1 raises ``ValueError``.
 
     Every product of two ndarrays is written ``a.dot(b)``, not ``a @ b``:
     both end in the same BLAS call (``ddot``, ``dgemv``) and give the same
@@ -451,12 +468,14 @@ def gmres(op, rhs, right_precond=None, rtol=1e-5, maxit=200, restart=200):
         bnorm = math.sqrt(rhs.dot(rhs))
     if not (0.0 < rtol < 1.0):
         raise ValueError(f"rtol must lie in (0, 1), got {rtol}")
+    if not (maxit >= 1 and restart >= 1):
+        raise ValueError(f"maxit and restart must be >= 1, got {maxit} and {restart}")
     pre = right_precond or LinearOperator(n, lambda v: v, solves_per_apply=0)
     spa, apply_m = pre.solves_per_apply, pre.matvec_into
     if bnorm == 0.0:
         return np.zeros(n), KrylovReport(0, True, [0.0], 0)
 
-    x = None  # the first cycle's solution is its update alone
+    x = None  # set by the first cycle (maxit >= 1 runs one) to its update alone
     r, beta = rhs, bnorm
     residuals = [beta / bnorm]
     total_it = 0
@@ -538,7 +557,7 @@ def gmres(op, rhs, right_precond=None, rtol=1e-5, maxit=200, restart=200):
         residuals=residuals,
         precond_applications=total_it * spa,
     )
-    return (np.zeros(n) if x is None else x) * scale, report
+    return (x if scale == 1.0 else x * scale), report
 
 
 def _widen(a, rows):
@@ -574,10 +593,8 @@ class BandedLU:
         if n == 0:
             return cls(0, 0, None, None, None, None)
         k, perm, inv, scatter = a.pattern.band
-        ldab = 3 * k + 1
-        ab = np.zeros(n * ldab)
-        ab[scatter] = a.data
-        ab = ab.reshape(n, ldab)
+        ab = np.zeros((n, 3 * k + 1))
+        ab.ravel()[scatter] = a.data
         # columns 3, 2 and 1 of ab hold the sub-, main and superdiagonal
         sym = k == 1 and perm is None and np.array_equal(ab[:-1, 3], ab[1:, 1])
         d, e, info = lapack.dpttrf(ab[:, 2], ab[1:, 1]) if sym else (None, None, 1)
@@ -587,7 +604,7 @@ class BandedLU:
             lu, piv, _ = lapack.dgbtrf(ab.T, k, k, overwrite_ab=1)
             pivots = lu[2 * k]
         pivot = np.abs(pivots).min()
-        if pivot <= n * np.finfo(float).eps * np.abs(a.data).max(initial=0.0):
+        if pivot <= n * _EPS * np.abs(a.data).max(initial=0.0):
             raise SingularMatrixError(f"banded LU pivot {pivot:.3e} below threshold")
         return cls(n, k, perm, inv, lu, piv)
 

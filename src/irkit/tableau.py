@@ -83,7 +83,7 @@ class StagePrep:
     column l of ``q``; summing over i gives the Kronecker delta, so the
     off-diagonal weight vectors measure how much the transformed operator
     mixes different stage linearizations.  A prep hashes by identity, so
-    memo keys can hold it; ``memo`` keeps the variant weights taken from ``d``.
+    memo keys can hold it; ``memo`` keeps the variant weights and the sweep's tables.
     """
 
     tableau: ButcherTableau

@@ -15,7 +15,7 @@ from irkit.irk_core import (
     measure_kappa,
     solve_transformed_system,
 )
-from irkit import nonlinear, sparsela
+from irkit import dae, nonlinear, sparsela
 from irkit.problems import make_problem
 from irkit.nonlinear import SolverConfig, build_variant_jacobian, integrate, step
 from irkit.sparsela import BandedLU, LinearOperator, SparseMatrix, combine, gmres
@@ -313,6 +313,48 @@ class TestShiftedPlan:
         for mass in (None, SparseMatrix(sp.identity(16) * 2.0)):
             plan = ShiftedPlan(1.5, lmat, mass, 0.1, PrecondSpec(inner=inner))
             assert plan.op is ShiftedSolver(1.5, mass, lmat, 0.1, inner).mat
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_composite_operator_is_the_solvers_matrix(self, coupled):
+        # a DAE's 1x1 block applies the composite matrix its elimination
+        # solver assembles, alpha*diag(M, 0) - dt*J
+        rng = np.random.default_rng([4, coupled])
+        nu, nw, alpha, dt = 7, 4, 1.7, 0.3
+        parts = [SparseMatrix(sp.random(nu, nu, density=0.4, random_state=rng) - 3 * sp.eye(nu)),
+                 SparseMatrix(sp.random(nu, nw, density=0.5 * coupled, random_state=rng)),
+                 SparseMatrix(sp.random(nw, nu, density=0.5, random_state=rng)),
+                 SparseMatrix(sp.random(nw, nw, density=0.3, random_state=rng) + 2 * sp.eye(nw))]
+        assert (parts[1].nnz > 0) is coupled
+        ops, mass = DaeOps(*parts), SparseMatrix(sp.diags(1.0 + rng.random(nu)))
+        composite = _CompositeMass(mass, nu)
+        plan = ShiftedPlan(alpha, ops, composite, dt, PrecondSpec(),
+                           shifted=dae._EliminationSolver)
+        assert plan.op is dae._EliminationSolver(alpha, composite, ops, dt).mat
+        jac = np.block([[p.to_dense() for p in parts[:2]], [p.to_dense() for p in parts[2:]]])
+        mass_dense = np.zeros((nu + nw, nu + nw))
+        mass_dense[:nu, :nu] = mass.to_dense()
+        want = alpha * mass_dense - dt * jac
+        assert np.max(np.abs(plan.op.to_dense() - want)) <= 1e-15 * np.max(np.abs(want))
+        x = rng.standard_normal(nu + nw)
+        assert np.allclose(plan.precond.matvec(want @ x), x, rtol=0, atol=1e-12)
+
+    def test_kept_plans_solve_through_the_class(self, monkeypatch):
+        # heat's plans outlive the step that built them; a wrapper patched on
+        # BandedLU after step 1, as perfbench's tracer patches it, must still
+        # see every solve of step 2, with no new factorization
+        problem = make_problem("heat1d", n=32)
+        tableau = make_tableau("radau_iia", 3)  # one real block and one pair
+        prep = prepare_stages(tableau)
+        u1, _ = step(problem.system, problem.u0, 0.0, 1e-3, tableau, prep=prep)
+        calls = []
+        solve, factor = BandedLU.solve, BandedLU.factor
+        monkeypatch.setattr(BandedLU, "solve",
+                            lambda lu, *a, **k: calls.append("solve") or solve(lu, *a, **k))
+        monkeypatch.setattr(BandedLU, "factor",
+                            classmethod(lambda cls, a: calls.append("factor") or factor(a)))
+        _, stats = step(problem.system, u1, 1e-3, 1e-3, tableau, prep=prep)
+        assert "factor" not in calls
+        assert calls.count("solve") == stats.precond_applications > 0
 
     def test_one_assembly_per_shift(self, monkeypatch):
         # sdirk2's two stages share one shift, and heat's operator never

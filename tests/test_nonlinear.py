@@ -399,6 +399,24 @@ class TestTimeArguments:
                           make_tableau("gauss", 2))
         assert calls == [] and err.value.partial is None
 
+    @pytest.mark.parametrize("every", [0, -1, 1.5, True, "2"])
+    def test_bad_snapshot_every_rejected_before_any_step(self, every):
+        # 0 divided by zero after the first step's work, -1 kept every state
+        # and 1.5 was accepted; none of them is a count of steps
+        calls = []
+        problem = make_problem("dahlquist")
+        with pytest.raises(ConfigurationError, match="snapshot_every") as err:
+            integrate(self.counted(problem, calls), problem.u0, 0.0, 0.3, 0.1,
+                      make_tableau("gauss", 2), snapshot_every=every)
+        assert calls == [] and err.value.partial is None
+
+    @pytest.mark.parametrize("every,kept", [(None, 4), (1, 4), (np.int64(2), 3), (5, 2)])
+    def test_snapshot_every_counts_steps(self, every, kept):
+        problem = make_problem("dahlquist")
+        res = integrate(problem.system, problem.u0, 0.0, 0.3, 0.1, make_tableau("gauss", 2),
+                        snapshot_every=every)
+        assert len(res.states) == len(res.times) == kept and len(res.step_stats) == 3
+
     def test_empty_run_keeps_the_initial_state(self):
         problem = make_problem("dahlquist")
         res = integrate(problem.system, problem.u0, 0.5, 0.5, 0.1, make_tableau("gauss", 2))

@@ -197,6 +197,20 @@ class TestGmres:
         with pytest.raises(ValueError, match="non-finite"):
             gmres(dense_op(np.eye(3)), np.array([1.0, np.nan, 0.0]))
 
+    @pytest.mark.parametrize("budget", [{"restart": 0}, {"maxit": 0}, {"maxit": -3},
+                                        {"restart": -1}])
+    def test_budget_below_one_rejected(self, budget):
+        # restart=0 used to loop for ever (no iteration ever counted), maxit <= 0
+        # returned zeros unconverged and restart=-1 failed inside numpy
+        with pytest.raises(ValueError, match="maxit and restart must be >= 1"):
+            gmres(SparseMatrix(np.eye(3)), np.ones(3), **budget)
+
+    def test_products_bound_once(self):
+        # GMRES calls a matrix's ``@`` and a preconditioner's ``into`` directly
+        assert SparseMatrix.matvec is SparseMatrix.__matmul__
+        into = lambda x, out: np.copyto(out, x)  # noqa: E731
+        assert LinearOperator(3, into=into).matvec_into is into
+
     def test_restarted_convergence(self):
         rng = np.random.default_rng(6)
         a = rng.standard_normal((40, 40)) + 8 * np.eye(40)
@@ -508,6 +522,10 @@ class TestOwnership:
         with pytest.raises(ValueError, match="read-only"):
             data[0] = 5.0
 
+    def test_on_pattern_keeps_an_owned_array_without_a_view(self):
+        data = np.array([1.0, 2.0, 3.0])
+        assert SparseMatrix.on_pattern(SparseMatrix.identity(3).pattern, data).data is data
+
     def test_on_pattern_copies_a_view(self):
         # every cache built on the matrix must keep agreeing with its values
         base = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(6, 6), format="csr")
@@ -760,6 +778,95 @@ def test_matrix_market_round_trip(tmp_path):
     scipy.io.mmwrite(str(path), a.csr)
     back = scipy.io.mmread(path).tocsr()
     assert np.allclose(back.toarray(), a.to_dense())
+
+
+def layout_values(grid, terms):
+    """The block scatter's sum of ``terms`` ``(i, j, w, m)``: ``bincount``
+    over the positions :func:`sparsela._block_layout` gives every entry."""
+    places = tuple((i, j, None if m is None else m.pattern) for i, j, _, m in terms)
+    pattern, pos, bounds = sparsela._block_layout(grid, places)
+    values = np.concatenate([np.full(b - a, w) if m is None else m.data * w
+                             for (_, _, w, m), a, b in zip(terms, bounds, bounds[1:])])
+    return pattern, np.bincount(pos, values, pattern.nnz)
+
+
+class TestOnePatternPass:
+    """A one-block sum on one pattern holding the whole diagonal is one array
+    pass, bit for bit the block scatter's ``bincount``."""
+
+    @staticmethod
+    def operands(diagonal=True):
+        rng = np.random.default_rng(11)
+        a = random_operator(rng, 9, 2, True, diagonal=diagonal)
+        data = [rng.standard_normal(a.nnz) for _ in range(2)]
+        data[0][::3] = -0.0  # signed zeros among the entries
+        data[1][1::4] = 0.0
+        return [a] + [SparseMatrix.on_pattern(a.pattern, d) for d in data]
+
+    @staticmethod
+    def layout_calls(monkeypatch):
+        calls = []
+        layout = sparsela._block_layout
+        monkeypatch.setattr(sparsela, "_block_layout",
+                            lambda grid, places: calls.append(places) or layout(grid, places))
+        return calls
+
+    @pytest.mark.parametrize("weights", [
+        [1.5, -2.0, 0.25, 3.0], [0.0, -0.0, 0.5, -1.0], [-0.0, 0.0, -0.0, 0.0],
+        [2.0, 0.0, 0.0, 0.0], [0.0, 1e-300, -7.0, 0.0]])
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3), (1, 0, 3, 2), (3, 2, 1, 0)])
+    def test_matches_the_scatter(self, monkeypatch, weights, order):
+        ops = [None] + self.operands()  # the identity, then three matrices
+        terms = [(0, 0, weights[k], ops[k]) for k in order]
+        calls = self.layout_calls(monkeypatch)
+        out = sparsela.stack((9,), terms, owner=ops[1])
+        assert calls == []  # the pass, not the layout
+        pattern, want = layout_values(((9,), (9,)), terms)
+        assert out.pattern is pattern is ops[1].pattern
+        assert out.data.tobytes() == want.tobytes()
+
+    def test_combine_takes_the_pass(self, monkeypatch):
+        ops = self.operands()
+        calls = self.layout_calls(monkeypatch)
+        out = combine([2.0, 0.0, -0.5, 1.0], [None] + ops)  # a zero weight is skipped
+        zero = combine([0.0, 0.0, 0.0], ops)
+        assert calls == []
+        _, want = layout_values(((9,), (9,)), [(0, 0, 2.0, None), (0, 0, -0.5, ops[1]),
+                                               (0, 0, 1.0, ops[2])])
+        assert out.data.tobytes() == want.tobytes()
+        _, want = layout_values(((9,), (9,)), [(0, 0, 0.0, m) for m in ops])
+        assert zero.data.tobytes() == want.tobytes() == np.zeros(ops[0].nnz).tobytes()
+
+    def test_rows_match_the_scatter(self, monkeypatch):
+        ops = self.operands()
+        weights = np.array([[1.5, -2.0, 0.25], [0.0, -0.0, 1.0], [-0.0, 0.0, -0.0],
+                            [1e-300, 3.0, -3.0]])
+        calls = self.layout_calls(monkeypatch)
+        rows = combine_rows(weights, ops)
+        assert calls == []
+        for w, row in zip(weights, rows):
+            pattern, want = layout_values(((9,), (9,)), [(0, 0, c, m) for c, m in zip(w, ops)])
+            assert row.pattern is pattern and row.data.tobytes() == want.tobytes()
+            assert not row.data.flags.writeable and row.data.base is rows[0].data.base
+
+    def test_missing_diagonal_takes_the_layout(self, monkeypatch):
+        ops = self.operands(diagonal=False)
+        assert ops[0].pattern.diag is None
+        terms = [(0, 0, 0.5, ops[0]), (0, 0, -1.0, None), (0, 0, 2.0, ops[1])]
+        calls = self.layout_calls(monkeypatch)
+        out = sparsela.stack((9,), terms, owner=ops[0])
+        assert len(calls) == 1
+        pattern, want = layout_values(((9,), (9,)), terms)
+        assert out.pattern is pattern is not ops[0].pattern
+        assert out.data.tobytes() == want.tobytes()
+        assert np.array_equal(out.to_dense(), 0.5 * ops[0].to_dense() - np.eye(9)
+                              + 2.0 * ops[1].to_dense())
+
+    def test_diagonal_positions(self):
+        p = Pattern.of((3, 3), [0, 2, 3, 5], [0, 2, 1, 0, 2])
+        assert p.diag.tolist() == [0, 2, 4]
+        assert Pattern.of((3, 3), [0, 1, 2, 3], [1, 1, 2]).diag is None
+        assert Pattern.of((2, 3), [0, 1, 2], [0, 1]).diag is None
 
 
 class TestBandOrdering:
