@@ -25,7 +25,6 @@ usual accounting for such schemes).
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -33,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigurationError, IrkitError, StepFailureError
 from .irk_core import PairPlan, PrecondSpec, ShiftedPlan, solve_block, solve_transformed_system
-from .sparsela import SparseMatrix, _memoized, combine_rows
+from .sparsela import SparseMatrix, _is_count, _memoized, combine_rows
 from .tableau import SDIRK_FAMILIES, ButcherTableau, StagePrep, prepare_stages
 
 
@@ -102,11 +101,6 @@ class SolverConfig:
             raise ConfigurationError(
                 f"unknown jacobian_refresh {self.jacobian_refresh!r}"
             )
-
-
-def _is_count(value):
-    """True for an integer >= 1 that is not a ``bool``."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 1
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,12 @@ scatter, as RADAU5 forms ``fac*M - J`` in place (Hairer & Wanner, *Solving
 ODEs II*, IV.8).  The band is the pattern's own: its literal half-bandwidth
 in natural order, or in reverse Cuthill-McKee order when that is strictly
 narrower (Cuthill & McKee 1969; George & Liu 1981), which turns periodic
-wrap-around stencils into plain bands.  A product with a vector calls the
-CSR kernel behind scipy's own ``csr @ x`` on the pattern's index arrays, so
-no scipy matrix is built for it.
+wrap-around stencils into plain bands.  LAPACK stores a band just under a
+multiple of 16 wide padded up to it (:func:`storage_width`; shear's 31 as
+32), so OpenBLAS's ``dger`` runs every column update in its 16-row kernel
+blocks, with no scalar tail, to the same bits.  A product with a vector
+calls the CSR kernel behind scipy's own ``csr @ x`` on the pattern's index
+arrays, so no scipy matrix is built for it.
 
 Values are immutable (``data`` is read-only, and no writable alias of it is
 kept), so one matrix object holds one set of values, checked finite once
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -68,6 +72,18 @@ from .errors import KrylovBreakdownError, SingularMatrixError
 SUM_CACHE_SIZE = 64
 _OWNER = object()  # stands for the memo's owner in its keys
 _EPS = np.finfo(float).eps
+# LAPACK's banded LU (dgbtf2) and solve (dgbtrs) hand each column update to
+# BLAS dger, whose OpenBLAS kernel runs 16 rows a block and the rest in a scalar
+# tail.  A half-bandwidth k with k % 16 >= 12 is stored padded up to the next
+# multiple of 16 with zero diagonals (same pivots, same bits).  In interleaved
+# scans (tests/band_width_scan.py, n=256 and 1024) every such k factored 4-44%
+# faster; smaller remainders mostly lost (k=2 stored 16 wide took 1.9-2.7x).
+BLAS_KERNEL_ROWS, PAD_FROM_REMAINDER = 16, 12
+
+
+def storage_width(k):
+    """Half-bandwidth at which LAPACK stores a band of true half-bandwidth ``k``."""
+    return k + -k % BLAS_KERNEL_ROWS if k % BLAS_KERNEL_ROWS >= PAD_FROM_REMAINDER else k
 
 
 class Pattern:
@@ -122,8 +138,9 @@ class Pattern:
         and ``inv`` are ``None`` otherwise): entry ``(i, j)`` moves to
         ``(inv[i], inv[j])`` with ``inv[perm] = arange(n)``.  ``scatter``
         holds the flat positions of the entries in a Fortran-ordered
-        ``(3*k + 1, n)`` LAPACK ``ab`` array.  At ``k <= 1`` no ordering is
-        tried: a strictly narrower one would make the pattern diagonal.
+        ``(3*K + 1, n)`` LAPACK ``ab`` array, ``K = storage_width(k)``.  At
+        ``k <= 1`` no ordering is tried: a strictly narrower one would make
+        the pattern diagonal.
         """
         rows, cols, perm = self.rows, self.indices, None
         k = int(np.max(np.abs(rows - cols), initial=0))
@@ -135,7 +152,8 @@ class Pattern:
             k_rcm = int(np.max(np.abs(inv[rows] - inv[cols]), initial=0))
             if k_rcm < k:
                 k, perm, rows, cols = k_rcm, order, inv[rows], inv[cols]
-        return k, perm, None if perm is None else inv, 2 * k + rows - cols + cols * (3 * k + 1)
+        w = storage_width(k)
+        return k, perm, None if perm is None else inv, 2 * w + rows - cols + cols * (3 * w + 1)
 
 
 @lru_cache(maxsize=256)
@@ -256,6 +274,12 @@ def _check_finite(values):
     values = values.ravel()
     if not (math.isfinite(values.dot(values)) or np.all(np.isfinite(values))):
         raise ValueError("matrix contains non-finite entries")
+
+
+def _is_count(value):
+    """True for an integer >= 1 that is not a ``bool`` (a plain ``int`` checked first)."""
+    return (type(value) is int or not isinstance(value, bool)
+            and isinstance(value, numbers.Integral)) and value >= 1
 
 
 def combine(coeffs, mats):
@@ -438,7 +462,8 @@ def gmres(op, rhs, right_precond=None, rtol=1e-5, maxit=200, restart=200):
     preconditioner fills ``z[j]`` through :meth:`LinearOperator.matvec_into`,
     its ``into`` itself.  The Hessenberg columns and Givens rotations are
     lists of floats.  Nothing is sized by ``restart`` and nothing is kept
-    between calls.  A ``maxit`` or ``restart`` below 1 raises ``ValueError``.
+    between calls.  A ``maxit`` or ``restart`` that is not an integer (a
+    ``bool`` is not one) or is below 1 raises ``ValueError``.
 
     Every product of two ndarrays is written ``a.dot(b)``, not ``a @ b``:
     both end in the same BLAS call (``ddot``, ``dgemv``) and give the same
@@ -468,8 +493,9 @@ def gmres(op, rhs, right_precond=None, rtol=1e-5, maxit=200, restart=200):
         bnorm = math.sqrt(rhs.dot(rhs))
     if not (0.0 < rtol < 1.0):
         raise ValueError(f"rtol must lie in (0, 1), got {rtol}")
-    if not (maxit >= 1 and restart >= 1):
-        raise ValueError(f"maxit and restart must be >= 1, got {maxit} and {restart}")
+    for name, value in (("maxit", maxit), ("restart", restart)):
+        if not _is_count(value):
+            raise ValueError(f"maxit and restart must be >= 1 integers, got {name}={value!r}")
     pre = right_precond or LinearOperator(n, lambda v: v, solves_per_apply=0)
     spa, apply_m = pre.solves_per_apply, pre.matvec_into
     if bnorm == 0.0:
@@ -574,7 +600,9 @@ class BandedLU:
     equal, and which LAPACK's ``pttrf`` finds positive definite, is factored
     as ``L D L^T`` without pivoting (``pttrf``/``pttrs``), whose solve costs
     about half of ``gbtrs``'s; every other band (nonsymmetric, indefinite,
-    singular) takes ``gbtrf``/``gbtrs``.  Raises :class:`SingularMatrixError`
+    singular) takes ``gbtrf``/``gbtrs`` on the band stored
+    :func:`storage_width` wide, which keeps OpenBLAS ``dger``'s column
+    updates in its 16-row kernel.  Raises :class:`SingularMatrixError`
     when a pivot (an entry of ``D``) falls below ``n * eps`` times the
     largest entry: on singular periodic operators LAPACK leaves
     roundoff-sized pivots, not exact zeros, and their size grows with ``n``
@@ -593,6 +621,7 @@ class BandedLU:
         if n == 0:
             return cls(0, 0, None, None, None, None)
         k, perm, inv, scatter = a.pattern.band
+        k = storage_width(k)
         ab = np.zeros((n, 3 * k + 1))
         ab.ravel()[scatter] = a.data
         # columns 3, 2 and 1 of ab hold the sub-, main and superdiagonal

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse as sp
+from scipy.linalg import lapack
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
@@ -18,6 +19,7 @@ from irkit.sparsela import (
     combine,
     combine_rows,
     gmres,
+    storage_width,
 )
 
 
@@ -204,6 +206,22 @@ class TestGmres:
         # returned zeros unconverged and restart=-1 failed inside numpy
         with pytest.raises(ValueError, match="maxit and restart must be >= 1"):
             gmres(SparseMatrix(np.eye(3)), np.ones(3), **budget)
+
+    @pytest.mark.parametrize("budget, shown", [({"maxit": 2.5}, "maxit=2.5"),
+                                               ({"restart": True}, "restart=True"),
+                                               ({"maxit": True}, "maxit=True"),
+                                               ({"restart": 3.0}, "restart=3.0"),
+                                               ({"maxit": "5"}, "maxit='5'")])
+    def test_non_integer_budget_rejected(self, budget, shown):
+        # a float or string used to fail inside numpy with a bare TypeError,
+        # and True ran as a budget of 1
+        with pytest.raises(ValueError, match=f"must be >= 1 integers, got {shown}"):
+            gmres(SparseMatrix(2 * np.eye(3)), np.ones(3), **budget)
+
+    def test_numpy_integer_budget_accepted(self):
+        x, report = gmres(SparseMatrix(2 * np.eye(3)), np.ones(3), maxit=np.int64(5),
+                          restart=np.int32(3))
+        assert report.converged and np.allclose(x, 0.5)
 
     def test_products_bound_once(self):
         # GMRES calls a matrix's ``@`` and a preconditioner's ``into`` directly
@@ -926,3 +944,94 @@ class TestBandOrdering:
         x = BandedLU.factor(a).solve(b)
         ref = np.linalg.solve(a.to_dense(), b)
         assert np.max(np.abs(x - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def gbtrf_widths(monkeypatch):
+    """``(kl, ku, piv)`` of every ``dgbtrf`` call :class:`BandedLU` makes."""
+    calls, routine = [], sparsela.lapack.dgbtrf
+
+    def spy(ab, kl, ku, **kwargs):
+        lu, piv, info = routine(ab, kl, ku, **kwargs)
+        calls.append((kl, ku, piv.copy()))
+        return lu, piv, info
+
+    monkeypatch.setattr(sparsela.lapack, "dgbtrf", spy)
+    return calls
+
+
+def full_band(rng, n, k, pivoting):
+    """Random ``n x n`` matrix with every entry of half-bandwidth ``k`` stored,
+    diagonally dominant unless ``pivoting``."""
+    a = rng.standard_normal((n, n))
+    i, j = np.indices((n, n))
+    a[np.abs(i - j) > k] = 0.0
+    if not pivoting:
+        a[i == j] += 2.0 * (2 * k + 1)
+    return a
+
+
+class TestStorageWidth:
+    """The band is stored at ``storage_width(k)``, wider than ``k`` when the
+    BLAS kernel's row blocks would otherwise leave a long scalar tail."""
+
+    @pytest.mark.parametrize("k, width", [(2, 2), (12, 16), (13, 16), (14, 16), (15, 16),
+                                          (17, 17), (28, 32), (29, 32), (30, 32), (31, 32)])
+    @pytest.mark.parametrize("pivoting", [False, True], ids=["dominant", "pivoting"])
+    @pytest.mark.parametrize("nrhs", [None, 3])
+    def test_matches_lapack_at_the_true_width(self, monkeypatch, k, width, pivoting, nrhs):
+        # the oracle is dgbtrf/dgbtrs on the band stored k wide; equal bits are
+        # checked by golden_steps.py --check, as kernels may round differently
+        # on another CPU
+        rng = np.random.default_rng(1000 * k + 10 * pivoting + (nrhs or 1))
+        n = 3 * k + 20
+        a = full_band(rng, n, k, pivoting)
+        m = SparseMatrix(a)
+        assert m.pattern.band[0] == k and m.pattern.band[1] is None
+        ab = np.zeros((3 * k + 1, n))
+        for d in range(-k, k + 1):
+            j = np.arange(max(0, -d), min(n, n - d))
+            ab[2 * k + d, j] = a[j + d, j]
+        lu, piv, info = lapack.dgbtrf(ab, k, k)
+        assert info == 0
+        assert np.any(piv != np.arange(n)) == pivoting
+        b = rng.standard_normal(n if nrhs is None else (n, nrhs))
+        want = lapack.dgbtrs(lu, k, k, b, piv)[0]
+        calls = gbtrf_widths(monkeypatch)
+        x = m.factorization.solve(b)
+        [(kl, ku, got_piv)] = calls
+        assert kl == ku == width == storage_width(k)
+        np.testing.assert_array_equal(got_piv, piv)
+        assert np.max(np.abs(x - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("dims, k", [((7, 7), 14), ((8, 8), 15), ((15, 15), 30),
+                                         ((16, 16), 31)])
+    def test_singular_torus_at_a_padded_width_raises(self, monkeypatch, dims, k):
+        lap = torus_operator(dims, 1.0)
+        assert lap.pattern.band[0] == k
+        calls = gbtrf_widths(monkeypatch)
+        with pytest.raises(SingularMatrixError):
+            BandedLU.factor(lap)
+        assert [c[:2] for c in calls] == [(storage_width(k),) * 2] and storage_width(k) > k
+
+    def test_workload_operators(self, monkeypatch):
+        # burgers' RCM band (k=2) would lose badly if padded; heat's SPD
+        # tridiagonal takes pttrf; shear's 2-D operators (k=31) are stored 32
+        # wide, so every dger column update runs in the 16-row kernel
+        burgers = make_problem("burgers1d", n=256)
+        jac = burgers.system.linearize(burgers.u0, 0.0)
+        heat = make_problem("heat1d", n=1024)
+        shear = make_problem("shear_layer_small", n=16)
+        lu, _, _, gw = shear.system.blocks(shear.u0, shear.w0, 0.0)
+        cases = [("burgers", combine([3.0, -1e-4], [None, jac]), 2, 2),
+                 ("shear L_u", combine([3.0, -1e-2], [None, lu]), 31, 32),
+                 ("shear G_w", gw, 31, 32)]
+        for name, m, k, width in cases:
+            calls = gbtrf_widths(monkeypatch)
+            m.factorization
+            assert m.pattern.band[0] == k, f"{name}: half-bandwidth moved"
+            assert [c[:2] for c in calls] == [(width, width)], (
+                f"{name}: band of half-width {k} must be stored {width} wide "
+                f"(sparsela.storage_width, BLAS_KERNEL_ROWS = {sparsela.BLAS_KERNEL_ROWS})")
+        calls = lapack_calls(monkeypatch, ("dpttrf", "dgbtrf"))
+        combine([3.0, -1e-3], [None, heat.system.linearize(heat.u0, 0.0)]).factorization
+        assert calls == ["dpttrf"]
