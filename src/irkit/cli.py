@@ -125,7 +125,7 @@ def main(argv=None):
     try:
         manifest = _manifest_from_args(args.experiment, args)
         rows = run(manifest)
-    except (ConfigurationError, IrkitError, OSError, ValueError) as exc:
+    except (IrkitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for row in rows:

@@ -34,9 +34,9 @@ import numpy as np
 
 from . import densela
 from .errors import ConfigurationError, IndexViolationError, SingularMatrixError, StageSolveError
-from .irk_core import PairPlan, ShiftedSolver, _block_matrix
+from .irk_core import PairPlan, ShiftedSolver, _block_matrix, _check_dt
 from .nonlinear import (COUNTERS, IntegrationResult, OdeSystem, SolverConfig, StageState,
-                        _state_vector, march, newton_like_step, stage_residual)
+                        _advance, _state_vector, march, stage_residual)
 from .sparsela import SparseMatrix, combine
 from .tableau import SDIRK_FAMILIES, prepare_stages
 
@@ -269,18 +269,9 @@ class _ReorderedPlan(_CoupledPlan):
 PAIR_PLANS = {"coupled": _CoupledPlan, "reordered": _ReorderedPlan}
 
 
-def dae_step(sys: DaeSystem, u, w, t, dt, tableau, cfg=SolverConfig(), prep=None,
-             mode="coupled"):
-    """One DAE step; returns ``(u_next, w_next, StepStats)``.
-
-    :func:`~irkit.nonlinear.newton_like_step` solves the stage system of
-    ``diag(M, 0) y' = F(y)`` on the ODE view of ``sys``, with stage rows
-    ``[k | ell]`` and the pair-plan class of ``mode``.  ``u`` and ``w`` must
-    have lengths ``dim_u`` and ``dim_w`` and ``dt`` must be positive; otherwise
-    a ``ValueError`` is raised before any work, as is a :class:`ConfigurationError`
-    for an unknown ``mode`` or an inexact ``cfg.precond.inner``.  A raised
-    ``StepFailureError`` carries the step's stats with its inner solves counted.
-    """
+def _check_dae(sys: DaeSystem, u, w, tableau, cfg, mode, names=("u", "w")):
+    """The DAE path's options (no DIRK tableau, a known ``mode``, exact inner
+    solves), then ``(u, w)`` as float vectors of lengths ``dim_u``/``dim_w``."""
     if tableau.family in SDIRK_FAMILIES:
         raise ConfigurationError(
             "DIRK tableaux are not supported on DAE systems; use a fully "
@@ -291,20 +282,31 @@ def dae_step(sys: DaeSystem, u, w, t, dt, tableau, cfg=SolverConfig(), prep=None
     if cfg.precond.inner != "exact":
         raise ConfigurationError(
             f"inner={cfg.precond.inner!r}: the DAE's shifted solve is exact only")
-    y = np.concatenate([_state_vector(u, sys.dim_u, "u", "dim_u"),
-                        _state_vector(w, sys.dim_w, "w", "dim_w")])
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    if prep is None:
-        prep = prepare_stages(tableau)
-    st = StageState(np.zeros((tableau.s, len(y))), y, t, dt)
-    st, stats = newton_like_step(_ode_view(sys), st, prep, cfg, PAIR_PLANS[mode])
-    y_next = y + dt * tableau.b0.dot(st.k)
-    u_next, w_next = y_next[: sys.dim_u], y_next[sys.dim_u :]
-    stats.constraint_residual = float(
-        np.linalg.norm(sys.constraint(u_next, w_next, t + dt))
-    )
-    return u_next, w_next, stats
+    return (_state_vector(u, sys.dim_u, names[0], "dim_u"),
+            _state_vector(w, sys.dim_w, names[1], "dim_w"))
+
+
+def _split(sys: DaeSystem, y, t, stats):
+    """``y = [u | w]`` as ``(u, w)``; ``|G(u, w, t)|`` goes into ``stats``."""
+    u, w = y[: sys.dim_u], y[sys.dim_u :]
+    stats.constraint_residual = float(np.linalg.norm(sys.constraint(u, w, t)))
+    return u, w
+
+
+def dae_step(sys: DaeSystem, u, w, t, dt, tableau, cfg=SolverConfig(), prep=None,
+             mode="coupled"):
+    """One DAE step: the ODE core's step on the view of ``sys`` as ``diag(M, 0) y' =
+    F(y)``, stage rows ``[k | ell]``, with the pair-plan class of ``mode``; returns
+    ``(u_next, w_next, StepStats)``.  A DIRK tableau, an unknown ``mode``, an inexact
+    ``cfg.precond.inner``, a ``u``/``w`` not of length ``dim_u``/``dim_w`` or a ``dt``
+    outside ``(0, inf)`` raises :class:`ConfigurationError` before any work; a raised
+    ``StepFailureError`` carries the step's stats with its inner solves counted.
+    """
+    u, w = _check_dae(sys, u, w, tableau, cfg, mode)
+    _check_dt(dt)
+    y, stats = _advance(_ode_view(sys), np.concatenate([u, w]), t, dt, tableau, cfg, prep,
+                        PAIR_PLANS[mode])
+    return (*_split(sys, y, t + dt, stats), stats)
 
 
 class DaeIntegrationResult(IntegrationResult):
@@ -332,26 +334,25 @@ def dae_integrate(sys: DaeSystem, u0, w0, t0, t_final, dt, tableau,
                   cfg=SolverConfig(), mode="coupled"):
     """Fixed-step DAE march.
 
-    ``u0``/``w0`` must have lengths ``dim_u``/``dim_w`` and satisfy the
-    constraint to 1e-10, and the reordered ``mode`` needs ``L_w(u0, w0, t0)``
-    to be structurally zero; ``dt`` and ``t_final`` are checked by ``march``.
-    A failing step raises its :class:`~irkit.errors.IrkitError` with the
-    partial :class:`DaeIntegrationResult` attached as ``partial``.
+    Before any step, what :func:`dae_step` checks is checked once, ``u0``/``w0``
+    must satisfy the constraint to 1e-10, the reordered ``mode`` needs a
+    structurally zero ``L_w(u0, w0, t0)`` and ``march`` checks the time
+    arguments, each rejection a :class:`ConfigurationError` with ``partial =
+    None``.  A failing step raises its :class:`~irkit.errors.IrkitError` with
+    the partial :class:`DaeIntegrationResult` attached as ``partial``.
     """
-    u0 = _state_vector(u0, sys.dim_u, "u0", "dim_u")
-    w0 = _state_vector(w0, sys.dim_w, "w0", "dim_w")
+    u0, w0 = _check_dae(sys, u0, w0, tableau, cfg, mode, ("u0", "w0"))
     g0 = np.linalg.norm(sys.constraint(u0, w0, t0))
     if g0 > 1e-10:
         raise ConfigurationError(
             f"inconsistent initial condition: |G(u0, w0, t0)| = {g0:.3e}"
         )
-    # an inexact inner solve is rejected by the first step, before any call
-    if mode == "reordered" and cfg.precond.inner == "exact" and sys.blocks(u0, w0, t0)[1].nnz:
+    if mode == "reordered" and sys.blocks(u0, w0, t0)[1].nnz:
         raise ConfigurationError("reordered mode requires structurally zero L_w blocks")
-    prep = prepare_stages(tableau)
+    prep, view, pair_plan = prepare_stages(tableau), _ode_view(sys), PAIR_PLANS[mode]
 
     def advance(state, t):
-        u, w, stats = dae_step(sys, *state, t, dt, tableau, cfg, prep=prep, mode=mode)
-        return (u, w), stats
+        y, stats = _advance(view, np.concatenate(state), t, dt, tableau, cfg, prep, pair_plan)
+        return _split(sys, y, t + dt, stats), stats
 
     return march(advance, (u0.copy(), w0.copy()), t0, t_final, dt, DaeIntegrationResult)

@@ -5,13 +5,14 @@ from __future__ import annotations
 
 class IrkitError(Exception):
     """Base class for all solver-kit errors.  ``partial`` is the trajectory up to
-    the last accepted step when an integration loop's step raised it, else ``None``."""
+    the last accepted step when an integration loop's step raised it, else ``None``,
+    as for every rejection before a first step: a :class:`ConfigurationError`."""
 
     partial = None
 
 
-class ConfigurationError(IrkitError):
-    """Invalid or unsupported configuration (scheme, parameters, pattern)."""
+class ConfigurationError(IrkitError, ValueError):
+    """Invalid or unsupported configuration, input data or time argument."""
 
 
 class DecompositionError(IrkitError):

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.linalg import eig_banded
 
 from . import densela
-from .errors import StageSolveError
+from .errors import ConfigurationError, StageSolveError
 from .sparsela import (
     KrylovReport,
     LinearOperator,
@@ -58,7 +58,7 @@ class PrecondSpec:
     a positive finite float.  ``inner`` is ``"exact"`` for factored solves
     or an integer for that many damped-Jacobi sweeps (a stand-in for one
     cycle of an iterative inner preconditioner).  A ``bool`` is neither,
-    although Python counts it as an int: it raises ``ValueError``.
+    although Python counts it as an int: it raises ``ConfigurationError``.
     """
 
     gamma_mode: object = "star"
@@ -66,17 +66,18 @@ class PrecondSpec:
 
     def __post_init__(self):
         if isinstance(self.gamma_mode, bool):
-            raise ValueError(f"gamma mode must be 'star', 'eta' or a positive float, "
-                             f"got {self.gamma_mode!r}")
+            raise ConfigurationError(f"gamma mode must be 'star', 'eta' or a positive float, "
+                                     f"got {self.gamma_mode!r}")
         if isinstance(self.gamma_mode, str):
             if self.gamma_mode not in ("star", "eta"):
-                raise ValueError(f"unknown gamma mode {self.gamma_mode!r}")
+                raise ConfigurationError(f"unknown gamma mode {self.gamma_mode!r}")
         elif not 0.0 < float(self.gamma_mode) < float("inf"):
-            raise ValueError(f"custom gamma must be positive and finite, got {self.gamma_mode!r}")
+            raise ConfigurationError(
+                f"custom gamma must be positive and finite, got {self.gamma_mode!r}")
         if self.inner != "exact" and not (
             isinstance(self.inner, int) and not isinstance(self.inner, bool) and self.inner > 0
         ):
-            raise ValueError(f"inner must be 'exact' or a positive int, got {self.inner!r}")
+            raise ConfigurationError(f"inner must be 'exact' or a positive int, got {self.inner!r}")
 
     def gamma(self, eta, beta):
         if self.gamma_mode == "star":
@@ -292,6 +293,12 @@ def _block_plan(vjac, blk, dt, mass, spec, pair_plan):
     return plan
 
 
+def _check_dt(dt):
+    """The one rule for a step size, ``0 < dt < inf`` (NaN fails it)."""
+    if not 0.0 < dt < np.inf:
+        raise ConfigurationError(f"dt must be positive and finite, got {dt}")
+
+
 def solve_transformed_system(
     prep,
     variant_jacobian,
@@ -318,7 +325,7 @@ def solve_transformed_system(
     ``variant_jacobian``, from :func:`~irkit.nonlinear.build_variant_jacobian`.
     It keeps each block's plan for as long as ``dt``, ``mass``, ``precond``
     and ``pair_plan`` stay the same, so a memoized Jacobian plans its solve
-    once.  A ``dt`` that is not positive or a row count other than ``s``
+    once.  A ``dt`` outside ``(0, inf)`` or a row count other than ``s``
     raises ``ValueError``.  Returns ``(k, reports)``: a ``(block_offset,
     KrylovReport)`` per block in sweep order, by descending offset; a failed
     inner solve raises :class:`StageSolveError` carrying the offset and report.
@@ -327,8 +334,7 @@ def solve_transformed_system(
     s = prep.tableau.s
     if rhs.shape[0] != s:
         raise ValueError(f"rhs has {rhs.shape[0]} stage rows, expected {s}")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    _check_dt(dt)
     sweep = prep.memo.get(_sweep) or prep.memo.setdefault(_sweep, _sweep(prep))
     g = prep.schur.q.T.dot(rhs)
     y = np.empty_like(g)  # every row is solved before it is read

@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, IrkitError, StepFailureError
-from .irk_core import PairPlan, PrecondSpec, ShiftedPlan, solve_block, solve_transformed_system
+from .irk_core import (PairPlan, PrecondSpec, ShiftedPlan, _check_dt, solve_block,
+                       solve_transformed_system)
 from .sparsela import SparseMatrix, _is_count, _memoized, combine_rows
 from .tableau import SDIRK_FAMILIES, ButcherTableau, StagePrep, prepare_stages
 
@@ -338,23 +339,16 @@ def newton_like_step(sys: OdeSystem, st: StageState, prep: StagePrep, cfg: Solve
 
     def solve(vjac, res):
         return solve_transformed_system(
-            prep,
-            dt=st.dt,
-            rhs_stages=res,
-            mass=sys.mass,
-            precond=cfg.precond,
-            krylov_rtol=cfg.krylov_rtol,
-            krylov_maxit=cfg.krylov_maxit,
-            variant_jacobian=vjac,
-            pair_plan=pair_plan,
-        )
+            prep, dt=st.dt, rhs_stages=res, mass=sys.mass, precond=cfg.precond,
+            krylov_rtol=cfg.krylov_rtol, krylov_maxit=cfg.krylov_maxit,
+            variant_jacobian=vjac, pair_plan=pair_plan)
 
     _, stats = richardson(residual, assemble, solve, st.k, cfg, tableau.s)
     return st, stats
 
 
 def _dirk_step(sys: OdeSystem, u, t, dt, tableau, cfg: SolverConfig):
-    """Sequential stage solves for (S)DIRK tableaux.
+    """Sequential stage solves for (S)DIRK tableaux; returns ``(k, StepStats)``.
 
     Each stage is a backward-Euler-type solve ``M k_i - h L k_i`` with
     ``h = dt * a_ii``, each driven to tolerance by its own Richardson iteration.
@@ -384,37 +378,39 @@ def _dirk_step(sys: OdeSystem, u, t, dt, tableau, cfg: SolverConfig):
 
         k[i], _ = richardson(residual, assemble, solve, np.zeros(sys.dim), cfg, 1,
                              label=f"DIRK stage {i}", stats=stats)
-    u_next = u + dt * tableau.b0.dot(k)
-    return u_next, k, stats
+    return k, stats
 
 
 def _state_vector(x, n, name, dim):
-    """``x`` as a float vector; a shape other than ``(n,)`` raises ``ValueError``
-    naming the expected length ``dim``."""
+    """``x`` as a float vector; a shape other than ``(n,)`` raises
+    :class:`ConfigurationError` naming the expected length ``dim``."""
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
-        raise ValueError(f"{name} has shape {x.shape}; expected length {dim} = {n}")
+        raise ConfigurationError(f"{name} has shape {x.shape}; expected length {dim} = {n}")
     return x
+
+
+def _advance(sys: OdeSystem, u, t, dt, tableau, cfg, prep, pair_plan=PairPlan):
+    """The one step core, on checked inputs: ``(u + dt * sum b_i k_i, StepStats)``,
+    the stages solved in turn for a DIRK tableau, else by :func:`newton_like_step`."""
+    if tableau.family in SDIRK_FAMILIES:
+        k, stats = _dirk_step(sys, u, t, dt, tableau, cfg)
+    else:
+        st = StageState(np.zeros((tableau.s, sys.dim)), u, t, dt)
+        st, stats = newton_like_step(sys, st, prep or prepare_stages(tableau), cfg, pair_plan)
+        k = st.k
+    return u + dt * tableau.b0.dot(k), stats
 
 
 def step(sys: OdeSystem, u, t, dt, tableau, cfg=SolverConfig(), prep=None):
     """Advance one step: solve the stages, then ``u + dt * sum b_i k_i``.
 
-    Returns ``(u_next, StepStats)``.  ``u`` must have length ``sys.dim`` and
-    ``dt`` must be positive; otherwise a ``ValueError`` is raised before any work.
+    Returns ``(u_next, StepStats)``.  A ``u`` not of length ``sys.dim`` or a
+    ``dt`` outside ``(0, inf)`` raises :class:`ConfigurationError` before any work.
     """
     u = _state_vector(u, sys.dim, "u", "dim")
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    if tableau.family in SDIRK_FAMILIES:
-        u_next, _, stats = _dirk_step(sys, u, t, dt, tableau, cfg)
-        return u_next, stats
-    if prep is None:
-        prep = prepare_stages(tableau)
-    st = StageState(k=np.zeros((tableau.s, sys.dim)), u=u, t=t, dt=dt)
-    st, stats = newton_like_step(sys, st, prep, cfg)
-    u_next = st.u + dt * tableau.b0.dot(st.k)
-    return u_next, stats
+    _check_dt(dt)
+    return _advance(sys, u, t, dt, tableau, cfg, prep)
 
 
 @dataclass
@@ -438,9 +434,10 @@ def march(advance, state, t0, t_final, dt, pack, snapshot_every=None):
     ``pack(times, states, step_stats)`` builds the result.  ``snapshot_every``
     keeps every j-th state (initial and final always kept).  Before any step,
     ``0 < dt < inf``, ``t0 <= t_final``, an integer step count ``(t_final -
-    t0) / dt`` and ``snapshot_every`` (``None`` or an integer >= 1) are
-    checked.  A failing step's :class:`IrkitError` is re-raised with
-    ``partial`` set to the packed trajectory up to the last accepted step.
+    t0) / dt`` and ``snapshot_every`` (``None`` or an integer >= 1) are checked,
+    each a :class:`ConfigurationError` with ``partial = None``.  A failing
+    step's :class:`IrkitError` is re-raised with ``partial`` set to the packed
+    trajectory up to the last accepted step.
     """
     if not (0.0 < dt < np.inf and t0 <= t_final):
         raise ConfigurationError(f"need 0 < dt < inf and t0 <= t_final, got dt={dt}, "
@@ -471,27 +468,22 @@ def march(advance, state, t0, t_final, dt, pack, snapshot_every=None):
     return pack(np.array(times), states, step_stats)
 
 
-def integrate(
-    sys: OdeSystem,
-    u0,
-    t0,
-    t_final,
-    dt,
-    tableau,
-    cfg=SolverConfig(),
-    snapshot_every=None,
-):
+def integrate(sys: OdeSystem, u0, t0, t_final, dt, tableau, cfg=SolverConfig(),
+              snapshot_every=None):
     """Fixed-step march from ``t0`` to ``t_final``.
 
-    ``dt``, ``t_final`` and ``snapshot_every`` are checked as :func:`march`
-    says.  The first failing step raises its :class:`IrkitError` with the
-    partial result attached as ``partial``.  ``snapshot_every`` keeps every
-    j-th state (the initial and final states are always kept).
+    ``u0`` is checked as :func:`step` checks ``u``, then the time arguments and
+    ``snapshot_every`` as :func:`march` says, all before any step: each
+    rejection is a :class:`ConfigurationError` with ``partial = None``.  The
+    first failing step raises its :class:`IrkitError` with the partial result
+    attached as ``partial``.  ``snapshot_every`` keeps every j-th state (the
+    initial and final states are always kept).
     """
+    u0 = _state_vector(u0, sys.dim, "u0", "dim")
     prep = None if tableau.family in SDIRK_FAMILIES else prepare_stages(tableau)
     return march(
-        lambda u, t: step(sys, u, t, dt, tableau, cfg, prep=prep),
-        np.array(u0, dtype=float), t0, t_final, dt, IntegrationResult, snapshot_every,
+        lambda u, t: _advance(sys, u, t, dt, tableau, cfg, prep),
+        u0.copy(), t0, t_final, dt, IntegrationResult, snapshot_every,
     )
 
 

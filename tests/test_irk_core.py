@@ -493,7 +493,9 @@ class TestSolveTransformed:
     @pytest.mark.parametrize("dt, rows, fragment", [
         (0.1, 3, "rhs has 3 stage rows, expected 2"),
         (0.0, 2, "dt must be positive"),
-    ], ids=["stage-rows", "zero-dt"])
+        (np.nan, 2, "dt must be positive and finite, got nan"),
+        (np.inf, 2, "dt must be positive and finite, got inf"),
+    ], ids=["stage-rows", "zero-dt", "nan-dt", "inf-dt"])
     def test_bad_input_rejected(self, dt, rows, fragment):
         prep = prepare_stages(make_tableau("gauss", 2))
         lmat = make_problem("heat1d", n=8).operator

@@ -422,7 +422,7 @@ class TestTimeArguments:
         res = integrate(problem.system, problem.u0, 0.5, 0.5, 0.1, make_tableau("gauss", 2))
         assert list(res.times) == [0.5] and res.step_stats == []
 
-    @pytest.mark.parametrize("dt", [-0.1, 0.0, np.nan])
+    @pytest.mark.parametrize("dt", [-0.1, 0.0, np.nan, np.inf])
     @pytest.mark.parametrize("path,family", [("ode", "gauss"), ("ode", "sdirk2"),
                                              ("dae", "radau_iia")])
     def test_step_rejects_before_any_rhs_call(self, path, family, dt):
@@ -437,6 +437,82 @@ class TestTimeArguments:
                 problem = make_problem("dahlquist")
                 step(self.counted(problem, calls), problem.u0, 0.0, dt, tableau)
         assert calls == []
+
+
+INEXACT = SolverConfig(precond=PrecondSpec(inner=2))
+
+
+def pre_step_rows():
+    """Every rejection before a first step, as ``(path, entry, arguments, calls)``.
+
+    ``arguments`` override a valid call of ``step``/``dae_step`` or
+    ``integrate``/``dae_integrate``; ``calls`` are the run's own checks at
+    ``(u0, w0, t0)`` made before the rejection: the consistency check's
+    ``constraint`` call and the reordered check's ``blocks`` call.
+    """
+    dts = {"negative-dt": {"dt": -0.1}, "zero-dt": {"dt": 0.0}, "nan-dt": {"dt": np.nan},
+           "inf-dt": {"dt": np.inf}}
+    run_times = {"backward": {"t_final": -0.2}, "nan-t-final": {"t_final": np.nan},
+                 "non-integer-steps": {"t_final": 0.25}}
+    options = {"mode": {"mode": "foo"}, "inner-coupled": {"cfg": INEXACT},
+               "inner-reordered": {"cfg": INEXACT, "mode": "reordered"},
+               "dirk-tableau": {"family": "sdirk2"}}
+    for path in ("ode", "dirk", "dae"):
+        for entry in ("step", "run"):
+            dae_run = (path, entry) == ("dae", "run")
+            rows = {"mis-sized-u": ({"u": np.zeros(2)}, [])}
+            if path == "dae":
+                rows["mis-sized-w"] = ({"w": np.zeros(2)}, [])
+                rows |= {name: (args, []) for name, args in options.items()}
+            # march checks a run's time arguments, after the DAE consistency check
+            rows |= {name: (args, ["constraint"] if dae_run else [])
+                     for name, args in (dts | run_times if entry == "run" else dts).items()}
+            if dae_run:
+                rows["inconsistent-w0"] = ({"w": np.zeros(1)}, ["constraint"])
+                rows["reordered-nonzero-lw"] = ({"mode": "reordered"}, ["constraint", "blocks"])
+            elif entry == "run":
+                rows |= {f"snapshot-every-{every!r}": ({"snapshot_every": every}, [])
+                         for every in (0, -1, 1.5, True, "2")}
+            for name, (args, calls) in rows.items():
+                yield pytest.param(path, entry, args, calls, id=f"{path}-{entry}-{name}")
+
+
+class TestPreStepRejections:
+    """One contract for a run or step rejected before its first step, on the
+    ODE, DIRK and DAE paths alike: options, data, time arguments and
+    ``snapshot_every`` each raise a ``ConfigurationError`` with ``partial is
+    None``, and no ``rhs``, ``linearize``, ``constraint`` or ``blocks`` call
+    is made other than the run's own checks at the initial point."""
+
+    @pytest.mark.parametrize("path,entry,args,want", pre_step_rows())
+    def test_rejected_before_any_work(self, path, entry, args, want):
+        calls = []
+
+        def counted(name, fn):
+            return lambda *a: calls.append(name) or fn(*a)
+
+        problem = make_problem("dae_manufactured" if path == "dae" else "dahlquist")
+        sys = problem.system
+        names = ("rhs", "constraint", "blocks") if path == "dae" else ("rhs", "linearize")
+        sys = replace(sys, **{name: counted(name, getattr(sys, name)) for name in names})
+        args = {"u": problem.u0, "w": problem.w0, "dt": 0.1, "t_final": 0.2,
+                "cfg": SolverConfig(), "mode": "coupled",
+                "family": "sdirk2" if path == "dirk" else "radau_iia", **args}
+        tableau = make_tableau(args.pop("family"), 2)
+        with pytest.raises(ConfigurationError) as err:
+            if path == "dae" and entry == "step":
+                dae_step(sys, args["u"], args["w"], 0.0, args["dt"], tableau, args["cfg"],
+                         mode=args["mode"])
+            elif path == "dae":
+                dae_integrate(sys, args["u"], args["w"], 0.0, args["t_final"], args["dt"],
+                              tableau, args["cfg"], mode=args["mode"])
+            elif entry == "step":
+                step(sys, args["u"], 0.0, args["dt"], tableau, args["cfg"])
+            else:
+                integrate(sys, args["u"], 0.0, args["t_final"], args["dt"], tableau, args["cfg"],
+                          snapshot_every=args.get("snapshot_every"))
+        assert err.value.partial is None
+        assert calls == want
 
 
 class TestStepAndIntegrate:
@@ -573,13 +649,17 @@ class TestStepAndIntegrate:
         assert err.value.stats.krylov_iterations == 0
         assert err.value.stats.newton_iterations == 0
 
-    @pytest.mark.parametrize("family", ["gauss", "sdirk2"])
-    def test_mis_sized_state_fails_fast(self, family):
+    @pytest.mark.parametrize("family,which", [("gauss", "u"), ("sdirk2", "u"), ("gauss", "u0")],
+                             ids=["gauss", "sdirk2", "integrate"])
+    def test_mis_sized_state_fails_fast(self, family, which):
         # named before any work, not a numpy broadcasting error deep in the step
         problem = make_problem("heat1d", n=8)
         tableau = make_tableau(family, 2) if family == "gauss" else make_tableau(family)
-        with pytest.raises(ValueError, match=r"u has shape \(9,\); expected length dim = 8"):
-            step(problem.system, np.zeros(9), 0.0, 1e-3, tableau)
+        with pytest.raises(ValueError, match=rf"{which} has shape \(9,\); expected length dim = 8"):
+            if which == "u":
+                step(problem.system, np.zeros(9), 0.0, 1e-3, tableau)
+            else:
+                integrate(problem.system, np.zeros(9), 0.0, 2e-3, 1e-3, tableau)
 
     @pytest.mark.parametrize("which", ["u", "w", "u0", "w0"])
     def test_mis_sized_dae_state_fails_fast(self, which):
@@ -627,23 +707,6 @@ class TestStepAndIntegrate:
         partial = err.value.partial
         assert isinstance(partial, DaeIntegrationResult if path == "dae" else IntegrationResult)
         assert len(partial.states) == 3
-
-    @pytest.mark.parametrize("case", ["inconsistent-w0", "reordered-nonzero-lw",
-                                      "non-integer-steps"])
-    def test_rejected_run_has_no_partial(self, case):
-        # an error raised before the first step carries partial = None
-        with pytest.raises(ConfigurationError) as err:
-            if case == "non-integer-steps":
-                problem = make_problem("dahlquist")
-                integrate(problem.system, problem.u0, 0.0, 0.25, 0.1, make_tableau("gauss", 2))
-            else:
-                problem = make_problem("dae_manufactured")
-                reordered = case == "reordered-nonzero-lw"
-                dae_integrate(problem.system, problem.u0,
-                              problem.w0 if reordered else np.zeros(1), 0.0, 0.2, 0.1,
-                              make_tableau("radau_iia", 2),
-                              mode="reordered" if reordered else "coupled")
-        assert err.value.partial is None
 
 
 class TestSdirkPath:
