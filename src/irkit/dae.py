@@ -33,10 +33,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import densela
-from .errors import ConfigurationError, IndexViolationError, SingularMatrixError, StageSolveError
-from .irk_core import PairPlan, ShiftedSolver, _block_matrix, _check_dt
+from .errors import ConfigurationError, IndexViolationError, SingularMatrixError
+from .irk_core import PairPlan, ShiftedSolver, _block_matrix
 from .nonlinear import (COUNTERS, IntegrationResult, OdeSystem, SolverConfig, StageState,
-                        _advance, _state_vector, march, stage_residual)
+                        _advance, _check_step, _state_vector, march, stage_residual)
 from .sparsela import SparseMatrix, combine
 from .tableau import SDIRK_FAMILIES, prepare_stages
 
@@ -184,44 +184,33 @@ class _EliminationSolver:
 
 
 def solve_dae_block4x4(plan: PairPlan, rhs, rtol=1e-5, maxit=200):
-    """Solve one complex-pair composite block; returns ``(x, report)``.
+    """Solve one complex-pair composite block; returns ``(x, report)``, the
+    report being the block's verdict for :func:`~irkit.irk_core.solve_block`.
 
     ``plan`` is the block's plan from :data:`PAIR_PLANS`: a system on
     :class:`DaeOps` with the mass ``_CompositeMass(M, dim_u)``, whose class
     sets the ordering ``plan.mode``.  ``rhs`` stacks ``(f_i, g_i, f_j, g_j)``.
-    The reordered forward substitution requires both ``L_w`` blocks to
-    vanish structurally and drops the variant-3 couplings (its triangular
-    structure assumes the lumped or weighted block-diagonal linearization),
-    so the outer nonlinear iteration absorbs any coupling mismatch.  Both
-    orderings check the block's true residual against ``rtol`` and raise
-    :class:`StageSolveError` otherwise.
+    The coupled mode returns GMRES's report on the whole block.  The
+    reordered forward substitution (for ``L_w = 0``) drops the variant-3
+    couplings (its triangular structure assumes the lumped or weighted
+    block-diagonal linearization), so the outer nonlinear iteration absorbs
+    any coupling mismatch; its report's last residual and ``converged`` are
+    the whole block's true residual and whether it is within ``rtol``.
     """
-    ops_i, ops_j = plan.system.l1, plan.system.l2
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (2 * ops_i.n,):
-        raise ValueError(f"rhs has shape {rhs.shape}, expected ({2 * ops_i.n},)")
-
-    if plan.mode == "reordered":
-        if ops_i.lw.nnz or ops_j.lw.nnz:
-            raise ConfigurationError("reordered mode requires structurally zero L_w blocks")
-        x, rep, true_rel = _solve_reordered(plan, rhs, rtol, maxit)
-    else:
-        x, rep = PairPlan.solve(plan, rhs, rtol, maxit)  # GMRES, not the plan's own solve
-        # gmres has already measured the true residual of x against rtol
-        true_rel = rep.residuals[-1]
-
-    if true_rel > rtol:
-        raise StageSolveError(
-            f"composite block residual {true_rel:.3e} above rtol {rtol:.3e}",
-            report=rep,
-        )
+    if rhs.shape != (2 * plan.system.n,):
+        raise ValueError(f"rhs has shape {rhs.shape}, expected ({2 * plan.system.n},)")
+    if plan.mode == "coupled":
+        return PairPlan.solve(plan, rhs, rtol, maxit)  # GMRES, not the plan's own solve
+    x, rep, true_rel = _solve_reordered(plan, rhs, rtol, maxit)
+    rep.residuals[-1], rep.converged = true_rel, true_rel <= rtol
     return x, rep
 
 
 def _solve_reordered(plan, rhs, rtol, maxit):
     """GMRES on the differential 2x2 block of a composite pair with
     ``L_w = 0``, then one ``G_w`` solve per stage row; returns
-    ``(x, report, true_rel)``.
+    ``(x, report, true_rel)``, the report the differential block's.
 
     ``true_rel`` is the whole block's relative true residual, taken without
     assembling the block: GMRES's recomputed residual on the differential
@@ -244,6 +233,13 @@ def _solve_reordered(plan, rhs, rtol, maxit):
     return np.concatenate(x), rep, np.sqrt(sq) / rnorm if rnorm > 0.0 else 0.0
 
 
+def _zero_lw(*lws):
+    """The reordered mode's rule, checked once per plan: every ``L_w`` is
+    structurally zero, else :class:`ConfigurationError`."""
+    if any(lw.nnz for lw in lws):
+        raise ConfigurationError("reordered mode requires structurally zero L_w blocks")
+
+
 class _CoupledPlan(PairPlan):
     """A composite pair's plan, solved by :func:`solve_dae_block4x4` in ``mode``."""
 
@@ -258,6 +254,16 @@ class _ReorderedPlan(_CoupledPlan):
     """The plan of a pair with ``L_w = 0``; keeps its differential block's plan."""
 
     mode = "reordered"
+
+    def __init__(self, system, spec):
+        _zero_lw(system.l1.lw, system.l2.lw)
+        super().__init__(system, spec)
+
+    @staticmethod
+    def shifted(alpha, mass, ops: DaeOps, dt, inner=None):
+        """A 1x1 block's :class:`_EliminationSolver`, once its ``L_w = 0`` is checked."""
+        _zero_lw(ops.lw)
+        return _EliminationSolver(alpha, mass, ops, dt, inner)
 
     @cached_property
     def differential(self):
@@ -299,11 +305,12 @@ def dae_step(sys: DaeSystem, u, w, t, dt, tableau, cfg=SolverConfig(), prep=None
     F(y)``, stage rows ``[k | ell]``, with the pair-plan class of ``mode``; returns
     ``(u_next, w_next, StepStats)``.  A DIRK tableau, an unknown ``mode``, an inexact
     ``cfg.precond.inner``, a ``u``/``w`` not of length ``dim_u``/``dim_w`` or a ``dt``
-    outside ``(0, inf)`` raises :class:`ConfigurationError` before any work; a raised
-    ``StepFailureError`` carries the step's stats with its inner solves counted.
+    outside ``(0, inf)`` or a ``prep`` built for another tableau raises
+    :class:`ConfigurationError` before any work; a failed step's error carries its
+    stats with its inner solves counted.
     """
     u, w = _check_dae(sys, u, w, tableau, cfg, mode)
-    _check_dt(dt)
+    _check_step(dt, tableau, prep)
     y, stats = _advance(_ode_view(sys), np.concatenate([u, w]), t, dt, tableau, cfg, prep,
                         PAIR_PLANS[mode])
     return (*_split(sys, y, t + dt, stats), stats)
@@ -347,8 +354,8 @@ def dae_integrate(sys: DaeSystem, u0, w0, t0, t_final, dt, tableau,
         raise ConfigurationError(
             f"inconsistent initial condition: |G(u0, w0, t0)| = {g0:.3e}"
         )
-    if mode == "reordered" and sys.blocks(u0, w0, t0)[1].nnz:
-        raise ConfigurationError("reordered mode requires structurally zero L_w blocks")
+    if mode == "reordered":
+        _zero_lw(sys.blocks(u0, w0, t0)[1])
     prep, view, pair_plan = prepare_stages(tableau), _ode_view(sys), PAIR_PLANS[mode]
 
     def advance(state, t):

@@ -5,10 +5,14 @@ from __future__ import annotations
 
 class IrkitError(Exception):
     """Base class for all solver-kit errors.  ``partial`` is the trajectory up to
-    the last accepted step when an integration loop's step raised it, else ``None``,
-    as for every rejection before a first step: a :class:`ConfigurationError`."""
+    the last accepted step when an integration loop's step raised it, and
+    ``stats`` the failing step's :class:`~irkit.nonlinear.StepStats` when it left
+    the step's ``richardson``, every linear solve that ran counted in, the
+    failing one included.  Each is ``None`` otherwise, as for every rejection
+    before a first step: a :class:`ConfigurationError`."""
 
     partial = None
+    stats = None
 
 
 class ConfigurationError(IrkitError, ValueError):
@@ -36,24 +40,19 @@ class IndexViolationError(IrkitError):
 
 
 class StageSolveError(IrkitError):
-    """An inner stage-block solve did not converge.
+    """An eigen-block (or DIRK stage) solve did not converge.
 
-    Carries the offending eigen-block offset and the Krylov report so callers
-    can decide whether to retry with different settings.
+    Carries the block's offset and Krylov report, and ``reports``: the
+    ``(block_offset, KrylovReport)`` pairs of the solves so far in the sweep,
+    the failing one last, so callers can count its work or retry with
+    different settings.
     """
 
-    def __init__(self, message, block_offset=None, report=None):
+    def __init__(self, message, block_offset=None, report=None, reports=()):
         super().__init__(message)
-        self.block_offset = block_offset
-        self.report = report
+        self.block_offset, self.report, self.reports = block_offset, report, reports
 
 
 class StepFailureError(IrkitError):
-    """A nonlinear stage solve exhausted its iteration budget.
-
-    ``stats`` holds the iteration statistics of the failed step.
-    """
-
-    def __init__(self, message, stats=None):
-        super().__init__(message)
-        self.stats = stats
+    """A nonlinear stage solve failed: a non-finite or growing residual, a
+    failed linearization or an exhausted iteration budget."""

@@ -16,6 +16,7 @@ linearization variant; the preconditioner always ignores them.
 
 Each eigen-block (and DIRK stage) is solved by its plan's ``solve(rhs, rtol,
 maxit) -> (x, KrylovReport)``: a :class:`ShiftedPlan` or a :class:`PairPlan`.
+The report is the block's verdict, which :func:`solve_block` alone judges.
 The DAE path plugs in a ``PairPlan`` subclass as ``pair_plan=``; its
 ``shifted`` solver serves both kinds of block.
 
@@ -29,6 +30,7 @@ operator's are built on the first step only.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,6 +43,7 @@ from .sparsela import (
     KrylovReport,
     LinearOperator,
     SparseMatrix,
+    _is_count,
     combine,
     gmres,
     stack,
@@ -55,28 +58,25 @@ class PrecondSpec:
     """Shift choice and inner-solver policy for the block preconditioners.
 
     ``gamma_mode`` is ``"star"`` (optimal shift), ``"eta"`` (naive shift) or
-    a positive finite float.  ``inner`` is ``"exact"`` for factored solves
-    or an integer for that many damped-Jacobi sweeps (a stand-in for one
-    cycle of an iterative inner preconditioner).  A ``bool`` is neither,
-    although Python counts it as an int: it raises ``ConfigurationError``.
+    a positive finite real number.  ``inner`` is ``"exact"`` for factored
+    solves or a count (:func:`~irkit.sparsela._is_count`) of damped-Jacobi
+    sweeps (a stand-in for one cycle of an iterative inner preconditioner).
+    Anything else, a ``bool`` included although Python counts it as an int,
+    raises ``ConfigurationError`` naming the field.
     """
 
     gamma_mode: object = "star"
     inner: object = "exact"
 
     def __post_init__(self):
-        if isinstance(self.gamma_mode, bool):
-            raise ConfigurationError(f"gamma mode must be 'star', 'eta' or a positive float, "
-                                     f"got {self.gamma_mode!r}")
-        if isinstance(self.gamma_mode, str):
-            if self.gamma_mode not in ("star", "eta"):
-                raise ConfigurationError(f"unknown gamma mode {self.gamma_mode!r}")
-        elif not 0.0 < float(self.gamma_mode) < float("inf"):
-            raise ConfigurationError(
-                f"custom gamma must be positive and finite, got {self.gamma_mode!r}")
-        if self.inner != "exact" and not (
-            isinstance(self.inner, int) and not isinstance(self.inner, bool) and self.inner > 0
-        ):
+        g = self.gamma_mode
+        if isinstance(g, str):
+            if g not in ("star", "eta"):
+                raise ConfigurationError(f"unknown gamma mode {g!r}")
+        elif isinstance(g, bool) or not isinstance(g, numbers.Real) or not 0.0 < g < np.inf:
+            raise ConfigurationError(f"gamma_mode must be 'star', 'eta' or a real number, "
+                                     f"positive and finite, got {g!r}")
+        if not (self.inner == "exact" or _is_count(self.inner)):
             raise ConfigurationError(f"inner must be 'exact' or a positive int, got {self.inner!r}")
 
     def gamma(self, eta, beta):
@@ -258,19 +258,18 @@ class ShiftedPlan:
         return gmres(self.op, rhs, right_precond=self.precond, rtol=rtol, maxit=maxit)
 
 
-def solve_block(plan, rhs, rtol, maxit, what, offset):
-    """``plan.solve(rhs, rtol, maxit)``; a solve that did not converge raises
-    :class:`StageSolveError` named by ``what()``, with ``offset`` and the
-    report, and one the plan raises itself gets ``offset`` if it names none."""
-    try:
-        x, rep = plan.solve(rhs, rtol, maxit)
-    except StageSolveError as exc:
-        if exc.block_offset is None:
-            exc.block_offset = offset
-        raise
+def solve_block(plan, rhs, rtol, maxit, what, offset, reports):
+    """The one verdict on a block solve: returns the ``x`` of ``plan.solve(rhs,
+    rtol, maxit)`` after appending ``(offset, report)`` to ``reports``, the
+    sweep's list.  A report that has not converged raises
+    :class:`StageSolveError` named by ``what``, with its last residual
+    against ``rtol``, and carrying ``offset``, the report and ``reports``."""
+    x, rep = plan.solve(rhs, rtol, maxit)
+    reports.append((offset, rep))
     if not rep.converged:
-        raise StageSolveError(f"{what()} did not converge", block_offset=offset, report=rep)
-    return x, rep
+        raise StageSolveError(f"{what} did not converge: residual {rep.residuals[-1]:.3e} "
+                              f"above rtol {rtol:.3e}", offset, rep, reports)
+    return x
 
 
 def _block_plan(vjac, blk, dt, mass, spec, pair_plan):
@@ -327,8 +326,9 @@ def solve_transformed_system(
     and ``pair_plan`` stay the same, so a memoized Jacobian plans its solve
     once.  A ``dt`` outside ``(0, inf)`` or a row count other than ``s``
     raises ``ValueError``.  Returns ``(k, reports)``: a ``(block_offset,
-    KrylovReport)`` per block in sweep order, by descending offset; a failed
-    inner solve raises :class:`StageSolveError` carrying the offset and report.
+    KrylovReport)`` per block in sweep order, by descending offset; a block
+    whose report has not converged raises :class:`StageSolveError` from
+    :func:`solve_block`, carrying its offset, its report and that list so far.
     """
     rhs = np.asarray(rhs_stages, dtype=float)
     s = prep.tableau.s
@@ -350,11 +350,10 @@ def solve_transformed_system(
                 if od is not None:
                     row += dt * (od @ y[j])
         plan = _block_plan(variant_jacobian, blk, dt, mass, precond, pair_plan)
-        sol, rep = solve_block(plan, acc.ravel(), krylov_rtol, krylov_maxit, what, blk.offset)
+        sol = solve_block(plan, acc.ravel(), krylov_rtol, krylov_maxit, what, blk.offset, reports)
         y[span] = sol.reshape(blk.size, -1)
         for i in range(span.start, span.stop):
             my[i] = y[i] if mass is None else mass @ y[i]
-        reports.append((blk.offset, rep))
     return sweep[0].dot(y), reports
 
 
@@ -365,7 +364,7 @@ def _sweep(prep):
     return q.dot(r), [(blk, slice(blk.offset, blk.offset + blk.size),
                        [[(j, (i, j), float(r[i, j])) for j in range(blk.offset + blk.size, s)]
                         for i in range(blk.offset, blk.offset + blk.size)],
-                       lambda b=blk: f"{b.size}x{b.size} block at offset {b.offset}")
+                       f"{blk.size}x{blk.size} block at offset {blk.offset}")
                       for blk in reversed(prep.schur.blocks)]
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, IrkitError, StepFailureError
+from .errors import ConfigurationError, IrkitError, StageSolveError, StepFailureError
 from .irk_core import (PairPlan, PrecondSpec, ShiftedPlan, _check_dt, solve_block,
                        solve_transformed_system)
 from .sparsela import SparseMatrix, _is_count, _memoized, combine_rows
@@ -254,76 +254,77 @@ COUNTERS = DaeCounters()
 
 def richardson(residual, assemble, solve, x, cfg: SolverConfig, linearizations,
                label="stage solve", stats=None):
-    """Drive ``x <- x + P^{-1} F(x)`` to the residual tolerance.
+    """Drive ``x <- x + P^{-1} F(x)`` to the residual tolerance; returns ``(x, stats)``.
 
     ``residual(x)`` evaluates ``F``; ``assemble(x)`` linearizes at ``x`` into
     ``P``, which counts ``linearizations`` Jacobian assemblies and is
     refreshed per ``cfg.jacobian_refresh``; ``solve(P, F)`` returns the
     increment and its ``(block_offset, KrylovReport)`` pairs.  The tolerance is
-    ``max(newton_rtol * |F(x0)|, newton_abs_floor)``.  Work is added to
-    ``stats``, a fresh :class:`StepStats` by default, with the wall time and
-    the :data:`COUNTERS` deltas, also on failure.  Returns ``(x, stats)``;
-    a non-finite residual norm, a residual that grew in
-    :data:`DIVERGENCE_STREAK` consecutive iterations of this call, a
-    ``ValueError`` from ``assemble`` (such as a non-finite Jacobian) or
-    exhausting ``newton_maxit`` raises :class:`StepFailureError` carrying
-    the stats.
+    ``max(newton_rtol * |F(x0)|, newton_abs_floor)``.  A non-finite residual
+    norm, a residual that grew in :data:`DIVERGENCE_STREAK` consecutive
+    iterations of this call, a ``ValueError`` from ``assemble`` (such as a
+    non-finite Jacobian) or exhausting ``newton_maxit`` raises
+    :class:`StepFailureError`.  Work is added to ``stats``, a fresh
+    :class:`StepStats` by default, which every :class:`IrkitError` leaving here
+    carries as ``.stats``, a :class:`StageSolveError`'s reports counted in; the
+    wall time and the :data:`COUNTERS` deltas are added on every way out.
     """
     stats = StepStats() if stats is None else stats
     tic, solves = time.perf_counter(), (COUNTERS.differential, COUNTERS.constraint)
-
-    def tally():
+    try:
+        res = residual(x)
+        rnorm = np.linalg.norm(res)
+        tol = max(cfg.newton_rtol * rnorm, cfg.newton_abs_floor)
+        jac = None
+        start = stats.newton_iterations
+        grew = 0  # consecutive iterations of this call that raised the residual
+        while True:
+            stats.residual_history.append(rnorm)
+            its = stats.newton_iterations - start
+            if not np.isfinite(rnorm):
+                raise StepFailureError(f"{label} residual is non-finite after {its} iterations")
+            if rnorm <= tol:
+                break
+            if grew >= DIVERGENCE_STREAK:
+                raise StepFailureError(f"{label} diverged: residual grew in {grew} consecutive "
+                                       f"iterations to {rnorm:.3e} after {its} iterations")
+            if its >= cfg.newton_maxit:
+                raise StepFailureError(f"{label} stalled after {its} iterations "
+                                       f"(residual {rnorm:.3e}, tol {tol:.3e})")
+            if jac is None or cfg.jacobian_refresh == "every":
+                try:
+                    jac = assemble(x)
+                except ValueError as exc:
+                    raise StepFailureError(
+                        f"{label} linearization failed after {its} iterations: {exc}") from exc
+                stats.jacobian_assemblies += linearizations
+            dx, reports = solve(jac, res)
+            x = x + dx
+            stats.newton_iterations += 1
+            stats.add_solve(reports)
+            res = residual(x)
+            prev, rnorm = rnorm, np.linalg.norm(res)
+            grew = grew + 1 if rnorm > prev else 0
+        stats.converged = True
+        return x, stats
+    except IrkitError as exc:
+        if isinstance(exc, StageSolveError):
+            stats.add_solve(exc.reports)
+        exc.stats = stats
+        raise
+    finally:
         stats.wall_time += time.perf_counter() - tic
         stats.differential_solves += COUNTERS.differential - solves[0]
         stats.constraint_solves += COUNTERS.constraint - solves[1]
 
-    def fail(reason, cause=None):
-        tally()
-        raise StepFailureError(f"{label} {reason}", stats=stats) from cause
-
-    res = residual(x)
-    rnorm = np.linalg.norm(res)
-    tol = max(cfg.newton_rtol * rnorm, cfg.newton_abs_floor)
-    jac = None
-    start = stats.newton_iterations
-    grew = 0  # consecutive iterations of this call that raised the residual
-    while True:
-        stats.residual_history.append(rnorm)
-        its = stats.newton_iterations - start
-        if not np.isfinite(rnorm):
-            fail(f"residual is non-finite after {its} iterations")
-        if rnorm <= tol:
-            break
-        if grew >= DIVERGENCE_STREAK:
-            fail(f"diverged: residual grew in {grew} consecutive iterations "
-                 f"to {rnorm:.3e} after {its} iterations")
-        if its >= cfg.newton_maxit:
-            fail(f"stalled after {its} iterations (residual {rnorm:.3e}, tol {tol:.3e})")
-        if jac is None or cfg.jacobian_refresh == "every":
-            try:
-                jac = assemble(x)
-            except ValueError as exc:
-                fail(f"linearization failed after {its} iterations: {exc}", exc)
-            stats.jacobian_assemblies += linearizations
-        dx, reports = solve(jac, res)
-        x = x + dx
-        stats.newton_iterations += 1
-        stats.add_solve(reports)
-        res = residual(x)
-        prev, rnorm = rnorm, np.linalg.norm(res)
-        grew = grew + 1 if rnorm > prev else 0
-    stats.converged = True
-    tally()
-    return x, stats
-
 
 def newton_like_step(sys: OdeSystem, st: StageState, prep: StagePrep, cfg: SolverConfig,
                      pair_plan=PairPlan):
-    """Drive the stage vectors to the residual tolerance.
+    """Drive the stage vectors from ``st.k`` to the residual tolerance.
 
-    Returns the updated state and iteration statistics; exhausting
-    ``newton_maxit`` raises :class:`StepFailureError` carrying the stats.
-    ``pair_plan``, the eigen-block plan class, goes on to
+    Returns the stage vectors :func:`richardson` returns and the step's
+    :class:`StepStats`; a failure raises from :func:`richardson` with the
+    stats.  ``pair_plan``, the eigen-block plan class, goes on to
     :func:`~irkit.irk_core.solve_transformed_system`.
     """
     tableau = prep.tableau
@@ -343,8 +344,7 @@ def newton_like_step(sys: OdeSystem, st: StageState, prep: StagePrep, cfg: Solve
             krylov_rtol=cfg.krylov_rtol, krylov_maxit=cfg.krylov_maxit,
             variant_jacobian=vjac, pair_plan=pair_plan)
 
-    _, stats = richardson(residual, assemble, solve, st.k, cfg, tableau.s)
-    return st, stats
+    return richardson(residual, assemble, solve, st.k, cfg, tableau.s)
 
 
 def _dirk_step(sys: OdeSystem, u, t, dt, tableau, cfg: SolverConfig):
@@ -372,9 +372,9 @@ def _dirk_step(sys: OdeSystem, u, t, dt, tableau, cfg: SolverConfig):
             return ShiftedPlan(1.0, sys.linearize(*point(ki)), sys.mass, h, cfg.precond)
 
         def solve(plan, res):
-            dk, rep = solve_block(plan, res, cfg.krylov_rtol, cfg.krylov_maxit,
-                                  lambda: f"DIRK stage {i} solve", i)
-            return dk, [(i, rep)]
+            reports = []
+            return solve_block(plan, res, cfg.krylov_rtol, cfg.krylov_maxit,
+                               f"DIRK stage {i} solve", i, reports), reports
 
         k[i], _ = richardson(residual, assemble, solve, np.zeros(sys.dim), cfg, 1,
                              label=f"DIRK stage {i}", stats=stats)
@@ -397,19 +397,29 @@ def _advance(sys: OdeSystem, u, t, dt, tableau, cfg, prep, pair_plan=PairPlan):
         k, stats = _dirk_step(sys, u, t, dt, tableau, cfg)
     else:
         st = StageState(np.zeros((tableau.s, sys.dim)), u, t, dt)
-        st, stats = newton_like_step(sys, st, prep or prepare_stages(tableau), cfg, pair_plan)
-        k = st.k
+        k, stats = newton_like_step(sys, st, prep or prepare_stages(tableau), cfg, pair_plan)
     return u + dt * tableau.b0.dot(k), stats
+
+
+def _check_step(dt, tableau, prep):
+    """A step's ``0 < dt < inf``, and a ``prep`` that is ``None`` or built for
+    ``tableau``: the same object (tested first) or equal ``a0``/``b0``/``c0``."""
+    _check_dt(dt)
+    built = tableau if prep is None else prep.tableau
+    if built is not tableau and not all(
+            np.array_equal(getattr(built, a), getattr(tableau, a)) for a in ("a0", "b0", "c0")):
+        raise ConfigurationError(f"prep was built for {built.label}, not {tableau.label}")
 
 
 def step(sys: OdeSystem, u, t, dt, tableau, cfg=SolverConfig(), prep=None):
     """Advance one step: solve the stages, then ``u + dt * sum b_i k_i``.
 
-    Returns ``(u_next, StepStats)``.  A ``u`` not of length ``sys.dim`` or a
-    ``dt`` outside ``(0, inf)`` raises :class:`ConfigurationError` before any work.
+    Returns ``(u_next, StepStats)``.  A ``u`` not of length ``sys.dim``, a
+    ``dt`` outside ``(0, inf)`` or a ``prep`` built for another tableau raises
+    :class:`ConfigurationError` before any work.
     """
     u = _state_vector(u, sys.dim, "u", "dim")
-    _check_dt(dt)
+    _check_step(dt, tableau, prep)
     return _advance(sys, u, t, dt, tableau, cfg, prep)
 
 
@@ -497,34 +507,13 @@ def write_step_stats_csv(result, path):
     """
     import csv
 
+    fields = ("newton_iterations", "krylov_iterations", "block_iterations",
+              "precond_applications", "differential_solves", "constraint_solves", "wall_time")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "step",
-                "newton_iterations",
-                "krylov_iterations",
-                "block_iterations",
-                "precond_applications",
-                "differential_solves",
-                "constraint_solves",
-                "wall_time",
-            ]
-        )
+        writer.writerow(["step", *fields])
         for j, st in enumerate(result.step_stats):
-            blocks = ";".join(
-                f"{off}:{'+'.join(str(i) for i in its)}"
-                for off, its in sorted(st.block_iterations.items())
-            )
-            writer.writerow(
-                [
-                    j,
-                    st.newton_iterations,
-                    st.krylov_iterations,
-                    blocks,
-                    st.precond_applications,
-                    st.differential_solves,
-                    st.constraint_solves,
-                    repr(float(st.wall_time)),
-                ]
-            )
+            blocks = sorted(st.block_iterations.items())
+            row = vars(st) | {"wall_time": repr(float(st.wall_time)), "block_iterations": ";".join(
+                f"{off}:{'+'.join(map(str, its))}" for off, its in blocks)}
+            writer.writerow([j, *(row[name] for name in fields)])

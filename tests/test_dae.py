@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from irkit import dae, nonlinear
+from irkit import dae, irk_core, nonlinear
 from irkit.dae import (
     DaeIntegrationResult,
     DaeOps,
@@ -26,6 +26,7 @@ from irkit.irk_core import (
     PrecondSpec,
     ShiftedSolver,
     apply_block2x2,
+    solve_block,
     solve_transformed_system,
 )
 from irkit.nonlinear import (IntegrationResult, SolverConfig, StageState, build_variant_jacobian,
@@ -214,27 +215,36 @@ class TestBlockSolve:
         assert abs(true_rel - assembled) <= 1e-14
 
     def test_reordered_recheck_catches_a_wrong_constraint_solve(self, monkeypatch):
+        # constraint solves 0.1% off leave an algebraic residual of order 1e-3:
+        # the report's verdict is the whole block's, and solve_block raises on it
         rng = np.random.default_rng(4)
         oi = random_ops(rng, 3, 3, lw_zero=True)
         oj = random_ops(rng, 3, 3, lw_zero=True)
         rhs = rng.standard_normal(12)
         solve = dae._solve_gw
         monkeypatch.setattr(dae, "_solve_gw", lambda gw, r: 1.001 * solve(gw, r))
-        with pytest.raises(StageSolveError, match="composite block residual"):
-            solve_dae_block4x4(pair_plan(oi, oj, 2.0, 1.3, 0.8, 0.25, mode="reordered"), rhs,
-                               rtol=1e-8, maxit=100)
+        plan = pair_plan(oi, oj, 2.0, 1.3, 0.8, 0.25, mode="reordered")
+        _, rep = solve_dae_block4x4(plan, rhs, rtol=1e-8, maxit=100)
+        assert not rep.converged and rep.residuals[-1] > 1e-8
+        reports = []
+        with pytest.raises(StageSolveError, match=r"pair did not converge: residual") as err:
+            solve_block(plan, rhs, 1e-8, 100, "pair", 0, reports)
+        assert err.value.reports is reports and reports == [(0, err.value.report)]
 
     @pytest.mark.parametrize("mode", ["coupled", "reordered"])
     def test_failed_composite_pair_names_its_block(self, mode):
-        # the block's own residual recheck raises; the sweep adds the offset
+        # the pair's report is its verdict; solve_block names the block in the sweep
         problem = make_problem("shear_layer_small", n=8)
         tableau = make_tableau("radau_iia", 2)
         (pair,) = [b.offset for b in prepare_stages(tableau).schur.blocks if b.size == 2]
         cfg = SolverConfig(krylov_maxit=1, krylov_rtol=1e-12)
-        with pytest.raises(StageSolveError, match="composite block residual") as err:
+        with pytest.raises(StageSolveError, match=rf"2x2 block at offset {pair} did not "
+                           r"converge: residual \S+ above rtol 1\.000e-12") as err:
             dae_step(problem.system, problem.u0, problem.w0, 0.0, 0.01, tableau, cfg, mode=mode)
         assert err.value.block_offset == pair
         assert err.value.report is not None and not err.value.report.converged
+        assert err.value.reports[-1] == (pair, err.value.report)
+        assert err.value.stats.krylov_iterations == err.value.report.iterations > 0
 
     @pytest.mark.parametrize("lw_zero", [True, False], ids=["banded", "dense"])
     def test_elimination_solver_writes_the_returned_bits(self, lw_zero):
@@ -389,6 +399,26 @@ class TestSolverSplitCounts:
         assert st.differential_solves == dae.COUNTERS.differential - start.differential > 0
         assert st.constraint_solves == dae.COUNTERS.constraint - start.constraint > 0
 
+    def test_failed_coupled_step_counts_every_solve(self, monkeypatch):
+        # a block solve that fails in the first Newton iteration: the stats the
+        # error carries hold every GMRES call the step made and its inner solves
+        calls = []
+
+        def spy(*args, _gmres=irk_core.gmres, **kwargs):
+            x, rep = _gmres(*args, **kwargs)
+            calls.append(rep)
+            return x, rep
+
+        problem = make_problem("shear_layer_small", n=8)
+        monkeypatch.setattr(irk_core, "gmres", spy)
+        with pytest.raises(StageSolveError) as err:
+            dae_step(problem.system, problem.u0, problem.w0, 0.0, 0.01,
+                     make_tableau("radau_iia", 3), SolverConfig(krylov_maxit=1, krylov_rtol=1e-12))
+        assert [rep.converged for rep in calls] == [True, False]  # the 1x1 block, then the pair
+        st = err.value.stats
+        assert st.differential_solves == st.precond_applications > 0
+        assert st.krylov_iterations == sum(rep.iterations for rep in calls)
+
     @pytest.mark.parametrize("variant", [0, 1, 2, 3])
     def test_manufactured_totals(self, variant):
         problem = make_problem("dae_manufactured")
@@ -466,6 +496,16 @@ class TestConfigurationChecks:
             dae_integrate(self.counted_manufactured(calls), np.ones(1), np.ones(1), 0.0, 0.5,
                           0.1, make_tableau("radau_iia", 3), mode="reordered")
         assert calls == ["blocks"]
+
+    @pytest.mark.parametrize("s", [1, 2], ids=["real-block", "complex-pair"])
+    def test_reordered_step_needs_zero_lw(self, s):
+        # checked once per plan, for either block kind, so a step rejects what
+        # a run rejects; the check still comes after the first residual
+        problem = make_problem("dae_manufactured")
+        with pytest.raises(ConfigurationError, match="structurally zero L_w") as err:
+            dae_step(problem.system, problem.u0, problem.w0, 0.0, 0.1,
+                     make_tableau("radau_iia", s), mode="reordered")
+        assert err.value.stats.krylov_iterations == 0
 
     def test_precond_spec_names_a_rejected_inner(self):
         for inner in (0, -1, "jacobi", 1.5):

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from irkit.dae import DaeOps, _CompositeMass
-from irkit.errors import StageSolveError
+from irkit.errors import ConfigurationError, StageSolveError
 from irkit.irk_core import (
     Block2x2System,
     PrecondSpec,
@@ -133,6 +135,18 @@ class TestBlock2x2:
             PrecondSpec(inner=0)
         with pytest.raises(ValueError, match="unknown gamma mode 'bogus'"):
             PrecondSpec(gamma_mode="bogus")
+
+    @pytest.mark.parametrize("bad", [None, [1.0], 1j], ids=["none", "list", "complex"])
+    def test_non_real_gamma_mode_rejected(self, bad):
+        # a configuration error naming the field, not a bare TypeError
+        with pytest.raises(ConfigurationError, match=rf"gamma_mode .*got {re.escape(repr(bad))}"):
+            PrecondSpec(gamma_mode=bad)
+
+    def test_inner_is_a_count_as_the_budgets_are(self):
+        # one count rule: a numpy integer is accepted, as SolverConfig accepts it
+        assert PrecondSpec(inner=np.int64(2)).inner == 2
+        with pytest.raises(ConfigurationError, match="inner must be"):
+            PrecondSpec(inner=np.float64(2.0))
 
     @pytest.mark.parametrize("field", ["gamma_mode", "inner"])
     @pytest.mark.parametrize("flag", [True, False])

@@ -473,6 +473,8 @@ def pre_step_rows():
             elif entry == "run":
                 rows |= {f"snapshot-every-{every!r}": ({"snapshot_every": every}, [])
                          for every in (0, -1, 1.5, True, "2")}
+            if entry == "step":  # a prep built for another tableau
+                rows["mismatched-prep"] = ({"prep": prepare_stages(make_tableau("gauss", 2))}, [])
             for name, (args, calls) in rows.items():
                 yield pytest.param(path, entry, args, calls, id=f"{path}-{entry}-{name}")
 
@@ -502,12 +504,12 @@ class TestPreStepRejections:
         with pytest.raises(ConfigurationError) as err:
             if path == "dae" and entry == "step":
                 dae_step(sys, args["u"], args["w"], 0.0, args["dt"], tableau, args["cfg"],
-                         mode=args["mode"])
+                         prep=args.get("prep"), mode=args["mode"])
             elif path == "dae":
                 dae_integrate(sys, args["u"], args["w"], 0.0, args["t_final"], args["dt"],
                               tableau, args["cfg"], mode=args["mode"])
             elif entry == "step":
-                step(sys, args["u"], 0.0, args["dt"], tableau, args["cfg"])
+                step(sys, args["u"], 0.0, args["dt"], tableau, args["cfg"], prep=args.get("prep"))
             else:
                 integrate(sys, args["u"], 0.0, args["t_final"], args["dt"], tableau, args["cfg"],
                           snapshot_every=args.get("snapshot_every"))
@@ -575,6 +577,19 @@ class TestStepAndIntegrate:
         cfg = SolverConfig(newton_maxit=np.int64(3), krylov_maxit=np.int64(3))
         assert (cfg.newton_maxit, cfg.krylov_maxit) == (3, 3)
 
+    def test_prep_for_another_tableau_rejected(self):
+        # a Radau prep under a Gauss step would solve the wrong stage system
+        problem = make_problem("heat1d", n=32)
+        gauss = make_tableau("gauss", 2)
+        with pytest.raises(ConfigurationError, match=r"prep was built for radau_iia\(2\)"):
+            step(problem.system, problem.u0, 0.0, 0.01, gauss,
+                 prep=prepare_stages(make_tableau("radau_iia", 2)))
+        # a prep of an equal tableau built separately is the same stage system
+        want, _ = step(problem.system, problem.u0, 0.0, 0.01, gauss)
+        got, _ = step(problem.system, problem.u0, 0.0, 0.01, gauss,
+                      prep=prepare_stages(make_tableau("gauss", 2)))
+        assert np.array_equal(got, want)
+
     def test_non_integer_step_count_rejected(self):
         problem = make_problem("dahlquist")
         with pytest.raises(ConfigurationError):
@@ -628,6 +643,12 @@ class TestStepAndIntegrate:
         assert partial is not None
         assert list(partial.times) == [0.0] and partial.step_stats == []
         assert err.value.report is not None and not err.value.report.converged
+        # the failed step's stats count every solve of its sweep, the failing one too
+        stats, reports = err.value.stats, err.value.reports
+        assert reports[-1] == (err.value.block_offset, err.value.report)
+        assert not stats.converged and stats.newton_iterations == 0
+        assert stats.krylov_iterations == sum(rep.iterations for _, rep in reports) > 0
+        assert stats.block_iterations[err.value.block_offset] == [err.value.report.iterations]
 
     @pytest.mark.parametrize("path", ["ode", "dirk", "dae"])
     def test_non_finite_residual_fails_fast(self, path):
