@@ -195,7 +195,8 @@ def solve_dae_block4x4(plan: PairPlan, rhs, rtol=1e-5, maxit=200):
     couplings (its triangular structure assumes the lumped or weighted
     block-diagonal linearization), so the outer nonlinear iteration absorbs
     any coupling mismatch; its report's last residual and ``converged`` are
-    the whole block's true residual and whether it is within ``rtol``.
+    the whole block's true residual and whether it is within ``rtol``, however
+    the differential GMRES stopped (``maxit`` or a ``breakdown``, kept set).
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (2 * plan.system.n,):

@@ -31,10 +31,6 @@ class AssumptionViolationError(IrkitError):
     """A stability assumption required by the solver does not hold."""
 
 
-class KrylovBreakdownError(IrkitError):
-    """Arnoldi breakdown without a converged residual."""
-
-
 class IndexViolationError(IrkitError):
     """The algebraic constraint block is singular (system is not index-1)."""
 
@@ -42,15 +38,19 @@ class IndexViolationError(IrkitError):
 class StageSolveError(IrkitError):
     """An eigen-block (or DIRK stage) solve did not converge.
 
-    Carries the block's offset and Krylov report, and ``reports``: the
-    ``(block_offset, KrylovReport)`` pairs of the solves so far in the sweep,
-    the failing one last, so callers can count its work or retry with
-    different settings.
+    Raised by :func:`~irkit.irk_core.solve_block` alone.  Carries the block's
+    offset and Krylov report, and ``reports``: the ``(block_offset,
+    KrylovReport)`` list the failing one was appended to, last, so callers can
+    count the work or retry with different settings.
     """
 
     def __init__(self, message, block_offset=None, report=None, reports=()):
         super().__init__(message)
         self.block_offset, self.report, self.reports = block_offset, report, reports
+
+
+class KrylovBreakdownError(StageSolveError):
+    """A block solve stopped at an Arnoldi breakdown above its tolerance."""
 
 
 class StepFailureError(IrkitError):

@@ -38,7 +38,7 @@ import numpy as np
 from scipy.linalg import eig_banded
 
 from . import densela
-from .errors import ConfigurationError, StageSolveError
+from .errors import ConfigurationError, KrylovBreakdownError, StageSolveError
 from .sparsela import (
     KrylovReport,
     LinearOperator,
@@ -260,15 +260,17 @@ class ShiftedPlan:
 
 def solve_block(plan, rhs, rtol, maxit, what, offset, reports):
     """The one verdict on a block solve: returns the ``x`` of ``plan.solve(rhs,
-    rtol, maxit)`` after appending ``(offset, report)`` to ``reports``, the
-    sweep's list.  A report that has not converged raises
-    :class:`StageSolveError` named by ``what``, with its last residual
-    against ``rtol``, and carrying ``offset``, the report and ``reports``."""
+    rtol, maxit)`` after appending ``(offset, report)`` to ``reports``.  A report
+    that has not converged raises :class:`KrylovBreakdownError` if it has
+    ``breakdown`` set, else :class:`StageSolveError`, named by ``what``, with its
+    last residual against ``rtol``, and carrying ``offset``, the report and ``reports``."""
     x, rep = plan.solve(rhs, rtol, maxit)
     reports.append((offset, rep))
     if not rep.converged:
-        raise StageSolveError(f"{what} did not converge: residual {rep.residuals[-1]:.3e} "
-                              f"above rtol {rtol:.3e}", offset, rep, reports)
+        error = KrylovBreakdownError if rep.breakdown else StageSolveError
+        how = "stopped at an Arnoldi breakdown with" if rep.breakdown else "did not converge:"
+        raise error(f"{what} {how} residual {rep.residuals[-1]:.3e} above rtol {rtol:.3e}",
+                    offset, rep, reports)
     return x
 
 
@@ -308,6 +310,7 @@ def solve_transformed_system(
     krylov_rtol=1e-5,
     krylov_maxit=200,
     pair_plan=PairPlan,
+    reports=None,
 ):
     """Solve one linearized stage system through the Schur transform.
 
@@ -325,10 +328,10 @@ def solve_transformed_system(
     It keeps each block's plan for as long as ``dt``, ``mass``, ``precond``
     and ``pair_plan`` stay the same, so a memoized Jacobian plans its solve
     once.  A ``dt`` outside ``(0, inf)`` or a row count other than ``s``
-    raises ``ValueError``.  Returns ``(k, reports)``: a ``(block_offset,
-    KrylovReport)`` per block in sweep order, by descending offset; a block
-    whose report has not converged raises :class:`StageSolveError` from
-    :func:`solve_block`, carrying its offset, its report and that list so far.
+    raises ``ValueError``.  Returns ``(k, reports)``: ``reports``, a fresh list
+    if ``None``, with a ``(block_offset, KrylovReport)`` appended per block in
+    sweep order, by descending offset; a block whose report has not converged
+    raises from :func:`solve_block`, carrying its offset, its report and that list.
     """
     rhs = np.asarray(rhs_stages, dtype=float)
     s = prep.tableau.s
@@ -339,7 +342,7 @@ def solve_transformed_system(
     g = prep.schur.q.T.dot(rhs)
     y = np.empty_like(g)  # every row is solved before it is read
     my = [None] * s  # M y[j], cached once each block is solved
-    reports = []
+    reports = [] if reports is None else reports
     for blk, span, rows, what in sweep[1]:
         acc = g[span].copy()
         for row, cols in zip(acc, rows):  # each row a view, its terms added in place

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, IrkitError, StageSolveError, StepFailureError
+from .errors import ConfigurationError, IrkitError, StepFailureError
 from .irk_core import (PairPlan, PrecondSpec, ShiftedPlan, _check_dt, solve_block,
                        solve_transformed_system)
 from .sparsela import SparseMatrix, _is_count, _memoized, combine_rows
@@ -258,19 +258,21 @@ def richardson(residual, assemble, solve, x, cfg: SolverConfig, linearizations,
 
     ``residual(x)`` evaluates ``F``; ``assemble(x)`` linearizes at ``x`` into
     ``P``, which counts ``linearizations`` Jacobian assemblies and is
-    refreshed per ``cfg.jacobian_refresh``; ``solve(P, F)`` returns the
-    increment and its ``(block_offset, KrylovReport)`` pairs.  The tolerance is
+    refreshed per ``cfg.jacobian_refresh``; ``solve(P, F, reports)`` returns
+    the increment, each linear solve's ``(block_offset, KrylovReport)``
+    appended to ``reports``, this call's one list.  The tolerance is
     ``max(newton_rtol * |F(x0)|, newton_abs_floor)``.  A non-finite residual
     norm, a residual that grew in :data:`DIVERGENCE_STREAK` consecutive
-    iterations of this call, a ``ValueError`` from ``assemble`` (such as a
-    non-finite Jacobian) or exhausting ``newton_maxit`` raises
-    :class:`StepFailureError`.  Work is added to ``stats``, a fresh
-    :class:`StepStats` by default, which every :class:`IrkitError` leaving here
-    carries as ``.stats``, a :class:`StageSolveError`'s reports counted in; the
-    wall time and the :data:`COUNTERS` deltas are added on every way out.
+    iterations of this call, a non-:class:`IrkitError` ``ValueError`` from
+    ``assemble`` or ``solve`` (a non-finite Jacobian or shifted matrix) or
+    exhausting ``newton_maxit`` raises :class:`StepFailureError`.  Work is
+    added to ``stats``, a fresh :class:`StepStats` by default, which every
+    :class:`IrkitError` leaving here carries as ``.stats``; ``reports``, the
+    wall time and the :data:`COUNTERS` deltas are added once, on every way out.
     """
     stats = StepStats() if stats is None else stats
     tic, solves = time.perf_counter(), (COUNTERS.differential, COUNTERS.constraint)
+    reports = []
     try:
         res = residual(x)
         rnorm = np.linalg.norm(res)
@@ -291,28 +293,27 @@ def richardson(residual, assemble, solve, x, cfg: SolverConfig, linearizations,
             if its >= cfg.newton_maxit:
                 raise StepFailureError(f"{label} stalled after {its} iterations "
                                        f"(residual {rnorm:.3e}, tol {tol:.3e})")
-            if jac is None or cfg.jacobian_refresh == "every":
-                try:
+            try:
+                if jac is None or cfg.jacobian_refresh == "every":
                     jac = assemble(x)
-                except ValueError as exc:
-                    raise StepFailureError(
-                        f"{label} linearization failed after {its} iterations: {exc}") from exc
-                stats.jacobian_assemblies += linearizations
-            dx, reports = solve(jac, res)
-            x = x + dx
+                    stats.jacobian_assemblies += linearizations
+                x = x + solve(jac, res, reports)
+            except IrkitError:
+                raise
+            except ValueError as exc:
+                raise StepFailureError(
+                    f"{label} linearization failed after {its} iterations: {exc}") from exc
             stats.newton_iterations += 1
-            stats.add_solve(reports)
             res = residual(x)
             prev, rnorm = rnorm, np.linalg.norm(res)
             grew = grew + 1 if rnorm > prev else 0
         stats.converged = True
         return x, stats
     except IrkitError as exc:
-        if isinstance(exc, StageSolveError):
-            stats.add_solve(exc.reports)
         exc.stats = stats
         raise
     finally:
+        stats.add_solve(reports)
         stats.wall_time += time.perf_counter() - tic
         stats.differential_solves += COUNTERS.differential - solves[0]
         stats.constraint_solves += COUNTERS.constraint - solves[1]
@@ -338,11 +339,11 @@ def newton_like_step(sys: OdeSystem, st: StageState, prep: StagePrep, cfg: Solve
         ops = [sys.linearize(*point) for point in zip(*_stage_points(st, tableau))]
         return build_variant_jacobian(prep, ops, cfg.variant)
 
-    def solve(vjac, res):
+    def solve(vjac, res, reports):
         return solve_transformed_system(
             prep, dt=st.dt, rhs_stages=res, mass=sys.mass, precond=cfg.precond,
             krylov_rtol=cfg.krylov_rtol, krylov_maxit=cfg.krylov_maxit,
-            variant_jacobian=vjac, pair_plan=pair_plan)
+            variant_jacobian=vjac, pair_plan=pair_plan, reports=reports)[0]
 
     return richardson(residual, assemble, solve, st.k, cfg, tableau.s)
 
@@ -371,10 +372,9 @@ def _dirk_step(sys: OdeSystem, u, t, dt, tableau, cfg: SolverConfig):
         def assemble(ki):
             return ShiftedPlan(1.0, sys.linearize(*point(ki)), sys.mass, h, cfg.precond)
 
-        def solve(plan, res):
-            reports = []
+        def solve(plan, res, reports):
             return solve_block(plan, res, cfg.krylov_rtol, cfg.krylov_maxit,
-                               f"DIRK stage {i} solve", i, reports), reports
+                               f"DIRK stage {i} solve", i, reports)
 
         k[i], _ = richardson(residual, assemble, solve, np.zeros(sys.dim), cfg, 1,
                              label=f"DIRK stage {i}", stats=stats)

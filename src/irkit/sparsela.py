@@ -61,7 +61,7 @@ from scipy.linalg import lapack
 from scipy.sparse import _sparsetools
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .errors import KrylovBreakdownError, SingularMatrixError
+from .errors import SingularMatrixError
 
 # Distinct sums, block matrices and variant Jacobians memoized per operand,
 # evicted oldest first.  One linearization puts at most two entries on one
@@ -437,23 +437,26 @@ class LinearOperator:
 
 @dataclass
 class KrylovReport:
-    """Outcome of one GMRES solve."""
+    """Outcome of one GMRES solve.  ``breakdown`` is set when the solve stopped
+    at an Arnoldi breakdown with its residual above the tolerance."""
 
     iterations: int
     converged: bool
     residuals: list = field(default_factory=list)
     precond_applications: int = 0
+    breakdown: bool = False
 
 
 def gmres(op, rhs, right_precond=None, rtol=1e-5, maxit=200, restart=200):
     """Restarted GMRES with right preconditioning.
 
-    Returns ``(x, KrylovReport)``.  The residual history tracks relative
-    true residuals (right preconditioning leaves them unchanged), and the
-    final entry is always recomputed as ``norm(rhs - op @ x) / norm(rhs)``.
-    Reaching ``maxit`` returns a non-converged report; an Arnoldi breakdown
-    whose residual misses the tolerance raises
-    :class:`~irkit.errors.KrylovBreakdownError`.
+    Returns ``(x, KrylovReport)`` for every outcome; only bad input raises.
+    The residual history tracks relative true residuals (right
+    preconditioning leaves them unchanged), and the final entry is always
+    recomputed as ``norm(rhs - op @ x) / norm(rhs)``.  Reaching ``maxit``
+    returns a non-converged report, and so does an Arnoldi breakdown whose
+    residual misses the tolerance, with ``breakdown`` set; judging a report
+    is the caller's (:func:`~irkit.irk_core.solve_block`).
 
     ``op`` has ``n`` and ``matvec`` (a :class:`LinearOperator`, or a
     :class:`SparseMatrix`, whose ``matvec`` is its ``@``).  The Krylov vectors
@@ -505,16 +508,15 @@ def gmres(op, rhs, right_precond=None, rtol=1e-5, maxit=200, restart=200):
     r, beta = rhs, bnorm
     residuals = [beta / bnorm]
     total_it = 0
-    converged = residuals[0] <= rtol
+    converged, breakdown = residuals[0] <= rtol, False
 
-    while not converged and total_it < maxit:
+    while not (converged or breakdown) and total_it < maxit:
         m = min(restart, maxit - total_it)
         z = np.empty((min(m, 8), n))
         v = np.empty((len(z) + 1, n))
         np.divide(r, beta, out=v[0])
         g = [beta]  # the rotated right-hand side
         cols, cs, sn = [], [], []  # triangular factor by columns, rotations
-        breakdown = False
         for j in range(m):
             if j == len(z):
                 z = _widen(z, min(2 * j, m))
@@ -570,18 +572,14 @@ def gmres(op, rhs, right_precond=None, rtol=1e-5, maxit=200, restart=200):
         beta = math.sqrt(r.dot(r))
         true_rel = beta / bnorm
         residuals[-1] = true_rel
-        if true_rel <= rtol:
-            converged = True
-        elif breakdown:
-            raise KrylovBreakdownError(
-                f"Arnoldi breakdown with residual {true_rel:.3e} above rtol {rtol:.3e}"
-            )
+        converged = true_rel <= rtol
 
     report = KrylovReport(
         iterations=total_it,
         converged=converged,
         residuals=residuals,
         precond_applications=total_it * spa,
+        breakdown=breakdown and not converged,
     )
     return (x if scale == 1.0 else x * scale), report
 

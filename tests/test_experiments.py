@@ -267,6 +267,14 @@ class TestCli:
                    "--stages", "2", "--dt", "0.1"])
         assert rc == 2
 
+    def test_unknown_problem_param_exit_code(self, capsys):
+        # a configuration error (2), not a failed cell (1) or a traceback
+        rc = main(["convergence", "--problem", "dahlquist", "--problem-param", "m=3",
+                   "--scheme", "gauss", "--stages", "2", "--dt", "0.1"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "error: dahlquist takes no parameter 'm'; accepted: lam_re, lam_im")
+
     @pytest.mark.parametrize("doc, message", [
         ({"experiment": "convergence", "problem": "dahlquist", "bogus": 1},
          "unknown manifest keys: 'bogus'"),

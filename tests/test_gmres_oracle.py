@@ -208,12 +208,15 @@ def test_breakdown_at_the_solution():
     (np.diag([1.0, 0.0]), [1.0, 1.0]),
 ], ids=["small-h", "nilpotent", "singular"])
 def test_breakdown_above_rtol(a, b):
+    # the reference raises where gmres reports: the report must stop where
+    # the reference's raise does, with the residual its message gives
     op = LinearOperator(len(a), a.dot)
-    with pytest.raises(KrylovBreakdownError) as got:
-        gmres(op, np.array(b), rtol=1e-17)
+    _, rep = gmres(op, np.array(b), rtol=1e-17)
     with pytest.raises(KrylovBreakdownError) as want:
         reference_gmres(op, np.array(b), rtol=1e-17)
-    assert str(got.value) == str(want.value)
+    assert rep.breakdown and not rep.converged
+    assert str(want.value) == (
+        f"Arnoldi breakdown with residual {rep.residuals[-1]:.3e} above rtol {1e-17:.3e}")
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

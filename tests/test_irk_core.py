@@ -1,11 +1,12 @@
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from irkit.dae import DaeOps, _CompositeMass
-from irkit.errors import ConfigurationError, StageSolveError
+from irkit.errors import ConfigurationError, KrylovBreakdownError, StageSolveError
 from irkit.irk_core import (
     Block2x2System,
     PrecondSpec,
@@ -15,12 +16,14 @@ from irkit.irk_core import (
     field_of_values_bound,
     make_block2x2_preconditioner,
     measure_kappa,
+    solve_block,
     solve_transformed_system,
 )
 from irkit import dae, nonlinear, sparsela
 from irkit.problems import make_problem
 from irkit.nonlinear import SolverConfig, build_variant_jacobian, integrate, step
-from irkit.sparsela import BandedLU, LinearOperator, SparseMatrix, combine, gmres
+from irkit.sparsela import (BandedLU, KrylovReport, LinearOperator, SparseMatrix, combine,
+                             gmres)
 from irkit.tableau import kappa_bound, make_tableau, prepare_stages
 
 from exact_schur import exact_schur_preconditioner
@@ -413,9 +416,10 @@ class TestSolveTransformed:
         # a step's counters are the sums over its solves' report lists
         lists = []
 
-        def spy(*args, **kwargs):
+        def spy(*args, **kwargs):  # what this call appended to the step's list
+            start = len(kwargs["reports"])
             k, reps = solve_transformed_system(*args, **kwargs)
-            lists.append(reps)
+            lists.append(reps[start:])
             return k, reps
 
         monkeypatch.setattr(nonlinear, "solve_transformed_system", spy)
@@ -491,6 +495,20 @@ class TestSolveTransformed:
             krylov_rtol=1e-13
         )
         assert np.max(np.abs(k - oracle)) < 1e-10
+
+    def test_breakdown_report_raises_krylov_breakdown(self):
+        # solve_block judges a report with ``breakdown`` set as a breakdown,
+        # a stage solve failure like any other, and appends it first
+        rep = KrylovReport(1, False, [1.0, 0.5], 2, breakdown=True)
+        plan = SimpleNamespace(solve=lambda rhs, rtol, maxit: (rhs, rep))
+        reports = [(2, KrylovReport(3, True, [1.0, 1e-9], 3))]
+        with pytest.raises(KrylovBreakdownError, match=re.escape(
+                "pair stopped at an Arnoldi breakdown with residual 5.000e-01 above "
+                "rtol 1.000e-05")) as err:
+            solve_block(plan, np.ones(2), 1e-5, 10, "pair", 0, reports)
+        assert isinstance(err.value, StageSolveError)
+        assert (err.value.block_offset, err.value.report) == (0, rep)
+        assert err.value.reports is reports and reports[-1] == (0, rep) and len(reports) == 2
 
     def test_nonconvergence_raises_with_report(self):
         prep = prepare_stages(make_tableau("gauss", 2))

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from irkit import nonlinear
+from irkit import irk_core, nonlinear
 from irkit.dae import DaeIntegrationResult, DaeOps, dae_integrate, dae_step
-from irkit.errors import ConfigurationError, StageSolveError, StepFailureError
+from irkit.errors import (ConfigurationError, KrylovBreakdownError, SingularMatrixError,
+                          StageSolveError, StepFailureError)
 from irkit.irk_core import PrecondSpec, ShiftedSolver
 from irkit.nonlinear import (
     DIVERGENCE_STREAK,
@@ -24,7 +25,7 @@ from irkit.nonlinear import (
     variant_weights,
 )
 from irkit.problems import make_problem
-from irkit.sparsela import SparseMatrix, combine
+from irkit.sparsela import BandedLU, SparseMatrix, combine, gmres
 from irkit.tableau import make_tableau, prepare_stages
 
 TIGHT = SolverConfig(newton_rtol=1e-12, krylov_rtol=1e-12)
@@ -328,7 +329,7 @@ class TestNewton:
         """Run ``richardson`` on a scalar iteration whose residual norms are
         ``norms``, one per iterate; returns the iterate it stopped at."""
         x, _ = richardson(lambda x: np.array([norms[int(x)]]), lambda x: None,
-                          lambda jac, res: (1.0, []), 0.0,
+                          lambda jac, res, reports: 1.0, 0.0,
                           SolverConfig(), 1, stats=stats)
         return x
 
@@ -351,10 +352,10 @@ class TestNewton:
     def test_inner_solve_counts_add_up_over_calls_and_on_failure(self):
         # richardson adds its own share of the running totals to the stats it
         # was given, as DIRK's per-stage calls do, also when it raises
-        def solve(jac, res):
+        def solve(jac, res, reports):
             nonlinear.COUNTERS.differential += 2
             nonlinear.COUNTERS.constraint += 3
-            return 1.0, []
+            return 1.0
 
         def run(stats, after=0.0):  # one iteration, then the residual is ``after``
             return richardson(lambda x: np.array([1.0 if x < 1.0 else after]),
@@ -650,6 +651,39 @@ class TestStepAndIntegrate:
         assert stats.krylov_iterations == sum(rep.iterations for _, rep in reports) > 0
         assert stats.block_iterations[err.value.block_offset] == [err.value.report.iterations]
 
+    @pytest.mark.parametrize("failure", [SingularMatrixError, KrylovBreakdownError,
+                                         StageSolveError])
+    def test_failed_step_counts_every_krylov_solve(self, monkeypatch, failure):
+        # heat on gauss(4) sweeps two 2x2 blocks; the second fails after the
+        # first has run its GMRES solve: its factor is singular, or its report
+        # is made a breakdown or a stall.  The step's stats count every GMRES
+        # call that ran.
+        seen, factor = [], BandedLU.factor
+
+        def spy(*args, **kwargs):
+            x, rep = gmres(*args, **kwargs)
+            seen.append(rep)
+            if len(seen) == 2:
+                rep.converged, rep.breakdown = False, failure is KrylovBreakdownError
+            return x, rep
+
+        def singular(a):
+            if seen:
+                raise SingularMatrixError("forced")
+            return factor(a)
+
+        monkeypatch.setattr(irk_core, "gmres", spy)
+        if failure is SingularMatrixError:
+            monkeypatch.setattr(BandedLU, "factor", staticmethod(singular))
+        problem = make_problem("heat1d", n=64)
+        with pytest.raises(failure) as err:
+            step(problem.system, problem.u0, 0.0, 0.01, make_tableau("gauss", 4))
+        assert type(err.value) is failure
+        assert len(seen) == (1 if failure is SingularMatrixError else 2)
+        stats = err.value.stats
+        assert stats.krylov_iterations == sum(rep.iterations for rep in seen) > 0
+        assert stats.precond_applications == sum(rep.precond_applications for rep in seen)
+
     @pytest.mark.parametrize("path", ["ode", "dirk", "dae"])
     def test_non_finite_residual_fails_fast(self, path):
         # a NaN in the state must stop the step before any Krylov work
@@ -782,14 +816,34 @@ class TestSdirkPath:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_stage_matrix_fails_as_a_linearization(self):
-        # the stage plan is built with the linearization, so a shifted matrix
-        # that overflows fails the step as the IRK path's Jacobians do
+        # a shifted or block matrix that overflows is built with a stage plan,
+        # inside the linear solve: on the DIRK, IRK and DAE paths alike it
+        # fails the step as a Jacobian that overflows does, with the step's
+        # stats, and a run hands back its partial trajectory
         problem = make_problem("dahlquist")
-        sys = replace(problem.system,
-                      linearize=lambda u, t: SparseMatrix(np.array([[-1e308]])))
-        with pytest.raises(StepFailureError, match="DIRK stage 0 linearization failed") as err:
-            step(sys, problem.u0, 0.0, 10.0, make_tableau("sdirk2"))
-        assert isinstance(err.value.__cause__, ValueError)
+        big = SparseMatrix(np.array([[-1e308]]))
+        sys = replace(problem.system, linearize=lambda u, t: big)
+        dae = make_problem("dae_manufactured")
+        dsys = replace(dae.system, blocks=lambda u, w, t: (big, *dae.system.blocks(u, w, t)[1:]))
+
+        def failure(run, label):
+            with pytest.raises(StepFailureError, match=f"{label} linearization failed") as err:
+                run()
+            assert isinstance(err.value.__cause__, ValueError)
+            assert err.value.stats is not None and err.value.stats.newton_iterations == 0
+            return err.value.partial
+
+        radau3 = make_tableau("radau_iia", 3)
+        for tab, label in ((make_tableau("sdirk2"), "DIRK stage 0"),
+                           (make_tableau("gauss", 2), "stage solve"), (radau3, "stage solve")):
+            assert failure(lambda: step(sys, problem.u0, 0.0, 10.0, tab), label) is None
+            partial = failure(lambda: integrate(sys, problem.u0, 0.0, 20.0, 10.0, tab), label)
+            assert list(partial.times) == [0.0] and partial.step_stats == []
+        u0, w0 = dae.u0, dae.w0
+        assert failure(lambda: dae_step(dsys, u0, w0, 0.0, 10.0, radau3), "stage solve") is None
+        partial = failure(lambda: dae_integrate(dsys, u0, w0, 0.0, 20.0, 10.0, radau3),
+                          "stage solve")
+        assert list(partial.times) == [0.0] and partial.step_stats == []
 
 
 class TestAccounting:

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from irkit.errors import ConfigurationError
+from irkit.irk_core import field_of_values_bound
 from irkit.problems import (
     _grid_ops_2d,
     _periodic_central,
@@ -10,7 +13,6 @@ from irkit.problems import (
     make_problem,
     problem_names,
 )
-from irkit.sparsela import SparseMatrix
 
 
 def test_unknown_problem():
@@ -37,7 +39,7 @@ class TestHeat:
         problem = make_problem("heat1d", n=16)
         dense = problem.operator.to_dense()
         assert np.allclose(dense, dense.T)
-        assert problem.fov_bound < 0.0
+        assert field_of_values_bound(problem.operator) < 0.0
 
     def test_exact_solution_satisfies_semidiscrete_system(self):
         problem = make_problem("heat1d", n=16)
@@ -64,7 +66,7 @@ class TestAdvection:
         problem = make_problem("advection1d", n=16)
         dense = problem.operator.to_dense()
         assert np.allclose(dense, -dense.T)
-        assert abs(problem.fov_bound) <= 1e-8
+        assert field_of_values_bound(problem.operator) == 0.0
 
     def test_exact_solution_evolves_modes(self):
         problem = make_problem("advection1d", n=32)
@@ -184,12 +186,18 @@ class TestShearLayerStructure:
             assert np.array_equal(lu.to_dense(), adv.toarray())
 
 
-def test_fov_verification_rejects_mislabels():
-    from irkit.problems import _verify_fov
-
-    pos = SparseMatrix(np.array([[1.0]]))
-    with pytest.raises(ConfigurationError):
-        _verify_fov("snsd", pos)
-    with pytest.raises(ConfigurationError):
-        _verify_fov("skew", pos)
-    assert _verify_fov("general", pos) == pytest.approx(1.0, abs=1e-8)
+@pytest.mark.parametrize("name, params, fragment", [
+    ("dahlquist", {"m": 3}, "dahlquist takes no parameter 'm'; accepted: lam_re, lam_im"),
+    ("dae_manufactured", {"n": 8}, "takes no parameter 'n'; accepted: none"),
+    ("heat1d", {"n": 0}, "n must be an integer >= 1, got 0"),
+    ("heat1d", {"n": 2.5}, "n must be an integer >= 1, got 2.5"),
+    ("heat1d", {"n": True}, "n must be an integer >= 1, got True"),
+    ("shear_layer_small", {"n": 4.0}, "integer n >= 3 points, got 4.0"),
+    # a negative nu would make heat's operator positive semi-definite, not snsd
+    ("heat1d", {"nu": -1.0}, "nu must be finite and >= 0, got -1.0"),
+    ("heat1d", {"nu": np.nan}, "nu must be finite and >= 0, got nan"),
+], ids=["unknown-name", "no-params", "zero-n", "float-n", "bool-n", "float-grid-n",
+        "negative-nu", "nan-nu"])
+def test_rejects_bad_parameters(name, params, fragment):
+    with pytest.raises(ConfigurationError, match=re.escape(fragment)):
+        make_problem(name, **params)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.io
@@ -8,7 +10,7 @@ from hypothesis import strategies as hst
 
 from irkit import sparsela
 from irkit.errors import KrylovBreakdownError, SingularMatrixError
-from irkit.irk_core import Block2x2System
+from irkit.irk_core import Block2x2System, solve_block
 from irkit.problems import make_problem
 from irkit.sparsela import (
     SUM_CACHE_SIZE,
@@ -34,6 +36,13 @@ def periodic_central(n, h):
 def dense_op(a):
     """A dense array as the operator GMRES takes."""
     return LinearOperator(len(a), a.__matmul__)
+
+
+def judged(a, b, rtol):
+    """:func:`solve_block`'s verdict on GMRES's solve of ``a x = b``."""
+    plan = SimpleNamespace(
+        solve=lambda rhs, rtol, maxit: gmres(dense_op(a), rhs, rtol=rtol, maxit=maxit))
+    return solve_block(plan, np.array(b), rtol, 200, "block", 0, [])
 
 
 class TestSparseMatrix:
@@ -285,9 +294,12 @@ class TestGmres:
         assert np.allclose(x, 1.0, atol=1e-14)
 
     def test_breakdown_above_rtol_raises(self):
+        # gmres reports the breakdown; solve_block, its one judge, raises it
         a = np.diag([1.0, 1.0 + 1e-15])
+        _, rep = gmres(dense_op(a), np.ones(2), rtol=1e-17)
+        assert rep.breakdown and not rep.converged and rep.iterations == 1
         with pytest.raises(KrylovBreakdownError, match="above rtol"):
-            gmres(dense_op(a), np.ones(2), rtol=1e-17)
+            judged(a, np.ones(2), 1e-17)
 
     @pytest.mark.parametrize("a, b, residual", [
         (np.array([[0.0, 1.0], [0.0, 0.0]]), [1.0, 0.0], "1.000e\\+00"),
@@ -297,8 +309,10 @@ class TestGmres:
         # A v_j falls into the span already built, with full cancellation:
         # at once for a nilpotent operator, at the second step for a
         # singular one
+        _, rep = gmres(dense_op(a), np.array(b), rtol=1e-8)
+        assert rep.breakdown and not rep.converged
         with pytest.raises(KrylovBreakdownError, match=f"residual {residual} above"):
-            gmres(dense_op(a), np.array(b), rtol=1e-8)
+            judged(a, b, 1e-8)
 
 
 class TestBandedLU:
