@@ -41,7 +41,6 @@ from .irk_core import (
 from .nonlinear import (
     OdeSystem,
     SolverConfig,
-    StageState,
     build_variant_jacobian,
     integrate,
     newton_like_step,
@@ -80,7 +79,6 @@ __all__ = [
     "SparseMatrix",
     "StagePrep",
     "StageSolveError",
-    "StageState",
     "StepFailureError",
     "apply_block2x2",
     "build_variant_jacobian",

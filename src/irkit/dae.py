@@ -21,7 +21,7 @@ then the two constraint solves are independent.
 No state of a step is kept here: the composite mass compares by value and
 the plan classes are module-level, so a stage Jacobian's block plans serve
 every step while its blocks are unchanged.  Inner solves count into the
-running totals ``nonlinear.COUNTERS``, which ``richardson`` reads as deltas.
+``StepStats`` of running totals ``nonlinear.COUNTERS``, read by ``richardson`` as deltas.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ import numpy as np
 from . import densela
 from .errors import ConfigurationError, IndexViolationError, SingularMatrixError
 from .irk_core import PairPlan, ShiftedSolver, _block_matrix
-from .nonlinear import (COUNTERS, IntegrationResult, OdeSystem, SolverConfig, StageState,
-                        _advance, _check_step, _state_vector, march, stage_residual)
+from .nonlinear import (COUNTERS, IntegrationResult, OdeSystem, SolverConfig, _advance,
+                        _check_step, _state_vector, _step_count, march, stage_residual)
 from .sparsela import SparseMatrix, combine
 from .tableau import SDIRK_FAMILIES, prepare_stages
 
@@ -118,10 +118,10 @@ def _ode_view(sys: DaeSystem) -> OdeSystem:
     )
 
 
-def dae_stage_residual(sys: DaeSystem, st: StageState, tableau):
+def dae_stage_residual(sys: DaeSystem, k, y, t, dt, tableau):
     """Composite residual ``N(U_i, W_i, t_i) - M k_i`` and ``G(U_i, W_i, t_i)`` of
-    :func:`dae_step`'s stacked stage state: rows ``[k_i | l_i]``, state ``[u | w]``."""
-    return stage_residual(_ode_view(sys), st, tableau)
+    :func:`dae_step`'s stacked stages: rows ``k_i = [k_i | l_i]``, state ``y = [u | w]``."""
+    return stage_residual(_ode_view(sys), k, y, t, dt, tableau)
 
 
 def _gw_factor(gw: SparseMatrix):
@@ -137,7 +137,7 @@ def _solve_gw(gw: SparseMatrix, r):
     """One constraint solve ``G_w^{-1} r``, counted in :data:`COUNTERS`."""
     if gw.n == 0:
         return np.zeros_like(r)
-    COUNTERS.constraint += 1
+    COUNTERS.constraint_solves += 1
     return _gw_factor(gw).solve(r)
 
 
@@ -175,7 +175,7 @@ class _EliminationSolver:
         ru, rw = r[:nu], r[nu:]
         if ops.lw.nnz:
             ru = ru - ops.lw @ _solve_gw(ops.gw, rw)
-        COUNTERS.differential += 1
+        COUNTERS.differential_solves += 1
         out = np.empty_like(r) if out is None else out
         zu = out[:nu]
         self._reduced(ru, zu)
@@ -222,7 +222,7 @@ def _solve_reordered(plan, rhs, rtol, maxit):
     nu, n = ops_i.lu.n, ops_i.n
     rdiff = np.concatenate([rhs[:nu], rhs[n : n + nu]])
     sol, rep = plan.differential.solve(rdiff, rtol, maxit)
-    COUNTERS.differential += rep.precond_applications
+    COUNTERS.differential_solves += rep.precond_applications
     x, sq = [], (rep.residuals[-1] * np.linalg.norm(rdiff)) ** 2
     for ops, k, rw in ((ops_i, sol[:nu], rhs[nu:n]), (ops_j, sol[nu:], rhs[n + nu :])):
         b = rw + dt * (ops.gu @ k)
@@ -318,16 +318,7 @@ def dae_step(sys: DaeSystem, u, w, t, dt, tableau, cfg=SolverConfig(), prep=None
 
 
 class DaeIntegrationResult(IntegrationResult):
-    """A DAE run: ``states`` holds ``(u, w)`` pairs, read part by part through
-    ``u_states``/``w_states`` and ``u_final``/``w_final``."""
-
-    @property
-    def u_states(self):
-        return [u for u, _ in self.states]
-
-    @property
-    def w_states(self):
-        return [w for _, w in self.states]
+    """A DAE run: ``states`` holds ``(u, w)`` pairs, the last split by ``u_final``/``w_final``."""
 
     @property
     def u_final(self):
@@ -342,16 +333,17 @@ def dae_integrate(sys: DaeSystem, u0, w0, t0, t_final, dt, tableau,
                   cfg=SolverConfig(), mode="coupled"):
     """Fixed-step DAE march.
 
-    Before any step, what :func:`dae_step` checks is checked once, ``u0``/``w0``
-    must satisfy the constraint to 1e-10, the reordered ``mode`` needs a
-    structurally zero ``L_w(u0, w0, t0)`` and ``march`` checks the time
-    arguments, each rejection a :class:`ConfigurationError` with ``partial =
-    None``.  A failing step raises its :class:`~irkit.errors.IrkitError` with
-    the partial :class:`DaeIntegrationResult` attached as ``partial``.
+    Before any step, what :func:`dae_step` checks is checked once, then the
+    time arguments as ``march`` checks them; ``u0``/``w0`` must satisfy the
+    constraint to 1e-10 and the reordered ``mode`` needs a structurally zero
+    ``L_w(u0, w0, t0)``.  Each rejection is a :class:`ConfigurationError` with
+    ``partial = None``.  A failing step raises its :class:`~irkit.errors.IrkitError`
+    with the partial :class:`DaeIntegrationResult` attached as ``partial``.
     """
     u0, w0 = _check_dae(sys, u0, w0, tableau, cfg, mode, ("u0", "w0"))
+    _step_count(t0, t_final, dt)
     g0 = np.linalg.norm(sys.constraint(u0, w0, t0))
-    if g0 > 1e-10:
+    if not g0 <= 1e-10:  # NaN fails this as well
         raise ConfigurationError(
             f"inconsistent initial condition: |G(u0, w0, t0)| = {g0:.3e}"
         )

@@ -49,11 +49,6 @@ class EigenBlock:
     beta: float
     phi: float
 
-    def eigenvalues(self):
-        if self.size == 1:
-            return (complex(self.eta, 0.0),)
-        return (complex(self.eta, self.beta), complex(self.eta, -self.beta))
-
 
 @dataclass(frozen=True)
 class SchurForm:
@@ -62,9 +57,6 @@ class SchurForm:
     q: np.ndarray
     r: np.ndarray
     blocks: tuple[EigenBlock, ...]
-
-    def eigenvalues(self):
-        return np.array([lam for blk in self.blocks for lam in blk.eigenvalues()])
 
 
 def _standardized(a):
@@ -179,18 +171,12 @@ def lu_solve(a, rhs):
     return scipy.linalg.solve_triangular(a, rhs, lower=True, check_finite=False)
 
 
-def singular_values(a):
-    """Singular values in descending order (LAPACK ``gesdd``)."""
-    a = _as_square(a)
+def cond2(a):
+    """Two-norm condition number ``sigma_max / sigma_min`` (LAPACK ``gesdd``)."""
     try:
-        return scipy.linalg.svdvals(a, check_finite=False)
+        sigma = scipy.linalg.svdvals(_as_square(a), check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"SVD did not converge: {exc}") from exc
-
-
-def cond2(a):
-    """Two-norm condition number ``sigma_max / sigma_min``."""
-    sigma = singular_values(a)
     if sigma.size == 0:
         return 1.0
     smin = float(sigma[-1])

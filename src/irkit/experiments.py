@@ -65,6 +65,8 @@ class RunManifest:
             self, "schemes", tuple((str(f), int(s)) for f, s in self.schemes)
         )
         object.__setattr__(self, "dts", tuple(float(x) for x in self.dts))
+        if not (self.t_final is None or -np.inf < self.t_final < np.inf):  # NaN fails too
+            raise ConfigurationError(f"t_final must be None or finite, got {self.t_final}")
 
     def to_dict(self):
         doc = dataclasses.asdict(self)

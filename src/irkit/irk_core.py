@@ -113,9 +113,6 @@ class Block2x2System:
     def n(self):
         return self.l1.n
 
-    def mass_apply(self, x):
-        return x if self.mass is None else self.mass @ x
-
     @cached_property
     def matrix(self) -> SparseMatrix:
         """The block operator as one :class:`~irkit.sparsela.SparseMatrix`.
@@ -199,7 +196,7 @@ def _lower_triangular(sys: Block2x2System, solve1, solve2):
     def into(r, out):
         z1, z2 = out[:n], out[n:]
         solve1(r[:n], z1)
-        np.multiply(sys.mass_apply(z1), coupling, out=z2)
+        np.multiply(z1 if sys.mass is None else sys.mass @ z1, coupling, out=z2)
         z2 += r[n:]
         solve2(z2, z2)
         return out

@@ -65,16 +65,6 @@ class OdeSystem:
     name: str = ""
 
 
-@dataclass
-class StageState:
-    """Current stage vectors and step context."""
-
-    k: np.ndarray  # (s, dim)
-    u: np.ndarray
-    t: float
-    dt: float
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     variant: int = 3
@@ -198,18 +188,18 @@ def build_variant_jacobian(prep: StagePrep, stage_ops, variant):
     return _memoized(last[0] if composite else last, (prep, variant), parts, build)
 
 
-def _stage_points(st: StageState, tableau: ButcherTableau):
+def _stage_points(k, u, t, dt, tableau: ButcherTableau):
     """Stage values ``u + dt * sum a_ij k_j`` (one row each) and times ``t + c_i dt``."""
-    return st.u[None, :] + st.dt * tableau.a0.dot(st.k), st.t + tableau.c0 * st.dt
+    return u[None, :] + dt * tableau.a0.dot(k), t + tableau.c0 * dt
 
 
-def stage_residual(sys: OdeSystem, st: StageState, tableau: ButcherTableau):
+def stage_residual(sys: OdeSystem, k, u, t, dt, tableau: ButcherTableau):
     """Residual ``N(u + dt * sum a_ij k_j, t + c_i dt) - M k_i`` per stage."""
-    u_stage, t_stage = _stage_points(st, tableau)
-    out = np.empty_like(st.k)
+    u_stage, t_stage = _stage_points(k, u, t, dt, tableau)
+    out = np.empty_like(k)
     for i in range(tableau.s):
         out[i] = sys.rhs(u_stage[i], t_stage[i])
-        out[i] -= st.k[i] if sys.mass is None else sys.mass @ st.k[i]
+        out[i] -= k[i] if sys.mass is None else sys.mass @ k[i]
     return out
 
 
@@ -240,16 +230,8 @@ class StepStats:
             self.block_iterations.setdefault(off, []).append(rep.iterations)
 
 
-@dataclass
-class DaeCounters:
-    """Inner-solver applications split by block type."""
-
-    differential: int = 0
-    constraint: int = 0
-
-
 # Running totals since import; :func:`richardson` adds its share as the difference.
-COUNTERS = DaeCounters()
+COUNTERS = StepStats()
 
 
 def richardson(residual, assemble, solve, x, cfg: SolverConfig, linearizations,
@@ -271,7 +253,7 @@ def richardson(residual, assemble, solve, x, cfg: SolverConfig, linearizations,
     wall time and the :data:`COUNTERS` deltas are added once, on every way out.
     """
     stats = StepStats() if stats is None else stats
-    tic, solves = time.perf_counter(), (COUNTERS.differential, COUNTERS.constraint)
+    tic, solves = time.perf_counter(), (COUNTERS.differential_solves, COUNTERS.constraint_solves)
     reports = []
     try:
         res = residual(x)
@@ -315,13 +297,13 @@ def richardson(residual, assemble, solve, x, cfg: SolverConfig, linearizations,
     finally:
         stats.add_solve(reports)
         stats.wall_time += time.perf_counter() - tic
-        stats.differential_solves += COUNTERS.differential - solves[0]
-        stats.constraint_solves += COUNTERS.constraint - solves[1]
+        stats.differential_solves += COUNTERS.differential_solves - solves[0]
+        stats.constraint_solves += COUNTERS.constraint_solves - solves[1]
 
 
-def newton_like_step(sys: OdeSystem, st: StageState, prep: StagePrep, cfg: SolverConfig,
+def newton_like_step(sys: OdeSystem, u, t, dt, prep: StagePrep, cfg: SolverConfig,
                      pair_plan=PairPlan):
-    """Drive the stage vectors from ``st.k`` to the residual tolerance.
+    """Drive the stage vectors of a step from zero to the residual tolerance.
 
     Returns the stage vectors :func:`richardson` returns and the step's
     :class:`StepStats`; a failure raises from :func:`richardson` with the
@@ -331,21 +313,19 @@ def newton_like_step(sys: OdeSystem, st: StageState, prep: StagePrep, cfg: Solve
     tableau = prep.tableau
 
     def residual(k):
-        st.k = k
-        return stage_residual(sys, st, tableau)
+        return stage_residual(sys, k, u, t, dt, tableau)
 
     def assemble(k):
-        st.k = k
-        ops = [sys.linearize(*point) for point in zip(*_stage_points(st, tableau))]
+        ops = [sys.linearize(*point) for point in zip(*_stage_points(k, u, t, dt, tableau))]
         return build_variant_jacobian(prep, ops, cfg.variant)
 
     def solve(vjac, res, reports):
         return solve_transformed_system(
-            prep, dt=st.dt, rhs_stages=res, mass=sys.mass, precond=cfg.precond,
+            prep, dt=dt, rhs_stages=res, mass=sys.mass, precond=cfg.precond,
             krylov_rtol=cfg.krylov_rtol, krylov_maxit=cfg.krylov_maxit,
             variant_jacobian=vjac, pair_plan=pair_plan, reports=reports)[0]
 
-    return richardson(residual, assemble, solve, st.k, cfg, tableau.s)
+    return richardson(residual, assemble, solve, np.zeros((tableau.s, sys.dim)), cfg, tableau.s)
 
 
 def _dirk_step(sys: OdeSystem, u, t, dt, tableau, cfg: SolverConfig):
@@ -396,8 +376,7 @@ def _advance(sys: OdeSystem, u, t, dt, tableau, cfg, prep, pair_plan=PairPlan):
     if tableau.family in SDIRK_FAMILIES:
         k, stats = _dirk_step(sys, u, t, dt, tableau, cfg)
     else:
-        st = StageState(np.zeros((tableau.s, sys.dim)), u, t, dt)
-        k, stats = newton_like_step(sys, st, prep or prepare_stages(tableau), cfg, pair_plan)
+        k, stats = newton_like_step(sys, u, t, dt, prep or prepare_stages(tableau), cfg, pair_plan)
     return u + dt * tableau.b0.dot(k), stats
 
 
@@ -437,30 +416,33 @@ class IntegrationResult:
         return sum(getattr(s, attr) for s in self.step_stats)
 
 
+def _step_count(t0, t_final, dt):
+    """The integer step count of :func:`march`'s time arguments, checked as it says."""
+    if not (0.0 < dt < np.inf and -np.inf < t0 <= t_final < np.inf):  # NaN fails too
+        raise ConfigurationError(f"need 0 < dt < inf and t0 <= t_final, both finite, "
+                                 f"got dt={dt}, t0={t0}, t_final={t_final}")
+    nsteps_f = (t_final - t0) / dt  # >= 0; inf when the span overflows
+    if not (nsteps_f < np.inf and abs(nsteps_f - round(nsteps_f)) <= 1e-8 * max(1.0, nsteps_f)):
+        raise ConfigurationError(f"(t_final - t0)/dt = {nsteps_f} is not an integer step count")
+    return round(nsteps_f)
+
+
 def march(advance, state, t0, t_final, dt, pack, snapshot_every=None):
     """Fixed-step loop from ``t0`` to ``t_final``, shared by ODE and DAE runs.
 
     ``advance(state, t)`` returns the next state and its :class:`StepStats`;
     ``pack(times, states, step_stats)`` builds the result.  ``snapshot_every``
     keeps every j-th state (initial and final always kept).  Before any step,
-    ``0 < dt < inf``, ``t0 <= t_final``, an integer step count ``(t_final -
-    t0) / dt`` and ``snapshot_every`` (``None`` or an integer >= 1) are checked,
+    ``0 < dt < inf``, finite ``t0 <= t_final``, an integer step count ``(t_final
+    - t0) / dt`` and ``snapshot_every`` (``None`` or an integer >= 1) are checked,
     each a :class:`ConfigurationError` with ``partial = None``.  A failing
     step's :class:`IrkitError` is re-raised with ``partial`` set to the packed
     trajectory up to the last accepted step.
     """
-    if not (0.0 < dt < np.inf and t0 <= t_final):
-        raise ConfigurationError(f"need 0 < dt < inf and t0 <= t_final, got dt={dt}, "
-                                 f"t0={t0}, t_final={t_final}")
+    nsteps = _step_count(t0, t_final, dt)
     if not (snapshot_every is None or _is_count(snapshot_every)):
         raise ConfigurationError(
             f"snapshot_every must be None or an integer >= 1, got {snapshot_every!r}")
-    nsteps_f = (t_final - t0) / dt
-    nsteps = int(round(nsteps_f))
-    if abs(nsteps_f - nsteps) > 1e-8 * max(1.0, abs(nsteps_f)):
-        raise ConfigurationError(
-            f"(t_final - t0)/dt = {nsteps_f} is not an integer step count"
-        )
     times = [t0]
     states = [state]
     step_stats = []

@@ -26,6 +26,7 @@ builder does not take.
 from __future__ import annotations
 
 import inspect
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -333,8 +334,8 @@ def problem_names():
 
 
 def make_problem(name, **params):
-    """Build a catalog problem by name; an unknown name or a parameter its
-    builder does not take is a configuration error."""
+    """Build a catalog problem by name; an unknown name, an unknown parameter or
+    a value that is not a real number (a ``bool`` is not) is a configuration error."""
     builder = _BUILDERS.get(name)
     if builder is None:
         raise ConfigurationError(
@@ -344,4 +345,7 @@ def make_problem(name, **params):
     if unknown:
         raise ConfigurationError(f"{name} takes no parameter {', '.join(map(repr, unknown))}; "
                                  f"accepted: {', '.join(accepted) or 'none'}")
+    for key, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigurationError(f"{name}: {key} must be a real number, got {value!r}")
     return builder(**params)

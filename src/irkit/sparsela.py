@@ -262,11 +262,6 @@ class SparseMatrix:
     def to_dense(self):
         return self.csr.toarray()
 
-    @staticmethod
-    def identity(n):
-        eye = Pattern.of((n, n), np.arange(n + 1), np.arange(n))
-        return SparseMatrix.on_pattern(eye, np.ones(n))
-
 
 def _check_finite(values):
     """Raise unless every entry is finite: a finite ``values.dot(values)``

@@ -91,7 +91,7 @@ def run_cell(name, seed=0):
     else:
         res = dae_integrate(problem.system, u, w, 0.0, t_final, dt, tableau,
                             SolverConfig(**cfg), mode=mode)
-        states = [np.concatenate(uw) for uw in zip(res.u_states[1:], res.w_states[1:])]
+        states = [np.concatenate(uw) for uw in res.states[1:]]
     counts = [[getattr(st, c) for c in COUNTS] for st in res.step_stats]
     return counts, states
 

@@ -29,8 +29,7 @@ from irkit.irk_core import (
     solve_block,
     solve_transformed_system,
 )
-from irkit.nonlinear import (IntegrationResult, SolverConfig, StageState, build_variant_jacobian,
-                             integrate)
+from irkit.nonlinear import IntegrationResult, SolverConfig, build_variant_jacobian, integrate
 from irkit.problems import make_problem
 from irkit.sparsela import SparseMatrix, combine
 from irkit.tableau import make_tableau, prepare_stages
@@ -122,16 +121,14 @@ class TestResidual:
                     blk = blk + mbar
                 big[i * n : (i + 1) * n, j * n : (j + 1) * n] = blk
         x = np.linalg.solve(big, rhs).reshape(s, n)
-        st = StageState(k=x, u=np.concatenate([u0, w0]), t=0.0, dt=dt)
-        res = dae_stage_residual(sys, st, tableau)
+        res = dae_stage_residual(sys, x, np.concatenate([u0, w0]), 0.0, dt, tableau)
         assert np.max(np.abs(res)) <= 1e-12
 
     def test_zero_guess_evaluates_base_state(self):
         problem = make_problem("dae_manufactured")
         tableau = make_tableau("radau_iia", 2)
-        st = StageState(k=np.zeros((2, 2)), u=np.concatenate([problem.u0, problem.w0]),
-                        t=0.0, dt=0.1)
-        res = dae_stage_residual(problem.system, st, tableau)
+        res = dae_stage_residual(problem.system, np.zeros((2, 2)),
+                                 np.concatenate([problem.u0, problem.w0]), 0.0, 0.1, tableau)
         for i, ci in enumerate(tableau.c0):
             assert res[i, 0] == pytest.approx(-1.0 + 1.0)  # -u0 + w0
             assert res[i, 1] == pytest.approx(1.0 - np.cos(0.1 * ci), abs=1e-14)
@@ -139,8 +136,8 @@ class TestResidual:
     def test_single_stage_hand_values(self):
         problem = make_problem("dae_manufactured")
         tableau = make_tableau("radau_iia", 1)
-        st = StageState(k=np.zeros((1, 2)), u=np.array([2.0, 0.5]), t=0.0, dt=0.2)
-        res = dae_stage_residual(problem.system, st, tableau)
+        res = dae_stage_residual(problem.system, np.zeros((1, 2)), np.array([2.0, 0.5]), 0.0, 0.2,
+                                 tableau)
         assert res[0, 0] == pytest.approx(-2.0 + 0.5, abs=1e-14)
         assert res[0, 1] == pytest.approx(0.5 - np.cos(0.2), abs=1e-14)
 
@@ -190,8 +187,9 @@ class TestBlockSolve:
         start = replace(dae.COUNTERS)
         _, rep = solve_dae_block4x4(pair_plan(oi, oj, 2.0, 1.3, 0.8, 0.25, mode="reordered"),
                                     rhs, rtol=1e-11, maxit=100)
-        assert dae.COUNTERS.constraint - start.constraint == 2
-        assert dae.COUNTERS.differential - start.differential == rep.precond_applications
+        assert dae.COUNTERS.constraint_solves - start.constraint_solves == 2
+        assert (dae.COUNTERS.differential_solves - start.differential_solves
+                == rep.precond_applications)
 
     @pytest.mark.parametrize("rtol", [1e-5, 1e-10])
     def test_reordered_recheck_is_the_assembled_block_residual(self, rtol):
@@ -272,8 +270,8 @@ class TestBlockSolve:
         assert np.array_equal(solver.solve(r), want)
         assert np.array_equal(rows[1], want) and np.array_equal(rows[2], want)
         assert np.all(np.isnan(rows[0]))
-        assert dae.COUNTERS.differential - start.differential == 3
-        assert dae.COUNTERS.constraint - start.constraint == 3 * (1 if lw_zero else 2)
+        assert dae.COUNTERS.differential_solves - start.differential_solves == 3
+        assert dae.COUNTERS.constraint_solves - start.constraint_solves == 3 * (1 if lw_zero else 2)
 
     def test_reordered_requires_structural_zero(self):
         rng = np.random.default_rng(5)
@@ -396,8 +394,9 @@ class TestSolverSplitCounts:
                      mode="reordered")
         st = failure.value.stats
         assert (st.newton_iterations, st.krylov_iterations, st.precond_applications) == (1, 3, 6)
-        assert st.differential_solves == dae.COUNTERS.differential - start.differential > 0
-        assert st.constraint_solves == dae.COUNTERS.constraint - start.constraint > 0
+        assert st.differential_solves == (dae.COUNTERS.differential_solves
+                                          - start.differential_solves) > 0
+        assert st.constraint_solves == dae.COUNTERS.constraint_solves - start.constraint_solves > 0
 
     def test_failed_coupled_step_counts_every_solve(self, monkeypatch):
         # a block solve that fails in the first Newton iteration: the stats the
@@ -561,8 +560,8 @@ class TestIntegration:
                             make_tableau("radau_iia", 2), TIGHT)
         assert isinstance(res, DaeIntegrationResult) and isinstance(res, IntegrationResult)
         assert len(res.states) == len(res.times) == 4
-        assert all(u is pu and w is pw for (u, w), pu, pw
-                   in zip(res.states, res.u_states, res.w_states))
+        assert all(u.shape == (problem.system.dim_u,) and w.shape == (problem.system.dim_w,)
+                   for u, w in res.states)
         assert res.u_final is res.states[-1][0] and res.w_final is res.states[-1][1]
         assert res.total("newton_iterations") == sum(s.newton_iterations for s in res.step_stats)
 
@@ -571,6 +570,15 @@ class TestIntegration:
         with pytest.raises(ConfigurationError):
             dae_integrate(problem.system, problem.u0, np.array([3.0]), 0.0, 0.5, 0.1,
                           make_tableau("radau_iia", 2), TIGHT)
+
+    def test_nan_initial_value_rejected_before_any_step(self):
+        # a NaN |G(u0, w0, t0)| passed ``g0 > 1e-10``, and the first step failed
+        # as a StepFailureError with a partial result
+        problem = make_problem("dae_manufactured")
+        with pytest.raises(ConfigurationError, match="inconsistent initial condition") as err:
+            dae_integrate(problem.system, problem.u0, np.array([np.nan]), 0.0, 0.5, 0.1,
+                          make_tableau("radau_iia", 2), TIGHT)
+        assert err.value.partial is None
 
     def test_dirk_rejected(self):
         problem = make_problem("dae_manufactured")
@@ -626,7 +634,7 @@ class TestShearLayer:
         cfg = SolverConfig(newton_rtol=1e-9, krylov_rtol=1e-10, newton_maxit=40)
         res = dae_integrate(problem.system, problem.u0, problem.w0, 0.0, 0.04, 0.02,
                             tableau, cfg)
-        assert len(res.u_states) == 3
+        assert len(res.states) == 3
         assert np.all(np.isfinite(res.u_final))
 
 

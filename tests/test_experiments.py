@@ -282,7 +282,9 @@ class TestCli:
         ({"experiment": "convergence"}, "manifest lacks keys: 'problem'"),
         ({"experiment": "iterations", "problem": "dahlquist", "schemes": [["gauss", 1]],
           "dts": [0.1]}, "is for 'iterations', not 'convergence'"),
-    ], ids=["unknown-key", "array", "missing-key", "other-experiment"])
+        ({"experiment": "convergence", "problem": "dahlquist", "t_final": float("nan")},
+         "t_final must be None or finite, got nan"),
+    ], ids=["unknown-key", "array", "missing-key", "other-experiment", "nan-t-final"])
     def test_manifest_it_cannot_run_exit_code(self, tmp_path, capsys, doc, message):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
@@ -297,7 +299,14 @@ class TestCli:
           "gauss", "--stages", "1", "--dt", "0.1"], "bad --problem-param 'lam_re'"),
         (["convergence", "--problem", "dahlquist", "--scheme", "gauss", "--dt", "0.1"],
          "gauss needs --stages"),
-    ], ids=["no-exact-solution", "param-without-value", "gauss-without-stages"])
+        # these two ended in a traceback with exit 1: numpy's _UFuncNoLoopError,
+        # and an OverflowError from the step count
+        (["convergence", "--problem", "burgers1d", "--problem-param", "nu=abc", "--scheme",
+          "gauss", "--stages", "2", "--dt", "0.1"], "burgers1d: nu must be a real number"),
+        (["convergence", "--problem", "dahlquist", "--scheme", "gauss", "--stages", "2",
+          "--dt", "0.1", "--t-final", "inf"], "t_final must be None or finite, got inf"),
+    ], ids=["no-exact-solution", "param-without-value", "gauss-without-stages",
+            "string-param", "inf-t-final"])
     def test_flags_it_cannot_run_exit_code(self, capsys, argv, message):
         assert main(argv) == 2
         err = capsys.readouterr().err

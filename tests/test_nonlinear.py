@@ -14,7 +14,6 @@ from irkit.nonlinear import (
     IntegrationResult,
     OdeSystem,
     SolverConfig,
-    StageState,
     StepStats,
     build_variant_jacobian,
     integrate,
@@ -62,8 +61,7 @@ class TestStageResidual:
         rhs = np.vstack([lmat @ problem.u0] * 2)
         big = dense_stage_matrix(tableau, [lmat, lmat], dt)
         k = np.linalg.solve(big, rhs.ravel()).reshape(2, 16)
-        st = StageState(k=k, u=problem.u0, t=0.0, dt=dt)
-        res = stage_residual(problem.system, st, tableau)
+        res = stage_residual(problem.system, k, problem.u0, 0.0, dt, tableau)
         assert np.max(np.abs(res)) <= 1e-12
 
     def test_zero_guess_gives_rhs_at_base_point(self):
@@ -71,8 +69,7 @@ class TestStageResidual:
         mat = SparseMatrix(np.array([[lam]]))
         sys = OdeSystem(1, lambda u, t: mat @ u, lambda u, t: mat)
         tableau = make_tableau("gauss", 2)
-        st = StageState(k=np.zeros((2, 1)), u=np.array([2.0]), t=0.0, dt=0.1)
-        res = stage_residual(sys, st, tableau)
+        res = stage_residual(sys, np.zeros((2, 1)), np.array([2.0]), 0.0, 0.1, tableau)
         assert np.allclose(res, lam * 2.0)
 
     def test_dahlquist_hand_arithmetic(self):
@@ -82,8 +79,7 @@ class TestStageResidual:
         mat = SparseMatrix(np.array([[lam]]))
         sys = OdeSystem(1, lambda u, t: mat @ u, lambda u, t: mat)
         tableau = make_tableau("gauss", 2)
-        st = StageState(k=np.ones((2, 1)), u=np.array([1.0]), t=0.0, dt=0.5)
-        res = stage_residual(sys, st, tableau).ravel()
+        res = stage_residual(sys, np.ones((2, 1)), np.array([1.0]), 0.0, 0.5, tableau).ravel()
         r3 = np.sqrt(3.0)
         assert res[0] == pytest.approx(-3.5 + r3 / 6.0, abs=1e-14)
         assert res[1] == pytest.approx(-3.5 - r3 / 6.0, abs=1e-14)
@@ -274,8 +270,7 @@ class TestNewton:
         prep = prepare_stages(tableau)
         cfg = SolverConfig(variant=3, newton_rtol=1e-14, krylov_rtol=1e-14,
                            newton_abs_floor=1e-15)
-        st = StageState(k=np.zeros((2, 1)), u=np.array([0.5]), t=0.0, dt=0.1)
-        _, stats = newton_like_step(sys, st, prep, cfg)
+        _, stats = newton_like_step(sys, np.array([0.5]), 0.0, 0.1, prep, cfg)
         hist = [r for r in stats.residual_history if r > 1e-14]
         orders = [
             np.log(hist[i + 1] / hist[i]) / np.log(hist[i] / hist[i - 1])
@@ -353,8 +348,8 @@ class TestNewton:
         # richardson adds its own share of the running totals to the stats it
         # was given, as DIRK's per-stage calls do, also when it raises
         def solve(jac, res, reports):
-            nonlinear.COUNTERS.differential += 2
-            nonlinear.COUNTERS.constraint += 3
+            nonlinear.COUNTERS.differential_solves += 2
+            nonlinear.COUNTERS.constraint_solves += 3
             return 1.0
 
         def run(stats, after=0.0):  # one iteration, then the residual is ``after``
@@ -367,7 +362,7 @@ class TestNewton:
         run(stats)
         assert (stats.differential_solves, stats.constraint_solves) == (4, 6)
         with pytest.raises(StepFailureError, match="stalled") as err:
-            nonlinear.COUNTERS.differential += 100  # outside the call: not counted
+            nonlinear.COUNTERS.differential_solves += 100  # outside the call: not counted
             run(StepStats(), after=1.0)
         failed = err.value.stats
         assert (failed.differential_solves, failed.constraint_solves) == (2, 3)
@@ -382,21 +377,25 @@ class TestTimeArguments:
         rhs = problem.system.rhs
         return replace(problem.system, rhs=lambda *args: calls.append(args) or rhs(*args))
 
-    @pytest.mark.parametrize("t_final,dt", [(0.2, -0.1), (-0.2, 0.1), (0.2, 0.0),
-                                            (0.2, np.nan), (np.nan, 0.1), (0.2, np.inf)],
-                             ids=["negative-dt", "backward", "zero-dt", "nan-dt",
-                                  "nan-t-final", "inf-dt"])
+    # an infinite t_final raised OverflowError from the step count, and an
+    # infinite t0 numpy's "cannot convert float NaN to integer"
+    @pytest.mark.parametrize("t0,t_final,dt", [
+        (0.0, 0.2, -0.1), (0.0, -0.2, 0.1), (0.0, 0.2, 0.0), (0.0, 0.2, np.nan),
+        (0.0, np.nan, 0.1), (0.0, 0.2, np.inf), (0.0, np.inf, 0.1), (np.inf, np.inf, 0.1),
+        (-np.inf, 0.2, 0.1)],
+        ids=["negative-dt", "backward", "zero-dt", "nan-dt", "nan-t-final", "inf-dt",
+             "inf-t-final", "inf-t0", "minus-inf-t0"])
     @pytest.mark.parametrize("path", ["ode", "dae"])
-    def test_run_rejects_before_any_step(self, path, t_final, dt):
+    def test_run_rejects_before_any_step(self, path, t0, t_final, dt):
         calls = []
         with pytest.raises(ConfigurationError, match="0 < dt < inf and t0 <= t_final") as err:
             if path == "dae":
                 problem = make_problem("dae_manufactured")
-                dae_integrate(self.counted(problem, calls), problem.u0, problem.w0, 0.0,
+                dae_integrate(self.counted(problem, calls), problem.u0, problem.w0, t0,
                               t_final, dt, make_tableau("radau_iia", 2))
             else:
                 problem = make_problem("dahlquist")
-                integrate(self.counted(problem, calls), problem.u0, 0.0, t_final, dt,
+                integrate(self.counted(problem, calls), problem.u0, t0, t_final, dt,
                           make_tableau("gauss", 2))
         assert calls == [] and err.value.partial is None
 
@@ -453,8 +452,10 @@ def pre_step_rows():
     """
     dts = {"negative-dt": {"dt": -0.1}, "zero-dt": {"dt": 0.0}, "nan-dt": {"dt": np.nan},
            "inf-dt": {"dt": np.inf}}
+    # (t_final - t0) / dt = inf on an overflowing span raised OverflowError
     run_times = {"backward": {"t_final": -0.2}, "nan-t-final": {"t_final": np.nan},
-                 "non-integer-steps": {"t_final": 0.25}}
+                 "non-integer-steps": {"t_final": 0.25},
+                 "overflowing-span": {"t_final": 1e308, "dt": 1e-300}}
     options = {"mode": {"mode": "foo"}, "inner-coupled": {"cfg": INEXACT},
                "inner-reordered": {"cfg": INEXACT, "mode": "reordered"},
                "dirk-tableau": {"family": "sdirk2"}}
@@ -465,8 +466,8 @@ def pre_step_rows():
             if path == "dae":
                 rows["mis-sized-w"] = ({"w": np.zeros(2)}, [])
                 rows |= {name: (args, []) for name, args in options.items()}
-            # march checks a run's time arguments, after the DAE consistency check
-            rows |= {name: (args, ["constraint"] if dae_run else [])
+            # a run's time arguments are checked before the DAE consistency check
+            rows |= {name: (args, [])
                      for name, args in (dts | run_times if entry == "run" else dts).items()}
             if dae_run:
                 rows["inconsistent-w0"] = ({"w": np.zeros(1)}, ["constraint"])

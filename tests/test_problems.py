@@ -191,13 +191,26 @@ class TestShearLayerStructure:
     ("dae_manufactured", {"n": 8}, "takes no parameter 'n'; accepted: none"),
     ("heat1d", {"n": 0}, "n must be an integer >= 1, got 0"),
     ("heat1d", {"n": 2.5}, "n must be an integer >= 1, got 2.5"),
-    ("heat1d", {"n": True}, "n must be an integer >= 1, got True"),
+    ("heat1d", {"n": True}, "heat1d: n must be a real number, got True"),
     ("shear_layer_small", {"n": 4.0}, "integer n >= 3 points, got 4.0"),
     # a negative nu would make heat's operator positive semi-definite, not snsd
     ("heat1d", {"nu": -1.0}, "nu must be finite and >= 0, got -1.0"),
     ("heat1d", {"nu": np.nan}, "nu must be finite and >= 0, got nan"),
+    # values that are not real numbers: burgers1d's nu="abc" ended in numpy's
+    # _UFuncNoLoopError, heat1d's in a TypeError, and a bool ran as 0 or 1
+    ("burgers1d", {"nu": "abc"}, "burgers1d: nu must be a real number, got 'abc'"),
+    ("heat1d", {"nu": "0.5"}, "heat1d: nu must be a real number, got '0.5'"),
+    ("advdiff1d", {"speed": True}, "advdiff1d: speed must be a real number, got True"),
+    ("dahlquist", {"lam_re": None}, "dahlquist: lam_re must be a real number, got None"),
+    ("dahlquist", {"lam_im": 1j}, "dahlquist: lam_im must be a real number, got 1j"),
 ], ids=["unknown-name", "no-params", "zero-n", "float-n", "bool-n", "float-grid-n",
-        "negative-nu", "nan-nu"])
+        "negative-nu", "nan-nu", "string-nu", "numeric-string-nu", "bool-speed", "none-lam",
+        "complex-lam"])
 def test_rejects_bad_parameters(name, params, fragment):
     with pytest.raises(ConfigurationError, match=re.escape(fragment)):
         make_problem(name, **params)
+
+
+def test_numpy_scalars_are_real_numbers():
+    problem = make_problem("heat1d", n=np.int64(8), nu=np.float64(0.5))
+    assert problem.u0.shape == (8,)

@@ -317,7 +317,7 @@ class TestGmres:
 
 class TestBandedLU:
     def test_identity(self):
-        f = BandedLU.factor(SparseMatrix.identity(6))
+        f = BandedLU.factor(SparseMatrix(np.eye(6)))
         b = np.arange(6.0)
         assert np.allclose(f.solve(b), b)
 
@@ -544,19 +544,19 @@ class TestOwnership:
         assert np.array_equal(m.to_dense(), np.diag([2.0, 3.0, 4.0]))
 
     def test_on_pattern_csr_is_read_only(self):
-        m = SparseMatrix.on_pattern(SparseMatrix.identity(3).pattern, [1.0, 2.0, 3.0])
+        m = SparseMatrix.on_pattern(SparseMatrix(np.eye(3)).pattern, [1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="read-only"):
             m.csr.data[0] = 5.0
 
     def test_on_pattern_owns_an_array_that_owns_its_memory(self):
         data = np.array([1.0, 2.0, 3.0])
-        SparseMatrix.on_pattern(SparseMatrix.identity(3).pattern, data)
+        SparseMatrix.on_pattern(SparseMatrix(np.eye(3)).pattern, data)
         with pytest.raises(ValueError, match="read-only"):
             data[0] = 5.0
 
     def test_on_pattern_keeps_an_owned_array_without_a_view(self):
         data = np.array([1.0, 2.0, 3.0])
-        assert SparseMatrix.on_pattern(SparseMatrix.identity(3).pattern, data).data is data
+        assert SparseMatrix.on_pattern(SparseMatrix(np.eye(3)).pattern, data).data is data
 
     def test_on_pattern_copies_a_view(self):
         # every cache built on the matrix must keep agreeing with its values
