@@ -23,6 +23,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -65,8 +66,10 @@ class RunManifest:
             self, "schemes", tuple((str(f), int(s)) for f, s in self.schemes)
         )
         object.__setattr__(self, "dts", tuple(float(x) for x in self.dts))
-        if not (self.t_final is None or -np.inf < self.t_final < np.inf):  # NaN fails too
-            raise ConfigurationError(f"t_final must be None or finite, got {self.t_final}")
+        t = self.t_final  # a bool is no real number; NaN fails the range
+        if not (t is None or isinstance(t, numbers.Real) and not isinstance(t, bool)
+                and -np.inf < t < np.inf):
+            raise ConfigurationError(f"t_final must be None or finite, got {t!r}")
 
     def to_dict(self):
         doc = dataclasses.asdict(self)
@@ -317,6 +320,8 @@ def run(manifest: RunManifest):
             f"unknown experiment {manifest.experiment!r}; "
             f"available: {', '.join(sorted(RUNNERS))}"
         ) from None
+    if manifest.t_final is None and manifest.experiment != "condition":  # condition takes no span
+        raise ConfigurationError(f"{manifest.experiment} needs a finite t_final, got None")
     return runner(manifest)
 
 

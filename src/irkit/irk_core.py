@@ -25,7 +25,8 @@ composite DAE block) is one CSR matrix assembled by
 :func:`~irkit.sparsela.stack`, so a Krylov iteration applies it with one
 sparse product; a plain 1x1 block's is its preconditioner's own shifted
 matrix.  The variant Jacobian keeps each block's plan: a constant
-operator's are built on the first step only.
+operator's are built on the first step only, a changing one's once per
+linearization (3 factors and one block matrix for radau_iia(3)).
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ def _block_matrix(blocks, like):
     if composite): the same operands and weights give the same matrix."""
     sizes = getattr(like, "sizes", (like.n,))
     g = len(sizes)
-    terms = [(bi * g + i, bj * g + j, w, m)
+    terms = [(bi * g + i, bj * g + j, float(w), m)
              for bi, bj, w, op in blocks for i, j, m in _parts(op)]
     return stack(sizes * (1 + max(b[0] for b in blocks)), terms, owner=_parts(like)[0][2])
 

@@ -15,25 +15,28 @@ scatter, as RADAU5 forms ``fac*M - J`` in place (Hairer & Wanner, *Solving
 ODEs II*, IV.8).  The band is the pattern's own: its literal half-bandwidth
 in natural order, or in reverse Cuthill-McKee order when that is strictly
 narrower (Cuthill & McKee 1969; George & Liu 1981), which turns periodic
-wrap-around stencils into plain bands.  LAPACK stores a band just under a
-multiple of 16 wide padded up to it (:func:`storage_width`; shear's 31 as
-32), so OpenBLAS's ``dger`` runs every column update in its 16-row kernel
-blocks, with no scalar tail, to the same bits.  A product with a vector
-calls the CSR kernel behind scipy's own ``csr @ x`` on the pattern's index
-arrays, so no scipy matrix is built for it.
+wrap-around stencils into plain bands; its scatter and permutation are
+``intp`` arrays, which numpy gathers and scatters without a cast.  LAPACK
+stores a band just under a multiple of 16 wide padded up to it
+(:func:`storage_width`; shear's 31 as 32), so OpenBLAS's ``dger`` runs every
+column update in its 16-row kernel blocks, with no scalar tail, to the same
+bits.  A product with a vector calls the CSR kernel behind scipy's own
+``csr @ x`` on the pattern's index arrays, so no scipy matrix is built for it.
 
 Values are immutable (``data`` is read-only, and no writable alias of it is
 kept), so one matrix object holds one set of values, checked finite once
 when it is made: a finite sum of squares ``data.dot(data)`` proves every
-entry finite, and only one that overflows rescans entry by entry.  Operator
-assembly is memoized by identity on an operand: :func:`combine` and
-:func:`combine_rows` hand back the same sums for the same weights on the same
-operand objects, :func:`stack` the same block matrix, the stage solve the same
-variant Jacobian and block plans, and :attr:`SparseMatrix.factorization`
-factors a matrix once.  An unchanged stage Jacobian (a linear problem's
-constant operator, a DAE's constant constraint block) therefore reuses its
-plans and LU factors for as long as ``dt`` and the shift stay the same, as a
-backward-Euler code keeps its factorization.
+entry finite, and only one that overflows rescans entry by entry.  A sum
+or block matrix assembled here is checked and made read-only as it stands,
+never copied.  Operator assembly is memoized by identity on an operand:
+:func:`combine` and :func:`combine_rows` hand back the same sums for the
+same weights on the same operand objects, :func:`stack` the same block
+matrix, the stage solve the same variant Jacobian and block plans, and
+:attr:`SparseMatrix.factorization` factors a matrix once.  An unchanged
+stage Jacobian (a linear problem's constant operator, a DAE's constant
+constraint block) therefore reuses its plans and LU factors for as long as
+``dt`` and the shift stay the same, as a backward-Euler code keeps its
+factorization.
 
 GMRES is right-preconditioned and keeps the preconditioned basis, which
 makes the preconditioner cost exactly one application per iteration.  Both
@@ -72,6 +75,7 @@ from .errors import SingularMatrixError
 SUM_CACHE_SIZE = 64
 _OWNER = object()  # stands for the memo's owner in its keys
 _EPS = np.finfo(float).eps
+_SS_FLOOR = np.finfo(float).tiny / _EPS  # no square below it underflowed
 # LAPACK's banded LU (dgbtf2) and solve (dgbtrs) hand each column update to
 # BLAS dger, whose OpenBLAS kernel runs 16 rows a block and the rest in a scalar
 # tail.  A half-bandwidth k with k % 16 >= 12 is stored padded up to the next
@@ -146,7 +150,8 @@ class Pattern:
         k = int(np.max(np.abs(rows - cols), initial=0))
         if k > 1:
             graph = sp.csr_matrix((np.ones(self.nnz), cols, self.indptr), shape=self.shape)
-            order = reverse_cuthill_mckee(graph, symmetric_mode=False)
+            # intp indices: int32 ones are cast on every gather and scatter
+            order = reverse_cuthill_mckee(graph, symmetric_mode=False).astype(np.intp)
             inv = np.empty_like(order)
             inv[order] = np.arange(len(order))
             k_rcm = int(np.max(np.abs(inv[rows] - inv[cols]), initial=0))
@@ -198,8 +203,9 @@ class SparseMatrix:
         csr.data = np.array(csr.data)  # a sparse input's values stay the caller's
         csr.sum_duplicates()
         csr.sort_indices()
+        pattern = Pattern.of(csr.shape, csr.indptr, csr.indices)
+        self._bind(pattern, csr.data, _check_finite(csr.data))
         csr.data.setflags(write=False)
-        self._set(Pattern.of(csr.shape, csr.indptr, csr.indices), csr.data)
         csr.indptr, csr.indices = self.indptr, self.indices
         self._csr = csr
 
@@ -211,20 +217,12 @@ class SparseMatrix:
         read-only, so a later write by the caller raises; a view is copied.
         """
         data = np.asarray(data, dtype=float)
-        if data.base is not None:
-            data = data.copy()
-        data.setflags(write=False)
-        return cls.__new__(cls)._set(pattern, data)
+        return _owned(pattern, data if data.base is None else data.copy())
 
-    def _set(self, pattern, data):
-        if data.shape != (pattern.nnz,):
-            raise ValueError(f"data has shape {data.shape}, expected ({pattern.nnz},)")
-        _check_finite(data)
-        return self._bind(pattern, data)
-
-    def _bind(self, pattern, data):
-        """Takes ``data``, checked and read-only, as the values on ``pattern``."""
-        self.pattern, self.data, self._csr, self._sums = pattern, data, None, {}
+    def _bind(self, pattern, data, ss=0.0):
+        """Takes ``data``, checked and read-only, as the values on ``pattern``;
+        ``ss`` is their sum of squares, or 0.0 where not taken (see :meth:`BandedLU.factor`)."""
+        self.pattern, self.data, self._ss, self._csr, self._sums = pattern, data, ss, None, {}
         self.shape, self.nnz = pattern.shape, pattern.nnz
         self.indptr, self.indices, self.n = pattern.indptr, pattern.indices, pattern.shape[0]
         return self
@@ -264,11 +262,22 @@ class SparseMatrix:
 
 
 def _check_finite(values):
-    """Raise unless every entry is finite: a finite ``values.dot(values)``
-    proves it, so only a sum of squares that overflows rescans entry by entry."""
+    """The sum of squares ``values.dot(values)`` (raveled), after checking every entry
+    finite: a finite sum proves it, so only one that overflows rescans entry by entry."""
     values = values.ravel()
-    if not (math.isfinite(values.dot(values)) or np.all(np.isfinite(values))):
+    ss = values.dot(values)
+    if not (math.isfinite(ss) or np.all(np.isfinite(values))):
         raise ValueError("matrix contains non-finite entries")
+    return ss
+
+
+def _owned(pattern, data):
+    """The matrix with values ``data``, a float array no one else holds, on
+    ``pattern``: its shape and finiteness checked, and made read-only."""
+    if data.shape != (pattern.nnz,):
+        raise ValueError(f"data has shape {data.shape}, expected ({pattern.nnz},)")
+    data.setflags(write=False)
+    return SparseMatrix.__new__(SparseMatrix)._bind(pattern, data, _check_finite(data))
 
 
 def _is_count(value):
@@ -352,22 +361,23 @@ def stack(sizes, terms, owner):
     ``data`` by ``bincount``, which adds them from zero in ``terms`` order.
     A one-block sum on one pattern adds them in that order in one pass.
     The matrix is memoized on ``owner`` (one of the term matrices), keyed by
-    the grid, placements, weights and operand objects.
+    the grid, placements, weights (floats, made so by the caller) and operand objects.
     """
     sizes = tuple(sizes)
-    return _stacked((sizes, sizes), [(i, j, float(w), m) for i, j, w, m in terms], owner)
+    return _stacked((sizes, sizes), terms, owner)
 
 
 def _stacked(grid, terms, owner):
-    return _memoized(owner, (grid, tuple([t[:3] for t in terms])), [t[3] for t in terms],
-                     lambda: _scatter(grid, terms))
+    """The :func:`_scatter` of ``terms`` (weights as floats), memoized on ``owner``."""
+    return _memoized(owner, (grid, *[t[:3] for t in terms]), [t[3] for t in terms],
+                     _scatter, grid, terms)
 
 
 def _scatter(grid, terms):
     shared = {m.pattern for _, _, _, m in terms if m is not None}
     p = shared.pop() if len(shared) == 1 else None
     if p is not None and p.diag is not None and grid == ((p.shape[0],),) * 2:  # one block
-        return SparseMatrix.on_pattern(p, _summed(p, p.nnz, [t[2:] for t in terms]))
+        return _owned(p, _summed(p, p.nnz, [t[2:] for t in terms]))
     places = tuple([(i, j, None if m is None else m.pattern) for i, j, _, m in terms])
     pattern, pos, bounds = _block_layout(grid, places)
     values = np.empty(len(pos))
@@ -376,7 +386,7 @@ def _scatter(grid, terms):
             values[a:b] = w
         else:
             np.multiply(m.data, w, out=values[a:b])
-    return SparseMatrix.on_pattern(pattern, np.bincount(pos, values, pattern.nnz))
+    return _owned(pattern, np.bincount(pos, values, pattern.nnz))
 
 
 def _summed(pattern, shape, terms):
@@ -392,16 +402,16 @@ def _summed(pattern, shape, terms):
     return out
 
 
-def _memoized(owner, key, operands, build):
-    """``build()``, memoized on ``owner`` under ``key`` and the ``operands``
+def _memoized(owner, key, operands, build, *args):
+    """``build(*args)``, memoized on ``owner`` under ``key`` and the ``operands``
     objects (oldest evicted first).  The key stands a placeholder for the
     owner among the operands, since holding the owner itself would keep it
     alive through a reference cycle."""
     memo = owner._sums
-    key = (key, tuple([_OWNER if m is owner else m for m in operands]))
+    key = (key, *[_OWNER if m is owner else m for m in operands])
     out = memo.get(key)
     if out is None:
-        out = build()
+        out = build(*args)
         if len(memo) >= SUM_CACHE_SIZE:
             del memo[next(iter(memo))]
         memo[key] = out
@@ -599,7 +609,10 @@ class BandedLU:
     when a pivot (an entry of ``D``) falls below ``n * eps`` times the
     largest entry: on singular periodic operators LAPACK leaves
     roundoff-sized pivots, not exact zeros, and their size grows with ``n``
-    (1.5e-14 of the largest entry on a 20x20 torus).
+    (1.5e-14 of the largest entry on a 20x20 torus).  The sum of squares
+    ``ss`` taken when the matrix was made bounds that entry by ``sqrt(ss)``
+    unless a square underflowed (``ss < tiny/eps``), so it is read exactly
+    only for a smallest pivot not above ``2 * n * eps * sqrt(ss)``.
     """
 
     def __init__(self, n, k, perm, inv, lu, piv):
@@ -625,9 +638,10 @@ class BandedLU:
         else:
             lu, piv, _ = lapack.dgbtrf(ab.T, k, k, overwrite_ab=1)
             pivots = lu[2 * k]
-        pivot = np.abs(pivots).min()
-        if pivot <= n * _EPS * np.abs(a.data).max(initial=0.0):
-            raise SingularMatrixError(f"banded LU pivot {pivot:.3e} below threshold")
+        pivot, ss = np.abs(pivots).min(), a._ss
+        if not (ss >= _SS_FLOOR and pivot > 2.0 * n * _EPS * math.sqrt(ss)):
+            if pivot <= n * _EPS * np.abs(a.data).max(initial=0.0):
+                raise SingularMatrixError(f"banded LU pivot {pivot:.3e} below threshold")
         return cls(n, k, perm, inv, lu, piv)
 
     def solve(self, rhs, out=None):

@@ -17,8 +17,12 @@ can be measured again on another CPU or BLAS:
 
 BLAS is pinned to one thread, as ``perfbench`` pins it.  The storages give
 the same pivots and the same bits on the CPUs this was measured on (the
-extra diagonals are exact zeros); the script checks that on each matrix and
-prints ``differs`` in the last column where they do not.
+extra diagonals are exact zeros); the script checks that on each matrix,
+prints ``differs`` in the last column where they do not, and then exits with
+status 1 (0 when every row reads ``same``), so a CI job can run it as a
+bit-identity check:
+
+    PYTHONPATH=src python tests/band_width_scan.py --sizes 256 --kmax 33 --reps 1
 """
 
 from __future__ import annotations
@@ -91,13 +95,17 @@ def main(argv=None):
     rng = np.random.default_rng(args.seed)
     print(f"{'n':>5} {'k':>3} {'K':>3} {'factor k':>9} {'factor K':>9} {'ratio':>6} "
           f"{'solve k':>8} {'solve K':>8} {'ratio':>6} {'rule':>4}  bits")
+    differs = 0
     for n in args.sizes:
         for k in range(1, args.kmax + 1):
             width, (fk, sk), (fw, sw), same = scan_one(n, k, args.reps, rng)
+            differs += not same
             print(f"{n:5d} {k:3d} {width:3d} {fk:9.1f} {fw:9.1f} {fw / fk:6.2f} "
                   f"{sk:8.1f} {sw:8.1f} {sw / sk:6.2f} {storage_width(k):4d}  "
                   f"{'same' if same else 'differs'}", flush=True)
-    return 0
+    if differs:
+        print(f"band_width_scan: {differs} row(s) differ in bits", file=sys.stderr)
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":

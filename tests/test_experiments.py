@@ -25,6 +25,20 @@ class TestManifest:
         )
         assert RunManifest.from_json(m.to_json()) == m
 
+    @pytest.mark.parametrize("t_final", ["1", True, [1.0]])
+    def test_t_final_that_is_no_real_number_rejected(self, t_final):
+        with pytest.raises(ConfigurationError, match="t_final must be None or finite"):
+            RunManifest(experiment="convergence", problem="dahlquist", t_final=t_final)
+
+    @pytest.mark.parametrize("experiment",
+                             ["convergence", "iterations", "gamma-compare", "dae-convergence"])
+    def test_stepping_study_needs_a_t_final(self, experiment):
+        # condition takes no time span (TestCondition runs it without one); these step to it
+        m = RunManifest(experiment=experiment, problem="heat1d", schemes=(("gauss", 2),),
+                        dts=(0.1,), t_final=None)
+        with pytest.raises(ConfigurationError, match=f"{experiment} needs a finite t_final"):
+            run(m)
+
     def test_defaults_are_the_solver_defaults(self):
         m = RunManifest(experiment="convergence", problem="dahlquist")
         cfg = SolverConfig()
@@ -190,7 +204,7 @@ class TestCondition:
         m = RunManifest(
             experiment="condition", problem="heat1d",
             problem_params={"n": 48},
-            schemes=(("gauss", 2), ("lobatto_iiic", 2)), dts=(0.001, 0.01),
+            schemes=(("gauss", 2), ("lobatto_iiic", 2)), dts=(0.001, 0.01), t_final=None,
         )
         rows = run(m)
         for row in rows:
@@ -284,7 +298,13 @@ class TestCli:
           "dts": [0.1]}, "is for 'iterations', not 'convergence'"),
         ({"experiment": "convergence", "problem": "dahlquist", "t_final": float("nan")},
          "t_final must be None or finite, got nan"),
-    ], ids=["unknown-key", "array", "missing-key", "other-experiment", "nan-t-final"])
+        # these two ended in a TypeError traceback with exit 1
+        ({"experiment": "convergence", "problem": "dahlquist", "schemes": [["gauss", 1]],
+          "dts": [0.1], "t_final": None}, "convergence needs a finite t_final, got None"),
+        ({"experiment": "convergence", "problem": "dahlquist", "t_final": "1"},
+         "t_final must be None or finite, got '1'"),
+    ], ids=["unknown-key", "array", "missing-key", "other-experiment", "nan-t-final",
+            "null-t-final", "string-t-final"])
     def test_manifest_it_cannot_run_exit_code(self, tmp_path, capsys, doc, message):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))

@@ -322,6 +322,102 @@ class TestBlockMatrix:
         assert any(v is sysb.matrix for v in sysb.l1.lu._sums.values())
 
 
+def placed(bi, bj, w, op, g):
+    """``w * op`` in block ``(bi, bj)`` of a grid ``g`` sub-blocks finer: a
+    composite operand's parts each in its own sub-block, in ``parts`` order."""
+    if op is None or isinstance(op, SparseMatrix):
+        return [(bi * g, bj * g, w, op)]
+    return [(bi * g + i, bj * g + j, w, m) for i, j, m in op.parts]
+
+
+def assert_summed_from_zero(mat, terms, sizes):
+    """``mat`` holds, bit for bit, the term-by-term sum of ``terms`` (``(i, j,
+    w, op)`` on the block grid ``sizes``, ``op`` a matrix or ``None`` for the
+    identity): at each stored entry, ``w * value`` of every term that stores
+    it, added from +0.0 in ``terms`` order, in Python floats."""
+    start = np.concatenate([[0], np.cumsum(sizes)])
+    want = {}
+    for i, j, w, op in terms:
+        if op is None:
+            entries = [(r, r, 1.0) for r in range(sizes[i])]
+        else:
+            coo = op.csr.tocoo()  # explicit zeros included
+            entries = zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())
+        for r, c, v in entries:
+            key = (start[i] + r, start[j] + c)
+            want[key] = want.get(key, 0.0) + float(w) * v
+    coo = mat.csr.tocoo()
+    got = dict(zip(zip(coo.row.tolist(), coo.col.tolist()), coo.data.tolist()))
+    assert got.keys() == want.keys()
+    keys = sorted(want)
+    got, want = np.array([got[k] for k in keys]), np.array([want[k] for k in keys])
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestAssemblyBits:
+    """Shifted sums, variant rows and block matrices against a term-by-term
+    reference in the documented order: equal bits, not within roundoff."""
+
+    @pytest.mark.parametrize("kind", ["ode", "dae"])
+    @pytest.mark.parametrize("mass_kind", ["identity", "spd_diagonal"])
+    @pytest.mark.parametrize("couplings", [False, True])
+    def test_block_matrix(self, kind, mass_kind, couplings):
+        rng = np.random.default_rng([5, kind == "dae", mass_kind == "identity", couplings])
+        sysb = random_block_system(rng, kind, mass_kind, couplings)
+        g = 2 if kind == "dae" else 1
+        sizes = sysb.l1.sizes * 2 if kind == "dae" else (sysb.n, sysb.n)
+        blocks = [(0, 0, sysb.eta, sysb.mass), (0, 0, -sysb.dt, sysb.l1),
+                  (0, 1, sysb.phi, sysb.mass), (1, 0, -(sysb.beta**2 / sysb.phi), sysb.mass),
+                  (1, 1, sysb.eta, sysb.mass), (1, 1, -sysb.dt, sysb.l2)]
+        if couplings:
+            blocks += [(0, 1, -sysb.dt, sysb.offdiag12), (1, 0, -sysb.dt, sysb.offdiag21)]
+        terms = [t for bi, bj, w, op in blocks for t in placed(bi, bj, w, op, g)]
+        assert_summed_from_zero(sysb.matrix, terms, sizes)
+
+    @pytest.mark.parametrize("kind", ["ode", "dae"])
+    @pytest.mark.parametrize("mass_kind", ["identity", "spd_diagonal"])
+    def test_shifted_sums(self, kind, mass_kind):
+        rng = np.random.default_rng([6, kind == "dae", mass_kind == "identity"])
+        sysb = random_block_system(rng, kind, mass_kind, False)
+        alpha, dt = sysb.eta, sysb.dt
+        if kind == "ode":
+            mat = ShiftedSolver(alpha, sysb.mass, sysb.l1, dt).mat
+            assert_summed_from_zero(mat, [(0, 0, alpha, sysb.mass), (0, 0, -dt, sysb.l1)],
+                                    (sysb.n,))
+            return
+        ops, mass = sysb.l1, sysb.mass  # a composite block's matrix, then its reduced sum
+        mat = dae._EliminationSolver(alpha, mass, ops, dt).mat
+        terms = placed(0, 0, alpha, mass, 2) + placed(0, 0, -dt, ops, 2)
+        assert_summed_from_zero(mat, terms, ops.sizes)
+        reduced = combine([alpha, -dt], [mass.mass, ops.lu])
+        assert_summed_from_zero(reduced, [(0, 0, alpha, mass.mass), (0, 0, -dt, ops.lu)],
+                                (ops.lu.n,))
+
+    @pytest.mark.parametrize("kind", ["ode", "dae"])
+    def test_variant_rows(self, kind):
+        # stage operators on shared patterns with unequal values, as one
+        # linearization's; signed zeros among the weights and the entries
+        rng = np.random.default_rng([7, kind == "dae"])
+        first = random_block_system(rng, kind, "identity", False).l1
+        parts = [(0, 0, first)] if kind == "ode" else first.parts
+
+        def like(m):
+            data = rng.standard_normal(m.nnz)
+            data[::5] = -0.0
+            return SparseMatrix.on_pattern(m.pattern, data)
+
+        stages = [[like(m) for _, _, m in parts] for _ in range(3)]
+        weights = rng.standard_normal((5, 3))
+        weights[1, 0] = weights[3, 2] = -0.0
+        weights[2, 1] = 0.0
+        for p, (_, _, m) in enumerate(parts):
+            mats = [stage[p] for stage in stages]
+            rows = sparsela.combine_rows(weights, mats)
+            for w, row in zip(weights, rows):
+                assert_summed_from_zero(row, [(0, 0, c, op) for c, op in zip(w, mats)],
+                                        (m.shape[0],))
+
+
 class TestShiftedPlan:
     """A real eigen-block's operator is its shifted solver's matrix."""
 

@@ -368,6 +368,33 @@ class TestBandedLU:
         with pytest.raises(ValueError):
             BandedLU.factor(SparseMatrix(np.ones((2, 3))))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("scale,last,singular", [
+        (1.0, 1.5, False),     # smallest pivot between n*eps*max|a| and 2*n*eps*sqrt(ss)
+        (1.0, 0.5, True),      # below both thresholds
+        (1e-170, 0.5, True),   # every square underflows to 0: ss bounds nothing
+        (1e-170, 1.5, False),
+        (1e200, 0.5, True),    # the squares overflow: ss is inf
+    ], ids=["between", "below", "underflow-below", "underflow-between", "overflow-below"])
+    def test_pivot_check_decides_as_the_exact_test(self, scale, last, singular):
+        # diag(1, 1, 1, last * n * eps) * scale: its pivots are its entries, so the
+        # exact test, pivot <= n * eps * max|a|, raises exactly when last <= 1
+        n, eps = 4, np.finfo(float).eps
+        a = SparseMatrix(sp.diags(scale * np.array([1.0, 1.0, 1.0, last * n * eps])))
+        pivot, biggest, ss = a.data[-1], a.data[0], a.data.dot(a.data)
+        assert (pivot <= n * eps * biggest) == singular
+        if scale == 1.0:  # the bound alone decides neither case
+            assert pivot <= 2.0 * n * eps * np.sqrt(ss)
+        if scale < 1.0:  # a bound from the squares would let the singular one pass
+            assert ss == 0.0
+        if scale > 1.0:
+            assert ss == np.inf
+        if singular:
+            with pytest.raises(SingularMatrixError, match="below threshold"):
+                BandedLU.factor(a)
+        else:
+            assert np.array_equal(BandedLU.factor(a).solve(a.data), np.ones(n))
+
     @pytest.mark.parametrize("kind,routine", [("spd", "dpttrs"), ("natural", "dgbtrs"),
                                               ("rcm", "dgbtrs")])
     def test_solve_into_a_row_is_bit_identical(self, monkeypatch, kind, routine):

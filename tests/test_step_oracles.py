@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from irkit import densela, irk_core, nonlinear
+from irkit import densela, irk_core, nonlinear, sparsela
 from irkit.dae import DaeOps, DaeSystem, dae_step
 from irkit.irk_core import Block2x2System, PrecondSpec
 from irkit.nonlinear import (
@@ -178,6 +178,34 @@ def test_burgers_factorizations_per_step(factored, refresh, per_step):
 
     per = factorizations_per_step(factored, advance, 3)
     assert [len(f) for f in per] == [per_step] * 3
+
+
+def test_fresh_linearization_builds_each_part_once(factored, monkeypatch):
+    # radau_iia(3) on burgers: a new stage Jacobian every Newton iteration,
+    # whose plans take one combine_rows pass, three shifted sums each
+    # factored once, and one assembly of the 2x2 block's matrix
+    built = {"rows": 0, "sums": 0, "blocks": 0}
+    summed, scatter = sparsela._summed, sparsela._scatter
+
+    def counted_summed(pattern, shape, terms):
+        built["rows"] += isinstance(shape, tuple)  # combine_rows' (rows, nnz) pass
+        return summed(pattern, shape, terms)
+
+    def counted_scatter(grid, terms):
+        built["sums" if len(grid[0]) == 1 else "blocks"] += 1
+        return scatter(grid, terms)
+
+    monkeypatch.setattr(sparsela, "_summed", counted_summed)
+    monkeypatch.setattr(sparsela, "_scatter", counted_scatter)
+    problem = make_problem("burgers1d", n=32)
+    tableau, u, newton = make_tableau("radau_iia", 3), problem.u0, 0
+    prep = prepare_stages(tableau)
+    for j in range(3):
+        u, stats = step(problem.system, u, j * 1e-3, 1e-3, tableau, prep=prep)
+        newton += stats.newton_iterations
+    assert newton >= 6
+    assert built == {"rows": newton, "sums": 3 * newton, "blocks": newton}
+    assert len(factored) == 3 * newton
 
 
 def test_shear_factors_its_constraint_block_on_the_first_step_only(factored):
